@@ -30,6 +30,8 @@
 
 use std::collections::HashSet;
 
+use dds_sim::snapshot::StableHasher;
+
 use crate::schedule::{ChoicePoint, ReadyEvent};
 use crate::target::{Counterexample, ExploreSession, RunReport, SessionState, Target, Violation};
 
@@ -193,12 +195,12 @@ fn segments(choices: &[ChoicePoint]) -> Vec<(ChoicePoint, Vec<ReadyEvent>)> {
     out
 }
 
-fn node_from(cp: &ChoicePoint, forced_after: Vec<ReadyEvent>, sleep: Vec<ReadyEvent>) -> Node {
+fn node_from(cp: ChoicePoint, forced_after: Vec<ReadyEvent>, sleep: Vec<ReadyEvent>) -> Node {
     let mut tried = vec![false; cp.width];
     tried[cp.chosen] = true;
     Node {
         width: cp.width,
-        ready: cp.ready.clone(),
+        ready: cp.ready,
         epoch: cp.epoch,
         chosen: cp.chosen,
         tried,
@@ -247,7 +249,7 @@ fn extend_path(path: &mut Vec<Node>, keep: usize, report: &RunReport, por: bool)
             (true, Some(parent)) => child_sleep(parent, &cp),
             _ => Vec::new(),
         };
-        path.push(node_from(&cp, forced, sleep));
+        path.push(node_from(cp, forced, sleep));
     }
 }
 
@@ -397,14 +399,14 @@ struct Frame {
     node: Node,
 }
 
-/// State-dedup key: canonical world fingerprint, the node's sorted sleep
-/// seqs, and the *remaining* exploration budgets expressed as (depth,
-/// preemptions-used). Two visits with equal keys explore byte-identical
-/// subtrees, so pruning the second cannot change the verdict — and since
-/// the search stops at the first violation, the first visit was
-/// violation-free, so pruning cannot skip the first counterexample
-/// either.
-type DedupKey = (u64, Vec<u64>, usize, usize);
+/// State-dedup key: canonical world fingerprint, a digest of the node's
+/// sorted sleep seqs, and the *remaining* exploration budgets expressed
+/// as (depth, preemptions-used). Two visits with equal keys explore
+/// byte-identical subtrees, so pruning the second cannot change the
+/// verdict — and since the search stops at the first violation, the first
+/// visit was violation-free, so pruning cannot skip the first
+/// counterexample either.
+type DedupKey = (u64, u64, usize, usize);
 
 /// Choice points probed for fingerprint-only dedup at the start of a
 /// descent whose preemption budget is spent. Commuting reorderings
@@ -426,6 +428,10 @@ struct ForkDfs {
     progress: Vec<ProgressSample>,
     /// Run count at which the next [`ProgressSample`] is due.
     next_sample: usize,
+    /// Scratch reused by every `advance` of every descent.
+    forced: Vec<ReadyEvent>,
+    /// Scratch for sorting a sleep set's seqs into a dedup key.
+    seqs: Vec<u64>,
 }
 
 impl ForkDfs {
@@ -440,6 +446,8 @@ impl ForkDfs {
             forks: 0,
             progress: Vec::new(),
             next_sample: PROGRESS_INTERVAL,
+            forced: Vec::new(),
+            seqs: Vec::new(),
         }
     }
 
@@ -460,6 +468,29 @@ impl ForkDfs {
         }
     }
 
+    /// Order-independent digest of a sleep set (the set of its seqs).
+    fn sleep_digest(&mut self, sleep: &[ReadyEvent]) -> u64 {
+        self.seqs.clear();
+        self.seqs.extend(sleep.iter().map(|s| s.seq));
+        self.seqs.sort_unstable();
+        let mut h = StableHasher::new();
+        for &seq in &self.seqs {
+            h.write_u64(seq);
+        }
+        h.finish()
+    }
+
+    /// Counts the descent as one run cut short by dedup when `key` was
+    /// visited before.
+    fn seen(&mut self, key: DedupKey) -> bool {
+        let seen = !self.visited.insert(key);
+        if seen {
+            self.dedup_hits += 1;
+            self.runs += 1;
+        }
+        seen
+    }
+
     /// Advances `session` to a terminal (or a dedup prune), growing
     /// `path` with a default-chosen frame per new choice point below
     /// `max_depth`. Returns the run's violation, if any.
@@ -469,11 +500,6 @@ impl ForkDfs {
         path: &mut Vec<Frame>,
         preemptions: usize,
     ) -> Option<Violation> {
-        // Forced steps from the next `advance` belong to the frame whose
-        // choice was just resolved; once frames stop being pushed (depth
-        // cap or a failed fork) deeper forced steps belong to uncreated
-        // nodes and must not overwrite an ancestor's.
-        let mut attribute = true;
         // A fork failure mid-descent stops frame creation for the rest of
         // the run: a frame whose true parent is missing would inherit the
         // wrong sleep set.
@@ -497,70 +523,74 @@ impl ForkDfs {
         // points per run) from paying a full-state hash at every one.
         let mut probes = if deviable { 0 } else { PROBE_WINDOW };
         loop {
-            let (state, forced) = session.advance();
-            if attribute {
+            let can_push = forkable && deviable && path.len() < self.budget.max_depth;
+            if !can_push && probes == 0 {
+                // Neither condition can come back within this descent, so
+                // no choice point below is read: nothing will be pushed
+                // (and with it no `forced_after` consulted) and nothing
+                // fingerprinted. The rest is the default order to the
+                // terminal, which the session runs without stopping.
+                session.finish();
+                self.runs += 1;
+                return session.violation();
+            }
+            self.forced.clear();
+            let state = session.advance(&mut self.forced);
+            // Forced steps belong to the frame whose choice was just
+            // resolved. While frames can be pushed that is the last one
+            // on `path` (every choice point below it became a frame);
+            // once they cannot, nothing reads `forced_after` any more.
+            if can_push {
                 if let Some(last) = path.last_mut() {
-                    last.node.forced_after = forced;
+                    last.node.forced_after.clone_from(&self.forced);
                 }
             }
-            match state {
-                SessionState::Done => {
-                    self.runs += 1;
-                    return session.violation();
-                }
-                SessionState::Choice => {
-                    let cp = session.choice().expect("Choice state has a choice point");
-                    attribute = false;
-                    if forkable && deviable && path.len() < self.budget.max_depth {
-                        let sleep = match (self.por, path.last()) {
-                            (true, Some(parent)) => child_sleep(&parent.node, &cp),
-                            _ => Vec::new(),
-                        };
-                        if let Some(fp) = session.fingerprint() {
-                            let mut sleep_seqs: Vec<u64> =
-                                sleep.iter().map(|s| s.seq).collect();
-                            sleep_seqs.sort_unstable();
-                            if !self.visited.insert((fp, sleep_seqs, path.len(), preemptions)) {
-                                self.dedup_hits += 1;
-                                self.runs += 1;
-                                return None;
-                            }
-                        }
-                        self.states += 1;
-                        if let Some(snapshot) = session.fork() {
-                            self.forks += 1;
-                            path.push(Frame {
-                                snapshot: Some(snapshot),
-                                node: node_from(&cp, Vec::new(), sleep),
-                            });
-                            attribute = true;
-                        } else {
-                            forkable = false;
-                        }
-                    } else if probes > 0 {
-                        // The continuation from here is fully determined
-                        // (all defaults to terminal — no frame below can
-                        // ever deviate), so a state seen before, under
-                        // *any* history, proves this descent ends in the
-                        // same violation-free terminal the first visit
-                        // reached. Fingerprint-only dedup — no fork, no
-                        // frame — turns the suffix walk into one hash
-                        // probe. `usize::MAX` namespaces these keys away
-                        // from frame-creation keys, where remaining depth
-                        // budget genuinely matters; the sleep set is
-                        // irrelevant for the same no-deviation reason.
-                        probes -= 1;
-                        if let Some(fp) = session.fingerprint() {
-                            if !self.visited.insert((fp, Vec::new(), usize::MAX, preemptions)) {
-                                self.dedup_hits += 1;
-                                self.runs += 1;
-                                return None;
-                            }
-                        }
+            if state == SessionState::Done {
+                self.runs += 1;
+                return session.violation();
+            }
+            if can_push {
+                let cp = session.choice().expect("Choice state has a choice point");
+                let sleep = match (self.por, path.last()) {
+                    (true, Some(parent)) => child_sleep(&parent.node, &cp),
+                    _ => Vec::new(),
+                };
+                if let Some(fp) = session.fingerprint() {
+                    let key = (fp, self.sleep_digest(&sleep), path.len(), preemptions);
+                    if self.seen(key) {
+                        return None;
                     }
-                    session.choose(0);
+                }
+                self.states += 1;
+                if let Some(snapshot) = session.fork() {
+                    self.forks += 1;
+                    path.push(Frame {
+                        snapshot: Some(snapshot),
+                        node: node_from(cp, Vec::new(), sleep),
+                    });
+                } else {
+                    forkable = false;
+                }
+            } else {
+                // The continuation from here is fully determined (all
+                // defaults to terminal — no frame below can ever
+                // deviate), so a state seen before, under *any* history,
+                // proves this descent ends in the same violation-free
+                // terminal the first visit reached. Fingerprint-only
+                // dedup — no fork, no frame, no choice point — turns the
+                // suffix walk into one hash probe. `usize::MAX`
+                // namespaces these keys away from frame-creation keys,
+                // where remaining depth budget genuinely matters; the
+                // sleep set is irrelevant for the same no-deviation
+                // reason.
+                probes -= 1;
+                if let Some(fp) = session.fingerprint() {
+                    if self.seen((fp, 0, usize::MAX, preemptions)) {
+                        return None;
+                    }
                 }
             }
+            session.choose(0);
         }
     }
 
@@ -571,6 +601,9 @@ impl ForkDfs {
         if let Some(v) = self.descend(&mut session, &mut path, preemptions) {
             return self.finish(&path, Some(v), false);
         }
+        // Release what the first descent still shares with the snapshots
+        // on `path`, so consuming one later finds it unshared.
+        drop(session);
         while self.runs < self.budget.max_runs {
             self.sample(path.len());
             let Some((depth, alt)) = self.deepest_admissible(&path) else {
@@ -679,8 +712,7 @@ pub fn explore_parallel_with(
         return explore(probe.as_mut(), budget);
     };
     // Learn the root width from a probe descent to the first choice.
-    let (state, _) = session.advance();
-    if state == SessionState::Done {
+    if session.advance(&mut Vec::new()) == SessionState::Done {
         // No choice points at all: the single deterministic run is the
         // whole space.
         let counterexample = session
@@ -718,8 +750,7 @@ pub fn explore_parallel_with(
         let Some(mut session) = target.session() else {
             return explore(target.as_mut(), shard_budget);
         };
-        let (state, _) = session.advance();
-        if state == SessionState::Done {
+        if session.advance(&mut Vec::new()) == SessionState::Done {
             let counterexample = session.violation().map(|v| Counterexample::new(&[], v));
             let exhausted = counterexample.is_none();
             return Explored {
@@ -739,10 +770,11 @@ pub fn explore_parallel_with(
         // completed (their executed events in `done`, feeding the sleep
         // sets below), every root alternative marked tried so the shard
         // never leaves its subtree.
-        let mut node = node_from(&cp, Vec::new(), Vec::new());
+        let done = cp.ready.iter().take(k).copied().collect();
+        let mut node = node_from(cp, Vec::new(), Vec::new());
         node.chosen = k;
         node.tried = vec![true; node.width];
-        node.done = cp.ready.iter().take(k).copied().collect();
+        node.done = done;
         let Some(snapshot) = session.fork() else {
             return explore(target.as_mut(), shard_budget);
         };

@@ -937,6 +937,7 @@ mod tests {
         explore, explore_fork, explore_parallel_with, explore_replay, Budget,
     };
     use crate::fuzz::fuzz;
+    use crate::target::{ExploreSession, SessionState};
 
     fn budget() -> Budget {
         Budget {
@@ -1214,36 +1215,38 @@ mod tests {
         );
     }
 
+    /// What "the engines agree" means: same first counterexample
+    /// (byte-identical plan), and exhaustion whenever replay exhausts —
+    /// dedup only ever *saves* runs.
+    fn check_pair(label: &str, forked: crate::explore::Explored, replayed: crate::explore::Explored) {
+        if let Some(rce) = &replayed.counterexample {
+            let fce = forked
+                .counterexample
+                .as_ref()
+                .unwrap_or_else(|| panic!("{label}: fork missed replay's witness {rce:?}"));
+            assert_eq!(rce.plan, fce.plan, "{label}: witness plans must be byte-identical");
+        } else if forked.counterexample.is_some() {
+            assert!(
+                !replayed.exhausted,
+                "{label}: fork found a witness replay exhaustively ruled out"
+            );
+        }
+        if replayed.exhausted {
+            assert!(
+                forked.exhausted,
+                "{label}: dedup only prunes duplicate subtrees, so fork \
+                 must exhaust whenever replay does (replay {} runs, fork {})",
+                replayed.runs, forked.runs
+            );
+            assert!(forked.runs <= replayed.runs, "{label}: pruning cannot add runs");
+        }
+    }
+
     /// Exhaustion-equivalence regression: on the flood and race suites the
     /// fork+dedup explorer and the legacy replay-DFS must reach the same
-    /// terminal verdicts — same first counterexample (byte-identical
-    /// plan), and exhaustion whenever replay exhausts (dedup only ever
-    /// *saves* runs) — with sleep-set POR both on and off.
+    /// terminal verdicts, with sleep-set POR both on and off.
     #[test]
     fn fork_and_replay_agree_on_flood_and_race_suites() {
-        fn check_pair(label: &str, forked: crate::explore::Explored, replayed: crate::explore::Explored) {
-            if let Some(rce) = &replayed.counterexample {
-                let fce = forked
-                    .counterexample
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("{label}: fork missed replay's witness {rce:?}"));
-                assert_eq!(rce.plan, fce.plan, "{label}: witness plans must be byte-identical");
-            } else if forked.counterexample.is_some() {
-                assert!(
-                    !replayed.exhausted,
-                    "{label}: fork found a witness replay exhaustively ruled out"
-                );
-            }
-            if replayed.exhausted {
-                assert!(
-                    forked.exhausted,
-                    "{label}: dedup only prunes duplicate subtrees, so fork \
-                     must exhaust whenever replay does (replay {} runs, fork {})",
-                    replayed.runs, forked.runs
-                );
-                assert!(forked.runs <= replayed.runs, "{label}: pruning cannot add runs");
-            }
-        }
         for por in [true, false] {
             for flag in [true, false] {
                 let (mut a, mut b) = (flood_target(flag), flood_target(flag));
@@ -1271,6 +1274,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The same agreement on the subjects whose descents are long enough
+    /// for the fork engine to finish most of them in default order: the
+    /// store races (write-back, fencing, reconfiguration) and the SCD
+    /// family, at the suite's own budget.
+    #[test]
+    fn fork_and_replay_agree_on_store_and_scd_targets() {
+        let mut compared = 0;
+        for subject in suite() {
+            let label = (subject.build)().name().to_string();
+            if !(label.starts_with("store-") || label.starts_with("scd-")) {
+                continue;
+            }
+            compared += 1;
+            let forked = explore_fork((subject.build)().as_mut(), Budget::default())
+                .unwrap_or_else(|| panic!("{label} forks"));
+            let replayed = explore_replay((subject.build)().as_mut(), Budget::default());
+            check_pair(&label, forked, replayed);
+        }
+        assert_eq!(compared, 11, "three store pairs less one mutant, three SCD pairs");
+    }
+
+    /// Runs `session` to its terminal one choice point at a time, always
+    /// taking the default — what `ExploreSession::finish` must equal.
+    fn step_to_terminal(session: &mut dyn ExploreSession) {
+        while session.advance(&mut Vec::new()) == SessionState::Choice {
+            session.choose(0);
+        }
+    }
+
+    /// The fast-forward is the step-by-step descent: from the initial
+    /// state and from a spread of deviated prefixes, on every subject
+    /// that opens a session and on the large flood sweep, `finish` lands
+    /// in the terminal a loop of `advance`/`choose(0)` reaches — same
+    /// verdict, same world fingerprint.
+    #[test]
+    fn fast_forward_reaches_the_step_by_step_terminal() {
+        let mut builds: Vec<fn() -> Box<dyn Target>> =
+            suite().into_iter().map(|s| s.build).collect();
+        builds.push(flood_exhaustive_large());
+        let prefixes: [&[usize]; 6] = [&[], &[1], &[0, 1], &[2, 0, 1], &[1, 1, 1, 1], &[0, 0, 0, 3, 0, 2]];
+        let mut sessions = 0;
+        for build in builds {
+            let mut target = build();
+            let name = target.name().to_string();
+            for prefix in prefixes {
+                let (Some(mut fast), Some(mut slow)) = (target.session(), target.session()) else {
+                    break; // register schedules replay only
+                };
+                sessions += 1;
+                for &decision in prefix {
+                    for s in [&mut fast, &mut slow] {
+                        if s.advance(&mut Vec::new()) == SessionState::Choice {
+                            s.choose(decision);
+                        }
+                    }
+                }
+                fast.finish();
+                step_to_terminal(slow.as_mut());
+                assert_eq!(
+                    fast.violation().map(|v| v.reason),
+                    slow.violation().map(|v| v.reason),
+                    "{name} after {prefix:?}: verdicts"
+                );
+                let fp = fast.fingerprint();
+                assert!(fp.is_some(), "{name}: suite worlds fingerprint");
+                assert_eq!(fp, slow.fingerprint(), "{name} after {prefix:?}: terminal states");
+                // Finishing a finished run changes nothing.
+                fast.finish();
+                assert_eq!(fp, fast.fingerprint(), "{name}: finish is idempotent");
+            }
+        }
+        assert_eq!(sessions, 20 * prefixes.len(), "19 world-backed subjects and the sweep");
     }
 
     /// Pins the POR/dedup interaction: an epoch bump conservatively wipes

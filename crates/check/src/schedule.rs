@@ -90,14 +90,17 @@ impl ScriptPolicy {
     }
 }
 
-pub(crate) fn summarize(ready: &[ReadySummary]) -> Vec<ReadyEvent> {
-    ready
-        .iter()
-        .map(|r| ReadyEvent {
+impl From<&ReadySummary> for ReadyEvent {
+    fn from(r: &ReadySummary) -> Self {
+        ReadyEvent {
             seq: r.seq,
             target: r.kind.target(),
-        })
-        .collect()
+        }
+    }
+}
+
+fn summarize(ready: &[ReadySummary]) -> Vec<ReadyEvent> {
+    ready.iter().map(ReadyEvent::from).collect()
 }
 
 impl SchedulePolicy for ScriptPolicy {

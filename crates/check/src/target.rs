@@ -9,10 +9,11 @@ use dds_core::time::Time;
 use dds_obs::{CausalLog, FlightRecorder, ObsEvent, Sink};
 use dds_registers::construction::Construction;
 use dds_registers::harness::{run_schedule_planned, CrashEvent};
+use dds_sim::event::ReadySummary;
 use dds_sim::snapshot::{fingerprint_msg, FingerprintMsg, StableHasher};
 use dds_sim::world::World;
 
-use crate::schedule::{summarize, ChoiceLog, ChoicePoint, ReadyEvent, ScriptPolicy};
+use crate::schedule::{ChoiceLog, ChoicePoint, ReadyEvent, ScriptPolicy};
 
 /// Final-state property over a finished world. `Rc` so the target and the
 /// exploration sessions it spawns can share one closure.
@@ -148,9 +149,17 @@ pub enum SessionState {
 /// equal the [`Target::run`] verdict for the same decision vector.
 pub trait ExploreSession {
     /// Runs forward until the next genuine choice point or completion,
-    /// returning where it stopped and the forced (width-1) steps executed
-    /// along the way, in order — the explorer's sleep sets need them.
-    fn advance(&mut self) -> (SessionState, Vec<ReadyEvent>);
+    /// returning where it stopped and appending to `forced` the forced
+    /// (width-1) steps executed along the way, in order — the explorer's
+    /// sleep sets need them.
+    fn advance(&mut self, forced: &mut Vec<ReadyEvent>) -> SessionState;
+
+    /// Runs to completion taking the default (index 0) alternative at
+    /// every choice point from here on — the same terminal a loop of
+    /// [`ExploreSession::advance`] and `choose(0)` reaches, without
+    /// materializing a ready set per event. Also resolves a pending
+    /// choice point with its default.
+    fn finish(&mut self);
 
     /// The pending choice point (with `chosen` still 0), when stopped at
     /// [`SessionState::Choice`].
@@ -175,114 +184,64 @@ pub trait ExploreSession {
     fn violation(&self) -> Option<Violation>;
 }
 
-/// A [`Target`] wrapping a simulator world: build it, run it under a
-/// scripted schedule until `deadline`, then check a property over the
-/// final state.
-pub struct WorldTarget<M> {
+/// What the two world-backed targets share: how to build the world, how
+/// long to run it, and what exploration may assume about it.
+struct Scenario<M> {
     name: String,
     build: Box<dyn FnMut() -> World<M>>,
-    check: WorldCheck<M>,
     deadline: Time,
     reduction_safe: bool,
-    /// Message fingerprint hook; `Some` (via [`WorldTarget::with_fork`])
-    /// opts the target into snapshot-forking exploration sessions.
+    /// Message fingerprint hook; `Some` opts the target into
+    /// snapshot-forking exploration sessions.
     forkable: Option<fn(&M, &mut StableHasher)>,
 }
 
-impl<M: Clone + 'static> WorldTarget<M> {
-    /// Creates a world target. `build` must return a freshly built,
-    /// deterministic world (same seed every time); `check` judges the
-    /// final state.
-    pub fn new(
-        name: impl Into<String>,
-        deadline: Time,
-        build: impl FnMut() -> World<M> + 'static,
-        check: impl Fn(&World<M>) -> Result<(), Violation> + 'static,
-    ) -> Self {
-        WorldTarget {
-            name: name.into(),
-            build: Box::new(build),
-            check: Rc::new(check),
+impl<M: Clone + 'static> Scenario<M> {
+    fn new(name: String, deadline: Time, build: Box<dyn FnMut() -> World<M>>) -> Self {
+        Scenario {
+            name,
+            build,
             deadline,
             reduction_safe: false,
             forkable: None,
         }
     }
 
-    /// Declares the target's callbacks rng-free, enabling the sleep-set
-    /// reduction.
-    pub fn with_reduction(mut self) -> Self {
-        self.reduction_safe = true;
-        self
-    }
-
-    /// Opts the target into snapshot-forking exploration: its message
-    /// type can be fingerprinted, so [`Target::session`] returns a live
-    /// session (provided the world's actors and driver also support
-    /// forking — verified with a probe fork when the session opens).
-    pub fn with_fork(mut self) -> Self
-    where
-        M: FingerprintMsg,
-    {
-        self.forkable = Some(fingerprint_msg::<M>);
-        self
-    }
-
-    /// Turns the reduction back off (to measure its effect, or to
-    /// cross-check that it prunes only commutative interleavings).
-    pub fn disable_reduction(&mut self) {
-        self.reduction_safe = false;
-    }
-
-    fn run_world(&mut self, plan: &[usize]) -> (World<M>, Vec<ChoicePoint>) {
+    /// A fresh world with `plan` installed as its schedule policy.
+    fn scripted(&mut self, plan: &[usize]) -> (World<M>, ChoiceLog) {
         let mut world = (self.build)();
         let log: ChoiceLog = Rc::new(RefCell::new(Vec::new()));
         world.set_schedule_policy(ScriptPolicy::new(plan.to_vec(), Rc::clone(&log)));
-        world.run_until(self.deadline);
-        let choices = log.borrow().clone();
-        (world, choices)
-    }
-}
-
-impl<M: Clone + 'static> Target for WorldTarget<M> {
-    fn name(&self) -> &str {
-        &self.name
+        (world, log)
     }
 
-    fn run(&mut self, plan: &[usize]) -> RunReport {
-        let (world, choices) = self.run_world(plan);
-        RunReport {
-            choices,
-            violation: (self.check)(&world).err(),
-        }
-    }
-
-    fn reduction_safe(&self) -> bool {
-        self.reduction_safe
-    }
-
-    fn session(&mut self) -> Option<Box<dyn ExploreSession>> {
+    /// Opens a live session judged by `judge`, or `None` when the target
+    /// did not opt into forking or some component of the world cannot
+    /// fork — the explorer must then take the replay path from the start
+    /// rather than fail mid-search.
+    fn session(&mut self, judge: Judge<M>) -> Option<Box<dyn ExploreSession>> {
         let msg_fp = self.forkable?;
-        let world = (self.build)();
-        // Probe once: if any actor or the driver opts out of forking, the
-        // explorer must take the replay path from the start rather than
-        // fail mid-search.
-        world.try_fork()?;
+        let mut world = (self.build)();
+        if !world.can_fork() {
+            return None;
+        }
+        // The explorer owns every decision: forks carry no policy, so
+        // neither does the root, and `finish` may pop in default order.
+        world.take_schedule_policy();
         Some(Box::new(WorldSession {
             world,
-            check: Rc::clone(&self.check),
             deadline: self.deadline,
             msg_fp,
+            judge,
             at: Time::ZERO,
             ready: Vec::new(),
-            done: false,
+            buf: Vec::new(),
         }))
     }
 
+    /// Replays `plan` under a [`FlightRecorder`] and dumps it to `path`.
     fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str) {
-        let mut world = (self.build)();
-        let log: ChoiceLog = Rc::new(RefCell::new(Vec::new()));
-        world.set_schedule_policy(ScriptPolicy::new(plan.to_vec(), log));
+        let (mut world, _log) = self.scripted(plan);
         world.set_sink(FlightRecorder::new(4096).with_dump_path(path));
         world.run_until(self.deadline);
         let at = world.now();
@@ -293,10 +252,10 @@ impl<M: Clone + 'static> Target for WorldTarget<M> {
         }
     }
 
+    /// Replays `plan` under a [`CausalLog`] and writes the cause chain of
+    /// the critical path's end event to `path`.
     fn dump_causal_chain(&mut self, plan: &[usize], path: &Path, reason: &str) {
-        let mut world = (self.build)();
-        let log: ChoiceLog = Rc::new(RefCell::new(Vec::new()));
-        world.set_schedule_policy(ScriptPolicy::new(plan.to_vec(), log));
+        let (mut world, _log) = self.scripted(plan);
         world.set_sink(CausalLog::default());
         world.run_until(self.deadline);
         let Some(sink) = world.take_sink() else {
@@ -312,13 +271,12 @@ impl<M: Clone + 'static> Target for WorldTarget<M> {
             .unwrap_or_default();
         // Integer-only fields and no wall clock, like every other JSONL
         // artifact: the file is byte-identical across thread counts.
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "{{\"t\":\"causal-chain\",\"reason\":\"{}\",\"plan\":{:?},\"events\":{}}}\n",
             reason,
             plan,
             chain.len()
-        ));
+        );
         for (depth, node) in chain.iter().enumerate() {
             out.push_str(&format!(
                 "{{\"t\":\"node\",\"depth\":{},\"id\":{},\"cause\":{},\"at\":{},\"pid\":{},\"segment\":\"{}\"}}\n",
@@ -334,88 +292,108 @@ impl<M: Clone + 'static> Target for WorldTarget<M> {
     }
 }
 
-/// A live [`WorldTarget`] run driven through [`dds_sim::world::World::step_nth`]
-/// instead of a [`ScriptPolicy`]: forced steps dispatch in default order,
-/// genuine choice points surface to the explorer.
-struct WorldSession<M> {
-    world: World<M>,
-    check: WorldCheck<M>,
-    deadline: Time,
-    msg_fp: fn(&M, &mut StableHasher),
-    /// Instant of the pending choice point, when stopped at one.
-    at: Time,
-    /// Ready set of the pending choice point, when stopped at one.
-    ready: Vec<ReadyEvent>,
-    done: bool,
-}
+/// The builder methods and [`Target`] plumbing [`WorldTarget`] and
+/// [`StabTarget`] share; the property-specific `run`/`session` stay with
+/// each type.
+macro_rules! scenario_target {
+    ($target:ident, $run:ident, $judge:ident) => {
+        impl<M: Clone + 'static> $target<M> {
+            /// Declares the target's callbacks rng-free, enabling the
+            /// sleep-set reduction.
+            pub fn with_reduction(mut self) -> Self {
+                self.scenario.reduction_safe = true;
+                self
+            }
 
-impl<M: Clone + 'static> ExploreSession for WorldSession<M> {
-    fn advance(&mut self) -> (SessionState, Vec<ReadyEvent>) {
-        let mut forced = Vec::new();
-        let mut buf = Vec::new();
-        loop {
-            match self.world.ready_set(&mut buf) {
-                Some(at) if at <= self.deadline => {
-                    let ready = summarize(&buf);
-                    if ready.len() > 1 {
-                        self.at = at;
-                        self.ready = ready;
-                        return (SessionState::Choice, forced);
-                    }
-                    forced.push(ready[0]);
-                    self.world.step_nth(0);
-                }
-                _ => {
-                    self.world.idle_until(self.deadline);
-                    self.done = true;
-                    self.ready.clear();
-                    return (SessionState::Done, forced);
-                }
+            /// Opts the target into snapshot-forking exploration: its
+            /// message type can be fingerprinted, so [`Target::session`]
+            /// returns a live session (provided the world's actors and
+            /// driver also support forking — asked when the session
+            /// opens).
+            pub fn with_fork(mut self) -> Self
+            where
+                M: FingerprintMsg,
+            {
+                self.scenario.forkable = Some(fingerprint_msg::<M>);
+                self
+            }
+
+            /// Turns the reduction back off (to measure its effect, or to
+            /// cross-check that it prunes only commutative interleavings).
+            pub fn disable_reduction(&mut self) {
+                self.scenario.reduction_safe = false;
             }
         }
-    }
 
-    fn choice(&self) -> Option<ChoicePoint> {
-        if self.done || self.ready.len() < 2 {
-            return None;
+        impl<M: Clone + 'static> Target for $target<M> {
+            fn name(&self) -> &str {
+                &self.scenario.name
+            }
+
+            fn run(&mut self, plan: &[usize]) -> RunReport {
+                self.$run(plan)
+            }
+
+            fn reduction_safe(&self) -> bool {
+                self.scenario.reduction_safe
+            }
+
+            fn session(&mut self) -> Option<Box<dyn ExploreSession>> {
+                let judge = self.$judge();
+                self.scenario.session(judge)
+            }
+
+            fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str) {
+                self.scenario.dump_counterexample(plan, path, reason);
+            }
+
+            fn dump_causal_chain(&mut self, plan: &[usize], path: &Path, reason: &str) {
+                self.scenario.dump_causal_chain(plan, path, reason);
+            }
         }
-        Some(ChoicePoint {
-            at: self.at,
-            epoch: self.world.epoch(),
-            width: self.ready.len(),
-            chosen: 0,
-            ready: self.ready.clone(),
-        })
+    };
+}
+
+/// A [`Target`] wrapping a simulator world: build it, run it under a
+/// scripted schedule until `deadline`, then check a property over the
+/// final state.
+pub struct WorldTarget<M> {
+    scenario: Scenario<M>,
+    check: WorldCheck<M>,
+}
+
+impl<M: Clone + 'static> WorldTarget<M> {
+    /// Creates a world target. `build` must return a freshly built,
+    /// deterministic world (same seed every time); `check` judges the
+    /// final state.
+    pub fn new(
+        name: impl Into<String>,
+        deadline: Time,
+        build: impl FnMut() -> World<M> + 'static,
+        check: impl Fn(&World<M>) -> Result<(), Violation> + 'static,
+    ) -> Self {
+        WorldTarget {
+            scenario: Scenario::new(name.into(), deadline, Box::new(build)),
+            check: Rc::new(check),
+        }
     }
 
-    fn choose(&mut self, idx: usize) {
-        debug_assert!(self.ready.len() > 1, "choose outside a choice point");
-        let idx = idx.min(self.ready.len().saturating_sub(1));
-        self.world.step_nth(idx);
-        self.ready.clear();
+    fn run_plan(&mut self, plan: &[usize]) -> RunReport {
+        let (mut world, log) = self.scenario.scripted(plan);
+        world.run_until(self.scenario.deadline);
+        let choices = log.borrow().clone();
+        RunReport {
+            choices,
+            violation: (self.check)(&world).err(),
+        }
     }
 
-    fn fork(&self) -> Option<Box<dyn ExploreSession>> {
-        let world = self.world.try_fork()?;
-        Some(Box::new(WorldSession {
-            world,
-            check: Rc::clone(&self.check),
-            deadline: self.deadline,
-            msg_fp: self.msg_fp,
-            at: self.at,
-            ready: self.ready.clone(),
-            done: self.done,
-        }))
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        self.world.fingerprint(self.msg_fp)
-    }
-
-    fn violation(&self) -> Option<Violation> {
-        (self.check)(&self.world).err()
+    fn judge(&self) -> Judge<M> {
+        Judge::Final(Rc::clone(&self.check))
     }
 }
+
+scenario_target!(WorldTarget, run_plan, judge);
 
 /// Legality predicate of a [`StabTarget`]: `Ok` when the configuration is
 /// legal, `Err(details)` describing the illegality otherwise.
@@ -441,13 +419,10 @@ type StabCheck<M> = Rc<dyn Fn(&World<M>) -> Result<(), String>>;
 /// so deduplication can never identify a violated trajectory with a clean
 /// one that happens to share a world state.
 pub struct StabTarget<M> {
-    name: String,
-    build: Box<dyn FnMut() -> World<M>>,
+    /// `scenario.deadline` is the end of the hold window.
+    scenario: Scenario<M>,
     legal: StabCheck<M>,
     converge_by: Time,
-    hold_until: Time,
-    reduction_safe: bool,
-    forkable: Option<fn(&M, &mut StableHasher)>,
 }
 
 impl<M: Clone + 'static> StabTarget<M> {
@@ -470,56 +445,17 @@ impl<M: Clone + 'static> StabTarget<M> {
             "the hold window must extend past the convergence bound"
         );
         StabTarget {
-            name: name.into(),
-            build: Box::new(build),
+            scenario: Scenario::new(name.into(), hold_until, Box::new(build)),
             legal: Rc::new(legal),
             converge_by,
-            hold_until,
-            reduction_safe: false,
-            forkable: None,
         }
     }
 
-    /// Declares the target's callbacks rng-free, enabling the sleep-set
-    /// reduction.
-    pub fn with_reduction(mut self) -> Self {
-        self.reduction_safe = true;
-        self
-    }
-
-    /// Opts the target into snapshot-forking exploration (see
-    /// [`WorldTarget::with_fork`]).
-    pub fn with_fork(mut self) -> Self
-    where
-        M: FingerprintMsg,
-    {
-        self.forkable = Some(fingerprint_msg::<M>);
-        self
-    }
-
-    /// Turns the reduction back off.
-    pub fn disable_reduction(&mut self) {
-        self.reduction_safe = false;
-    }
-
-    fn scripted_world(&mut self, plan: &[usize]) -> (World<M>, ChoiceLog) {
-        let mut world = (self.build)();
-        let log: ChoiceLog = Rc::new(RefCell::new(Vec::new()));
-        world.set_schedule_policy(ScriptPolicy::new(plan.to_vec(), Rc::clone(&log)));
-        (world, log)
-    }
-}
-
-impl<M: Clone + 'static> Target for StabTarget<M> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(&mut self, plan: &[usize]) -> RunReport {
-        let (mut world, log) = self.scripted_world(plan);
+    fn run_plan(&mut self, plan: &[usize]) -> RunReport {
+        let (mut world, log) = self.scenario.scripted(plan);
         world.run_until(self.converge_by);
         let mut violation = None;
-        for tick in self.converge_by.as_ticks() + 1..=self.hold_until.as_ticks() {
+        for tick in self.converge_by.as_ticks() + 1..=self.scenario.deadline.as_ticks() {
             world.run_until(Time::from_ticks(tick));
             if violation.is_none() {
                 if let Err(details) = (self.legal)(&world) {
@@ -534,161 +470,130 @@ impl<M: Clone + 'static> Target for StabTarget<M> {
         RunReport { choices, violation }
     }
 
-    fn reduction_safe(&self) -> bool {
-        self.reduction_safe
-    }
-
-    fn session(&mut self) -> Option<Box<dyn ExploreSession>> {
-        let msg_fp = self.forkable?;
-        let world = (self.build)();
-        world.try_fork()?;
-        let next_sample = self.converge_by.as_ticks() + 1;
-        Some(Box::new(StabSession {
-            world,
+    fn judge(&self) -> Judge<M> {
+        Judge::Trajectory {
             legal: Rc::clone(&self.legal),
-            hold_until: self.hold_until,
-            msg_fp,
-            at: Time::ZERO,
-            ready: Vec::new(),
-            done: false,
-            next_sample,
+            next_sample: self.converge_by.as_ticks() + 1,
             violation: None,
-        }))
+        }
     }
+}
 
-    fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str) {
-        let (mut world, _log) = self.scripted_world(plan);
-        world.set_sink(FlightRecorder::new(4096).with_dump_path(path));
-        world.run_until(self.hold_until);
-        let at = world.now();
-        if let Some(sink) = world.take_sink() {
-            if let Ok(mut recorder) = sink.into_any().downcast::<FlightRecorder>() {
-                recorder.fail(reason, at);
+scenario_target!(StabTarget, run_plan, judge);
+
+/// How a live session reaches its verdict.
+enum Judge<M> {
+    /// [`WorldTarget`]: the property is read off the final state.
+    Final(WorldCheck<M>),
+    /// [`StabTarget`]: legality samples are finalized as virtual time
+    /// moves past them, latching the first illegal tick.
+    Trajectory {
+        legal: StabCheck<M>,
+        /// First sample tick whose state is not yet finalized. Samples
+        /// are `converge_by + 1 ..= deadline`; a sample is finalized once
+        /// no event at or before it remains undispatched.
+        next_sample: u64,
+        violation: Option<Violation>,
+    },
+}
+
+impl<M> Clone for Judge<M> {
+    fn clone(&self) -> Self {
+        match self {
+            Judge::Final(check) => Judge::Final(Rc::clone(check)),
+            Judge::Trajectory { legal, next_sample, violation } => Judge::Trajectory {
+                legal: Rc::clone(legal),
+                next_sample: *next_sample,
+                violation: violation.clone(),
+            },
+        }
+    }
+}
+
+impl<M> Judge<M> {
+    /// Finalizes every sample instant strictly before `limit` (a tick
+    /// count): no undispatched event can change their state, which is
+    /// exactly the current state — legality is constant over the span, so
+    /// one evaluation covers it, attributed to the first sample in it.
+    fn finalize_before(&mut self, world: &World<M>, limit: u64) {
+        let Judge::Trajectory { legal, next_sample, violation } = self else {
+            return;
+        };
+        if *next_sample >= limit {
+            return;
+        }
+        if violation.is_none() {
+            if let Err(details) = legal(world) {
+                *violation = Some(Violation {
+                    reason: format!("illegal configuration at tick {next_sample}"),
+                    details,
+                });
             }
         }
-    }
-
-    fn dump_causal_chain(&mut self, plan: &[usize], path: &Path, reason: &str) {
-        let (mut world, _log) = self.scripted_world(plan);
-        world.set_sink(CausalLog::default());
-        world.run_until(self.hold_until);
-        let Some(sink) = world.take_sink() else {
-            return;
-        };
-        let Ok(causal) = sink.into_any().downcast::<CausalLog>() else {
-            return;
-        };
-        let dag = causal.dag();
-        let chain = dag
-            .critical_end()
-            .map(|id| dag.chain_of(id))
-            .unwrap_or_default();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"t\":\"causal-chain\",\"reason\":\"{}\",\"plan\":{:?},\"events\":{}}}\n",
-            reason,
-            plan,
-            chain.len()
-        ));
-        for (depth, node) in chain.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"t\":\"node\",\"depth\":{},\"id\":{},\"cause\":{},\"at\":{},\"pid\":{},\"segment\":\"{}\"}}\n",
-                depth,
-                node.id,
-                node.cause,
-                node.at.as_ticks(),
-                node.pid.as_raw(),
-                node.segment.label()
-            ));
-        }
-        let _ = std::fs::write(path, out);
+        *next_sample = limit;
     }
 }
 
-/// The live-session twin of [`StabTarget`]: a [`WorldSession`]-style
-/// stepper that additionally finalizes legality samples as virtual time
-/// moves past them, latching the first illegal tick.
-struct StabSession<M> {
+/// A live run of a world-backed target driven through
+/// [`dds_sim::world::World::step_nth`] instead of a [`ScriptPolicy`]:
+/// forced steps dispatch in default order, genuine choice points surface
+/// to the explorer.
+struct WorldSession<M> {
     world: World<M>,
-    legal: StabCheck<M>,
-    hold_until: Time,
+    deadline: Time,
     msg_fp: fn(&M, &mut StableHasher),
+    judge: Judge<M>,
+    /// Instant of the pending choice point, when stopped at one.
     at: Time,
+    /// Ready set of the pending choice point, when stopped at one.
     ready: Vec<ReadyEvent>,
-    done: bool,
-    /// First sample tick whose state is not yet finalized. Samples are
-    /// `converge_by + 1 ..= hold_until`; a sample is finalized once no
-    /// event at or before it remains undispatched.
-    next_sample: u64,
-    violation: Option<Violation>,
+    /// Scratch for the kernel's ready-set summaries, reused across steps.
+    buf: Vec<ReadySummary>,
 }
 
-impl<M: Clone + 'static> StabSession<M> {
-    /// Evaluates legality for the current state, attributing a failure to
-    /// `next_sample` — the first sample instant the current state covers.
-    fn check_now(&mut self) {
-        if self.violation.is_some() {
-            return;
-        }
-        if let Err(details) = (self.legal)(&self.world) {
-            self.violation = Some(Violation {
-                reason: format!("illegal configuration at tick {}", self.next_sample),
-                details,
-            });
-        }
-    }
-
-    /// Finalizes every sample instant strictly before `at`: no
-    /// undispatched event can change their state, which is exactly the
-    /// current state (legality is constant over the span, so one
-    /// evaluation covers it).
-    fn finalize_samples_before(&mut self, at: Time) {
-        let limit = at.as_ticks().min(self.hold_until.as_ticks() + 1);
-        if self.next_sample < limit {
-            self.check_now();
-            self.next_sample = limit;
-        }
-    }
-
-    /// Finalizes the remaining samples at run end (final state).
-    fn finalize_remaining(&mut self) {
-        if self.next_sample <= self.hold_until.as_ticks() {
-            self.check_now();
-            self.next_sample = self.hold_until.as_ticks() + 1;
-        }
+impl<M: Clone + 'static> WorldSession<M> {
+    /// The shared tail of `advance` and `finish`: nothing at or before
+    /// the deadline is left to dispatch.
+    fn complete(&mut self) {
+        self.world.idle_until(self.deadline);
+        self.judge.finalize_before(&self.world, self.deadline.as_ticks() + 1);
+        self.ready.clear();
     }
 }
 
-impl<M: Clone + 'static> ExploreSession for StabSession<M> {
-    fn advance(&mut self) -> (SessionState, Vec<ReadyEvent>) {
-        let mut forced = Vec::new();
-        let mut buf = Vec::new();
+impl<M: Clone + 'static> ExploreSession for WorldSession<M> {
+    fn advance(&mut self, forced: &mut Vec<ReadyEvent>) -> SessionState {
         loop {
-            match self.world.ready_set(&mut buf) {
-                Some(at) if at <= self.hold_until => {
-                    self.finalize_samples_before(at);
-                    let ready = summarize(&buf);
-                    if ready.len() > 1 {
+            match self.world.ready_set(&mut self.buf) {
+                Some(at) if at <= self.deadline => {
+                    self.judge.finalize_before(&self.world, at.as_ticks());
+                    if self.buf.len() > 1 {
                         self.at = at;
-                        self.ready = ready;
-                        return (SessionState::Choice, forced);
+                        self.ready.clear();
+                        self.ready.extend(self.buf.iter().map(ReadyEvent::from));
+                        return SessionState::Choice;
                     }
-                    forced.push(ready[0]);
+                    forced.push(ReadyEvent::from(&self.buf[0]));
                     self.world.step_nth(0);
                 }
                 _ => {
-                    self.world.idle_until(self.hold_until);
-                    self.finalize_remaining();
-                    self.done = true;
-                    self.ready.clear();
-                    return (SessionState::Done, forced);
+                    self.complete();
+                    return SessionState::Done;
                 }
             }
         }
     }
 
+    fn finish(&mut self) {
+        while let Some(at) = self.world.peek_time().filter(|&at| at <= self.deadline) {
+            self.judge.finalize_before(&self.world, at.as_ticks());
+            self.world.step();
+        }
+        self.complete();
+    }
+
     fn choice(&self) -> Option<ChoicePoint> {
-        if self.done || self.ready.len() < 2 {
+        if self.ready.len() < 2 {
             return None;
         }
         Some(ChoicePoint {
@@ -709,27 +614,28 @@ impl<M: Clone + 'static> ExploreSession for StabSession<M> {
 
     fn fork(&self) -> Option<Box<dyn ExploreSession>> {
         let world = self.world.try_fork()?;
-        Some(Box::new(StabSession {
+        Some(Box::new(WorldSession {
             world,
-            legal: Rc::clone(&self.legal),
-            hold_until: self.hold_until,
+            deadline: self.deadline,
             msg_fp: self.msg_fp,
+            judge: self.judge.clone(),
             at: self.at,
             ready: self.ready.clone(),
-            done: self.done,
-            next_sample: self.next_sample,
-            violation: self.violation.clone(),
+            buf: Vec::new(),
         }))
     }
 
     fn fingerprint(&self) -> Option<u64> {
         let world = self.world.fingerprint(self.msg_fp)?;
+        let Judge::Trajectory { next_sample, violation, .. } = &self.judge else {
+            return Some(world);
+        };
         // Fold in the trajectory verdict: a violated run must never dedup
         // against a clean run passing through the same world state.
         let mut h = StableHasher::new();
         h.write_u64(world);
-        h.write_u64(self.next_sample);
-        match &self.violation {
+        h.write_u64(*next_sample);
+        match violation {
             None => h.write_bool(false),
             Some(v) => {
                 h.write_bool(true);
@@ -740,7 +646,10 @@ impl<M: Clone + 'static> ExploreSession for StabSession<M> {
     }
 
     fn violation(&self) -> Option<Violation> {
-        self.violation.clone()
+        match &self.judge {
+            Judge::Final(check) => check(&self.world).err(),
+            Judge::Trajectory { violation, .. } => violation.clone(),
+        }
     }
 }
 

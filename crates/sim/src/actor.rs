@@ -68,6 +68,13 @@ pub trait Actor<M>: Any {
     /// decision prefix from scratch. The copy must be *complete*: any
     /// state shared with the original would leak schedule decisions
     /// between exploration branches.
+    ///
+    /// A world and its forks share an actor until one of them dispatches
+    /// to it, and only then is it copied, so whether an actor forks must
+    /// depend on its type and configuration, never on its momentary
+    /// state: the kernel asks each actor once, and an actor that answered
+    /// `Some` and later answers `None` panics the dispatch that needed
+    /// the copy.
     fn fork(&self) -> Option<Box<dyn Actor<M>>> {
         None
     }

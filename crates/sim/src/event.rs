@@ -19,6 +19,7 @@
 //! (pinned by the `queue_equivalence` property test), so the switch changes
 //! wall-clock only, never results.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -240,7 +241,6 @@ const RING_SIZE: u64 = 128;
 ///   buckets (in `(time, seq)` order, so bucket FIFO order equals seq
 ///   order — migrated events were necessarily scheduled before any event
 ///   scheduled directly into the same bucket).
-#[derive(Clone)]
 struct Calendar<M> {
     buckets: Vec<VecDeque<(u64, Event<M>)>>,
     /// The earliest tick the ring can currently hold.
@@ -248,6 +248,25 @@ struct Calendar<M> {
     /// Events held in the ring (the rest are in `overflow`).
     ring_len: usize,
     overflow: BinaryHeap<Scheduled<M>>,
+}
+
+impl<M: Clone> Clone for Calendar<M> {
+    /// Copies the occupied buckets only: a snapshot costs what is
+    /// pending, not the width of the ring.
+    fn clone(&self) -> Self {
+        let mut copy = Calendar {
+            cursor: self.cursor,
+            ring_len: self.ring_len,
+            overflow: self.overflow.clone(),
+            ..Calendar::new()
+        };
+        for (dst, src) in copy.buckets.iter_mut().zip(&self.buckets) {
+            if !src.is_empty() {
+                dst.clone_from(src);
+            }
+        }
+        copy
+    }
 }
 
 impl<M> Calendar<M> {
@@ -324,21 +343,21 @@ impl<M> Calendar<M> {
         Some(tick)
     }
 
-    fn pop(&mut self) -> Option<(Time, Event<M>)> {
+    fn pop(&mut self) -> Option<Scheduled<M>> {
         let tick = self.settle_front()?;
-        let (_, event) = self.buckets[Self::bucket_index(tick)]
+        let (seq, event) = self.buckets[Self::bucket_index(tick)]
             .pop_front()
             .expect("settle_front found this bucket occupied");
         self.ring_len -= 1;
-        Some((Time::from_ticks(tick), event))
+        Some(Scheduled { at: Time::from_ticks(tick), seq, event })
     }
 
     /// Removes the `n`-th event (seq order) of the earliest instant.
-    fn pop_nth(&mut self, n: usize) -> Option<(Time, Event<M>)> {
+    fn pop_nth(&mut self, n: usize) -> Option<Scheduled<M>> {
         let tick = self.settle_front()?;
-        let (_, event) = self.buckets[Self::bucket_index(tick)].remove(n)?;
+        let (seq, event) = self.buckets[Self::bucket_index(tick)].remove(n)?;
         self.ring_len -= 1;
-        Some((Time::from_ticks(tick), event))
+        Some(Scheduled { at: Time::from_ticks(tick), seq, event })
     }
 
     /// Fills `out` with summaries of every event at the earliest instant,
@@ -439,11 +458,52 @@ enum Tier<M> {
     Heap(BinaryHeap<Scheduled<M>>),
 }
 
+/// The digest one pending event contributes to a queue fingerprint:
+/// instant, seq, routing fields and payload, in a hasher of its own.
+fn event_digest<M>(
+    at: Time,
+    seq: u64,
+    event: &Event<M>,
+    msg_fp: fn(&M, &mut StableHasher),
+) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_u64(at.as_ticks());
+    h.write_u64(seq);
+    event.fingerprint(&mut h, msg_fp);
+    h.finish()
+}
+
+/// The running state of an incrementally maintained queue fingerprint.
+struct Tracked<M> {
+    /// The payload hook the sum was computed with.
+    msg_fp: fn(&M, &mut StableHasher),
+    /// Wrapping sum of [`event_digest`] over the pending events.
+    sum: u64,
+    /// Schedules and pops folded in since the last fingerprint.
+    since: usize,
+}
+
+// Not derived: `M` itself need not be `Copy`.
+impl<M> Clone for Tracked<M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Tracked<M> {}
+
 /// The deterministic event queue.
 #[derive(Clone)]
 pub struct EventQueue<M> {
     tier: Tier<M>,
     next_seq: u64,
+    /// `Some` from the first [`EventQueue::fingerprint`] call on: the
+    /// digest sum is then kept current on every schedule and pop, so the
+    /// next fingerprint costs what changed instead of what is pending.
+    /// Upkeep that has outrun a rescan (more updates than pending events
+    /// since the last fingerprint — a queue nobody is fingerprinting any
+    /// more) drops back to `None`.
+    tracked: Cell<Option<Tracked<M>>>,
 }
 
 impl<M> fmt::Debug for EventQueue<M> {
@@ -476,6 +536,7 @@ impl<M> EventQueue<M> {
         EventQueue {
             tier: Tier::Calendar(Calendar::new()),
             next_seq: 0,
+            tracked: Cell::new(None),
         }
     }
 
@@ -484,6 +545,7 @@ impl<M> EventQueue<M> {
         EventQueue {
             tier: Tier::Heap(BinaryHeap::new()),
             next_seq: 0,
+            tracked: Cell::new(None),
         }
     }
 
@@ -495,10 +557,34 @@ impl<M> EventQueue<M> {
         }
     }
 
+    /// Folds one scheduled (`add`) or popped event into the tracked
+    /// digest sum, if one is being kept.
+    #[inline]
+    fn track(&self, add: bool, at: Time, seq: u64, event: &Event<M>) {
+        let Some(mut t) = self.tracked.get() else {
+            return;
+        };
+        t.since += 1;
+        if t.since > self.len() {
+            self.tracked.set(None);
+            return;
+        }
+        // The instant a walk would report: the calendar files an event
+        // scheduled behind its window under the window's first tick.
+        let at = match &self.tier {
+            Tier::Calendar(c) => at.max(Time::from_ticks(c.cursor)),
+            Tier::Heap(_) => at,
+        };
+        let d = event_digest(at, seq, event, t.msg_fp);
+        t.sum = if add { t.sum.wrapping_add(d) } else { t.sum.wrapping_sub(d) };
+        self.tracked.set(Some(t));
+    }
+
     /// Schedules `event` for dispatch at `at`.
     pub fn schedule(&mut self, at: Time, event: Event<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.track(true, at, seq, &event);
         match &mut self.tier {
             Tier::Calendar(c) => c.schedule(at, seq, event),
             Tier::Heap(h) => h.push(Scheduled { at, seq, event }),
@@ -507,10 +593,12 @@ impl<M> EventQueue<M> {
 
     /// Removes and returns the earliest event (FIFO among equal instants).
     pub fn pop(&mut self) -> Option<(Time, Event<M>)> {
-        match &mut self.tier {
+        let s = match &mut self.tier {
             Tier::Calendar(c) => c.pop(),
-            Tier::Heap(h) => h.pop().map(|s| (s.at, s.event)),
-        }
+            Tier::Heap(h) => h.pop(),
+        }?;
+        self.track(false, s.at, s.seq, &s.event);
+        Some((s.at, s.event))
     }
 
     /// Removes and returns the `n`-th event (seq order) among those
@@ -518,7 +606,7 @@ impl<M> EventQueue<M> {
     /// variant of [`EventQueue::pop`]. `pop_nth(0)` is exactly `pop`;
     /// `None` if the queue is empty or `n` is out of the ready set.
     pub fn pop_nth(&mut self, n: usize) -> Option<(Time, Event<M>)> {
-        match &mut self.tier {
+        let s = match &mut self.tier {
             Tier::Calendar(c) => c.pop_nth(n),
             Tier::Heap(h) => {
                 let at = h.peek()?.at;
@@ -534,9 +622,11 @@ impl<M> EventQueue<M> {
                 }
                 let picked = cohort.swap_remove(n);
                 h.extend(cohort);
-                Some((picked.at, picked.event))
+                Some(picked)
             }
-        }
+        }?;
+        self.track(false, s.at, s.seq, &s.event);
+        Some((s.at, s.event))
     }
 
     /// Fills `out` with a summary of every event pending at the earliest
@@ -594,6 +684,23 @@ impl<M> EventQueue<M> {
         self.next_seq
     }
 
+    /// The digest sum of every pending event, from scratch.
+    fn scan(&self, msg_fp: fn(&M, &mut StableHasher)) -> u64 {
+        let mut sum = 0u64;
+        let mut visit = |at: Time, seq: u64, event: &Event<M>| {
+            sum = sum.wrapping_add(event_digest(at, seq, event, msg_fp));
+        };
+        match &self.tier {
+            Tier::Calendar(c) => c.for_each(&mut visit),
+            Tier::Heap(heap) => {
+                for s in heap {
+                    visit(s.at, s.seq, &s.event);
+                }
+            }
+        }
+        sum
+    }
+
     /// Absorbs every pending event into `h`, commutatively.
     ///
     /// Each event is hashed into a fresh hasher — instant, seq, routing
@@ -604,24 +711,22 @@ impl<M> EventQueue<M> {
     /// queues holding equal events under different seqs are not
     /// interchangeable. The combined digest, the queue length, and the
     /// next-seq counter are then written to `h`.
+    ///
+    /// The first call walks the queue; from then on the sum is kept
+    /// current by [`EventQueue::schedule`] and the pops (a sum commutes,
+    /// so adding and subtracting single digests reproduces the walk's
+    /// value exactly), and clones inherit it.
     pub fn fingerprint(&self, h: &mut StableHasher, msg_fp: fn(&M, &mut StableHasher)) {
-        let mut acc = 0u64;
-        let mut visit = |at: Time, seq: u64, event: &Event<M>| {
-            let mut eh = StableHasher::new();
-            eh.write_u64(at.as_ticks());
-            eh.write_u64(seq);
-            event.fingerprint(&mut eh, msg_fp);
-            acc = acc.wrapping_add(eh.finish());
-        };
-        match &self.tier {
-            Tier::Calendar(c) => c.for_each(&mut visit),
-            Tier::Heap(heap) => {
-                for s in heap {
-                    visit(s.at, s.seq, &s.event);
-                }
+        let sum = match self.tracked.get() {
+            // Two addresses for one hook only cost a rescan.
+            Some(t) if t.msg_fp as usize == msg_fp as usize => {
+                debug_assert_eq!(t.sum, self.scan(msg_fp), "tracked queue digest drifted");
+                t.sum
             }
-        }
-        h.write_u64(acc);
+            _ => self.scan(msg_fp),
+        };
+        self.tracked.set(Some(Tracked { msg_fp, sum, since: 0 }));
+        h.write_u64(sum);
         h.write_usize(self.len());
         h.write_u64(self.next_seq);
     }
@@ -635,6 +740,9 @@ impl<M> EventQueue<M> {
     /// corruption perturbs protocol state alone. Returns the number of
     /// payloads rewritten.
     pub fn scramble_payloads(&mut self, rng: &mut Rng, f: fn(&mut M, &mut Rng)) -> usize {
+        // Payloads change under the tracked sum: rescan at the next
+        // fingerprint.
+        self.tracked.set(None);
         let mut pending: Vec<Scheduled<M>> = match &mut self.tier {
             Tier::Calendar(c) => c.drain_all(),
             Tier::Heap(h) => std::mem::take(h).into_vec(),
@@ -664,6 +772,7 @@ impl<M> EventQueue<M> {
     /// of [`crate::world::World::reset`].
     pub fn clear(&mut self) {
         self.next_seq = 0;
+        self.tracked.set(None);
         match &mut self.tier {
             Tier::Calendar(c) => c.clear(),
             Tier::Heap(h) => h.clear(),

@@ -161,25 +161,6 @@ impl<T> SlotTable<T> {
         })
     }
 
-    /// Builds a copy of the table by mapping every occupied slot through
-    /// `f`, preserving the `Present`/`Departed` lifecycle. Returns `None`
-    /// as soon as `f` does — the all-or-nothing contract world forking
-    /// needs (a half-forked actor table would be unusable).
-    pub fn try_clone_with(&self, mut f: impl FnMut(&T) -> Option<T>) -> Option<SlotTable<T>> {
-        let mut slots = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            slots.push(match slot {
-                Slot::Vacant => Slot::Vacant,
-                Slot::Present(v) => Slot::Present(f(v)?),
-                Slot::Departed(v) => Slot::Departed(f(v)?),
-            });
-        }
-        Some(SlotTable {
-            slots,
-            present: self.present,
-        })
-    }
-
     /// Capacity of the backing slot storage, in slots. Kept across
     /// [`Self::clear`] — the reuse that [`crate::world::World::reset`]
     /// relies on.
@@ -396,21 +377,6 @@ mod tests {
             entries,
             vec![(pid(1), 10, true), (pid(2), 20, false), (pid(4), 40, true)]
         );
-    }
-
-    #[test]
-    fn try_clone_with_preserves_lifecycle_and_is_all_or_nothing() {
-        let mut t: SlotTable<u32> = SlotTable::new();
-        t.insert(pid(0), 1);
-        t.insert(pid(2), 3);
-        t.depart(pid(2));
-        let copy = t.try_clone_with(|&v| Some(v * 10)).unwrap();
-        assert_eq!(copy.len(), 1);
-        assert_eq!(copy.get(pid(0)), Some(&10));
-        assert_eq!(copy.get_any(pid(2)), Some(&30));
-        assert!(!copy.contains(pid(2)));
-        // One unforkable entry poisons the whole copy.
-        assert!(t.try_clone_with(|&v| (v != 3).then_some(v)).is_none());
     }
 
     #[test]

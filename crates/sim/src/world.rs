@@ -12,7 +12,7 @@
 //! (neighbor up/down, starts) run as nested callbacks at the same instant.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
@@ -215,7 +215,12 @@ impl<M: Clone + 'static> WorldBuilder<M> {
             queue: EventQueue::new(),
             rng: Rng::seeded(self.seed),
             ids: IdSource::new(),
-            graph: Graph::new(),
+            roster: Rc::new(Roster {
+                graph: Graph::new(),
+                members: Vec::new(),
+                values: DenseMap::new(),
+                digest: Cell::new(None),
+            }),
             policy: self.policy,
             delay: self.delay,
             loss: self.loss,
@@ -223,8 +228,6 @@ impl<M: Clone + 'static> WorldBuilder<M> {
             spawn: Rc::new(RefCell::new(spawn)),
             value_fn: Rc::new(RefCell::new(self.value)),
             actors: SlotTable::new(),
-            values: DenseMap::new(),
-            members: Vec::new(),
             trace: Trace::new(),
             metrics: Metrics::default(),
             next_timer: 0,
@@ -272,6 +275,136 @@ impl fmt::Debug for ResetSpec {
     }
 }
 
+/// Reads the memo in `cell`, filling it from `scan` on a miss. Debug
+/// builds re-derive every hit: a mutation path that forgot to clear the
+/// memo fails there instead of merging two distinct states.
+fn memoised<T: Copy + PartialEq + fmt::Debug>(cell: &Cell<Option<T>>, scan: impl Fn() -> T) -> T {
+    if let Some(memo) = cell.get() {
+        debug_assert_eq!(memo, scan(), "state changed behind its memoised digest");
+        return memo;
+    }
+    let fresh = scan();
+    cell.set(Some(fresh));
+    fresh
+}
+
+/// One seated actor and what the kernel remembers about it between two
+/// mutations. A fork's slot table holds clones of its parent's cells: the
+/// actor itself is shared by reference count, and the first dispatch to
+/// a shared one replaces it with that world's own copy. The actor sits
+/// in the `Rc`'s allocation (not behind a second pointer), so dispatch
+/// reaches it in as many hops as it took to reach a `Box`.
+struct ActorCell<M> {
+    actor: Rc<dyn Actor<M>>,
+    /// Memoised [`Actor::fingerprint`] sub-digest (`Some(None)`: the
+    /// actor opts out), valid until the next [`ActorCell::make_mut`].
+    digest: Cell<Option<Option<u64>>>,
+    /// Whether [`Actor::fork`] answers `Some`, asked once per actor.
+    forks: Cell<Option<bool>>,
+}
+
+// Not derived: `M` itself need not be `Clone`.
+impl<M> Clone for ActorCell<M> {
+    fn clone(&self) -> Self {
+        ActorCell {
+            actor: Rc::clone(&self.actor),
+            digest: self.digest.clone(),
+            forks: self.forks.clone(),
+        }
+    }
+}
+
+impl<M: 'static> ActorCell<M> {
+    fn seat(actor: Box<dyn Actor<M>>) -> Self {
+        ActorCell {
+            actor: Rc::from(actor),
+            digest: Cell::new(None),
+            forks: Cell::new(None),
+        }
+    }
+
+    fn can_fork(&self) -> bool {
+        self.forks.get().unwrap_or_else(|| {
+            let forks = self.actor.fork().is_some();
+            self.forks.set(Some(forks));
+            forks
+        })
+    }
+
+    /// The actor's state digest in a hasher of its own, or `None` when it
+    /// does not support fingerprinting.
+    fn digest(&self) -> Option<u64> {
+        memoised(&self.digest, || {
+            let mut h = StableHasher::new();
+            self.actor.fingerprint(&mut h).then(|| h.finish())
+        })
+    }
+
+    /// The only `&mut` path to a seated actor: un-shares it from any
+    /// other world still holding it and forgets the memoised digest.
+    fn make_mut(&mut self) -> &mut dyn Actor<M> {
+        if Rc::get_mut(&mut self.actor).is_none() {
+            let own = self.actor.fork().expect(
+                "only worlds whose actors all fork are forked, and an actor that forked once keeps forking",
+            );
+            self.actor = Rc::from(own);
+        }
+        self.digest.set(None);
+        Rc::get_mut(&mut self.actor).expect("unshared above")
+    }
+}
+
+/// The membership-shaped state: everything that changes only when the
+/// mutation `epoch` does. Forks share it by reference count until one of
+/// them admits, departs or rewires a process.
+#[derive(Clone)]
+struct Roster {
+    graph: Graph,
+    /// Membership cache mirroring `graph`'s node set in identity order —
+    /// maintained on join/depart so `members()` never re-collects.
+    members: Vec<ProcessId>,
+    /// Dense identity-indexed local values (retained after departure).
+    values: DenseMap<f64>,
+    /// Memoised [`Roster::digest`], valid until the next
+    /// [`Roster::make_mut`].
+    digest: Cell<Option<u64>>,
+}
+
+impl Roster {
+    /// Membership, adjacency and values (bit-exact) as one digest.
+    fn digest(&self) -> u64 {
+        memoised(&self.digest, || {
+            let mut h = StableHasher::new();
+            h.write_usize(self.members.len());
+            for &pid in &self.members {
+                h.write_u64(pid.as_raw());
+            }
+            h.write_usize(self.graph.node_count());
+            for pid in self.graph.nodes() {
+                h.write_u64(pid.as_raw());
+                let nbrs = self.graph.neighbors(pid).unwrap_or(&[]);
+                h.write_usize(nbrs.len());
+                for &n in nbrs {
+                    h.write_u64(n.as_raw());
+                }
+            }
+            for (pid, v) in self.values.iter() {
+                h.write_u64(pid.as_raw());
+                h.write_u64(v.to_bits());
+            }
+            h.finish()
+        })
+    }
+
+    /// The only `&mut` path to a world's roster: un-shares it from any
+    /// fork still holding it and forgets the memoised digest.
+    fn make_mut(this: &mut Rc<Self>) -> &mut Roster {
+        let roster = Rc::make_mut(this);
+        roster.digest.set(None);
+        roster
+    }
+}
+
 /// A pending actor callback at the current instant, paired with the id of
 /// the kernel event that caused it (`0` = the environment) so effects the
 /// callback produces inherit the right `cause` edge.
@@ -307,7 +440,9 @@ pub struct World<M> {
     queue: EventQueue<M>,
     rng: Rng,
     ids: IdSource,
-    graph: Graph,
+    /// Knowledge graph, membership and values; mutate through
+    /// [`Roster::make_mut`] only.
+    roster: Rc<Roster>,
     policy: TopologyPolicy,
     delay: DelayModel,
     loss: LossModel,
@@ -318,13 +453,9 @@ pub struct World<M> {
     /// Value function, shared with forks like `spawn`.
     value_fn: Rc<RefCell<ValueFn>>,
     /// Dense identity-indexed actor table; present actors dispatch,
-    /// departed ones are retained for post-run inspection.
-    actors: SlotTable<Box<dyn Actor<M>>>,
-    /// Dense identity-indexed local values (retained after departure).
-    values: DenseMap<f64>,
-    /// Membership cache mirroring `graph`'s node set in identity order —
-    /// maintained on join/depart so `members()` never re-collects.
-    members: Vec<ProcessId>,
+    /// departed ones are retained for post-run inspection. Mutate an
+    /// actor through [`ActorCell::make_mut`] only.
+    actors: SlotTable<ActorCell<M>>,
     trace: Trace,
     metrics: Metrics,
     next_timer: u64,
@@ -363,7 +494,7 @@ impl<M> fmt::Debug for World<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("World")
             .field("now", &self.now)
-            .field("members", &self.graph.node_count())
+            .field("members", &self.roster.graph.node_count())
             .field("pending_events", &self.queue.len())
             .field("metrics", &self.metrics)
             .finish_non_exhaustive()
@@ -386,9 +517,9 @@ impl<M: Clone + 'static> World<M> {
             .set_intent(intent.arrivals_finite, intent.concurrency_finite);
         for pid in initial.nodes() {
             let value = (self.value_fn.borrow_mut())(pid, &mut self.rng);
-            self.values.insert(pid, value);
+            Roster::make_mut(&mut self.roster).values.insert(pid, value);
             let actor = (self.spawn.borrow_mut())(pid);
-            self.actors.insert(pid, actor);
+            self.actors.insert(pid, ActorCell::seat(actor));
             // Each initial join gets an event id; the process's Start
             // callback carries it so first-step effects trace back to the
             // spawn (the spawn → first-step cause edge).
@@ -399,10 +530,11 @@ impl<M: Clone + 'static> World<M> {
             self.emit(ObsEvent::Join { pid, at: Time::ZERO }, causal);
             self.callbacks.push_back((join_id, Callback::Start(pid)));
         }
-        self.graph = initial.clone();
-        self.members.clear();
-        self.members.extend(self.graph.nodes());
-        self.metrics.max_membership = self.graph.node_count();
+        let roster = Roster::make_mut(&mut self.roster);
+        roster.graph = initial.clone();
+        roster.members.clear();
+        roster.members.extend(initial.nodes());
+        self.metrics.max_membership = initial.node_count();
         self.drain_callbacks();
         if let Some(t) = self.driver.initial_wakeup() {
             self.queue.schedule(t, Event::ChurnTick);
@@ -428,8 +560,9 @@ impl<M: Clone + 'static> World<M> {
         self.loss = spec.loss;
         self.driver = spec.driver;
         self.actors.clear();
-        self.values.clear();
-        self.members.clear();
+        let roster = Roster::make_mut(&mut self.roster);
+        roster.values.clear();
+        roster.members.clear();
         self.trace.clear();
         self.metrics = Metrics::default();
         self.next_timer = 0;
@@ -447,12 +580,12 @@ impl<M: Clone + 'static> World<M> {
     /// The current membership, in identity order. Borrows a cached list —
     /// call `.to_vec()` if you need an owned copy.
     pub fn members(&self) -> &[ProcessId] {
-        &self.members
+        &self.roster.members
     }
 
     /// The current knowledge graph.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        &self.roster.graph
     }
 
     /// The run trace so far.
@@ -525,12 +658,12 @@ impl<M: Clone + 'static> World<M> {
 
     /// The local value of a process (present or departed).
     pub fn value_of(&self, pid: ProcessId) -> Option<f64> {
-        self.values.get(pid).copied()
+        self.roster.values.get(pid).copied()
     }
 
     /// The local values of every process that ever joined.
     pub fn values(&self) -> &DenseMap<f64> {
-        &self.values
+        &self.roster.values
     }
 
     /// The delay model in force (protocols use its bound for timeouts).
@@ -541,8 +674,8 @@ impl<M: Clone + 'static> World<M> {
     /// Inspects an actor's state by downcasting (present or departed
     /// processes).
     pub fn actor<A: Actor<M>>(&self, pid: ProcessId) -> Option<&A> {
-        self.actors.get_any(pid).and_then(|a| {
-            let any: &dyn Any = &**a;
+        self.actors.get_any(pid).and_then(|cell| {
+            let any: &dyn Any = &*cell.actor;
             any.downcast_ref::<A>()
         })
     }
@@ -634,19 +767,35 @@ impl<M: Clone + 'static> World<M> {
         }
     }
 
+    /// Whether every seated actor forks and no callback is mid-flight —
+    /// all [`World::try_fork`] needs besides a fork of the driver.
+    fn actors_fork(&self) -> bool {
+        self.callbacks.is_empty() && self.actors.iter_entries().all(|(_, cell, _)| cell.can_fork())
+    }
+
+    /// `true` when [`World::try_fork`] would succeed — the question a
+    /// forking explorer asks once, before committing to snapshots.
+    pub fn can_fork(&self) -> bool {
+        self.actors_fork() && self.driver.fork().is_some()
+    }
+
     /// Snapshots this world into an independent copy that will replay the
     /// exact same future for the same dispatch decisions, or `None` when
     /// some component does not support forking (an actor or the churn
     /// driver returned `None` from its `fork` hook, or a callback is
     /// mid-flight).
     ///
-    /// Cost is O(live state): present/departed actors, pending events,
-    /// graph adjacency, and the member/value tables are deep-copied; the
-    /// actor factory and value function are *shared* behind `Rc` (they are
-    /// immutable run configuration). Sinks and schedule policies are
-    /// run-scoped and not carried into the fork, mirroring
-    /// [`World::reset`]; a forking explorer drives the copy through
-    /// [`World::step_nth`] instead.
+    /// Cost is O(pending events + process slots), not O(world): the
+    /// queue's occupied buckets and the driver are copied; the roster
+    /// (graph, membership, values) and every actor slot, departed ones
+    /// included, are *shared* by reference count and copied — actors
+    /// through [`Actor::fork`] — by whichever side first mutates them;
+    /// the actor factory and value function are shared outright (they are
+    /// immutable run configuration). Each actor is asked once whether it
+    /// forks, so support must not depend on its momentary state. Sinks
+    /// and schedule policies are run-scoped and not carried into the
+    /// fork, mirroring [`World::reset`]; a forking explorer drives the
+    /// copy through [`World::step_nth`] instead.
     ///
     /// The fork starts with an *empty* trace: the trace is an
     /// observational accumulator that grows with every dispatch, so
@@ -655,26 +804,23 @@ impl<M: Clone + 'static> World<M> {
     /// exclude it; checkers read actor state; counterexample dumps
     /// replay the plan from scratch, which regenerates the full trace).
     pub fn try_fork(&self) -> Option<World<M>> {
-        if !self.callbacks.is_empty() {
+        if !self.actors_fork() {
             return None;
         }
         let driver = self.driver.fork()?;
-        let actors = self.actors.try_clone_with(|a| a.fork())?;
         Some(World {
             now: self.now,
             queue: self.queue.clone(),
             rng: self.rng.clone(),
             ids: self.ids.clone(),
-            graph: self.graph.clone(),
+            roster: Rc::clone(&self.roster),
             policy: self.policy,
             delay: self.delay,
             loss: self.loss,
             driver,
             spawn: Rc::clone(&self.spawn),
             value_fn: Rc::clone(&self.value_fn),
-            actors,
-            values: self.values.clone(),
-            members: self.members.clone(),
+            actors: self.actors.clone(),
             trace: Trace::new(),
             metrics: self.metrics,
             next_timer: self.next_timer,
@@ -708,6 +854,11 @@ impl<M: Clone + 'static> World<M> {
     /// observational accumulators that cannot influence future behavior,
     /// so deduplicating across them is what makes dedup useful — but it
     /// means a pruned branch's trace/metrics are those of the first visit.
+    ///
+    /// Cost is O(what changed since the last call): the roster and each
+    /// actor slot enter as a memoised sub-digest that only a mutation of
+    /// that roster or slot forgets, and the queue keeps its digest
+    /// current as events come and go ([`EventQueue::fingerprint`]).
     pub fn fingerprint(&self, msg_fp: fn(&M, &mut StableHasher)) -> Option<u64> {
         let mut h = StableHasher::new();
         h.write_u64(self.now.as_ticks());
@@ -717,29 +868,11 @@ impl<M: Clone + 'static> World<M> {
             h.write_u64(w);
         }
         h.write_u64(self.ids.allocated());
-        h.write_usize(self.members.len());
-        for &pid in &self.members {
-            h.write_u64(pid.as_raw());
-        }
-        h.write_usize(self.graph.node_count());
-        for pid in self.graph.nodes() {
-            h.write_u64(pid.as_raw());
-            let nbrs = self.graph.neighbors(pid).unwrap_or(&[]);
-            h.write_usize(nbrs.len());
-            for &n in nbrs {
-                h.write_u64(n.as_raw());
-            }
-        }
-        for (pid, v) in self.values.iter() {
-            h.write_u64(pid.as_raw());
-            h.write_u64(v.to_bits());
-        }
-        for (pid, actor, present) in self.actors.iter_entries() {
+        h.write_u64(self.roster.digest());
+        for (pid, cell, present) in self.actors.iter_entries() {
             h.write_u64(pid.as_raw());
             h.write_bool(present);
-            if !actor.fingerprint(&mut h) {
-                return None;
-            }
+            h.write_u64(cell.digest()?);
         }
         if !self.driver.fingerprint(&mut h) {
             return None;
@@ -796,7 +929,7 @@ impl<M: Clone + 'static> World<M> {
                 }
             }
             Event::ChurnTick => {
-                let (actions, next) = self.driver.on_tick(self.now, &self.graph, &mut self.rng);
+                let (actions, next) = self.driver.on_tick(self.now, &self.roster.graph, &mut self.rng);
                 for action in actions {
                     self.apply_churn(action);
                 }
@@ -842,45 +975,42 @@ impl<M: Clone + 'static> World<M> {
             ChurnAction::Leave(pid) => self.depart(pid, false, 0),
             ChurnAction::Crash(pid) => self.depart(pid, true, 0),
             ChurnAction::LeaveRandom => {
-                if let Some(&pid) = self.rng.choose(&self.members) {
+                if let Some(&pid) = self.rng.choose(&self.roster.members) {
                     self.depart(pid, false, 0);
                 }
             }
             ChurnAction::CrashRandom => {
-                if let Some(&pid) = self.rng.choose(&self.members) {
+                if let Some(&pid) = self.rng.choose(&self.roster.members) {
                     self.depart(pid, true, 0);
                 }
             }
             ChurnAction::InsertBetween(a, b) => {
-                if !self.graph.has_edge(a, b) {
+                if !self.roster.graph.has_edge(a, b) {
                     return;
                 }
                 let pid = self.ids.fresh();
                 self.admit(pid, AdmitWiring::Splice(a, b), 0);
             }
             ChurnAction::CutEdge(a, b) => {
-                if self.graph.has_edge(a, b) {
+                if self.roster.graph.has_edge(a, b) {
                     self.epoch += 1;
-                    self.graph.remove_edge(a, b);
+                    Roster::make_mut(&mut self.roster).graph.remove_edge(a, b);
                     self.callbacks.push_back((0, Callback::NeighborDown { pid: a, peer: b }));
                     self.callbacks.push_back((0, Callback::NeighborDown { pid: b, peer: a }));
                 }
             }
             ChurnAction::RestoreEdge(a, b) => {
-                if a != b
-                    && self.graph.contains(a)
-                    && self.graph.contains(b)
-                    && !self.graph.has_edge(a, b)
-                {
+                let graph = &self.roster.graph;
+                if a != b && graph.contains(a) && graph.contains(b) && !graph.has_edge(a, b) {
                     self.epoch += 1;
-                    self.graph.add_edge(a, b);
+                    Roster::make_mut(&mut self.roster).graph.add_edge(a, b);
                     self.callbacks.push_back((0, Callback::NeighborUp { pid: a, peer: b }));
                     self.callbacks.push_back((0, Callback::NeighborUp { pid: b, peer: a }));
                 }
             }
             ChurnAction::CorruptActor(pid) => self.corrupt_actor(pid),
             ChurnAction::CorruptRandom => {
-                if let Some(&pid) = self.rng.choose(&self.members) {
+                if let Some(&pid) = self.rng.choose(&self.roster.members) {
                     self.corrupt_actor(pid);
                 }
             }
@@ -903,14 +1033,14 @@ impl<M: Clone + 'static> World<M> {
     /// outside normal dispatch) and a `Corrupt` event is traced and
     /// emitted so recorders can pin the injection instant.
     fn corrupt_actor(&mut self, pid: ProcessId) {
-        if !self.graph.contains(pid) {
+        if !self.roster.graph.contains(pid) {
             return;
         }
-        let Some(mut actor) = self.actors.take(pid) else {
+        let Some(mut cell) = self.actors.take(pid) else {
             return;
         };
-        let corrupted = actor.corrupt(&mut self.rng);
-        self.actors.insert(pid, actor);
+        let corrupted = cell.make_mut().corrupt(&mut self.rng);
+        self.actors.insert(pid, cell);
         if corrupted {
             self.epoch += 1;
             self.metrics.corruptions += 1;
@@ -927,34 +1057,36 @@ impl<M: Clone + 'static> World<M> {
         // from the join node in the causal DAG.
         let join_id = self.fresh_id();
         let value = (self.value_fn.borrow_mut())(pid, &mut self.rng);
-        self.values.insert(pid, value);
+        let policy = self.policy;
+        let roster = Roster::make_mut(&mut self.roster);
+        roster.values.insert(pid, value);
         let wired_to: Vec<ProcessId> = match wiring {
-            AdmitWiring::Policy => self
-                .policy
+            AdmitWiring::Policy => policy
                 .attach
-                .attach(&mut self.graph, pid, &mut self.rng)
+                .attach(&mut roster.graph, pid, &mut self.rng)
                 .into_iter()
                 .collect(),
             AdmitWiring::Splice(a, b) => {
-                self.graph.add_node(pid);
-                self.graph.add_edge(pid, a);
-                self.graph.add_edge(pid, b);
-                self.graph.remove_edge(a, b);
+                roster.graph.add_node(pid);
+                roster.graph.add_edge(pid, a);
+                roster.graph.add_edge(pid, b);
+                roster.graph.remove_edge(a, b);
                 self.callbacks.push_back((join_id, Callback::NeighborDown { pid: a, peer: b }));
                 self.callbacks.push_back((join_id, Callback::NeighborDown { pid: b, peer: a }));
                 vec![a, b]
             }
         };
-        if let Err(i) = self.members.binary_search(&pid) {
-            self.members.insert(i, pid);
+        if let Err(i) = roster.members.binary_search(&pid) {
+            roster.members.insert(i, pid);
         }
         let actor = (self.spawn.borrow_mut())(pid);
-        self.actors.insert(pid, actor);
+        self.actors.insert(pid, ActorCell::seat(actor));
         let causal = Causality { id: join_id, cause };
         self.trace.push_caused(TraceEvent::Join { pid, at: self.now }, causal);
         self.metrics.joins += 1;
         self.emit(ObsEvent::Join { pid, at: self.now }, causal);
-        self.metrics.max_membership = self.metrics.max_membership.max(self.graph.node_count());
+        self.metrics.max_membership =
+            self.metrics.max_membership.max(self.roster.graph.node_count());
         self.callbacks.push_back((join_id, Callback::Start(pid)));
         for peer in wired_to {
             self.callbacks.push_back((join_id, Callback::NeighborUp { pid: peer, peer: pid }));
@@ -962,13 +1094,15 @@ impl<M: Clone + 'static> World<M> {
     }
 
     fn depart(&mut self, pid: ProcessId, crashed: bool, cause: u64) {
-        if !self.graph.contains(pid) {
+        if !self.roster.graph.contains(pid) {
             return;
         }
         self.epoch += 1;
+        let policy = self.policy;
+        let roster = Roster::make_mut(&mut self.roster);
         // Record which neighbor pairs were already connected so bridge
         // repairs can be announced as NeighborUp.
-        let nbrs: Vec<ProcessId> = self
+        let nbrs: Vec<ProcessId> = roster
             .graph
             .neighbors(pid)
             .map(|s| s.to_vec())
@@ -976,14 +1110,14 @@ impl<M: Clone + 'static> World<M> {
         let mut pre_connected = Vec::new();
         for i in 0..nbrs.len() {
             for j in (i + 1)..nbrs.len() {
-                if self.graph.has_edge(nbrs[i], nbrs[j]) {
+                if roster.graph.has_edge(nbrs[i], nbrs[j]) {
                     pre_connected.push((nbrs[i], nbrs[j]));
                 }
             }
         }
-        self.policy.repair.detach(&mut self.graph, pid);
-        if let Ok(i) = self.members.binary_search(&pid) {
-            self.members.remove(i);
+        policy.repair.detach(&mut roster.graph, pid);
+        if let Ok(i) = roster.members.binary_search(&pid) {
+            roster.members.remove(i);
         }
         self.actors.depart(pid);
         // Bridge and down notifications below all descend from this
@@ -1006,7 +1140,7 @@ impl<M: Clone + 'static> World<M> {
         for i in 0..nbrs.len() {
             for j in (i + 1)..nbrs.len() {
                 let (a, b) = (nbrs[i], nbrs[j]);
-                if self.graph.has_edge(a, b) && !pre_connected.contains(&(a, b)) {
+                if self.roster.graph.has_edge(a, b) && !pre_connected.contains(&(a, b)) {
                     self.callbacks.push_back((
                         leave_id,
                         Callback::NeighborBridge { pid: a, peer: b, replaced: pid },
@@ -1019,7 +1153,7 @@ impl<M: Clone + 'static> World<M> {
             }
         }
         for &n in &nbrs {
-            if self.graph.contains(n) {
+            if self.roster.graph.contains(n) {
                 self.callbacks.push_back((leave_id, Callback::NeighborDown { pid: n, peer: pid }));
             }
         }
@@ -1043,10 +1177,11 @@ impl<M: Clone + 'static> World<M> {
             | Callback::NeighborDown { pid: p, .. }
             | Callback::NeighborBridge { pid: p, .. } => *p,
         };
-        let Some(mut actor) = self.actors.take(pid) else {
+        let Some(mut cell) = self.actors.take(pid) else {
             return; // departed between scheduling and dispatch
         };
-        let value = self.values.get(pid).copied().unwrap_or(0.0);
+        let actor = cell.make_mut();
+        let value = self.roster.values.get(pid).copied().unwrap_or(0.0);
         // Borrow the neighbor slice straight out of the graph and hand the
         // kernel's reusable effect buffer to the context: no per-dispatch
         // allocation. The graph cannot change while the callback runs (all
@@ -1058,7 +1193,7 @@ impl<M: Clone + 'static> World<M> {
         // it the sink — is dropped during the unwind, so the recorder must
         // flush here or the tail is lost).
         let caught = {
-            let neighbors = self.graph.neighbors(pid).unwrap_or(&[]);
+            let neighbors = self.roster.graph.neighbors(pid).unwrap_or(&[]);
             let mut ctx = Context::new(
                 pid,
                 self.now,
@@ -1085,7 +1220,7 @@ impl<M: Clone + 'static> World<M> {
             }
             std::panic::resume_unwind(payload);
         }
-        self.actors.insert(pid, actor);
+        self.actors.insert(pid, cell);
         self.current_cause = cause;
         self.apply_effects(pid, &mut effects);
         self.effect_buf = effects;
