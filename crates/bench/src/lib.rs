@@ -1013,7 +1013,7 @@ pub fn obs1_overhead() -> Experiment {
                 match sink.into_any().downcast::<CausalLog>() {
                     Ok(log) => {
                         observed += log.len() as u64;
-                        dag_depth = dag_depth.max(log.dag().depth());
+                        dag_depth = dag_depth.max(log.into_dag().depth());
                     }
                     Err(sink) => {
                         if let Ok(obs) = sink.downcast::<ObserverSink>() {
@@ -1116,7 +1116,7 @@ pub fn scd1_broadcast() -> Experiment {
             {
                 e.latency.merge(&sink.report.delivery_latency);
                 e.queue_depth.merge(&sink.report.queue_depth);
-                let critical = sink.causal.dag().critical_path();
+                let critical = sink.causal.into_dag().critical_path();
                 e.critical.record(critical.total);
                 e.crit_transit += critical.transit;
                 e.crit_queueing += critical.queueing;

@@ -264,7 +264,7 @@ impl<M: Clone + 'static> Scenario<M> {
         let Ok(causal) = sink.into_any().downcast::<CausalLog>() else {
             return;
         };
-        let dag = causal.dag();
+        let dag = causal.into_dag();
         let chain = dag
             .critical_end()
             .map(|id| dag.chain_of(id))

@@ -7,7 +7,6 @@
 //! (connectivity, bounded diameter) actually *hold* along a run, which is
 //! what separates the solvable dynamic classes from the unsolvable ones.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use dds_core::process::ProcessId;
@@ -30,40 +29,43 @@ pub enum AttachRule {
 
 impl AttachRule {
     /// Applies the rule: inserts `joiner` into `graph` and wires its initial
-    /// edges. Returns the chosen neighbors.
+    /// edges. Returns the chosen neighbors in identity order.
     ///
     /// The first process to join any overlay necessarily gets no neighbors.
-    pub fn attach(
-        &self,
-        graph: &mut Graph,
-        joiner: ProcessId,
-        rng: &mut Rng,
-    ) -> BTreeSet<ProcessId> {
-        let members: Vec<ProcessId> = graph.nodes().collect();
-        graph.add_node(joiner);
+    pub fn attach(&self, graph: &mut Graph, joiner: ProcessId, rng: &mut Rng) -> Vec<ProcessId> {
+        let members = graph.members();
         let chosen: Vec<ProcessId> = match self {
             AttachRule::RandomK(k) => {
-                // Partial Fisher–Yates: O(k), not O(members).
-                let mut pool = members;
-                let take = (*k).min(pool.len());
+                // Partial Fisher–Yates over the member list without
+                // copying it: O(k²), not O(members). Step `i` swaps
+                // positions `i` and `j ≥ i` and never looks below `i`
+                // again, so only what landed on `j` is remembered.
+                let take = (*k).min(members.len());
+                let mut moved: Vec<(usize, ProcessId)> = Vec::with_capacity(take);
+                let mut picks = Vec::with_capacity(take);
                 for i in 0..take {
-                    let j = i + rng.index(pool.len() - i);
-                    pool.swap(i, j);
+                    let j = i + rng.index(members.len() - i);
+                    let at = |pos: usize| {
+                        let latest = moved.iter().rev().find(|&&(p, _)| p == pos);
+                        latest.map_or(members[pos], |&(_, node)| node)
+                    };
+                    let (at_i, at_j) = (at(i), at(j));
+                    picks.push(at_j);
+                    moved.push((j, at_i));
                 }
-                pool.truncate(take);
-                pool
+                picks.sort_unstable();
+                picks
             }
-            AttachRule::Chain => {
-                // "Most recently joined" = largest identity, since the
-                // identity source is monotone.
-                members.iter().copied().max().into_iter().collect()
-            }
-            AttachRule::All => members,
+            // "Most recently joined" = largest identity, since the
+            // identity source is monotone.
+            AttachRule::Chain => members.last().copied().into_iter().collect(),
+            AttachRule::All => members.to_vec(),
         };
+        graph.add_node(joiner);
         for &n in &chosen {
             graph.add_edge(joiner, n);
         }
-        chosen.into_iter().collect()
+        chosen
     }
 }
 
@@ -89,25 +91,36 @@ pub enum RepairRule {
     BridgeNeighbors,
 }
 
+/// What a departure did to the overlay (see [`RepairRule::detach`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Detached {
+    /// The leaver's former neighbors, in identity order.
+    pub neighbors: Vec<ProcessId>,
+    /// The edges the repair created, as `(low, high)` pairs in identity
+    /// order.
+    pub bridges: Vec<(ProcessId, ProcessId)>,
+}
+
 impl RepairRule {
     /// Applies the rule: removes `leaver` from `graph` and optionally
-    /// repairs around the hole. Returns the former neighbors in identity
-    /// order.
-    pub fn detach(&self, graph: &mut Graph, leaver: ProcessId) -> Vec<ProcessId> {
+    /// repairs around the hole.
+    pub fn detach(&self, graph: &mut Graph, leaver: ProcessId) -> Detached {
         let neighbors = graph.remove_node(leaver);
+        let mut bridges = Vec::new();
         if let RepairRule::BridgeNeighbors = self {
             let ring = &neighbors;
             if ring.len() >= 2 {
                 for i in 0..ring.len() {
                     let a = ring[i];
                     let b = ring[(i + 1) % ring.len()];
-                    if a != b && !graph.has_edge(a, b) {
-                        graph.add_edge(a, b);
+                    if graph.add_edge(a, b) {
+                        bridges.push((a.min(b), a.max(b)));
                     }
                 }
+                bridges.sort_unstable();
             }
         }
-        neighbors
+        Detached { neighbors, bridges }
     }
 }
 
@@ -208,8 +221,11 @@ mod tests {
             g.add_node(pid(i));
             g.add_edge(pid(0), pid(i));
         }
-        let nbrs = RepairRule::BridgeNeighbors.detach(&mut g, pid(0));
-        assert_eq!(nbrs.len(), 4);
+        let detached = RepairRule::BridgeNeighbors.detach(&mut g, pid(0));
+        assert_eq!(detached.neighbors.len(), 4);
+        // A star has no edge among its leaves: the whole ring is new.
+        assert_eq!(detached.bridges.len(), 4);
+        assert!(detached.bridges.windows(2).all(|w| w[0] < w[1]));
         assert!(is_connected(&g));
     }
 
@@ -224,8 +240,8 @@ mod tests {
     #[test]
     fn detach_absent_node_is_noop() {
         let mut g = crate::generate::ring(4);
-        let nbrs = RepairRule::BridgeNeighbors.detach(&mut g, pid(99));
-        assert!(nbrs.is_empty());
+        let detached = RepairRule::BridgeNeighbors.detach(&mut g, pid(99));
+        assert_eq!(detached, Detached::default());
         assert_eq!(g.node_count(), 4);
     }
 

@@ -117,9 +117,15 @@ impl CausalLog {
         self.nodes.clear();
     }
 
-    /// Builds the happened-before DAG over the recorded nodes.
+    /// Builds the happened-before DAG over a copy of the recorded nodes.
     pub fn dag(&self) -> CausalDag {
         CausalDag::new(self.nodes.clone())
+    }
+
+    /// Builds the happened-before DAG out of the log's own storage — for
+    /// a caller that is done recording.
+    pub fn into_dag(self) -> CausalDag {
+        CausalDag::new(self.nodes)
     }
 }
 
@@ -174,9 +180,12 @@ impl fmt::Display for CriticalPath {
 
 /// The happened-before DAG of one run, indexed for single-pass analyses.
 ///
-/// Construction sorts nodes by id and resolves each node's cause to an
-/// index; because causes precede effects in id order, depth and
-/// root-distance are computed in one forward sweep.
+/// Construction puts the nodes in id order and resolves each node's cause
+/// to an index; because causes precede effects in id order, depth and
+/// root-distance are computed in one forward sweep. A kernel log arrives
+/// in id order with no gap, so for it neither step searches: the order
+/// is checked in one pass, and a cause sits at its id's offset from the
+/// first node's.
 #[derive(Debug, Clone)]
 pub struct CausalDag {
     nodes: Vec<CausalNode>,
@@ -192,13 +201,25 @@ impl CausalDag {
     /// Builds the DAG from nodes in any order (duplicate ids collapse to
     /// the first occurrence).
     pub fn new(mut nodes: Vec<CausalNode>) -> Self {
-        nodes.sort_by_key(|n| n.id);
-        nodes.dedup_by_key(|n| n.id);
+        if !nodes.windows(2).all(|w| w[0].id < w[1].id) {
+            nodes.sort_by_key(|n| n.id);
+            nodes.dedup_by_key(|n| n.id);
+        }
+        // Strictly increasing ids spanning exactly `len` values have no
+        // gap: node `k` carries id `first + k`.
+        let first = nodes.first().map_or(0, |n| n.id);
+        let contiguous = nodes.last().is_some_and(|n| n.id - first == nodes.len() as u64 - 1);
+        // A cause is looked up among the nodes before its effect only:
+        // an id at or past the effect's own is not a cause.
         let find = |nodes: &[CausalNode], id: u64| -> Option<usize> {
             if id == 0 {
-                return None;
+                None
+            } else if contiguous {
+                let offset = usize::try_from(id.checked_sub(first)?).ok()?;
+                (offset < nodes.len()).then_some(offset)
+            } else {
+                nodes.binary_search_by_key(&id, |n| n.id).ok()
             }
-            nodes.binary_search_by_key(&id, |n| n.id).ok()
         };
         let mut parent = Vec::with_capacity(nodes.len());
         let mut depth = Vec::with_capacity(nodes.len());
@@ -627,6 +648,118 @@ mod tests {
 {\"t\":\"node\",\"depth\":2,\"id\":3,\"cause\":2,\"at\":6,\"pid\":2,\"segment\":\"queueing\"}\n";
         let cp = CausalDag::from_jsonl(input).critical_path();
         assert_eq!((cp.transit, cp.queueing, cp.processing), (4, 2, 0));
+    }
+
+    /// The construction as it was before the in-order and contiguous
+    /// short cuts: always sort, always search.
+    fn sort_and_search(mut nodes: Vec<CausalNode>) -> CausalDag {
+        nodes.sort_by_key(|n| n.id);
+        nodes.dedup_by_key(|n| n.id);
+        let mut dag = CausalDag { nodes, parent: Vec::new(), depth: Vec::new(), root_at: Vec::new() };
+        for i in 0..dag.nodes.len() {
+            let cause = dag.nodes[i].cause;
+            let p = (cause != 0)
+                .then(|| dag.nodes[..i].binary_search_by_key(&cause, |n| n.id).ok())
+                .flatten();
+            dag.parent.push(p);
+            dag.depth.push(p.map_or(0, |pi| dag.depth[pi] + 1));
+            dag.root_at.push(p.map_or(dag.nodes[i].at, |pi| dag.root_at[pi]));
+        }
+        dag
+    }
+
+    /// What separates one input shape from the next: how ids advance and
+    /// whether the nodes arrive in id order.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Ids `first, first + 1, …` in order: what the kernel produces.
+        Contiguous,
+        /// Increasing ids with holes (a filtered or truncated stream).
+        Gapped,
+        /// Contiguous ids in arbitrary order.
+        Shuffled,
+        /// Gapped, out of order, some ids twice.
+        Duplicated,
+    }
+
+    fn shaped_nodes(shape: Shape, first: u64, raw: &[(u64, u64, u64, u64)]) -> Vec<CausalNode> {
+        let segments = [SegmentKind::Transit, SegmentKind::Queueing, SegmentKind::Processing];
+        let mut id = first;
+        let mut nodes: Vec<CausalNode> = Vec::new();
+        for &(step, back, dt, p) in raw {
+            let at = nodes.last().map_or(0, |n| n.at.as_ticks()) + dt;
+            // Causes reach back a few ids — 0 (the environment), ids the
+            // stream skipped, ids before `first`, and, rarely, ids at or
+            // past the node's own all occur.
+            let cause = if back == 7 { id + p } else { id.saturating_sub(back) };
+            nodes.push(node(id, cause, at, p, segments[(p % 3) as usize]));
+            id += match shape {
+                Shape::Contiguous | Shape::Shuffled => 1,
+                Shape::Gapped | Shape::Duplicated => 1 + step,
+            };
+        }
+        if matches!(shape, Shape::Shuffled | Shape::Duplicated) {
+            // A fixed stride permutation keyed on the input itself.
+            let n = nodes.len();
+            let stride = (1..n).rev().find(|s| gcd(*s, n) == 1).unwrap_or(1);
+            nodes = (0..n).map(|i| nodes[(i * stride + 1) % n]).collect();
+        }
+        if matches!(shape, Shape::Duplicated) {
+            let again: Vec<CausalNode> = nodes.iter().step_by(3).copied().collect();
+            nodes.extend(again);
+        }
+        nodes
+    }
+
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 { a } else { gcd(b, a % b) }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Whatever path `new` takes, it builds what sort-and-search
+        /// builds: same links, depths, critical path and chains.
+        #[test]
+        fn short_cuts_build_the_same_dag(
+            shape in proptest::prop_oneof![
+                proptest::prelude::Just(Shape::Contiguous),
+                proptest::prelude::Just(Shape::Gapped),
+                proptest::prelude::Just(Shape::Shuffled),
+                proptest::prelude::Just(Shape::Duplicated),
+            ],
+            first in 1u64..40,
+            raw in proptest::collection::vec((0u64..3, 0u64..8, 0u64..5, 0u64..6), 0..60),
+        ) {
+            let nodes = shaped_nodes(shape, first, &raw);
+            let want = sort_and_search(nodes.clone());
+            let got = CausalDag::new(nodes);
+            proptest::prop_assert_eq!(got.nodes(), want.nodes());
+            proptest::prop_assert_eq!(&got.parent, &want.parent);
+            proptest::prop_assert_eq!(&got.depth, &want.depth);
+            proptest::prop_assert_eq!(&got.root_at, &want.root_at);
+            proptest::prop_assert_eq!(got.critical_path(), want.critical_path());
+            proptest::prop_assert_eq!(got.critical_end(), want.critical_end());
+            for n in want.nodes() {
+                proptest::prop_assert_eq!(got.chain_of(n.id), want.chain_of(n.id));
+            }
+        }
+    }
+
+    #[test]
+    fn log_dags_borrowed_and_consumed_agree() {
+        let mut log = CausalLog::default();
+        for id in 1..=20u64 {
+            log.record(
+                &ObsEvent::TimerFire { pid: pid(id % 3), at: t(id * 2) },
+                Causality { id, cause: id / 2 },
+            );
+        }
+        let borrowed = log.dag();
+        assert_eq!(borrowed.depth(), 4, "1 → 2 → 4 → 8 → 16");
+        let consumed = log.into_dag();
+        assert_eq!(consumed.nodes(), borrowed.nodes());
+        assert_eq!(consumed.critical_path(), borrowed.critical_path());
     }
 
     #[test]

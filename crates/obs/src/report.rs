@@ -18,7 +18,7 @@ const MEMBERSHIP_SAMPLES: usize = 1024;
 /// A `RunReport` is itself a [`Sink`], so it can be installed directly or
 /// composed inside [`crate::sink::ObserverSink`]. Everything it stores is
 /// bounded: two fixed-size histograms, a capped membership timeline, and
-/// one counter per process that ever sent a message.
+/// one counter per identity up to the largest that ever sent a message.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// In-flight time of every delivered message, in ticks.
@@ -31,14 +31,15 @@ pub struct RunReport {
     /// `true` when the membership timeline hit its cap and stopped
     /// sampling (the histograms and counters keep going).
     pub membership_truncated: bool,
-    /// Messages sent per process — the per-process message complexity of
-    /// the run.
-    pub sends_per_process: BTreeMap<ProcessId, u64>,
     /// Durations of closed spans, bucketed per span name.
     pub span_durations: BTreeMap<&'static str, Histogram>,
     /// Total observations consumed.
     pub events: u64,
     current_members: usize,
+    /// Messages sent per process, indexed by raw identity (identities are
+    /// dense within a run, see DESIGN.md §9): a send is one indexed
+    /// increment on the kernel's dispatch path.
+    sends: Vec<u64>,
     open_spans: BTreeMap<(&'static str, ProcessId), Time>,
 }
 
@@ -53,11 +54,17 @@ impl RunReport {
         self.membership.iter().map(|&(_, n)| n).max().unwrap_or(0)
     }
 
-    /// Histogram of per-process send counts — the distribution of message
-    /// complexity across processes (computed on demand).
+    /// Messages `pid` sent — its share of the run's message complexity.
+    pub fn sends_of(&self, pid: ProcessId) -> u64 {
+        self.sends.get(pid.as_raw() as usize).copied().unwrap_or(0)
+    }
+
+    /// Histogram of per-process send counts over the processes that sent
+    /// at all — the distribution of message complexity across processes
+    /// (computed on demand).
     pub fn message_complexity(&self) -> Histogram {
         let mut h = Histogram::new();
-        for &sends in self.sends_per_process.values() {
+        for &sends in self.sends.iter().filter(|&&n| n > 0) {
             h.record(sends);
         }
         h
@@ -96,7 +103,11 @@ impl Sink for RunReport {
                 self.membership_changed(at, -1)
             }
             ObsEvent::Send { from, .. } => {
-                *self.sends_per_process.entry(from).or_insert(0) += 1;
+                let i = from.as_raw() as usize;
+                if i >= self.sends.len() {
+                    self.sends.resize(i + 1, 0);
+                }
+                self.sends[i] += 1;
             }
             ObsEvent::Deliver { latency, .. } => {
                 self.delivery_latency.record(latency.as_ticks());
@@ -153,7 +164,7 @@ mod tests {
         assert_eq!(r.queue_depth.max(), 4);
         assert_eq!(r.peak_membership(), 2);
         assert_eq!(r.current_membership(), 1);
-        assert_eq!(r.sends_per_process[&pid(0)], 1);
+        assert_eq!((r.sends_of(pid(0)), r.sends_of(pid(1)), r.sends_of(pid(77))), (1, 0, 0));
         assert_eq!(r.events, 6);
         assert!(r.summary().contains("peak membership 2"));
     }

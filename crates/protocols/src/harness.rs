@@ -499,8 +499,10 @@ impl QueryScenario {
             .map_or_else(Default::default, |b| *b);
         // Critical-path decomposition over the run's happened-before DAG:
         // the longest-latency causal chain, split into transit (message
-        // flight), queueing (timer waits) and processing segments.
-        let critical = observer.causal.dag().critical_path();
+        // flight), queueing (timer waits) and processing segments. The log
+        // is consumed, and freed with the DAG right here: it is the
+        // largest thing a run leaves behind.
+        let critical = observer.causal.into_dag().critical_path();
         let trace_jsonl = self
             .capture_trace
             .then(|| dds_obs::export::trace_jsonl(world.trace()));

@@ -217,7 +217,6 @@ impl<M: Clone + 'static> WorldBuilder<M> {
             ids: IdSource::new(),
             roster: Rc::new(Roster {
                 graph: Graph::new(),
-                members: Vec::new(),
                 values: DenseMap::new(),
                 digest: Cell::new(None),
             }),
@@ -360,9 +359,6 @@ impl<M: 'static> ActorCell<M> {
 #[derive(Clone)]
 struct Roster {
     graph: Graph,
-    /// Membership cache mirroring `graph`'s node set in identity order —
-    /// maintained on join/depart so `members()` never re-collects.
-    members: Vec<ProcessId>,
     /// Dense identity-indexed local values (retained after departure).
     values: DenseMap<f64>,
     /// Memoised [`Roster::digest`], valid until the next
@@ -375,10 +371,6 @@ impl Roster {
     fn digest(&self) -> u64 {
         memoised(&self.digest, || {
             let mut h = StableHasher::new();
-            h.write_usize(self.members.len());
-            for &pid in &self.members {
-                h.write_u64(pid.as_raw());
-            }
             h.write_usize(self.graph.node_count());
             for pid in self.graph.nodes() {
                 h.write_u64(pid.as_raw());
@@ -530,10 +522,9 @@ impl<M: Clone + 'static> World<M> {
             self.emit(ObsEvent::Join { pid, at: Time::ZERO }, causal);
             self.callbacks.push_back((join_id, Callback::Start(pid)));
         }
-        let roster = Roster::make_mut(&mut self.roster);
-        roster.graph = initial.clone();
-        roster.members.clear();
-        roster.members.extend(initial.nodes());
+        // `clone_from` keeps the table and neighbor lists a previous run
+        // left behind, so a reset world takes its graph back in place.
+        Roster::make_mut(&mut self.roster).graph.clone_from(initial);
         self.metrics.max_membership = initial.node_count();
         self.drain_callbacks();
         if let Some(t) = self.driver.initial_wakeup() {
@@ -544,10 +535,11 @@ impl<M: Clone + 'static> World<M> {
     /// Rewinds this world to the state a fresh [`WorldBuilder::build`]
     /// with the given configuration would produce, **reusing** the
     /// allocations accumulated by previous runs: event-queue buckets, the
-    /// callback queue, the effect buffer, the member cache, and the slot
-    /// and trace storage. The actor factory and value function from the
-    /// original build are kept — reuse a world only across runs that share
-    /// them (a sweep cell where only the seed varies, in practice).
+    /// callback queue, the effect buffer, the graph's table and neighbor
+    /// lists, and the slot and trace storage. The actor factory and value
+    /// function from the original build are kept — reuse a world only
+    /// across runs that share them (a sweep cell where only the seed
+    /// varies, in practice).
     ///
     /// A reset world reproduces a freshly built world's run byte for byte
     /// (pinned by the `world_reset` regression test).
@@ -562,7 +554,6 @@ impl<M: Clone + 'static> World<M> {
         self.actors.clear();
         let roster = Roster::make_mut(&mut self.roster);
         roster.values.clear();
-        roster.members.clear();
         self.trace.clear();
         self.metrics = Metrics::default();
         self.next_timer = 0;
@@ -577,10 +568,10 @@ impl<M: Clone + 'static> World<M> {
         self.seat_initial(initial_graph);
     }
 
-    /// The current membership, in identity order. Borrows a cached list —
-    /// call `.to_vec()` if you need an owned copy.
+    /// The current membership, in identity order. Borrows the graph's
+    /// node list — call `.to_vec()` if you need an owned copy.
     pub fn members(&self) -> &[ProcessId] {
-        &self.roster.members
+        self.roster.graph.members()
     }
 
     /// The current knowledge graph.
@@ -975,12 +966,12 @@ impl<M: Clone + 'static> World<M> {
             ChurnAction::Leave(pid) => self.depart(pid, false, 0),
             ChurnAction::Crash(pid) => self.depart(pid, true, 0),
             ChurnAction::LeaveRandom => {
-                if let Some(&pid) = self.rng.choose(&self.roster.members) {
+                if let Some(&pid) = self.rng.choose(self.roster.graph.members()) {
                     self.depart(pid, false, 0);
                 }
             }
             ChurnAction::CrashRandom => {
-                if let Some(&pid) = self.rng.choose(&self.roster.members) {
+                if let Some(&pid) = self.rng.choose(self.roster.graph.members()) {
                     self.depart(pid, true, 0);
                 }
             }
@@ -1010,7 +1001,7 @@ impl<M: Clone + 'static> World<M> {
             }
             ChurnAction::CorruptActor(pid) => self.corrupt_actor(pid),
             ChurnAction::CorruptRandom => {
-                if let Some(&pid) = self.rng.choose(&self.roster.members) {
+                if let Some(&pid) = self.rng.choose(self.roster.graph.members()) {
                     self.corrupt_actor(pid);
                 }
             }
@@ -1061,11 +1052,7 @@ impl<M: Clone + 'static> World<M> {
         let roster = Roster::make_mut(&mut self.roster);
         roster.values.insert(pid, value);
         let wired_to: Vec<ProcessId> = match wiring {
-            AdmitWiring::Policy => policy
-                .attach
-                .attach(&mut roster.graph, pid, &mut self.rng)
-                .into_iter()
-                .collect(),
+            AdmitWiring::Policy => policy.attach.attach(&mut roster.graph, pid, &mut self.rng),
             AdmitWiring::Splice(a, b) => {
                 roster.graph.add_node(pid);
                 roster.graph.add_edge(pid, a);
@@ -1076,9 +1063,6 @@ impl<M: Clone + 'static> World<M> {
                 vec![a, b]
             }
         };
-        if let Err(i) = roster.members.binary_search(&pid) {
-            roster.members.insert(i, pid);
-        }
         let actor = (self.spawn.borrow_mut())(pid);
         self.actors.insert(pid, ActorCell::seat(actor));
         let causal = Causality { id: join_id, cause };
@@ -1100,25 +1084,7 @@ impl<M: Clone + 'static> World<M> {
         self.epoch += 1;
         let policy = self.policy;
         let roster = Roster::make_mut(&mut self.roster);
-        // Record which neighbor pairs were already connected so bridge
-        // repairs can be announced as NeighborUp.
-        let nbrs: Vec<ProcessId> = roster
-            .graph
-            .neighbors(pid)
-            .map(|s| s.to_vec())
-            .unwrap_or_default();
-        let mut pre_connected = Vec::new();
-        for i in 0..nbrs.len() {
-            for j in (i + 1)..nbrs.len() {
-                if roster.graph.has_edge(nbrs[i], nbrs[j]) {
-                    pre_connected.push((nbrs[i], nbrs[j]));
-                }
-            }
-        }
-        policy.repair.detach(&mut roster.graph, pid);
-        if let Ok(i) = roster.members.binary_search(&pid) {
-            roster.members.remove(i);
-        }
+        let detached = policy.repair.detach(&mut roster.graph, pid);
         self.actors.depart(pid);
         // Bridge and down notifications below all descend from this
         // departure in the causal DAG.
@@ -1137,25 +1103,14 @@ impl<M: Clone + 'static> World<M> {
         // departure notifications: a protocol waiting on the departed
         // process must learn its replacement routes first, or it may give
         // up on the subtree in the instant between the two notifications.
-        for i in 0..nbrs.len() {
-            for j in (i + 1)..nbrs.len() {
-                let (a, b) = (nbrs[i], nbrs[j]);
-                if self.roster.graph.has_edge(a, b) && !pre_connected.contains(&(a, b)) {
-                    self.callbacks.push_back((
-                        leave_id,
-                        Callback::NeighborBridge { pid: a, peer: b, replaced: pid },
-                    ));
-                    self.callbacks.push_back((
-                        leave_id,
-                        Callback::NeighborBridge { pid: b, peer: a, replaced: pid },
-                    ));
-                }
-            }
+        for (a, b) in detached.bridges {
+            self.callbacks
+                .push_back((leave_id, Callback::NeighborBridge { pid: a, peer: b, replaced: pid }));
+            self.callbacks
+                .push_back((leave_id, Callback::NeighborBridge { pid: b, peer: a, replaced: pid }));
         }
-        for &n in &nbrs {
-            if self.roster.graph.contains(n) {
-                self.callbacks.push_back((leave_id, Callback::NeighborDown { pid: n, peer: pid }));
-            }
+        for n in detached.neighbors {
+            self.callbacks.push_back((leave_id, Callback::NeighborDown { pid: n, peer: pid }));
         }
     }
 
