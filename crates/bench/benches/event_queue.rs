@@ -1,12 +1,12 @@
-//! `event_queue` — raw schedule/pop throughput of the calendar queue vs
-//! the legacy binary heap, across delay horizons.
+//! `event_queue` — raw schedule/pop throughput of the calendar queue
+//! across delay horizons.
 //!
 //! The workload is the kernel's steady state: keep a fixed population of
 //! pending events, pop the earliest, schedule a replacement `horizon`
 //! ticks ahead. Small horizons stay inside the 128-tick bucket ring
 //! (O(1) per op for the calendar); large ones force every event through
-//! the overflow heap, which is the calendar's worst case and should match
-//! the heap's O(log n).
+//! the overflow heap, which is the calendar's worst case: O(log n) like
+//! any binary heap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dds_core::process::ProcessId;
@@ -52,11 +52,6 @@ fn bench_event_queue(c: &mut Criterion) {
             BenchmarkId::new("calendar", horizon),
             &horizon,
             |b, &horizon| b.iter(|| churn_queue(EventQueue::calendar(), black_box(horizon))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("heap", horizon),
-            &horizon,
-            |b, &horizon| b.iter(|| churn_queue(EventQueue::heap(), black_box(horizon))),
         );
     }
     group.finish();

@@ -4,11 +4,11 @@
 //! [--max-preemptions N] [--fuzz-attempts N] [--seed N]`.
 //!
 //! Runs every correct/mutant pair in [`dds_check::mutants::suite`] through
-//! the bounded explorer — by default the snapshot-forking engine with its
-//! DFS frontier sharded across `DDS_THREADS` workers
-//! ([`dds_check::explore_parallel`]); `DDS_EXPLORE=replay` selects the
-//! legacy whole-run replay — falling back to the seeded fuzzer for mutants
-//! the explorer misses within budget. A correct target that yields a
+//! the bounded explorer — the snapshot-forking engine with its DFS
+//! frontier sharded across `DDS_THREADS` workers
+//! ([`dds_check::explore_parallel`]), whole-run replay for the register
+//! schedules, which have no world to fork — falling back to the seeded
+//! fuzzer for mutants the explorer misses within budget. A correct target that yields a
 //! counterexample, or a mutant that escapes both passes, is a suite
 //! failure: the process exits 4 (the CI checking gate). Exit 2 is bad
 //! arguments.
@@ -30,9 +30,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use dds_check::mutants::suite;
-use dds_check::{
-    configured_explore_mode, explore_parallel, fuzz, Budget, Counterexample, ProgressSample,
-};
+use dds_check::{explore_parallel, fuzz, Budget, Counterexample, ProgressSample};
 
 struct Row {
     name: String,
@@ -159,9 +157,8 @@ fn main() {
     let all_ok = rows.iter().all(Row::ok);
     let total_secs = start.elapsed().as_secs_f64();
     eprintln!(
-        "checked {} targets ({} mode) in {:.1} ms: {}",
+        "checked {} targets in {:.1} ms: {}",
         rows.len(),
-        configured_explore_mode().label(),
         total_secs * 1e3,
         if all_ok { "all verdicts as expected" } else { "VERDICT MISMATCH" }
     );

@@ -12,9 +12,8 @@
 //! happened-before annotations), the pooled stabilization-time
 //! percentiles (`p50_stabilization`/`p99_stabilization`, nonzero only for
 //! the `stab1` record), plus the thread count the sweep pool used
-//! (`DDS_THREADS`) and the event-queue implementation (`DDS_QUEUE`).
-//! Everything except the wall-clock fields is byte-identical across
-//! thread counts and queue implementations.
+//! (`DDS_THREADS`). Everything except the wall-clock fields is
+//! byte-identical across thread counts.
 //!
 //! With `--baseline <file>`, each experiment's `runs_per_sec` is compared
 //! against the record of the same id in a previously written

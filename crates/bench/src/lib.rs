@@ -888,7 +888,7 @@ after bounded fenced retries instead of hanging)",
 }
 
 /// CHECK1 — model-checking throughput: the snapshot-forking explorer
-/// against the legacy replay-DFS on the flood exhaustive sweep, at
+/// against the replay-DFS on the flood exhaustive sweep, at
 /// matched budgets (both engines fully exhaust the same bounded space).
 ///
 /// `extra_runs` counts the *states explored* by the fork engine, so this

@@ -11,8 +11,8 @@
 //! ids are appended.
 //!
 //! The document format stays the hand-rolled one-record-per-line JSON
-//! the baseline parser expects: a small header (`threads`, `queue`)
-//! followed by an `experiments` array with one `{...}` object per line.
+//! the baseline parser expects: a small header (`threads`) followed by
+//! an `experiments` array with one `{...}` object per line.
 
 use std::io;
 use std::path::Path;
@@ -24,7 +24,6 @@ use std::path::Path;
 pub fn merge_sweeps(existing: Option<&str>, new: &[(String, String)]) -> String {
     let mut lines: Vec<(String, String)> = Vec::new();
     let mut header_threads: Option<String> = None;
-    let mut header_queue: Option<String> = None;
     if let Some(text) = existing {
         for line in text.lines() {
             if let Some(id) = extract_str(line, "\"id\": \"") {
@@ -32,8 +31,6 @@ pub fn merge_sweeps(existing: Option<&str>, new: &[(String, String)]) -> String 
                 lines.push((id, body));
             } else if line.trim_start().starts_with("\"threads\":") {
                 header_threads = extract_raw(line, "\"threads\": ");
-            } else if line.trim_start().starts_with("\"queue\":") {
-                header_queue = extract_str(line, "\"queue\": \"");
             }
         }
     }
@@ -45,11 +42,9 @@ pub fn merge_sweeps(existing: Option<&str>, new: &[(String, String)]) -> String 
     }
     let threads = header_threads
         .unwrap_or_else(|| dds_sim::parallel::thread_count().to_string());
-    let queue = header_queue
-        .unwrap_or_else(|| dds_sim::event::configured_queue_kind().label().to_string());
     let mut out = String::from("{\n");
     out.push_str(&format!(
-        "  \"threads\": {threads},\n  \"queue\": \"{queue}\",\n  \"experiments\": [\n"
+        "  \"threads\": {threads},\n  \"experiments\": [\n"
     ));
     for (i, (_, body)) in lines.iter().enumerate() {
         out.push_str("    ");
@@ -71,13 +66,10 @@ pub fn merge_sweeps(existing: Option<&str>, new: &[(String, String)]) -> String 
 pub fn upsert_sweeps(path: &Path, new: &[(String, String)], refresh_header: bool) -> io::Result<()> {
     let existing = std::fs::read_to_string(path).ok();
     let existing = if refresh_header {
-        // Drop the remembered header by stripping its lines before merge.
+        // Drop the remembered header by stripping its line before merge.
         existing.map(|t| {
             t.lines()
-                .filter(|l| {
-                    let t = l.trim_start();
-                    !t.starts_with("\"threads\":") && !t.starts_with("\"queue\":")
-                })
+                .filter(|l| !l.trim_start().starts_with("\"threads\":"))
                 .collect::<Vec<_>>()
                 .join("\n")
         })
@@ -109,7 +101,7 @@ mod tests {
 
     #[test]
     fn merge_preserves_foreign_ids_and_replaces_matching() {
-        let existing = "{\n  \"threads\": 8,\n  \"queue\": \"calendar\",\n  \"experiments\": [\n    {\"id\": \"e1\", \"runs_per_sec\": 100.0},\n    {\"id\": \"net1\", \"runs_per_sec\": 5.0}\n  ]\n}\n";
+        let existing = "{\n  \"threads\": 8,\n  \"experiments\": [\n    {\"id\": \"e1\", \"runs_per_sec\": 100.0},\n    {\"id\": \"net1\", \"runs_per_sec\": 5.0}\n  ]\n}\n";
         let new = vec![("e1".to_string(), "{\"id\": \"e1\", \"runs_per_sec\": 120.0}".to_string())];
         let merged = merge_sweeps(Some(existing), &new);
         assert!(merged.contains("\"runs_per_sec\": 120.0"), "{merged}");

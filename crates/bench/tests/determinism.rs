@@ -1,21 +1,18 @@
-//! Parallelism and queue choice must change wall-clock only, never
-//! results.
+//! Parallelism must change wall-clock only, never results.
 //!
 //! The sweep engine (`dds_sim::parallel`) promises that a multi-seed sweep
 //! is bit-identical at any thread count: each (scenario, seed) cell owns
-//! its world and RNG, and results are folded in input order. The event
-//! queue (`dds_sim::event`) makes the same promise across its two backing
-//! stores (`DDS_QUEUE=calendar|heap`). This test pins both at the highest
-//! level we have — two full experiment tables, rendered to text, compared
-//! byte for byte between a sequential and an 8-worker run, under each
-//! queue implementation.
+//! its world and RNG, and results are folded in input order. This test
+//! pins that at the highest level we have — two full experiment tables,
+//! rendered to text, compared byte for byte between a sequential and an
+//! 8-worker run.
 
 use dds_bench::{e2_churn, e8_landscape};
 use dds_protocols::obs;
 
-/// One test covers all settings because `DDS_THREADS` and `DDS_QUEUE` are
-/// process-global state: splitting them into per-setting `#[test]`s would
-/// race with the test harness's own thread-level parallelism.
+/// One test covers both settings because `DDS_THREADS` is process-global
+/// state: splitting them into per-setting `#[test]`s would race with the
+/// test harness's own thread-level parallelism.
 #[test]
 fn tables_are_identical_across_thread_counts() {
     std::env::set_var("DDS_THREADS", "1");
@@ -28,29 +25,7 @@ fn tables_are_identical_across_thread_counts() {
     let e2_par = e2_churn();
     let cap_par = obs::end_capture();
     let e8_par = e8_landscape();
-    // Third round: legacy heap queue (sequential). Every world reads
-    // `DDS_QUEUE` at construction, so flipping the variable here switches
-    // the backing store for whole runs.
-    std::env::set_var("DDS_THREADS", "1");
-    std::env::set_var("DDS_QUEUE", "heap");
-    obs::begin_capture();
-    let e2_heap = e2_churn();
-    let cap_heap = obs::end_capture();
-    let e8_heap = e8_landscape();
-    std::env::remove_var("DDS_QUEUE");
     std::env::remove_var("DDS_THREADS");
-    assert_eq!(
-        cap_seq, cap_heap,
-        "E2 JSONL traces changed between calendar and heap queue"
-    );
-    assert_eq!(
-        e2_seq.table, e2_heap.table,
-        "E2 table changed between calendar and heap queue"
-    );
-    assert_eq!(
-        e8_seq.table, e8_heap.table,
-        "E8 table changed between calendar and heap queue"
-    );
     // JSONL traces and flight dumps are deposited in seed order on the
     // calling thread, so `--trace-dir` output must be byte-identical too.
     assert!(
@@ -63,8 +38,8 @@ fn tables_are_identical_across_thread_counts() {
     );
     // The captured traces carry the kernel's causal annotations, so the
     // byte-identity assertions above also pin the id/cause assignment:
-    // event ids are a pure function of the run, never of the observer,
-    // the thread count, or the queue implementation.
+    // event ids are a pure function of the run, never of the observer or
+    // the thread count.
     assert!(
         cap_seq.traces.iter().any(|t| t.contains("\"cause\":")),
         "E2 traces carry no causal annotations — byte-identity is vacuous"

@@ -1,29 +1,20 @@
 //! Determinism regression for the SCD-broadcast experiment: the `scd1`
-//! tables and rows must be byte-identical at any thread count and under
-//! either event-queue implementation, and the landscape replay must keep
-//! its headline shape (the static cell sustains SCD-broadcast, the
-//! severed-partition cell never does).
+//! tables and rows must be byte-identical at any thread count, and the
+//! landscape replay must keep its headline shape (the static cell sustains
+//! SCD-broadcast, the severed-partition cell never does).
 
 use dds_bench::scd1_broadcast;
 
-/// One test covers all settings because `DDS_THREADS` and `DDS_QUEUE` are
-/// process-global state (see `determinism.rs` for the rationale).
+/// One test covers both settings because `DDS_THREADS` is process-global
+/// state (see `determinism.rs` for the rationale).
 #[test]
-fn scd1_is_identical_across_threads_and_queues() {
+fn scd1_is_identical_across_threads() {
     std::env::set_var("DDS_THREADS", "1");
     let seq = scd1_broadcast();
     std::env::set_var("DDS_THREADS", "8");
     let par = scd1_broadcast();
-    std::env::set_var("DDS_THREADS", "1");
-    std::env::set_var("DDS_QUEUE", "heap");
-    let heap = scd1_broadcast();
-    std::env::remove_var("DDS_QUEUE");
     std::env::remove_var("DDS_THREADS");
     assert_eq!(seq.table, par.table, "SCD1 table changed with thread count");
-    assert_eq!(
-        seq.table, heap.table,
-        "SCD1 table changed between calendar and heap queue"
-    );
     assert_eq!(
         format!("{:?}", seq.rows),
         format!("{:?}", par.rows),
@@ -34,8 +25,8 @@ fn scd1_is_identical_across_threads_and_queues() {
         "SCD1 latency histogram changed with thread count"
     );
     assert_eq!(
-        seq.critical, heap.critical,
-        "SCD1 critical-path histogram changed with queue choice"
+        seq.critical, par.critical,
+        "SCD1 critical-path histogram changed with thread count"
     );
     // Loose shape pins on the landscape replay: C1 (static, synchronous,
     // connected) always sustains set-constrained delivery; C7 (the

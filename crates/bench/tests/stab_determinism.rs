@@ -1,29 +1,21 @@
 //! Determinism regression for the self-stabilization experiment: the
 //! `stab1` tables, rows and pooled recovery-time histogram must be
-//! byte-identical at any thread count and under either event-queue
-//! implementation, and the headline shape must hold (every correct cell
-//! stabilizes on every seed, the mutant controls never do).
+//! byte-identical at any thread count, and the headline shape must hold
+//! (every correct cell stabilizes on every seed, the mutant controls never
+//! do).
 
 use dds_bench::stab1_selfstab;
 
-/// One test covers all settings because `DDS_THREADS` and `DDS_QUEUE` are
-/// process-global state (see `determinism.rs` for the rationale).
+/// One test covers both settings because `DDS_THREADS` is process-global
+/// state (see `determinism.rs` for the rationale).
 #[test]
-fn stab1_is_identical_across_threads_and_queues() {
+fn stab1_is_identical_across_threads() {
     std::env::set_var("DDS_THREADS", "1");
     let seq = stab1_selfstab();
     std::env::set_var("DDS_THREADS", "8");
     let par = stab1_selfstab();
-    std::env::set_var("DDS_THREADS", "1");
-    std::env::set_var("DDS_QUEUE", "heap");
-    let heap = stab1_selfstab();
-    std::env::remove_var("DDS_QUEUE");
     std::env::remove_var("DDS_THREADS");
     assert_eq!(seq.table, par.table, "STAB1 table changed with thread count");
-    assert_eq!(
-        seq.table, heap.table,
-        "STAB1 table changed between calendar and heap queue"
-    );
     assert_eq!(
         format!("{:?}", seq.rows),
         format!("{:?}", par.rows),
@@ -32,10 +24,6 @@ fn stab1_is_identical_across_threads_and_queues() {
     assert_eq!(
         seq.stabilization, par.stabilization,
         "STAB1 recovery-time histogram changed with thread count"
-    );
-    assert_eq!(
-        seq.stabilization, heap.stabilization,
-        "STAB1 recovery-time histogram changed with queue choice"
     );
     // Shape pins: every correct cell stabilizes on every seed (100%,
     // closure through the horizon), both mutant controls never do (0%),

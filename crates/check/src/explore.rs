@@ -1,16 +1,29 @@
-//! Bounded exhaustive schedule exploration: replay-based iterative DFS
-//! over decision vectors with a sleep-set partial-order reduction.
+//! Bounded exhaustive schedule exploration: a depth-first walk over
+//! decision vectors that forks the world at choice points, deduplicates
+//! states by fingerprint and prunes commuting orders with sleep sets.
 //!
 //! The explorer treats the target as a deterministic function from a
-//! decision vector (one index per same-instant tie) to a run. Starting
-//! from the default schedule (empty vector) it walks the tree of
-//! alternatives depth-first *by replay*: to visit a sibling it re-runs
-//! the target with the shared prefix plus one deviated decision, which
-//! keeps the kernel entirely stateless between runs.
+//! decision vector (one index per same-instant tie) to a run, and walks
+//! the tree of alternatives depth-first from the default schedule (the
+//! empty vector). Two walks visit that tree in the same order:
+//!
+//! - [`explore_fork`] — the engine. It steers one live
+//!   [`ExploreSession`] from outside the kernel, snapshots it at every
+//!   choice point that may still deviate, and resumes a sibling from the
+//!   snapshot instead of re-running its prefix. A state reached twice
+//!   with the same remaining budgets and sleep set is explored once.
+//! - [`explore_replay`] — one whole [`Target::run`] per visited schedule.
+//!   It is the only walk for targets that open no session (the register
+//!   harness has no world to fork), and the reference the differential
+//!   tests hold the engine to: same first counterexample, same plan,
+//!   never more runs.
+//!
+//! [`explore`] picks between them by asking the target for a session.
 //!
 //! Three budgets bound the walk:
 //!
-//! - `max_runs` — total target executions (the hard CI budget);
+//! - `max_runs` — descents to a terminal or a dedup prune (the hard CI
+//!   budget);
 //! - `max_depth` — only the first `max_depth` choice points may deviate
 //!   (later ties always take the default order);
 //! - `max_preemptions` — at most this many non-default decisions per
@@ -34,38 +47,6 @@ use dds_sim::snapshot::StableHasher;
 
 use crate::schedule::{ChoicePoint, ReadyEvent};
 use crate::target::{Counterexample, ExploreSession, RunReport, SessionState, Target, Violation};
-
-/// How [`explore`] walks the schedule tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExploreMode {
-    /// Fork the world at choice points and deduplicate states (the
-    /// default); targets without session support still replay.
-    Fork,
-    /// Legacy whole-run replay of decision vectors, kept as the
-    /// verification path behind `DDS_EXPLORE=replay`.
-    Replay,
-}
-
-impl ExploreMode {
-    /// Stable lowercase label (`"fork"` / `"replay"`).
-    pub const fn label(self) -> &'static str {
-        match self {
-            ExploreMode::Fork => "fork",
-            ExploreMode::Replay => "replay",
-        }
-    }
-}
-
-/// The exploration strategy selected by the `DDS_EXPLORE` environment
-/// variable: `replay` picks the legacy whole-run replay, anything else
-/// (including unset) the snapshot-forking explorer — mirroring the
-/// `DDS_QUEUE=heap` escape hatch.
-pub fn configured_explore_mode() -> ExploreMode {
-    match std::env::var("DDS_EXPLORE") {
-        Ok(v) if v.eq_ignore_ascii_case("replay") => ExploreMode::Replay,
-        _ => ExploreMode::Fork,
-    }
-}
 
 /// Runs between two [`ProgressSample`]s. Coarse enough that sampling is
 /// free next to target execution, fine enough that a default budget
@@ -131,13 +112,13 @@ impl Default for Budget {
 /// What the exploration did.
 #[derive(Debug, Clone)]
 pub struct Explored {
-    /// Runs consumed against `max_runs`: whole target executions in
-    /// replay mode; descents to a terminal or dedup-pruned state in fork
-    /// mode (a pruned descent is far cheaper but still spends a slot, so
-    /// the budget stays a hard cap in both modes).
+    /// Runs consumed against `max_runs`: whole target executions under
+    /// [`explore_replay`]; descents to a terminal or dedup-pruned state
+    /// under [`explore_fork`] (a pruned descent is far cheaper but still
+    /// spends a slot, so the budget stays a hard cap in both walks).
     pub runs: usize,
-    /// Choice-point states expanded by the forking explorer (0 in replay
-    /// mode, which never identifies states).
+    /// Choice-point states expanded by the forking explorer (0 under
+    /// [`explore_replay`], which never identifies states).
     pub states_explored: usize,
     /// Descents cut short because the state (with equal remaining
     /// budgets and sleep set) was already explored violation-free.
@@ -256,24 +237,16 @@ fn extend_path(path: &mut Vec<Node>, keep: usize, report: &RunReport, por: bool)
 /// Explores the target's bounded schedule space depth-first, returning
 /// the first violation found (or exhaustion).
 ///
-/// Dispatches on [`configured_explore_mode`]: the default forks world
-/// snapshots at choice points (when the target supports sessions) and
-/// deduplicates states; `DDS_EXPLORE=replay` — or a target without
-/// session support — replays whole decision vectors. Both walks visit
-/// alternatives in the same DFS order, so the first counterexample (and
-/// its plan) is identical; fork mode merely skips work replay re-does.
+/// A target that opens a session is forked at choice points and its
+/// states deduplicated; one that does not is replayed, one whole decision
+/// vector at a time. Both walks visit alternatives in the same DFS order,
+/// so the first counterexample (and its plan) is identical; forking
+/// merely skips work replay re-does.
 pub fn explore(target: &mut dyn Target, budget: Budget) -> Explored {
-    match configured_explore_mode() {
-        ExploreMode::Replay => explore_replay(target, budget),
-        ExploreMode::Fork => match explore_fork(target, budget) {
-            Some(out) => out,
-            None => explore_replay(target, budget),
-        },
-    }
+    explore_fork(target, budget).unwrap_or_else(|| explore_replay(target, budget))
 }
 
-/// The legacy replay-DFS explorer: one whole [`Target::run`] per visited
-/// schedule. Kept as the verification/fallback path.
+/// The replay-DFS walk: one whole [`Target::run`] per visited schedule.
 pub fn explore_replay(target: &mut dyn Target, budget: Budget) -> Explored {
     let por = target.reduction_safe();
     let mut runs = 0usize;
@@ -691,8 +664,7 @@ pub fn explore_fork(target: &mut dyn Target, budget: Budget) -> Option<Explored>
 /// byte-identical at any `DDS_THREADS` value. Each shard gets
 /// `max(1, max_runs / shards)` runs; state dedup is per-shard (shards
 /// share no memory). Falls back to the sequential [`explore`] when the
-/// target has no session support, when `DDS_EXPLORE=replay`, or when the
-/// budget forbids deviating at the root.
+/// target has no session support.
 pub fn explore_parallel(build: fn() -> Box<dyn Target>, budget: Budget) -> Explored {
     explore_parallel_with(dds_sim::parallel::thread_count(), build, budget)
 }
@@ -705,9 +677,6 @@ pub fn explore_parallel_with(
     budget: Budget,
 ) -> Explored {
     let mut probe = build();
-    if configured_explore_mode() == ExploreMode::Replay {
-        return explore(probe.as_mut(), budget);
-    }
     let Some(mut session) = probe.session() else {
         return explore(probe.as_mut(), budget);
     };
@@ -953,7 +922,7 @@ mod tests {
         assert!(out.progress.windows(2).all(|w| w[0].runs < w[1].runs));
         for s in &out.progress {
             assert!(s.runs >= PROGRESS_INTERVAL);
-            assert!(s.dedup_ratio() == 0.0, "replay mode never dedups");
+            assert!(s.dedup_ratio() == 0.0, "the replay walk never dedups");
             assert!(s.frontier_depth <= 5);
         }
     }

@@ -7,9 +7,10 @@
 //! abstraction — "run me under this decision vector, tell me what choice
 //! points you saw and whether the property held":
 //!
-//! - **Kernel worlds** ([`WorldTarget`]): a [`dds_sim::world::World`] with
-//!   a [`ScriptPolicy`] installed, which resolves every same-instant tie
-//!   from an explicit plan and logs the ready set at each choice point.
+//! - **Kernel worlds** ([`WorldTarget`], [`StabTarget`]): a
+//!   [`dds_sim::world::World`] steered from outside through its ready set,
+//!   every same-instant tie resolved from an explicit plan (or by the
+//!   explorer) and logged with the ready set at each choice point.
 //! - **Register schedules** ([`RegisterTarget`]): the `dds-registers`
 //!   interleaving harness in planned mode
 //!   ([`dds_registers::harness::run_schedule_planned`]), its history
@@ -45,11 +46,11 @@ pub mod schedule;
 pub mod target;
 
 pub use explore::{
-    configured_explore_mode, explore, explore_fork, explore_parallel, explore_parallel_with,
-    explore_replay, Budget, ExploreMode, Explored, ProgressSample, PROGRESS_INTERVAL,
+    explore, explore_fork, explore_parallel, explore_parallel_with, explore_replay, Budget,
+    Explored, ProgressSample, PROGRESS_INTERVAL,
 };
 pub use fuzz::{fuzz, shrink, FuzzOutcome};
-pub use schedule::{ChoicePoint, ReadyEvent, ScriptPolicy};
+pub use schedule::{ChoicePoint, ReadyEvent};
 pub use target::{
     Counterexample, ExploreSession, RegisterTarget, RunReport, SessionState, StabTarget, Target,
     Violation, WorldTarget,

@@ -1177,34 +1177,6 @@ mod tests {
         }
     }
 
-    /// The trajectory property is sampled identically on both execution
-    /// paths: the fork session evaluates legality once per event-free
-    /// span, the replay path once per tick — same verdict, same first
-    /// illegal tick, same witness plan.
-    #[test]
-    fn fork_and_replay_agree_on_stab_targets() {
-        for (label, mk) in stab_builds() {
-            for flag in [true, false] {
-                let forked =
-                    explore_fork(mk(flag).as_mut(), budget()).expect("stab targets fork");
-                let replayed = explore_replay(mk(flag).as_mut(), budget());
-                match (&replayed.counterexample, &forked.counterexample) {
-                    (Some(r), Some(f)) => {
-                        assert_eq!(r.plan, f.plan, "{label}({flag}): witness plans");
-                        assert_eq!(
-                            r.violation.reason, f.violation.reason,
-                            "{label}({flag}): first illegal tick must match"
-                        );
-                    }
-                    (None, None) => {}
-                    (r, f) => panic!(
-                        "{label}({flag}): engines disagree: replay {r:?} vs fork {f:?}"
-                    ),
-                }
-            }
-        }
-    }
-
     #[test]
     fn store_reconfig_sweep_is_clean() {
         let out = explore(&mut store_reconfig_target(), budget());
@@ -1216,15 +1188,25 @@ mod tests {
     }
 
     /// What "the engines agree" means: same first counterexample
-    /// (byte-identical plan), and exhaustion whenever replay exhausts —
-    /// dedup only ever *saves* runs.
+    /// (byte-identical plan, same violation), and exhaustion whenever
+    /// replay exhausts — dedup only ever *saves* runs.
     fn check_pair(label: &str, forked: crate::explore::Explored, replayed: crate::explore::Explored) {
+        assert!(
+            forked.runs <= replayed.runs,
+            "{label}: pruning cannot add runs (fork {}, replay {})",
+            forked.runs,
+            replayed.runs
+        );
         if let Some(rce) = &replayed.counterexample {
             let fce = forked
                 .counterexample
                 .as_ref()
                 .unwrap_or_else(|| panic!("{label}: fork missed replay's witness {rce:?}"));
             assert_eq!(rce.plan, fce.plan, "{label}: witness plans must be byte-identical");
+            assert_eq!(
+                rce.violation.reason, fce.violation.reason,
+                "{label}: the witness must break the same thing"
+            );
         } else if forked.counterexample.is_some() {
             assert!(
                 !replayed.exhausted,
@@ -1238,12 +1220,11 @@ mod tests {
                  must exhaust whenever replay does (replay {} runs, fork {})",
                 replayed.runs, forked.runs
             );
-            assert!(forked.runs <= replayed.runs, "{label}: pruning cannot add runs");
         }
     }
 
     /// Exhaustion-equivalence regression: on the flood and race suites the
-    /// fork+dedup explorer and the legacy replay-DFS must reach the same
+    /// fork+dedup explorer and the replay-DFS must reach the same
     /// terminal verdicts, with sleep-set POR both on and off.
     #[test]
     fn fork_and_replay_agree_on_flood_and_race_suites() {
@@ -1276,25 +1257,51 @@ mod tests {
         }
     }
 
-    /// The same agreement on the subjects whose descents are long enough
-    /// for the fork engine to finish most of them in default order: the
-    /// store races (write-back, fencing, reconfiguration) and the SCD
-    /// family, at the suite's own budget.
+    /// The same agreement on every subject of the suite that opens a
+    /// session, at the suite's own budget — what `run_check` would report
+    /// from either walk: flood and race, the store races (write-back,
+    /// fencing, reconfiguration), the SCD family and the stabilization
+    /// trajectories, whose first illegal tick is part of the reason.
     #[test]
-    fn fork_and_replay_agree_on_store_and_scd_targets() {
+    fn fork_and_replay_agree_on_every_suite_subject_with_a_session() {
         let mut compared = 0;
         for subject in suite() {
-            let label = (subject.build)().name().to_string();
-            if !(label.starts_with("store-") || label.starts_with("scd-")) {
-                continue;
-            }
+            let mut target = (subject.build)();
+            let Some(forked) = explore_fork(target.as_mut(), Budget::default()) else {
+                continue; // register schedules replay only
+            };
             compared += 1;
-            let forked = explore_fork((subject.build)().as_mut(), Budget::default())
-                .unwrap_or_else(|| panic!("{label} forks"));
+            assert_eq!(
+                forked.counterexample.is_some(),
+                subject.expect_violation,
+                "{}: verdict",
+                target.name()
+            );
             let replayed = explore_replay((subject.build)().as_mut(), Budget::default());
-            check_pair(&label, forked, replayed);
+            check_pair(target.name(), forked, replayed);
         }
-        assert_eq!(compared, 11, "three store pairs less one mutant, three SCD pairs");
+        assert_eq!(compared, 19, "every subject but the four register schedules");
+    }
+
+    /// A plan entry past the ready set clamps to its last alternative, a
+    /// plan that runs out means default order, forced steps are logged
+    /// between the choices, and the reported plan replays the run.
+    #[test]
+    fn plans_clamp_run_out_to_defaults_and_log_forced_steps() {
+        let mut target = flood_target(true);
+        let default = target.run(&[]);
+        assert!(default.decisions() > 1 && default.plan().iter().all(|&d| d == 0));
+        let forced: Vec<_> = default.choices.iter().filter(|c| c.width == 1).collect();
+        assert!(!forced.is_empty(), "a flood run has forced steps");
+        assert!(forced.iter().all(|c| c.chosen == 0 && c.ready.len() == 1));
+
+        let deviated = target.run(&[99]);
+        let first = deviated.choices.iter().find(|c| c.width > 1).expect("a choice point");
+        assert_eq!(first.chosen, first.width - 1, "99 clamps to the last alternative");
+        assert_eq!(first.ready.len(), first.width);
+        assert!(deviated.plan()[1..].iter().all(|&d| d == 0), "plan exhausted");
+        let replayed = target.run(&deviated.plan());
+        assert_eq!(format!("{:?}", replayed.choices), format!("{:?}", deviated.choices));
     }
 
     /// Runs `session` to its terminal one choice point at a time, always

@@ -1,6 +1,5 @@
 //! The system-under-check abstraction and its two implementations.
 
-use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
 
@@ -13,7 +12,7 @@ use dds_sim::event::ReadySummary;
 use dds_sim::snapshot::{fingerprint_msg, FingerprintMsg, StableHasher};
 use dds_sim::world::World;
 
-use crate::schedule::{ChoiceLog, ChoicePoint, ReadyEvent, ScriptPolicy};
+use crate::schedule::{ChoicePoint, ReadyEvent};
 
 /// Final-state property over a finished world. `Rc` so the target and the
 /// exploration sessions it spawns can share one closure.
@@ -143,10 +142,10 @@ pub enum SessionState {
 
 /// One live run that an explorer steers decision by decision.
 ///
-/// The session semantics mirror the replay path exactly: forced steps
-/// (ready width 1) dispatch in default `(time, seq)` order, genuine
-/// choice points surface to the caller, and a run judged at `Done` must
-/// equal the [`Target::run`] verdict for the same decision vector.
+/// Forced steps (ready width 1) dispatch in default `(time, seq)` order,
+/// genuine choice points surface to the caller, and a run judged at
+/// `Done` must equal the [`Target::run`] verdict for the same decision
+/// vector.
 pub trait ExploreSession {
     /// Runs forward until the next genuine choice point or completion,
     /// returning where it stopped and appending to `forced` the forced
@@ -184,12 +183,15 @@ pub trait ExploreSession {
     fn violation(&self) -> Option<Violation>;
 }
 
-/// What the two world-backed targets share: how to build the world, how
-/// long to run it, and what exploration may assume about it.
+/// What the two world-backed targets are made of: how to build the world,
+/// how long to run it, how to judge it, and what exploration may assume
+/// about it.
 struct Scenario<M> {
     name: String,
     build: Box<dyn FnMut() -> World<M>>,
     deadline: Time,
+    /// The verdict in its initial state; every run starts from a clone.
+    judge: Judge<M>,
     reduction_safe: bool,
     /// Message fingerprint hook; `Some` opts the target into
     /// snapshot-forking exploration sessions.
@@ -197,55 +199,63 @@ struct Scenario<M> {
 }
 
 impl<M: Clone + 'static> Scenario<M> {
-    fn new(name: String, deadline: Time, build: Box<dyn FnMut() -> World<M>>) -> Self {
+    fn new(
+        name: String,
+        deadline: Time,
+        build: Box<dyn FnMut() -> World<M>>,
+        judge: Judge<M>,
+    ) -> Self {
         Scenario {
             name,
             build,
             deadline,
+            judge,
             reduction_safe: false,
             forkable: None,
         }
     }
 
-    /// A fresh world with `plan` installed as its schedule policy.
-    fn scripted(&mut self, plan: &[usize]) -> (World<M>, ChoiceLog) {
-        let mut world = (self.build)();
-        let log: ChoiceLog = Rc::new(RefCell::new(Vec::new()));
-        world.set_schedule_policy(ScriptPolicy::new(plan.to_vec(), Rc::clone(&log)));
-        (world, log)
-    }
-
-    /// Opens a live session judged by `judge`, or `None` when the target
-    /// did not opt into forking or some component of the world cannot
-    /// fork — the explorer must then take the replay path from the start
-    /// rather than fail mid-search.
-    fn session(&mut self, judge: Judge<M>) -> Option<Box<dyn ExploreSession>> {
-        let msg_fp = self.forkable?;
-        let mut world = (self.build)();
-        if !world.can_fork() {
-            return None;
-        }
-        // The explorer owns every decision: forks carry no policy, so
-        // neither does the root, and `finish` may pop in default order.
-        world.take_schedule_policy();
-        Some(Box::new(WorldSession {
-            world,
+    /// A live run over a freshly built world — the one stepping loop
+    /// behind exploration sessions, plan replays and witness dumps.
+    fn open(&mut self) -> WorldSession<M> {
+        WorldSession {
+            world: (self.build)(),
             deadline: self.deadline,
-            msg_fp,
-            judge,
+            msg_fp: self.forkable,
+            judge: self.judge.clone(),
             at: Time::ZERO,
             ready: Vec::new(),
             buf: Vec::new(),
-        }))
+        }
+    }
+
+    /// Runs a fresh world under `plan`.
+    fn run(&mut self, plan: &[usize]) -> RunReport {
+        let mut run = self.open();
+        let choices = run.follow(plan);
+        RunReport { choices, violation: run.violation() }
+    }
+
+    /// Opens a live session for the explorer, or `None` when the target
+    /// did not opt into forking or some component of the world cannot
+    /// fork — the explorer must then take the replay path from the start
+    /// rather than fail mid-search.
+    fn session(&mut self) -> Option<Box<dyn ExploreSession>> {
+        self.forkable?;
+        let session = self.open();
+        if !session.world.can_fork() {
+            return None;
+        }
+        Some(Box::new(session))
     }
 
     /// Replays `plan` under a [`FlightRecorder`] and dumps it to `path`.
     fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str) {
-        let (mut world, _log) = self.scripted(plan);
-        world.set_sink(FlightRecorder::new(4096).with_dump_path(path));
-        world.run_until(self.deadline);
-        let at = world.now();
-        if let Some(sink) = world.take_sink() {
+        let mut run = self.open();
+        run.world.set_sink(FlightRecorder::new(4096).with_dump_path(path));
+        run.follow(plan);
+        let at = run.world.now();
+        if let Some(sink) = run.world.take_sink() {
             if let Ok(mut recorder) = sink.into_any().downcast::<FlightRecorder>() {
                 recorder.fail(reason, at);
             }
@@ -255,10 +265,10 @@ impl<M: Clone + 'static> Scenario<M> {
     /// Replays `plan` under a [`CausalLog`] and writes the cause chain of
     /// the critical path's end event to `path`.
     fn dump_causal_chain(&mut self, plan: &[usize], path: &Path, reason: &str) {
-        let (mut world, _log) = self.scripted(plan);
-        world.set_sink(CausalLog::default());
-        world.run_until(self.deadline);
-        let Some(sink) = world.take_sink() else {
+        let mut run = self.open();
+        run.world.set_sink(CausalLog::default());
+        run.follow(plan);
+        let Some(sink) = run.world.take_sink() else {
             return;
         };
         let Ok(causal) = sink.into_any().downcast::<CausalLog>() else {
@@ -293,10 +303,10 @@ impl<M: Clone + 'static> Scenario<M> {
 }
 
 /// The builder methods and [`Target`] plumbing [`WorldTarget`] and
-/// [`StabTarget`] share; the property-specific `run`/`session` stay with
-/// each type.
+/// [`StabTarget`] share: the types differ only in the [`Judge`] their
+/// constructors hand the scenario.
 macro_rules! scenario_target {
-    ($target:ident, $run:ident, $judge:ident) => {
+    ($target:ident) => {
         impl<M: Clone + 'static> $target<M> {
             /// Declares the target's callbacks rng-free, enabling the
             /// sleep-set reduction.
@@ -331,7 +341,7 @@ macro_rules! scenario_target {
             }
 
             fn run(&mut self, plan: &[usize]) -> RunReport {
-                self.$run(plan)
+                self.scenario.run(plan)
             }
 
             fn reduction_safe(&self) -> bool {
@@ -339,8 +349,7 @@ macro_rules! scenario_target {
             }
 
             fn session(&mut self) -> Option<Box<dyn ExploreSession>> {
-                let judge = self.$judge();
-                self.scenario.session(judge)
+                self.scenario.session()
             }
 
             fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str) {
@@ -355,11 +364,9 @@ macro_rules! scenario_target {
 }
 
 /// A [`Target`] wrapping a simulator world: build it, run it under a
-/// scripted schedule until `deadline`, then check a property over the
-/// final state.
+/// plan until `deadline`, then check a property over the final state.
 pub struct WorldTarget<M> {
     scenario: Scenario<M>,
-    check: WorldCheck<M>,
 }
 
 impl<M: Clone + 'static> WorldTarget<M> {
@@ -372,28 +379,14 @@ impl<M: Clone + 'static> WorldTarget<M> {
         build: impl FnMut() -> World<M> + 'static,
         check: impl Fn(&World<M>) -> Result<(), Violation> + 'static,
     ) -> Self {
+        let judge = Judge::Final(Rc::new(check));
         WorldTarget {
-            scenario: Scenario::new(name.into(), deadline, Box::new(build)),
-            check: Rc::new(check),
+            scenario: Scenario::new(name.into(), deadline, Box::new(build), judge),
         }
-    }
-
-    fn run_plan(&mut self, plan: &[usize]) -> RunReport {
-        let (mut world, log) = self.scenario.scripted(plan);
-        world.run_until(self.scenario.deadline);
-        let choices = log.borrow().clone();
-        RunReport {
-            choices,
-            violation: (self.check)(&world).err(),
-        }
-    }
-
-    fn judge(&self) -> Judge<M> {
-        Judge::Final(Rc::clone(&self.check))
     }
 }
 
-scenario_target!(WorldTarget, run_plan, judge);
+scenario_target!(WorldTarget);
 
 /// Legality predicate of a [`StabTarget`]: `Ok` when the configuration is
 /// legal, `Err(details)` describing the illegality otherwise.
@@ -410,19 +403,15 @@ type StabCheck<M> = Rc<dyn Fn(&World<M>) -> Result<(), String>>;
 /// within the horizon; convergence: it must have entered it by
 /// `converge_by`).
 ///
-/// Both execution paths sample identically. The replay path runs the
-/// scripted schedule tick by tick; the exploration session evaluates the
-/// predicate whenever virtual time is about to move past unfinalized
-/// sample instants (the state at those instants is exactly the current
-/// state, since no events lie between). The latched verdict — including
-/// which tick first went illegal — is folded into the session fingerprint,
-/// so deduplication can never identify a violated trajectory with a clean
-/// one that happens to share a world state.
+/// The predicate is evaluated whenever virtual time is about to move past
+/// unfinalized sample instants (the state at those instants is exactly
+/// the current state, since no events lie between). The latched verdict —
+/// including which tick first went illegal — is folded into the session
+/// fingerprint, so deduplication can never identify a violated trajectory
+/// with a clean one that happens to share a world state.
 pub struct StabTarget<M> {
     /// `scenario.deadline` is the end of the hold window.
     scenario: Scenario<M>,
-    legal: StabCheck<M>,
-    converge_by: Time,
 }
 
 impl<M: Clone + 'static> StabTarget<M> {
@@ -444,44 +433,20 @@ impl<M: Clone + 'static> StabTarget<M> {
             hold_until > converge_by,
             "the hold window must extend past the convergence bound"
         );
-        StabTarget {
-            scenario: Scenario::new(name.into(), hold_until, Box::new(build)),
+        let judge = Judge::Trajectory {
             legal: Rc::new(legal),
-            converge_by,
-        }
-    }
-
-    fn run_plan(&mut self, plan: &[usize]) -> RunReport {
-        let (mut world, log) = self.scenario.scripted(plan);
-        world.run_until(self.converge_by);
-        let mut violation = None;
-        for tick in self.converge_by.as_ticks() + 1..=self.scenario.deadline.as_ticks() {
-            world.run_until(Time::from_ticks(tick));
-            if violation.is_none() {
-                if let Err(details) = (self.legal)(&world) {
-                    violation = Some(Violation {
-                        reason: format!("illegal configuration at tick {tick}"),
-                        details,
-                    });
-                }
-            }
-        }
-        let choices = log.borrow().clone();
-        RunReport { choices, violation }
-    }
-
-    fn judge(&self) -> Judge<M> {
-        Judge::Trajectory {
-            legal: Rc::clone(&self.legal),
-            next_sample: self.converge_by.as_ticks() + 1,
+            next_sample: converge_by.as_ticks() + 1,
             violation: None,
+        };
+        StabTarget {
+            scenario: Scenario::new(name.into(), hold_until, Box::new(build), judge),
         }
     }
 }
 
-scenario_target!(StabTarget, run_plan, judge);
+scenario_target!(StabTarget);
 
-/// How a live session reaches its verdict.
+/// How a run reaches its verdict.
 enum Judge<M> {
     /// [`WorldTarget`]: the property is read off the final state.
     Final(WorldCheck<M>),
@@ -534,14 +499,16 @@ impl<M> Judge<M> {
     }
 }
 
-/// A live run of a world-backed target driven through
-/// [`dds_sim::world::World::step_nth`] instead of a [`ScriptPolicy`]:
-/// forced steps dispatch in default order, genuine choice points surface
-/// to the explorer.
+/// A live run of a world-backed target, steered from outside the kernel
+/// through [`World::ready_set`] and [`World::step_nth`]: forced steps
+/// dispatch in default order, genuine choice points surface to whoever
+/// drives the run — the explorer, or a plan ([`WorldSession::follow`]).
 struct WorldSession<M> {
     world: World<M>,
     deadline: Time,
-    msg_fp: fn(&M, &mut StableHasher),
+    /// `None` when the target did not opt into forking: the run still
+    /// steps, it just has no fingerprint.
+    msg_fp: Option<fn(&M, &mut StableHasher)>,
     judge: Judge<M>,
     /// Instant of the pending choice point, when stopped at one.
     at: Time,
@@ -552,6 +519,52 @@ struct WorldSession<M> {
 }
 
 impl<M: Clone + 'static> WorldSession<M> {
+    /// Runs forward until the next genuine choice point or completion,
+    /// handing every forced (width-1) step executed along the way to
+    /// `forced` with its instant and the mutation epoch it ran in.
+    fn advance_with(&mut self, mut forced: impl FnMut(Time, u64, ReadyEvent)) -> SessionState {
+        loop {
+            match self.world.ready_set(&mut self.buf) {
+                Some(at) if at <= self.deadline => {
+                    self.judge.finalize_before(&self.world, at.as_ticks());
+                    if self.buf.len() > 1 {
+                        self.at = at;
+                        self.ready.clear();
+                        self.ready.extend(self.buf.iter().map(ReadyEvent::from));
+                        return SessionState::Choice;
+                    }
+                    forced(at, self.world.epoch(), ReadyEvent::from(&self.buf[0]));
+                    self.world.step_nth(0);
+                }
+                _ => {
+                    self.complete();
+                    return SessionState::Done;
+                }
+            }
+        }
+    }
+
+    /// Runs to completion resolving the `k`-th genuine choice point with
+    /// `plan[k]` (clamped; index 0 once the plan runs out), and returns
+    /// the schedule log: every choice point and every forced step, in
+    /// execution order.
+    fn follow(&mut self, plan: &[usize]) -> Vec<ChoicePoint> {
+        let mut log = Vec::new();
+        let mut decisions = plan.iter().copied();
+        loop {
+            let state = self.advance_with(|at, epoch, only| {
+                log.push(ChoicePoint { at, epoch, width: 1, chosen: 0, ready: vec![only] });
+            });
+            if state == SessionState::Done {
+                return log;
+            }
+            let mut choice = self.choice().expect("Choice state has a choice point");
+            choice.chosen = decisions.next().unwrap_or(0).min(choice.width - 1);
+            self.choose(choice.chosen);
+            log.push(choice);
+        }
+    }
+
     /// The shared tail of `advance` and `finish`: nothing at or before
     /// the deadline is left to dispatch.
     fn complete(&mut self) {
@@ -563,25 +576,7 @@ impl<M: Clone + 'static> WorldSession<M> {
 
 impl<M: Clone + 'static> ExploreSession for WorldSession<M> {
     fn advance(&mut self, forced: &mut Vec<ReadyEvent>) -> SessionState {
-        loop {
-            match self.world.ready_set(&mut self.buf) {
-                Some(at) if at <= self.deadline => {
-                    self.judge.finalize_before(&self.world, at.as_ticks());
-                    if self.buf.len() > 1 {
-                        self.at = at;
-                        self.ready.clear();
-                        self.ready.extend(self.buf.iter().map(ReadyEvent::from));
-                        return SessionState::Choice;
-                    }
-                    forced.push(ReadyEvent::from(&self.buf[0]));
-                    self.world.step_nth(0);
-                }
-                _ => {
-                    self.complete();
-                    return SessionState::Done;
-                }
-            }
-        }
+        self.advance_with(|_, _, ev| forced.push(ev))
     }
 
     fn finish(&mut self) {
@@ -626,7 +621,7 @@ impl<M: Clone + 'static> ExploreSession for WorldSession<M> {
     }
 
     fn fingerprint(&self) -> Option<u64> {
-        let world = self.world.fingerprint(self.msg_fp)?;
+        let world = self.world.fingerprint(self.msg_fp?)?;
         let Judge::Trajectory { next_sample, violation, .. } = &self.judge else {
             return Some(world);
         };

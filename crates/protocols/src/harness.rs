@@ -18,9 +18,10 @@ use dds_core::spec::one_time_query::{check_outcome, QueryOutcome, ValidityReport
 use dds_core::time::{Interval, Time, TimeDelta};
 use dds_net::graph::Graph;
 use dds_obs::{CriticalPath, Histogram, ObsEvent, ObserverSink, RunReport};
+use dds_sim::actor::Actor;
 use dds_sim::corrupt::{Burst, CorruptionAdversary};
 use dds_sim::delay::{DelayModel, LossModel};
-use dds_sim::driver::{BalancedChurn, Compose, Growth, NoChurn, PathStretch};
+use dds_sim::driver::{BalancedChurn, ChurnDriver, Compose, Growth, NoChurn, PathStretch};
 use dds_sim::partition::PartitionDriver;
 use dds_sim::metrics::Metrics;
 use dds_sim::world::{TopologyPolicy, World, WorldBuilder};
@@ -139,6 +140,85 @@ pub enum DriverSpec {
     },
 }
 
+impl DriverSpec {
+    /// The churn driver this regime describes over the initial `graph`,
+    /// boxed so it can feed both [`WorldBuilder::boxed_driver`] and
+    /// [`World::reset`]. Regimes that aim at particular processes take the
+    /// initiator (lowest identity, exempt from replacement churn), the
+    /// witness (highest) and the median identity (where a partition
+    /// splits) from `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid churn rate, and on an empty graph when the
+    /// regime names a process.
+    pub(crate) fn build(&self, graph: &Graph) -> Box<dyn ChurnDriver> {
+        let ids = graph.members();
+        let initiator = || *ids.first().expect("scenario graph is empty");
+        let churn = |rate: f64, window: u64| {
+            let spec = ChurnSpec::rate(rate, TimeDelta::ticks(window))
+                .expect("scenario churn rate must be valid");
+            BalancedChurn::new(spec).with_protected(initiator())
+        };
+        match *self {
+            DriverSpec::None => Box::new(NoChurn),
+            DriverSpec::Balanced { rate, window, crash_fraction } => {
+                Box::new(churn(rate, window).with_crash_fraction(crash_fraction))
+            }
+            DriverSpec::Growth { per_window, window, cap } => Box::new(Growth {
+                growth_per_window: per_window,
+                window: TimeDelta::ticks(window),
+                cap,
+            }),
+            DriverSpec::PathStretch { window } => Box::new(PathStretch {
+                initiator: initiator(),
+                witness: *ids.last().expect("scenario graph is empty"),
+                window: TimeDelta::ticks(window),
+            }),
+            DriverSpec::Partition { cut_at, heal_at } => {
+                let split_at = ids[ids.len() / 2];
+                let cut = Time::from_ticks(cut_at);
+                match heal_at {
+                    Some(h) => {
+                        Box::new(PartitionDriver::transient(cut, Time::from_ticks(h), split_at))
+                    }
+                    None => Box::new(PartitionDriver::permanent(cut, split_at)),
+                }
+            }
+            DriverSpec::Corruption {
+                start,
+                every,
+                actors,
+                scramble,
+                churn_rate,
+                churn_window,
+            } => {
+                let mut burst = Burst::actors(usize::from(actors));
+                if scramble {
+                    burst = burst.with_scramble();
+                }
+                let adversary = CorruptionAdversary::periodic(
+                    Time::from_ticks(start),
+                    TimeDelta::ticks(every),
+                    burst,
+                );
+                if churn_rate > 0.0 {
+                    Box::new(Compose::new(churn(churn_rate, churn_window), adversary))
+                } else {
+                    Box::new(adversary)
+                }
+            }
+        }
+    }
+}
+
+/// A finished query as the harness reads it off the initiator's actor.
+struct Answer {
+    finished_at: Time,
+    contributors: BTreeSet<ProcessId>,
+    value: f64,
+}
+
 /// A fully specified one-time-query experiment.
 #[derive(Debug, Clone)]
 pub struct QueryScenario {
@@ -213,92 +293,44 @@ impl QueryScenario {
     /// this through one arena per worker so every seed after the first
     /// recycles the previous run's allocations via [`World::reset`].
     pub fn run_in(&self, arena: &mut SweepArena) -> QueryRun {
-        match self.protocol {
+        let aggregate = self.aggregate;
+        let (config, ttl) = match self.protocol {
             ProtocolKind::FloodEcho { ttl } => {
                 let delta = self.delay.bound().unwrap_or(TimeDelta::ticks(4));
-                let config = WaveConfig::flood_echo(self.aggregate, delta);
-                self.run_wave(config, ttl, arena)
+                (WaveConfig::flood_echo(aggregate, delta), ttl)
             }
-            ProtocolKind::SingleTree { ttl } => {
-                let config = WaveConfig::single_tree(self.aggregate);
-                self.run_wave(config, ttl, arena)
-            }
-            ProtocolKind::MultiTree { ttl, k } => {
-                let config = WaveConfig::multi_tree(self.aggregate, k);
-                self.run_wave(config, ttl, arena)
-            }
-            ProtocolKind::Gossip { rounds } => self.run_gossip(rounds, arena),
-        }
-    }
-
-    /// The churn driver for this scenario, boxed so it can feed both
-    /// [`WorldBuilder::boxed_driver`] and [`World::reset`].
-    fn make_driver(&self) -> Box<dyn dds_sim::driver::ChurnDriver> {
-        match self.driver {
-            DriverSpec::None => Box::new(NoChurn),
-            DriverSpec::Balanced {
-                rate,
-                window,
-                crash_fraction,
-            } => {
-                let spec = ChurnSpec::rate(rate, TimeDelta::ticks(window))
-                    .expect("scenario churn rate must be valid");
-                Box::new(
-                    BalancedChurn::new(spec)
-                        .with_crash_fraction(crash_fraction)
-                        .with_protected(self.initiator()),
-                )
-            }
-            DriverSpec::Growth { per_window, window, cap } => Box::new(Growth {
-                growth_per_window: per_window,
-                window: TimeDelta::ticks(window),
-                cap,
-            }),
-            DriverSpec::PathStretch { window } => Box::new(PathStretch {
-                initiator: self.initiator(),
-                witness: self.witness(),
-                window: TimeDelta::ticks(window),
-            }),
-            DriverSpec::Partition { cut_at, heal_at } => {
-                let ids: Vec<ProcessId> = self.graph.nodes().collect();
-                let split_at = ids[ids.len() / 2];
-                let cut = Time::from_ticks(cut_at);
-                match heal_at {
-                    Some(h) => {
-                        Box::new(PartitionDriver::transient(cut, Time::from_ticks(h), split_at))
-                    }
-                    None => Box::new(PartitionDriver::permanent(cut, split_at)),
-                }
-            }
-            DriverSpec::Corruption {
-                start,
-                every,
-                actors,
-                scramble,
-                churn_rate,
-                churn_window,
-            } => {
-                let mut burst = Burst::actors(usize::from(actors));
-                if scramble {
-                    burst = burst.with_scramble();
-                }
-                let adversary = CorruptionAdversary::periodic(
-                    Time::from_ticks(start),
-                    TimeDelta::ticks(every),
-                    burst,
+            ProtocolKind::SingleTree { ttl } => (WaveConfig::single_tree(aggregate), ttl),
+            ProtocolKind::MultiTree { ttl, k } => (WaveConfig::multi_tree(aggregate, k), ttl),
+            ProtocolKind::Gossip { rounds } => {
+                let period = TimeDelta::ticks(
+                    2 * self.delay.bound().unwrap_or(TimeDelta::ticks(2)).as_ticks(),
                 );
-                if churn_rate > 0.0 {
-                    let spec = ChurnSpec::rate(churn_rate, TimeDelta::ticks(churn_window))
-                        .expect("scenario churn rate must be valid");
-                    Box::new(Compose::new(
-                        BalancedChurn::new(spec).with_protected(self.initiator()),
-                        adversary,
-                    ))
-                } else {
-                    Box::new(adversary)
-                }
+                return self.run_query(
+                    &mut arena.gossip,
+                    move |_| Box::new(GossipActor::new(period, aggregate)),
+                    GossipMsg::Start { rounds },
+                    |actor: &GossipActor| {
+                        actor.result().map(|r| Answer {
+                            finished_at: r.finished_at,
+                            contributors: r.contributors.clone(),
+                            value: r.estimate,
+                        })
+                    },
+                );
             }
-        }
+        };
+        self.run_query(
+            &mut arena.wave,
+            move |_| Box::new(WaveActor::new(config)),
+            WaveMsg::Start { ttl },
+            |actor: &WaveActor| {
+                actor.result().map(|r| Answer {
+                    finished_at: r.finished_at,
+                    contributors: r.contributions.keys().copied().collect(),
+                    value: r.value,
+                })
+            },
+        )
     }
 
     /// The world builder for this scenario (shared with the
@@ -314,7 +346,7 @@ impl QueryScenario {
             // over its (allowed) contributor set then differ only through
             // sampling, not through identity-correlated drift.
             .values(|_, rng| rng.unit_f64() * 100.0)
-            .boxed_driver(self.make_driver())
+            .boxed_driver(self.driver.build(&self.graph))
     }
 
     /// The per-run configuration for [`World::reset`], mirroring what
@@ -325,7 +357,7 @@ impl QueryScenario {
             policy: self.policy,
             delay: self.delay,
             loss: self.loss,
-            driver: self.make_driver(),
+            driver: self.driver.build(&self.graph),
             sink: Some(Box::new(ObserverSink::default())),
         }
     }
@@ -341,9 +373,20 @@ impl QueryScenario {
         }
     }
 
-    fn run_wave(&self, config: WaveConfig, ttl: u32, arena: &mut SweepArena) -> QueryRun {
+    /// Runs one query of a protocol whose processes are `A` actors over
+    /// `M` messages: takes the world from `slot` (reset) or builds it with
+    /// `spawn`, starts the initiator with `start`, runs until `answer`
+    /// reads a finished query off the initiator or the deadline passes,
+    /// and judges what it got.
+    fn run_query<M: Clone + 'static, A: Actor<M>>(
+        &self,
+        slot: &mut Option<(ArenaKey, World<M>)>,
+        spawn: impl FnMut(ProcessId) -> Box<dyn Actor<M>> + 'static,
+        start: M,
+        answer: fn(&A) -> Option<Answer>,
+    ) -> QueryRun {
         let key = self.arena_key();
-        let world: &mut World<WaveMsg> = match &mut arena.wave {
+        let world: &mut World<M> = match slot {
             Some((k, w)) if *k == key => {
                 w.reset(&self.graph, self.reset_spec());
                 w
@@ -352,13 +395,13 @@ impl QueryScenario {
                 let world = self
                     .scenario_builder()
                     .sink(ObserverSink::default())
-                    .spawn(move |_| Box::new(WaveActor::new(config)))
+                    .spawn(spawn)
                     .build();
                 &mut slot.insert((key, world)).1
             }
         };
         let initiator = self.initiator();
-        world.inject(self.start, initiator, WaveMsg::Start { ttl });
+        world.inject(self.start, initiator, start);
         world.observe(ObsEvent::SpanStart {
             name: self.protocol.label(),
             pid: initiator,
@@ -368,109 +411,34 @@ impl QueryScenario {
         // (churn drivers would otherwise keep the event queue busy until
         // the deadline for nothing).
         let mut horizon = self.start;
-        loop {
+        let answer = loop {
             horizon = (horizon + TimeDelta::ticks(64)).min(self.deadline);
             world.run_until(horizon);
-            let done = world
-                .actor::<WaveActor>(initiator)
-                .is_some_and(|a| a.result().is_some());
-            if done || horizon >= self.deadline {
-                break;
+            let answer = world.actor::<A>(initiator).and_then(answer);
+            if answer.is_some() || horizon >= self.deadline {
+                break answer;
             }
-        }
-        let result = world
-            .actor::<WaveActor>(initiator)
-            .and_then(|a| a.result().cloned());
+        };
         world.observe(ObsEvent::SpanEnd {
             name: self.protocol.label(),
             pid: initiator,
-            at: result
+            at: answer
                 .as_ref()
-                .map_or(self.deadline, |r| r.finished_at.max(self.start)),
+                .map_or(self.deadline, |a| a.finished_at.max(self.start)),
         });
-        let (outcome, finished) = match result {
-            Some(r) => {
-                let end = r.finished_at.max(self.start) + TimeDelta::TICK;
-                let window = Interval::new(self.start, end);
-                let contributors: BTreeSet<ProcessId> =
-                    r.contributions.keys().copied().collect();
-                (
-                    QueryOutcome::answered(initiator, window, self.aggregate, contributors, r.value),
-                    Some(r.finished_at),
-                )
-            }
-            None => {
-                let window = Interval::new(self.start, self.deadline);
-                (
-                    QueryOutcome::timed_out(initiator, window, self.aggregate),
-                    None,
-                )
-            }
-        };
-        self.judge(world, outcome, finished)
-    }
-
-    fn run_gossip(&self, rounds: u32, arena: &mut SweepArena) -> QueryRun {
-        let period = TimeDelta::ticks(
-            2 * self.delay.bound().unwrap_or(TimeDelta::ticks(2)).as_ticks(),
-        );
-        let aggregate = self.aggregate;
-        let key = self.arena_key();
-        let world: &mut World<GossipMsg> = match &mut arena.gossip {
-            Some((k, w)) if *k == key => {
-                w.reset(&self.graph, self.reset_spec());
-                w
-            }
-            slot => {
-                let world = self
-                    .scenario_builder()
-                    .sink(ObserverSink::default())
-                    .spawn(move |_| Box::new(GossipActor::new(period, aggregate)))
-                    .build();
-                &mut slot.insert((key, world)).1
-            }
-        };
-        let initiator = self.initiator();
-        world.inject(self.start, initiator, GossipMsg::Start { rounds });
-        world.observe(ObsEvent::SpanStart {
-            name: self.protocol.label(),
-            pid: initiator,
-            at: self.start,
-        });
-        let mut horizon = self.start;
-        loop {
-            horizon = (horizon + TimeDelta::ticks(64)).min(self.deadline);
-            world.run_until(horizon);
-            let done = world
-                .actor::<GossipActor>(initiator)
-                .is_some_and(|a| a.result().is_some());
-            if done || horizon >= self.deadline {
-                break;
-            }
-        }
-        let result = world
-            .actor::<GossipActor>(initiator)
-            .and_then(|a| a.result().cloned());
-        world.observe(ObsEvent::SpanEnd {
-            name: self.protocol.label(),
-            pid: initiator,
-            at: result
-                .as_ref()
-                .map_or(self.deadline, |r| r.finished_at.max(self.start)),
-        });
-        let (outcome, finished) = match result {
-            Some(r) => {
-                let end = r.finished_at.max(self.start) + TimeDelta::TICK;
+        let (outcome, finished) = match answer {
+            Some(a) => {
+                let end = a.finished_at.max(self.start) + TimeDelta::TICK;
                 let window = Interval::new(self.start, end);
                 (
                     QueryOutcome::answered(
                         initiator,
                         window,
                         self.aggregate,
-                        r.contributors,
-                        r.estimate,
+                        a.contributors,
+                        a.value,
                     ),
-                    Some(r.finished_at),
+                    Some(a.finished_at),
                 )
             }
             None => {
@@ -491,8 +459,8 @@ impl QueryScenario {
         finished: Option<Time>,
     ) -> QueryRun {
         // Recover the observer the run accumulated into; a sink is always
-        // installed by run_wave/run_gossip, so the fallback default only
-        // covers a caller that replaced it.
+        // installed by run_query, so the fallback default only covers a
+        // caller that replaced it.
         let observer: ObserverSink = world
             .take_sink()
             .and_then(|s| s.into_any().downcast::<ObserverSink>().ok())

@@ -43,10 +43,7 @@ use dds_core::time::{Interval, Time, TimeDelta};
 use dds_net::graph::Graph;
 use dds_sim::actor::{Actor, Context};
 use dds_sim::delay::DelayModel;
-use dds_sim::corrupt::{Burst, CorruptionAdversary};
-use dds_sim::driver::{BalancedChurn, Compose, Growth, NoChurn, PathStretch};
 use dds_sim::event::TimerId;
-use dds_sim::partition::PartitionDriver;
 use dds_sim::snapshot::{FingerprintMsg, StableHasher};
 use dds_sim::world::{World, WorldBuilder};
 
@@ -1070,10 +1067,6 @@ impl ScdScenario {
         self.graph.nodes().min().expect("nonempty graph")
     }
 
-    fn witness(&self) -> ProcessId {
-        self.graph.nodes().max().expect("nonempty graph")
-    }
-
     /// The balanced-churn spec of this scenario, if churn is balanced.
     pub fn churn_spec(&self) -> Option<ChurnSpec> {
         match self.driver {
@@ -1096,87 +1089,13 @@ impl ScdScenario {
         }
     }
 
-    fn make_driver(&self) -> Box<dyn dds_sim::driver::ChurnDriver> {
-        match self.driver {
-            DriverSpec::None => Box::new(NoChurn),
-            DriverSpec::Balanced {
-                rate,
-                window,
-                crash_fraction,
-            } => {
-                let spec = ChurnSpec::rate(rate, TimeDelta::ticks(window))
-                    .expect("scenario churn rate must be valid");
-                Box::new(
-                    BalancedChurn::new(spec)
-                        .with_crash_fraction(crash_fraction)
-                        .with_protected(self.initiator()),
-                )
-            }
-            DriverSpec::Growth {
-                per_window,
-                window,
-                cap,
-            } => Box::new(Growth {
-                growth_per_window: per_window,
-                window: TimeDelta::ticks(window),
-                cap,
-            }),
-            DriverSpec::PathStretch { window } => Box::new(PathStretch {
-                initiator: self.initiator(),
-                witness: self.witness(),
-                window: TimeDelta::ticks(window),
-            }),
-            DriverSpec::Partition { cut_at, heal_at } => {
-                let ids: Vec<ProcessId> = self.graph.nodes().collect();
-                let split_at = ids[ids.len() / 2];
-                let cut = Time::from_ticks(cut_at);
-                match heal_at {
-                    Some(h) => Box::new(PartitionDriver::transient(
-                        cut,
-                        Time::from_ticks(h),
-                        split_at,
-                    )),
-                    None => Box::new(PartitionDriver::permanent(cut, split_at)),
-                }
-            }
-            DriverSpec::Corruption {
-                start,
-                every,
-                actors,
-                scramble,
-                churn_rate,
-                churn_window,
-            } => {
-                let mut burst = Burst::actors(usize::from(actors));
-                if scramble {
-                    burst = burst.with_scramble();
-                }
-                let adversary = CorruptionAdversary::periodic(
-                    Time::from_ticks(start),
-                    TimeDelta::ticks(every),
-                    burst,
-                );
-                if churn_rate > 0.0 {
-                    let spec = ChurnSpec::rate(churn_rate, TimeDelta::ticks(churn_window))
-                        .expect("scenario churn rate must be valid");
-                    Box::new(Compose::new(
-                        BalancedChurn::new(spec).with_protected(self.initiator()),
-                        adversary,
-                    ))
-                } else {
-                    Box::new(adversary)
-                }
-            }
-        }
-    }
-
     /// Builds the world with every scripted op injected.
     pub fn build(&self) -> World<ScdMsg> {
         let config = self.config;
         let mut world: World<ScdMsg> = WorldBuilder::new(self.seed)
             .initial_graph(self.graph.clone())
             .delay(self.delay)
-            .boxed_driver(self.make_driver())
+            .boxed_driver(self.driver.build(&self.graph))
             .spawn(move |_| Box::new(ScdActor::new(config)))
             .build();
         for &(tick, pid, call) in &self.ops {

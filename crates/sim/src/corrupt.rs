@@ -13,15 +13,15 @@
 //!   with values drawn from the run RNG;
 //! - **queue scrambles** ([`ChurnAction::ScrambleQueue`]): every pending
 //!   message payload is rewritten through the world's registered
-//!   corruption hook, in canonical `(time, seq)` order so the damage is
-//!   byte-identical across `DDS_QUEUE` tiers;
+//!   corruption hook, in canonical `(time, seq)` order so the damage
+//!   does not depend on where the queue stores an event;
 //! - **adjacency perturbation**: random knowledge edges are cut at the
 //!   burst instant and restored at the adversary's next wakeup, so local
 //!   membership views observe a transient topology fault.
 //!
 //! All randomness comes from the run RNG passed to `on_tick`, so one seed
 //! fully determines the damage and runs stay byte-reproducible at any
-//! `DDS_THREADS`/`DDS_QUEUE` setting. The adversary forks and fingerprints
+//! `DDS_THREADS` setting. The adversary forks and fingerprints
 //! (tag 6), so it composes with churn via [`crate::driver::Compose`] and
 //! survives snapshot-forking exploration.
 

@@ -68,8 +68,8 @@ pub enum ChurnAction {
     /// Every pending message payload in the event queue is scrambled via
     /// the world's registered corruption hook
     /// (`WorldBuilder::corrupt_msg`), in canonical `(time, seq)` order so
-    /// the result is identical across queue tiers. A no-op when no hook is
-    /// registered.
+    /// the result does not depend on where the queue stores an event. A
+    /// no-op when no hook is registered.
     ScrambleQueue,
 }
 

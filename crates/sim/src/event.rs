@@ -4,20 +4,15 @@
 //! by their scheduling sequence number, so a run never depends on hash
 //! ordering or allocation addresses (DESIGN.md §7).
 //!
-//! Two interchangeable implementations sit behind [`EventQueue`]:
+//! [`EventQueue`] is a two-tier calendar queue. A ring of [`RING_SIZE`]
+//! per-tick FIFO buckets covers the near future — the dominant traffic,
+//! since delays and timer periods are a handful of ticks — giving O(1)
+//! schedule and pop. Events beyond the ring land in an overflow binary
+//! heap and migrate into buckets as the ring slides forward.
 //!
-//! * **Calendar** (the default): a two-tier bucket queue. A ring of
-//!   [`RING_SIZE`] per-tick FIFO buckets covers the near future — the
-//!   dominant traffic, since delays and timer periods are a handful of
-//!   ticks — giving O(1) schedule and pop. Events beyond the ring land in
-//!   an overflow binary heap and migrate into buckets as the ring slides
-//!   forward.
-//! * **Heap**: the classical `BinaryHeap<(time, seq)>`, kept for A/B
-//!   comparison behind the `DDS_QUEUE=heap` environment switch.
-//!
-//! Both pop the exact same `(time, seq, event)` sequence for any schedule
-//! (pinned by the `queue_equivalence` property test), so the switch changes
-//! wall-clock only, never results.
+//! The contract is the `(time, seq)` order a plain sorted list would
+//! produce; the `queue_equivalence` property test checks every operation
+//! against exactly that model.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -83,7 +78,7 @@ pub enum Event<M> {
 }
 
 impl<M> Event<M> {
-    /// The payload-free summary of this event used by [`SchedulePolicy`].
+    /// The payload-free summary of this event a ready set reports.
     fn ready_kind(&self) -> ReadyKind {
         match self {
             Event::Deliver { from, to, .. } => ReadyKind::Deliver { from: *from, to: *to },
@@ -93,9 +88,9 @@ impl<M> Event<M> {
     }
 }
 
-/// Payload-free classification of a ready event, enough for a
-/// [`SchedulePolicy`] to reason about commutativity (which process the
-/// dispatch will touch) without seeing the message itself.
+/// Payload-free classification of a ready event, enough for a schedule
+/// explorer to reason about commutativity (which process the dispatch
+/// will touch) without seeing the message itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadyKind {
     /// A message delivery.
@@ -137,34 +132,6 @@ pub struct ReadySummary {
     pub seq: u64,
     /// What dispatching the event will do.
     pub kind: ReadyKind,
-}
-
-/// A pluggable tie-breaker over same-instant events — the controlled
-/// nondeterminism hook of the kernel.
-///
-/// The default (no policy installed) dispatches ready events in `(time,
-/// seq)` order; a policy sees the full ready set (every event pending at
-/// the earliest instant, in seq order) and returns the index to dispatch
-/// next. Index 0 reproduces the default order, so a policy that always
-/// answers 0 changes nothing. The policy is only consulted when the ready
-/// set holds more than one event — a genuine scheduling choice.
-///
-/// `epoch` is the world's mutation epoch: it increments whenever
-/// membership or topology changes, letting explorers conservatively
-/// invalidate commutativity assumptions across such boundaries.
-pub trait SchedulePolicy {
-    /// Picks which of `ready` (length ≥ 2, seq order) to dispatch next.
-    /// Out-of-range answers are clamped to the last index.
-    fn choose(&mut self, now: Time, epoch: u64, ready: &[ReadySummary]) -> usize;
-
-    /// Called instead of [`SchedulePolicy::choose`] when exactly one event
-    /// is ready — no choice exists, but explorers that track commutativity
-    /// (sleep sets) need to see *every* dispatched event, not just the
-    /// branching ones, to wake sleeping events a forced step conflicts
-    /// with. The default does nothing.
-    fn observe(&mut self, now: Time, epoch: u64, only: &ReadySummary) {
-        let _ = (now, epoch, only);
-    }
 }
 
 impl<M> Event<M> {
@@ -230,8 +197,8 @@ impl<M> PartialOrd for Scheduled<M> {
 /// touch the overflow heap.
 const RING_SIZE: u64 = 128;
 
-/// The calendar tier: a sliding window of per-tick FIFO buckets plus an
-/// overflow heap for events beyond the window.
+/// The calendar storage: a sliding window of per-tick FIFO buckets plus
+/// an overflow heap for events beyond the window.
 ///
 /// Invariants:
 /// * `cursor` never decreases; every event in bucket `t % RING_SIZE` has
@@ -422,42 +389,6 @@ impl<M> Calendar<M> {
     }
 }
 
-/// Which backing store an [`EventQueue`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Two-tier calendar/bucket queue (the default).
-    Calendar,
-    /// Legacy binary heap (`DDS_QUEUE=heap`).
-    Heap,
-}
-
-impl QueueKind {
-    /// Stable lowercase label (`"calendar"` / `"heap"`), used in bench
-    /// reports.
-    pub const fn label(self) -> &'static str {
-        match self {
-            QueueKind::Calendar => "calendar",
-            QueueKind::Heap => "heap",
-        }
-    }
-}
-
-/// The queue implementation selected by the `DDS_QUEUE` environment
-/// variable: `heap` picks the legacy binary heap, anything else (including
-/// unset) the calendar queue.
-pub fn configured_queue_kind() -> QueueKind {
-    match std::env::var("DDS_QUEUE") {
-        Ok(v) if v.eq_ignore_ascii_case("heap") => QueueKind::Heap,
-        _ => QueueKind::Calendar,
-    }
-}
-
-#[derive(Clone)]
-enum Tier<M> {
-    Calendar(Calendar<M>),
-    Heap(BinaryHeap<Scheduled<M>>),
-}
-
 /// The digest one pending event contributes to a queue fingerprint:
 /// instant, seq, routing fields and payload, in a hasher of its own.
 fn event_digest<M>(
@@ -495,7 +426,7 @@ impl<M> Copy for Tracked<M> {}
 /// The deterministic event queue.
 #[derive(Clone)]
 pub struct EventQueue<M> {
-    tier: Tier<M>,
+    calendar: Calendar<M>,
     next_seq: u64,
     /// `Some` from the first [`EventQueue::fingerprint`] call on: the
     /// digest sum is then kept current on every schedule and pop, so the
@@ -509,7 +440,6 @@ pub struct EventQueue<M> {
 impl<M> fmt::Debug for EventQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("kind", &self.kind())
             .field("len", &self.len())
             .field("next_seq", &self.next_seq)
             .finish()
@@ -523,38 +453,18 @@ impl<M> Default for EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    /// Creates an empty queue of the [`configured_queue_kind`].
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        match configured_queue_kind() {
-            QueueKind::Calendar => Self::calendar(),
-            QueueKind::Heap => Self::heap(),
+        EventQueue {
+            calendar: Calendar::new(),
+            next_seq: 0,
+            tracked: Cell::new(None),
         }
     }
 
-    /// Creates an empty calendar queue (ignoring `DDS_QUEUE`).
+    /// [`EventQueue::new`] under the name of the data structure.
     pub fn calendar() -> Self {
-        EventQueue {
-            tier: Tier::Calendar(Calendar::new()),
-            next_seq: 0,
-            tracked: Cell::new(None),
-        }
-    }
-
-    /// Creates an empty legacy heap queue (ignoring `DDS_QUEUE`).
-    pub fn heap() -> Self {
-        EventQueue {
-            tier: Tier::Heap(BinaryHeap::new()),
-            next_seq: 0,
-            tracked: Cell::new(None),
-        }
-    }
-
-    /// Which backing store this queue uses.
-    pub fn kind(&self) -> QueueKind {
-        match self.tier {
-            Tier::Calendar(_) => QueueKind::Calendar,
-            Tier::Heap(_) => QueueKind::Heap,
-        }
+        Self::new()
     }
 
     /// Folds one scheduled (`add`) or popped event into the tracked
@@ -569,12 +479,9 @@ impl<M> EventQueue<M> {
             self.tracked.set(None);
             return;
         }
-        // The instant a walk would report: the calendar files an event
-        // scheduled behind its window under the window's first tick.
-        let at = match &self.tier {
-            Tier::Calendar(c) => at.max(Time::from_ticks(c.cursor)),
-            Tier::Heap(_) => at,
-        };
+        // The instant a walk would report: an event scheduled behind the
+        // window is filed under the window's first tick.
+        let at = at.max(Time::from_ticks(self.calendar.cursor));
         let d = event_digest(at, seq, event, t.msg_fp);
         t.sum = if add { t.sum.wrapping_add(d) } else { t.sum.wrapping_sub(d) };
         self.tracked.set(Some(t));
@@ -585,18 +492,12 @@ impl<M> EventQueue<M> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.track(true, at, seq, &event);
-        match &mut self.tier {
-            Tier::Calendar(c) => c.schedule(at, seq, event),
-            Tier::Heap(h) => h.push(Scheduled { at, seq, event }),
-        }
+        self.calendar.schedule(at, seq, event);
     }
 
     /// Removes and returns the earliest event (FIFO among equal instants).
     pub fn pop(&mut self) -> Option<(Time, Event<M>)> {
-        let s = match &mut self.tier {
-            Tier::Calendar(c) => c.pop(),
-            Tier::Heap(h) => h.pop(),
-        }?;
+        let s = self.calendar.pop()?;
         self.track(false, s.at, s.seq, &s.event);
         Some((s.at, s.event))
     }
@@ -606,25 +507,7 @@ impl<M> EventQueue<M> {
     /// variant of [`EventQueue::pop`]. `pop_nth(0)` is exactly `pop`;
     /// `None` if the queue is empty or `n` is out of the ready set.
     pub fn pop_nth(&mut self, n: usize) -> Option<(Time, Event<M>)> {
-        let s = match &mut self.tier {
-            Tier::Calendar(c) => c.pop_nth(n),
-            Tier::Heap(h) => {
-                let at = h.peek()?.at;
-                // Pop the whole earliest-instant cohort (comes out in seq
-                // order), keep the n-th, push the rest back.
-                let mut cohort: Vec<Scheduled<M>> = Vec::new();
-                while h.peek().is_some_and(|s| s.at == at) {
-                    cohort.push(h.pop().expect("peeked"));
-                }
-                if n >= cohort.len() {
-                    h.extend(cohort);
-                    return None;
-                }
-                let picked = cohort.swap_remove(n);
-                h.extend(cohort);
-                Some(picked)
-            }
-        }?;
+        let s = self.calendar.pop_nth(n)?;
         self.track(false, s.at, s.seq, &s.event);
         Some((s.at, s.event))
     }
@@ -632,42 +515,19 @@ impl<M> EventQueue<M> {
     /// Fills `out` with a summary of every event pending at the earliest
     /// instant, in seq order (the order [`EventQueue::pop`] would drain
     /// them), returning that instant. Clears `out` and returns `None` on
-    /// an empty queue. Both tiers produce identical ready sets.
+    /// an empty queue.
     pub fn ready_set(&mut self, out: &mut Vec<ReadySummary>) -> Option<Time> {
-        match &mut self.tier {
-            Tier::Calendar(c) => c.ready_set(out),
-            Tier::Heap(h) => {
-                out.clear();
-                let at = h.peek()?.at;
-                let mut cohort: Vec<Scheduled<M>> = Vec::new();
-                while h.peek().is_some_and(|s| s.at == at) {
-                    cohort.push(h.pop().expect("peeked"));
-                }
-                out.extend(
-                    cohort
-                        .iter()
-                        .map(|s| ReadySummary { seq: s.seq, kind: s.event.ready_kind() }),
-                );
-                h.extend(cohort);
-                Some(at)
-            }
-        }
+        self.calendar.ready_set(out)
     }
 
     /// The instant of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        match &self.tier {
-            Tier::Calendar(c) => c.next_tick().map(Time::from_ticks),
-            Tier::Heap(h) => h.peek().map(|s| s.at),
-        }
+        self.calendar.next_tick().map(Time::from_ticks)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.tier {
-            Tier::Calendar(c) => c.len(),
-            Tier::Heap(h) => h.len(),
-        }
+        self.calendar.len()
     }
 
     /// `true` when no event is pending.
@@ -687,17 +547,9 @@ impl<M> EventQueue<M> {
     /// The digest sum of every pending event, from scratch.
     fn scan(&self, msg_fp: fn(&M, &mut StableHasher)) -> u64 {
         let mut sum = 0u64;
-        let mut visit = |at: Time, seq: u64, event: &Event<M>| {
+        self.calendar.for_each(&mut |at, seq, event| {
             sum = sum.wrapping_add(event_digest(at, seq, event, msg_fp));
-        };
-        match &self.tier {
-            Tier::Calendar(c) => c.for_each(&mut visit),
-            Tier::Heap(heap) => {
-                for s in heap {
-                    visit(s.at, s.seq, &s.event);
-                }
-            }
-        }
+        });
         sum
     }
 
@@ -706,11 +558,11 @@ impl<M> EventQueue<M> {
     /// Each event is hashed into a fresh hasher — instant, seq, routing
     /// fields, payload (via `msg_fp`) — and the per-event digests are
     /// combined with wrapping addition, so the result is independent of
-    /// the internal iteration order (ring vs. overflow placement, heap
-    /// layout). Seqs *are* hashed: they break same-instant ties, so two
-    /// queues holding equal events under different seqs are not
-    /// interchangeable. The combined digest, the queue length, and the
-    /// next-seq counter are then written to `h`.
+    /// the internal iteration order (ring vs. overflow placement). Seqs
+    /// *are* hashed: they break same-instant ties, so two queues holding
+    /// equal events under different seqs are not interchangeable. The
+    /// combined digest, the queue length, and the next-seq counter are
+    /// then written to `h`.
     ///
     /// The first call walks the queue; from then on the sum is kept
     /// current by [`EventQueue::schedule`] and the pops (a sum commutes,
@@ -733,7 +585,8 @@ impl<M> EventQueue<M> {
 
     /// Rewrites every pending [`Event::Deliver`] payload through `f`,
     /// visiting events in canonical `(time, seq)` order so RNG-consuming
-    /// damage is byte-identical across queue tiers — the adversary's
+    /// damage does not depend on where an event is stored (ring or
+    /// overflow) — the adversary's
     /// [`crate::driver::ChurnAction::ScrambleQueue`] primitive. Instants,
     /// seqs, routing fields and the seq counter are untouched: only
     /// payload bytes change, so the dispatch schedule is preserved and
@@ -743,10 +596,7 @@ impl<M> EventQueue<M> {
         // Payloads change under the tracked sum: rescan at the next
         // fingerprint.
         self.tracked.set(None);
-        let mut pending: Vec<Scheduled<M>> = match &mut self.tier {
-            Tier::Calendar(c) => c.drain_all(),
-            Tier::Heap(h) => std::mem::take(h).into_vec(),
-        };
+        let mut pending = self.calendar.drain_all();
         pending.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.seq.cmp(&b.seq)));
         let mut scrambled = 0;
         for s in &mut pending {
@@ -755,13 +605,8 @@ impl<M> EventQueue<M> {
                 scrambled += 1;
             }
         }
-        match &mut self.tier {
-            Tier::Calendar(c) => {
-                for s in pending {
-                    c.schedule(s.at, s.seq, s.event);
-                }
-            }
-            Tier::Heap(h) => h.extend(pending),
+        for s in pending {
+            self.calendar.schedule(s.at, s.seq, s.event);
         }
         scrambled
     }
@@ -773,10 +618,7 @@ impl<M> EventQueue<M> {
     pub fn clear(&mut self) {
         self.next_seq = 0;
         self.tracked.set(None);
-        match &mut self.tier {
-            Tier::Calendar(c) => c.clear(),
-            Tier::Heap(h) => h.clear(),
-        }
+        self.calendar.clear();
     }
 }
 
@@ -788,80 +630,71 @@ mod tests {
         Time::from_ticks(n)
     }
 
-    fn queues() -> [EventQueue<u8>; 2] {
-        [EventQueue::calendar(), EventQueue::heap()]
+    fn deliver(to: u64, msg: u32) -> Event<u32> {
+        Event::Deliver {
+            from: ProcessId::from_raw(0),
+            to: ProcessId::from_raw(to),
+            sent: t(3),
+            cause: 0,
+            msg,
+        }
+    }
+
+    fn msg(e: Event<u32>) -> u32 {
+        match e {
+            Event::Deliver { msg, .. } => msg,
+            _ => unreachable!(),
+        }
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in queues() {
-            q.schedule(t(5), Event::ChurnTick);
-            q.schedule(t(2), Event::ChurnTick);
-            q.schedule(t(9), Event::ChurnTick);
-            let times: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(at, _)| at.as_ticks())
-                .collect();
-            assert_eq!(times, vec![2, 5, 9], "{:?}", q.kind());
-        }
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.schedule(t(5), Event::ChurnTick);
+        q.schedule(t(2), Event::ChurnTick);
+        q.schedule(t(9), Event::ChurnTick);
+        let times: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(at, _)| at.as_ticks())
+            .collect();
+        assert_eq!(times, vec![2, 5, 9]);
     }
 
     #[test]
     fn equal_times_are_fifo() {
-        for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            let mut q: EventQueue<u32> = match kind {
-                QueueKind::Calendar => EventQueue::calendar(),
-                QueueKind::Heap => EventQueue::heap(),
-            };
-            for i in 0..10u32 {
-                q.schedule(
-                    t(3),
-                    Event::Deliver {
-                        from: ProcessId::from_raw(0),
-                        to: ProcessId::from_raw(0),
-                        sent: t(3),
-                        cause: 0,
-                        msg: i,
-                    },
-                );
-            }
-            let msgs: Vec<u32> = std::iter::from_fn(|| q.pop())
-                .map(|(_, e)| match e {
-                    Event::Deliver { msg, .. } => msg,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(msgs, (0..10).collect::<Vec<_>>(), "{kind:?}");
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 0..10u32 {
+            q.schedule(t(3), deliver(0, i));
         }
+        let msgs: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| msg(e)).collect();
+        assert_eq!(msgs, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_does_not_remove() {
-        for mut q in queues() {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.schedule(t(7), Event::ChurnTick);
-            assert_eq!(q.peek_time(), Some(t(7)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q: EventQueue<u8> = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule(t(7), Event::ChurnTick);
+        assert_eq!(q.peek_time(), Some(t(7)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stays_ordered() {
-        for mut q in queues() {
-            q.schedule(t(4), Event::ChurnTick);
-            q.schedule(t(1), Event::ChurnTick);
-            assert_eq!(q.pop().unwrap().0, t(1));
-            q.schedule(t(2), Event::ChurnTick);
-            assert_eq!(q.pop().unwrap().0, t(2));
-            assert_eq!(q.pop().unwrap().0, t(4));
-            assert!(q.pop().is_none());
-        }
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.schedule(t(4), Event::ChurnTick);
+        q.schedule(t(1), Event::ChurnTick);
+        assert_eq!(q.pop().unwrap().0, t(1));
+        q.schedule(t(2), Event::ChurnTick);
+        assert_eq!(q.pop().unwrap().0, t(2));
+        assert_eq!(q.pop().unwrap().0, t(4));
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn far_future_events_overflow_and_come_back() {
-        let mut q: EventQueue<u8> = EventQueue::calendar();
+        let mut q: EventQueue<u8> = EventQueue::new();
         // Far beyond the ring: must overflow, then migrate back in order.
         q.schedule(t(5 * RING_SIZE), Event::ChurnTick);
         q.schedule(t(1), Event::ChurnTick);
@@ -878,122 +711,76 @@ mod tests {
 
     #[test]
     fn overflow_ties_keep_fifo_order_after_migration() {
-        let mut q: EventQueue<u32> = EventQueue::calendar();
+        let mut q: EventQueue<u32> = EventQueue::new();
         let far = t(3 * RING_SIZE + 7);
         for i in 0..20u32 {
-            q.schedule(
-                far,
-                Event::Deliver {
-                    from: ProcessId::from_raw(0),
-                    to: ProcessId::from_raw(0),
-                    sent: far,
-                    cause: 0,
-                    msg: i,
-                },
-            );
+            q.schedule(far, deliver(0, i));
         }
-        let msgs: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Deliver { msg, .. } => msg,
-                _ => unreachable!(),
-            })
-            .collect();
+        let msgs: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| msg(e)).collect();
         assert_eq!(msgs, (0..20).collect::<Vec<_>>());
     }
 
     #[test]
     fn clear_resets_state_but_queue_stays_usable() {
-        for mut q in queues() {
-            q.schedule(t(3), Event::ChurnTick);
-            q.schedule(t(900), Event::ChurnTick);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            // A cleared queue accepts near-past times again (fresh run).
-            q.schedule(t(1), Event::ChurnTick);
-            assert_eq!(q.pop().unwrap().0, t(1));
-        }
-    }
-
-    #[test]
-    fn kind_labels() {
-        assert_eq!(EventQueue::<u8>::calendar().kind().label(), "calendar");
-        assert_eq!(EventQueue::<u8>::heap().kind().label(), "heap");
-    }
-
-    fn deliver(to: u64, msg: u32) -> Event<u32> {
-        Event::Deliver {
-            from: ProcessId::from_raw(0),
-            to: ProcessId::from_raw(to),
-            sent: t(3),
-            cause: 0,
-            msg,
-        }
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.schedule(t(3), Event::ChurnTick);
+        q.schedule(t(900), Event::ChurnTick);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        // A cleared queue accepts near-past times again (fresh run).
+        q.schedule(t(1), Event::ChurnTick);
+        assert_eq!(q.pop().unwrap().0, t(1));
     }
 
     #[test]
     fn ready_set_lists_the_earliest_cohort_in_seq_order() {
-        for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            let mut q: EventQueue<u32> = match kind {
-                QueueKind::Calendar => EventQueue::calendar(),
-                QueueKind::Heap => EventQueue::heap(),
-            };
-            let mut ready = Vec::new();
-            assert_eq!(q.ready_set(&mut ready), None);
-            q.schedule(t(5), Event::ChurnTick);
-            q.schedule(t(3), deliver(7, 0));
-            q.schedule(
-                t(3),
-                Event::Timer { pid: ProcessId::from_raw(2), timer: TimerId(9), cause: 0 },
-            );
-            assert_eq!(q.ready_set(&mut ready), Some(t(3)), "{kind:?}");
-            assert_eq!(
-                ready,
-                vec![
-                    ReadySummary {
-                        seq: 1,
-                        kind: ReadyKind::Deliver {
-                            from: ProcessId::from_raw(0),
-                            to: ProcessId::from_raw(7),
-                        },
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut ready = Vec::new();
+        assert_eq!(q.ready_set(&mut ready), None);
+        q.schedule(t(5), Event::ChurnTick);
+        q.schedule(t(3), deliver(7, 0));
+        q.schedule(
+            t(3),
+            Event::Timer { pid: ProcessId::from_raw(2), timer: TimerId(9), cause: 0 },
+        );
+        assert_eq!(q.ready_set(&mut ready), Some(t(3)));
+        assert_eq!(
+            ready,
+            vec![
+                ReadySummary {
+                    seq: 1,
+                    kind: ReadyKind::Deliver {
+                        from: ProcessId::from_raw(0),
+                        to: ProcessId::from_raw(7),
                     },
-                    ReadySummary { seq: 2, kind: ReadyKind::Timer { pid: ProcessId::from_raw(2) } },
-                ],
-                "{kind:?}"
-            );
-            // Inspection does not disturb the queue.
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.pop().unwrap().0, t(3));
-        }
+                },
+                ReadySummary { seq: 2, kind: ReadyKind::Timer { pid: ProcessId::from_raw(2) } },
+            ]
+        );
+        // Inspection does not disturb the queue.
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop().unwrap().0, t(3));
     }
 
     #[test]
     fn pop_nth_reorders_only_within_the_instant() {
-        for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            let mut q: EventQueue<u32> = match kind {
-                QueueKind::Calendar => EventQueue::calendar(),
-                QueueKind::Heap => EventQueue::heap(),
-            };
-            for i in 0..3u32 {
-                q.schedule(t(3), deliver(i as u64, i));
-            }
-            q.schedule(t(8), deliver(9, 9));
-            // Out of range: the ready set has 3 entries.
-            assert!(q.pop_nth(3).is_none(), "{kind:?}");
-            assert_eq!(q.len(), 4, "{kind:?}: failed pop_nth must not lose events");
-            let msg = |e| match e {
-                Event::Deliver { msg, .. } => msg,
-                _ => unreachable!(),
-            };
-            let (at, e) = q.pop_nth(1).unwrap();
-            assert_eq!((at, msg(e)), (t(3), 1), "{kind:?}");
-            let (_, e) = q.pop_nth(1).unwrap();
-            assert_eq!(msg(e), 2, "{kind:?}");
-            let (_, e) = q.pop_nth(0).unwrap();
-            assert_eq!(msg(e), 0, "{kind:?}");
-            let (at, e) = q.pop().unwrap();
-            assert_eq!((at, msg(e)), (t(8), 9), "{kind:?}");
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 0..3u32 {
+            q.schedule(t(3), deliver(i as u64, i));
         }
+        q.schedule(t(8), deliver(9, 9));
+        // Out of range: the ready set has 3 entries.
+        assert!(q.pop_nth(3).is_none());
+        assert_eq!(q.len(), 4, "failed pop_nth must not lose events");
+        let (at, e) = q.pop_nth(1).unwrap();
+        assert_eq!((at, msg(e)), (t(3), 1));
+        let (_, e) = q.pop_nth(1).unwrap();
+        assert_eq!(msg(e), 2);
+        let (_, e) = q.pop_nth(0).unwrap();
+        assert_eq!(msg(e), 0);
+        let (at, e) = q.pop().unwrap();
+        assert_eq!((at, msg(e)), (t(8), 9));
     }
 
     fn fp_u32(m: &u32, h: &mut StableHasher) {
@@ -1007,25 +794,26 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_agree_across_tiers_and_storage_placement() {
-        let mut cal: EventQueue<u32> = EventQueue::calendar();
-        let mut heap: EventQueue<u32> = EventQueue::heap();
-        for q in [&mut cal, &mut heap] {
-            q.schedule(t(3), deliver(1, 10));
-            q.schedule(t(2 * RING_SIZE), deliver(2, 20)); // overflow in calendar
+    fn fingerprint_ignores_storage_placement_but_not_content() {
+        let fill = |q: &mut EventQueue<u32>| {
+            q.schedule(t(100), deliver(1, 10));
+            q.schedule(t(RING_SIZE + 50), deliver(2, 20));
             q.schedule(
-                t(3),
+                t(100),
                 Event::Timer { pid: ProcessId::from_raw(5), timer: TimerId(4), cause: 0 },
             );
-        }
-        assert_eq!(digest(&cal), digest(&heap));
+        };
+        // `a` holds the far event in the overflow heap; inspecting `b`
+        // slides its window to tick 100, which migrates it into the ring.
+        let (mut a, mut b) = (EventQueue::new(), EventQueue::new());
+        fill(&mut a);
+        fill(&mut b);
+        b.ready_set(&mut Vec::new());
+        assert_eq!(digest(&a), digest(&b));
 
-        // Popping an event from the calendar migrates overflow storage;
-        // re-scheduling the same event must restore... no — popping
-        // changes the pending set *and* seq allocation, so digests move.
-        let before = digest(&cal);
-        cal.pop();
-        assert_ne!(digest(&cal), before);
+        let before = digest(&a);
+        a.pop();
+        assert_ne!(digest(&a), before);
     }
 
     #[test]
@@ -1033,10 +821,10 @@ mod tests {
         // Same pending events, scheduled in a different order: the seqs
         // differ, so future same-instant tie-breaking differs, so the
         // digests must differ.
-        let mut a: EventQueue<u32> = EventQueue::calendar();
+        let mut a: EventQueue<u32> = EventQueue::new();
         a.schedule(t(3), deliver(1, 10));
         a.schedule(t(3), deliver(2, 20));
-        let mut b: EventQueue<u32> = EventQueue::calendar();
+        let mut b: EventQueue<u32> = EventQueue::new();
         b.schedule(t(3), deliver(2, 20));
         b.schedule(t(3), deliver(1, 10));
         assert_ne!(digest(&a), digest(&b));
@@ -1044,7 +832,7 @@ mod tests {
 
     #[test]
     fn cloned_queue_pops_identically() {
-        let mut q: EventQueue<u32> = EventQueue::calendar();
+        let mut q: EventQueue<u32> = EventQueue::new();
         for i in 0..6u32 {
             q.schedule(t(u64::from(i % 3)), deliver(u64::from(i), i));
         }
@@ -1062,35 +850,41 @@ mod tests {
     }
 
     #[test]
-    fn scramble_is_identical_across_tiers_and_preserves_schedule() {
-        let mut cal: EventQueue<u32> = EventQueue::calendar();
-        let mut heap: EventQueue<u32> = EventQueue::heap();
-        for q in [&mut cal, &mut heap] {
-            q.schedule(t(3), deliver(1, 10));
-            q.schedule(t(2 * RING_SIZE), deliver(2, 20)); // overflow in calendar
-            q.schedule(
-                t(3),
-                Event::Timer { pid: ProcessId::from_raw(5), timer: TimerId(4), cause: 0 },
-            );
-            q.schedule(t(3), deliver(3, 30));
-        }
+    fn scramble_visits_in_time_seq_order_and_preserves_schedule() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(t(2 * RING_SIZE), deliver(2, 20)); // overflow
+        q.schedule(t(3), deliver(1, 10));
+        q.schedule(
+            t(3),
+            Event::Timer { pid: ProcessId::from_raw(5), timer: TimerId(4), cause: 0 },
+        );
+        q.schedule(t(3), deliver(3, 30));
         let scramble = |m: &mut u32, rng: &mut Rng| *m = rng.below(1000) as u32;
-        let mut rng_a = Rng::seeded(11);
-        let mut rng_b = Rng::seeded(11);
-        // Only the 3 Deliver payloads are rewritten; the timer is skipped.
-        assert_eq!(cal.scramble_payloads(&mut rng_a, scramble), 3);
-        assert_eq!(heap.scramble_payloads(&mut rng_b, scramble), 3);
-        assert_eq!(rng_a.state_words(), rng_b.state_words());
-        assert_eq!(digest(&cal), digest(&heap));
+        // The draws the three Deliver payloads must receive, in
+        // `(time, seq)` order; the timer is skipped.
+        let mut expect_rng = Rng::seeded(11);
+        let expect: Vec<u32> = (0..3).map(|_| expect_rng.below(1000) as u32).collect();
+        let mut rng = Rng::seeded(11);
+        assert_eq!(q.scramble_payloads(&mut rng, scramble), 3);
+        assert_eq!(rng.state_words(), expect_rng.state_words());
         // The dispatch schedule (times, tie order, seq counter) is intact.
-        assert_eq!(cal.next_seq(), 4);
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        assert_eq!(q.next_seq(), 4);
+        assert_eq!(q.len(), 4);
+        let popped: Vec<(Time, Option<u32>)> = std::iter::from_fn(|| q.pop())
+            .map(|(at, e)| match e {
+                Event::Deliver { msg, .. } => (at, Some(msg)),
+                _ => (at, None),
+            })
+            .collect();
+        assert_eq!(
+            popped,
+            vec![
+                (t(3), Some(expect[0])),
+                (t(3), None),
+                (t(3), Some(expect[1])),
+                (t(2 * RING_SIZE), Some(expect[2])),
+            ]
+        );
     }
 
     #[test]

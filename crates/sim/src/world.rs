@@ -28,7 +28,7 @@ use dds_obs::{ObsEvent, Sink};
 use crate::actor::{Actor, Context, Effect};
 use crate::delay::{DelayModel, LossModel};
 use crate::driver::{ChurnAction, ChurnDriver, NoChurn};
-use crate::event::{Event, EventQueue, ReadySummary, SchedulePolicy, TimerId};
+use crate::event::{Event, EventQueue, ReadySummary, TimerId};
 use crate::metrics::Metrics;
 use crate::slots::{DenseMap, SlotTable};
 use crate::snapshot::StableHasher;
@@ -87,7 +87,6 @@ pub struct WorldBuilder<M> {
     spawn: Option<SpawnFn<M>>,
     value: ValueFn,
     sink: Option<Box<dyn Sink>>,
-    schedule_policy: Option<Box<dyn SchedulePolicy>>,
     corrupt_msg: Option<fn(&mut M, &mut Rng)>,
 }
 
@@ -116,7 +115,6 @@ impl<M: Clone + 'static> WorldBuilder<M> {
             spawn: None,
             value: Box::new(|_, rng| rng.unit_f64() * 100.0),
             sink: None,
-            schedule_policy: None,
             corrupt_msg: None,
         }
     }
@@ -193,15 +191,6 @@ impl<M: Clone + 'static> WorldBuilder<M> {
         self
     }
 
-    /// Installs a [`SchedulePolicy`] controlling the order of same-instant
-    /// events. With no policy installed (the default) the kernel pops in
-    /// `(time, seq)` order on the allocation-free fast path; the policy
-    /// hook costs one branch per step, exactly like the sink hook.
-    pub fn schedule_policy(mut self, policy: impl SchedulePolicy + 'static) -> Self {
-        self.schedule_policy = Some(Box::new(policy));
-        self
-    }
-
     /// Builds the world and runs the initial `on_start` callbacks at
     /// `t = 0`.
     ///
@@ -233,9 +222,7 @@ impl<M: Clone + 'static> WorldBuilder<M> {
             callbacks: VecDeque::new(),
             effect_buf: Vec::new(),
             sink: self.sink,
-            schedule_policy: self.schedule_policy,
             corrupt_msg: self.corrupt_msg,
-            ready_buf: Vec::new(),
             epoch: 0,
             next_obs_id: 1,
             current_cause: 0,
@@ -458,14 +445,9 @@ pub struct World<M> {
     /// Optional observability sink; `None` (the default) keeps the
     /// dispatch loop on its allocation-free fast path.
     sink: Option<Box<dyn Sink>>,
-    /// Optional same-instant ordering policy; `None` (the default) pops
-    /// in `(time, seq)` order with no ready-set materialization.
-    schedule_policy: Option<Box<dyn SchedulePolicy>>,
     /// Payload-corruption hook for queue scrambles — run configuration
     /// like `spawn`, kept across [`World::reset`] and carried into forks.
     corrupt_msg: Option<fn(&mut M, &mut Rng)>,
-    /// Reusable ready-set buffer for the policy path.
-    ready_buf: Vec<ReadySummary>,
     /// Mutation epoch: bumped on every membership or topology change, so
     /// schedule explorers can invalidate commutativity assumptions.
     epoch: u64,
@@ -559,9 +541,6 @@ impl<M: Clone + 'static> World<M> {
         self.next_timer = 0;
         self.callbacks.clear();
         self.sink = spec.sink;
-        // Schedule policies are run-scoped, like sinks: a reset world goes
-        // back to default order until a policy is installed again.
-        self.schedule_policy = None;
         self.epoch = 0;
         self.next_obs_id = 1;
         self.current_cause = 0;
@@ -612,19 +591,9 @@ impl<M: Clone + 'static> World<M> {
         self.sink.take()
     }
 
-    /// Installs (or replaces) the schedule policy mid-run.
-    pub fn set_schedule_policy(&mut self, policy: impl SchedulePolicy + 'static) {
-        self.schedule_policy = Some(Box::new(policy));
-    }
-
-    /// Removes and returns the installed schedule policy, restoring the
-    /// default `(time, seq)` dispatch order.
-    pub fn take_schedule_policy(&mut self) -> Option<Box<dyn SchedulePolicy>> {
-        self.schedule_policy.take()
-    }
-
     /// The current mutation epoch: increments on every join, departure and
-    /// edge change (see [`SchedulePolicy`]).
+    /// edge change, letting schedule explorers conservatively invalidate
+    /// commutativity assumptions across such boundaries.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -691,33 +660,15 @@ impl<M: Clone + 'static> World<M> {
         );
     }
 
-    /// Dispatches the next event. Returns `false` when the queue is empty.
+    /// Dispatches the next event in `(time, seq)` order. Returns `false`
+    /// when the queue is empty.
     ///
-    /// With no [`SchedulePolicy`] installed this pops in `(time, seq)`
-    /// order on the allocation-free fast path; with a policy, the ready
-    /// set (every event at the earliest instant) is materialized into a
-    /// reused buffer and the policy picks which entry dispatches.
+    /// Same-instant ties are the kernel's only nondeterminism, and it is
+    /// resolved from outside: a caller that wants another order inspects
+    /// the tie with [`World::ready_set`] and dispatches its pick with
+    /// [`World::step_nth`].
     pub fn step(&mut self) -> bool {
-        let next = match &mut self.schedule_policy {
-            None => self.queue.pop(),
-            Some(policy) => {
-                let mut ready = std::mem::take(&mut self.ready_buf);
-                let popped = match self.queue.ready_set(&mut ready) {
-                    Some(at) if ready.len() > 1 => {
-                        let idx = policy.choose(at, self.epoch, &ready).min(ready.len() - 1);
-                        self.queue.pop_nth(idx)
-                    }
-                    Some(at) if ready.len() == 1 => {
-                        policy.observe(at, self.epoch, &ready[0]);
-                        self.queue.pop()
-                    }
-                    _ => self.queue.pop(),
-                };
-                self.ready_buf = ready;
-                popped
-            }
-        };
-        let Some((at, event)) = next else {
+        let Some((at, event)) = self.queue.pop() else {
             return false;
         };
         self.dispatch(at, event);
@@ -725,9 +676,8 @@ impl<M: Clone + 'static> World<M> {
     }
 
     /// Dispatches the `n`-th ready event (seq order) at the earliest
-    /// pending instant, bypassing any installed [`SchedulePolicy`] — the
-    /// primitive a *forking* explorer drives choice points with, where the
-    /// explorer itself owns the decision instead of a replay policy.
+    /// pending instant — the primitive schedule explorers and plan
+    /// replays drive choice points with; `step_nth(0)` is [`World::step`].
     /// Returns `false` when the queue is empty or `n` is out of range.
     pub fn step_nth(&mut self, n: usize) -> bool {
         let Some((at, event)) = self.queue.pop_nth(n) else {
@@ -784,9 +734,8 @@ impl<M: Clone + 'static> World<M> {
     /// the actor factory and value function are shared outright (they are
     /// immutable run configuration). Each actor is asked once whether it
     /// forks, so support must not depend on its momentary state. Sinks
-    /// and schedule policies are run-scoped and not carried into the
-    /// fork, mirroring [`World::reset`]; a forking explorer drives the
-    /// copy through [`World::step_nth`] instead.
+    /// are run-scoped and not carried into the fork, mirroring
+    /// [`World::reset`].
     ///
     /// The fork starts with an *empty* trace: the trace is an
     /// observational accumulator that grows with every dispatch, so
@@ -818,9 +767,7 @@ impl<M: Clone + 'static> World<M> {
             callbacks: VecDeque::new(),
             effect_buf: Vec::new(),
             sink: None,
-            schedule_policy: None,
             corrupt_msg: self.corrupt_msg,
-            ready_buf: Vec::new(),
             epoch: self.epoch,
             // Causal ids continue from the parent so the fork's future
             // events never reuse an id the shared prefix already assigned.
@@ -1572,50 +1519,33 @@ mod tests {
         }
     }
 
-    struct Reverse;
-    impl crate::event::SchedulePolicy for Reverse {
-        fn choose(
-            &mut self,
-            _: Time,
-            _: u64,
-            ready: &[crate::event::ReadySummary],
-        ) -> usize {
-            ready.len() - 1
-        }
-    }
-
-    struct AlwaysFirst;
-    impl crate::event::SchedulePolicy for AlwaysFirst {
-        fn choose(&mut self, _: Time, _: u64, _: &[crate::event::ReadySummary]) -> usize {
-            0
-        }
-    }
-
-    fn order_run(policy: Option<Box<dyn crate::event::SchedulePolicy>>) -> Vec<u32> {
+    /// Runs three same-instant deliveries and a later one, dispatching
+    /// the `pick(width)`-th entry of every ready set.
+    fn order_run(pick: fn(usize) -> usize) -> Vec<u32> {
         let mut w: World<u32> = WorldBuilder::new(1)
             .initial_graph(generate::ring(3))
             .spawn(|_| Box::new(OrderLog { seen: Vec::new() }))
             .build();
-        if let Some(p) = policy {
-            w.schedule_policy = Some(p);
-        }
         let p0 = ProcessId::from_raw(0);
         for msg in [10, 20, 30] {
             w.inject(Time::from_ticks(2), p0, msg);
         }
-        w.run_to_quiescence();
+        w.inject(Time::from_ticks(3), p0, 40);
+        let mut ready = Vec::new();
+        while w.ready_set(&mut ready).is_some() {
+            assert!(w.step_nth(pick(ready.len())));
+        }
         w.actor::<OrderLog>(p0).unwrap().seen.clone()
     }
 
     #[test]
-    fn policy_reorders_same_instant_events_only() {
-        assert_eq!(order_run(None), vec![10, 20, 30]);
+    fn step_nth_reorders_same_instant_events_only() {
         assert_eq!(
-            order_run(Some(Box::new(AlwaysFirst))),
-            vec![10, 20, 30],
-            "index-0 policy must reproduce the default order"
+            order_run(|_| 0),
+            vec![10, 20, 30, 40],
+            "index 0 must reproduce the default order"
         );
-        assert_eq!(order_run(Some(Box::new(Reverse))), vec![30, 20, 10]);
+        assert_eq!(order_run(|width| width - 1), vec![30, 20, 10, 40]);
     }
 
     /// A [`ForkEcho`] whose counter can be overwritten by the corruption

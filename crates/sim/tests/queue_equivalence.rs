@@ -1,24 +1,29 @@
-//! Property test: the calendar queue and the legacy binary heap are
-//! observationally identical.
+//! Property test: the calendar queue is observationally a list sorted by
+//! `(time, seq)`.
 //!
-//! Both implementations must pop the exact same `(time, event)` sequence
-//! for any schedule — that is the whole determinism argument for making
-//! the calendar the default (`DDS_QUEUE` switches implementations, never
-//! results). Random operation sequences exercise same-tick FIFO ties,
-//! far-future schedules that land in the overflow heap, interleaved
-//! schedule/pop traffic that slides the ring window, and draining.
+//! That order is the whole determinism argument for the queue: whatever
+//! the ring and the overflow heap do internally, every operation must
+//! answer exactly as the sorted list below does. Random operation
+//! sequences exercise same-tick FIFO ties, far-future schedules that land
+//! in the overflow heap, interleaved schedule/pop traffic that slides the
+//! ring window, the exploration primitives (`ready_set`, `pop_nth`), the
+//! corruption primitive (`scramble_payloads`) and draining.
 
 use dds_core::process::ProcessId;
-use dds_core::time::Time;
-use dds_sim::event::{Event, EventQueue};
+use dds_core::rng::Rng;
+use dds_core::time::{Time, TimeDelta};
+use dds_sim::event::{Event, EventQueue, ReadyKind, ReadySummary};
 use proptest::prelude::*;
 
-/// One step of a queue workload: schedule an event `delta` ticks from the
-/// current virtual time, or pop the next event.
+/// One step of a queue workload.
 #[derive(Debug, Clone, Copy)]
 enum Op {
+    /// Schedule an event `delta` ticks from the current virtual time.
     Schedule { delta: u64 },
     Pop,
+    PopNth(usize),
+    ReadySet,
+    Scramble,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -33,77 +38,163 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (300u64..2001).prop_map(|delta| Op::Schedule { delta }),
         Just(Op::Pop),
         Just(Op::Pop),
-        Just(Op::Pop),
+        (0usize..4).prop_map(Op::PopNth),
+        Just(Op::ReadySet),
+        Just(Op::Scramble),
     ]
 }
 
-/// Replays `ops` against one queue; returns every popped `(time, payload)`.
-/// The payload is the schedule index, so FIFO tie order is observable.
-fn replay(mut queue: EventQueue<u32>, ops: &[Op]) -> Vec<(Time, u32)> {
-    let pid = ProcessId::from_raw(0);
+/// The reference: pending `(time, seq, destination, payload)` entries,
+/// kept sorted by `(time, seq)`.
+#[derive(Default)]
+struct Model {
+    pending: Vec<(Time, u64, u64, u32)>,
+    next_seq: u64,
+}
+
+impl Model {
+    fn schedule(&mut self, at: Time, to: u64, msg: u32) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let slot = self.pending.partition_point(|&(t, s, ..)| (t, s) < (at, seq));
+        self.pending.insert(slot, (at, seq, to, msg));
+    }
+
+    /// Number of entries at the earliest instant.
+    fn ready_width(&self) -> usize {
+        let Some(&(front, ..)) = self.pending.first() else {
+            return 0;
+        };
+        self.pending.iter().take_while(|e| e.0 == front).count()
+    }
+
+    fn pop_nth(&mut self, n: usize) -> Option<(Time, u32)> {
+        if n >= self.ready_width() {
+            return None;
+        }
+        let (at, _, _, msg) = self.pending.remove(n);
+        Some((at, msg))
+    }
+
+    fn ready_set(&self) -> Option<(Time, Vec<ReadySummary>)> {
+        let &(front, ..) = self.pending.first()?;
+        let ready = self.pending[..self.ready_width()]
+            .iter()
+            .map(|&(_, seq, to, _)| ReadySummary {
+                seq,
+                kind: ReadyKind::Deliver { from: PID, to: ProcessId::from_raw(to) },
+            })
+            .collect();
+        Some((front, ready))
+    }
+
+    /// Every pending entry is a delivery, so every payload is rewritten.
+    fn scramble(&mut self, rng: &mut Rng) -> usize {
+        for entry in &mut self.pending {
+            scramble(&mut entry.3, rng);
+        }
+        self.pending.len()
+    }
+}
+
+const PID: ProcessId = ProcessId::from_raw(0);
+
+fn scramble(msg: &mut u32, rng: &mut Rng) {
+    *msg = rng.below(1 << 20) as u32;
+}
+
+fn payload(popped: Option<(Time, Event<u32>)>) -> Option<(Time, u32)> {
+    popped.map(|(at, event)| match event {
+        Event::Deliver { msg, .. } => (at, msg),
+        other => panic!("only Deliver events were scheduled, got {other:?}"),
+    })
+}
+
+/// Applies `ops` to `queue` and to a fresh [`Model`], comparing every
+/// answer, then drains both. Returns the popped `(time, payload)`
+/// sequence.
+fn check(mut queue: EventQueue<u32>, ops: &[Op]) -> Result<Vec<(Time, u32)>, TestCaseError> {
+    let mut model = Model::default();
     let mut now = Time::ZERO;
-    let mut next_payload = 0u32;
+    let (mut rng, mut model_rng) = (Rng::seeded(5), Rng::seeded(5));
     let mut popped = Vec::new();
-    for &op in ops {
+    let mut ready = Vec::new();
+    for (i, &op) in ops.iter().enumerate() {
+        // Inspecting the front (even a refused `pop_nth`) slides the ring
+        // window there, and the kernel only schedules at or after the
+        // instant it last looked at: the clock follows.
+        if matches!(op, Op::PopNth(_) | Op::ReadySet) {
+            now = now.max(queue.peek_time().unwrap_or(now));
+        }
         match op {
             Op::Schedule { delta } => {
-                let at = now + dds_core::time::TimeDelta::ticks(delta);
+                let at = now + TimeDelta::ticks(delta);
+                let (to, msg) = (i as u64 % 5, i as u32);
                 queue.schedule(
                     at,
-                    Event::Deliver { from: pid, to: pid, sent: now, cause: 0, msg: next_payload },
+                    Event::Deliver { from: PID, to: ProcessId::from_raw(to), sent: now, cause: 0, msg },
                 );
-                next_payload += 1;
+                model.schedule(at, to, msg);
             }
-            Op::Pop => {
-                if let Some((at, event)) = queue.pop() {
+            Op::Pop | Op::PopNth(_) => {
+                let (got, want) = match op {
+                    Op::PopNth(n) => (payload(queue.pop_nth(n)), model.pop_nth(n)),
+                    _ => (payload(queue.pop()), model.pop_nth(0)),
+                };
+                prop_assert_eq!(got, want, "op {}: {:?}", i, op);
+                if let Some((at, msg)) = got {
                     now = at; // the kernel's clock follows pops
-                    let Event::Deliver { msg, .. } = event else {
-                        panic!("only Deliver events were scheduled");
-                    };
                     popped.push((at, msg));
                 }
             }
+            Op::ReadySet => {
+                let at = queue.ready_set(&mut ready);
+                let want = model.ready_set();
+                prop_assert_eq!(at, want.as_ref().map(|w| w.0), "op {}: ready instant", i);
+                prop_assert_eq!(&ready, &want.map(|w| w.1).unwrap_or_default(), "op {}: ready set", i);
+            }
+            Op::Scramble => {
+                let rewritten = queue.scramble_payloads(&mut rng, scramble);
+                prop_assert_eq!(rewritten, model.scramble(&mut model_rng), "op {}: scrambled", i);
+                prop_assert_eq!(rng.state_words(), model_rng.state_words(), "op {}: rng draws", i);
+            }
         }
+        prop_assert_eq!(queue.len(), model.pending.len(), "op {}: len", i);
+        prop_assert_eq!(queue.peek_time(), model.pending.first().map(|e| e.0), "op {}: peek", i);
+        prop_assert_eq!(queue.next_seq(), model.next_seq, "op {}: next seq", i);
     }
     // Drain whatever is left so the tail order is compared too.
-    while let Some((at, event)) = queue.pop() {
-        let Event::Deliver { msg, .. } = event else {
-            panic!("only Deliver events were scheduled");
-        };
-        popped.push((at, msg));
+    loop {
+        let got = payload(queue.pop());
+        prop_assert_eq!(got, model.pop_nth(0), "drain");
+        match got {
+            Some(entry) => popped.push(entry),
+            None => return Ok(popped),
+        }
     }
-    popped
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Calendar and heap pop identical sequences for arbitrary workloads.
+    /// The calendar answers every operation as the sorted list does.
     #[test]
-    fn calendar_and_heap_pop_identically(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let calendar = replay(EventQueue::calendar(), &ops);
-        let heap = replay(EventQueue::heap(), &ops);
-        prop_assert_eq!(&calendar, &heap);
-        // And the shared contract: times never decrease, equal times keep
-        // schedule (seq) order — FIFO ties.
-        for pair in calendar.windows(2) {
+    fn calendar_matches_the_sorted_list_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+        let popped = check(EventQueue::calendar(), &ops)?;
+        for pair in popped.windows(2) {
             prop_assert!(pair[0].0 <= pair[1].0, "pop order went backwards");
-            if pair[0].0 == pair[1].0 {
-                prop_assert!(pair[0].1 < pair[1].1, "same-tick events out of schedule order");
-            }
         }
     }
 
     /// A cleared queue replays like a fresh one (the `World::reset` path).
     #[test]
     fn cleared_calendar_replays_like_fresh(ops in proptest::collection::vec(op_strategy(), 1..80)) {
-        let fresh = replay(EventQueue::calendar(), &ops);
         let mut reused: EventQueue<u32> = EventQueue::calendar();
         for i in 0..50u64 {
             reused.schedule(Time::from_ticks(i * 7 % 300), Event::ChurnTick);
         }
         reused.pop();
         reused.clear();
-        prop_assert_eq!(replay(reused, &ops), fresh);
+        check(reused, &ops)?;
     }
 }

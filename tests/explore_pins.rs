@@ -9,7 +9,7 @@
 //! well, because DESIGN.md and the README quote it.
 
 use dds_check::mutants::{flood_exhaustive_large, suite};
-use dds_check::{explore_fork, explore_replay, Budget, Explored, Target};
+use dds_check::{explore, Budget, Explored};
 
 /// Budget that exhausts the large flood sweep (the benchmark's).
 const FLOOD_BUDGET: Budget = Budget {
@@ -17,12 +17,6 @@ const FLOOD_BUDGET: Budget = Budget {
     max_depth: 48,
     max_preemptions: 2,
 };
-
-/// The fork engine where the target opens sessions, replay where it does
-/// not — `explore` with `DDS_EXPLORE` taken out of the picture.
-fn explore_default(target: &mut dyn Target, budget: Budget) -> Explored {
-    explore_fork(target, budget).unwrap_or_else(|| explore_replay(target, budget))
-}
 
 fn line(name: &str, e: &Explored) -> String {
     format!(
@@ -44,12 +38,12 @@ fn exploration_counters_match_the_benchmark_pins() {
     assert_eq!(pins[0], "flood-merge/large 14673 2233 11867 14700 0");
 
     let mut sweep = flood_exhaustive_large()();
-    let explored = explore_default(sweep.as_mut(), FLOOD_BUDGET);
+    let explored = explore(sweep.as_mut(), FLOOD_BUDGET);
     assert!(explored.exhausted, "the budget exhausts the sweep");
     let mut got = vec![line(sweep.name(), &explored)];
     for subject in suite() {
         let mut target = (subject.build)();
-        let explored = explore_default(target.as_mut(), Budget::default());
+        let explored = explore(target.as_mut(), Budget::default());
         got.push(line(target.name(), &explored));
     }
     assert_eq!(got, pins, "name runs states dedup forks violation");
