@@ -70,6 +70,7 @@ impl Rng {
     }
 
     /// Next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1]
             .wrapping_mul(5)
@@ -90,6 +91,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
         // Widening multiply; reject to remove modulo bias.

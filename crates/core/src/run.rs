@@ -1,9 +1,12 @@
 //! Runs and traces.
 //!
-//! A *run* of a dynamic system is a sequence of observable events: entities
-//! joining, leaving and crashing, messages being sent and delivered, queries
-//! starting and completing. Specifications ([`crate::spec`]) are predicates
-//! over traces, so the trace is the ground truth every checker works from.
+//! A *run* of a dynamic system is characterised along the arrival
+//! dimension: which entities are present when. A [`Trace`] is that
+//! membership history — joins, leaves, crashes, in-place corruptions —
+//! plus the instant up to which the run was observed. Specifications
+//! ([`crate::spec`]) judge outcomes against it. Message traffic is not
+//! recorded here: the kernel counts it in its metrics and streams it,
+//! event by event, to whatever observability sink is installed.
 //!
 //! Because identities are never reused ([`crate::process::IdSource`]), each
 //! process has exactly one *presence interval*; [`PresenceMap`] indexes them
@@ -21,7 +24,7 @@ use crate::churn::ChurnSummary;
 use crate::process::ProcessId;
 use crate::time::{Interval, Time};
 
-/// One observable event of a run.
+/// One membership event of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A fresh entity entered the system.
@@ -45,33 +48,6 @@ pub enum TraceEvent {
         /// When it crashed.
         at: Time,
     },
-    /// A message was handed to the network.
-    Send {
-        /// Sender.
-        from: ProcessId,
-        /// Destination.
-        to: ProcessId,
-        /// Send instant.
-        at: Time,
-    },
-    /// A message was delivered to its destination.
-    Deliver {
-        /// Sender.
-        from: ProcessId,
-        /// Destination.
-        to: ProcessId,
-        /// Delivery instant.
-        at: Time,
-    },
-    /// A message was dropped by the network (loss or departed destination).
-    Drop {
-        /// Sender.
-        from: ProcessId,
-        /// Destination.
-        to: ProcessId,
-        /// Drop instant.
-        at: Time,
-    },
     /// A process's local state was transiently corrupted in place (the
     /// self-stabilization fault model: the process keeps running from an
     /// arbitrary state, unlike a crash).
@@ -90,23 +66,19 @@ impl TraceEvent {
             TraceEvent::Join { at, .. }
             | TraceEvent::Leave { at, .. }
             | TraceEvent::Crash { at, .. }
-            | TraceEvent::Send { at, .. }
-            | TraceEvent::Deliver { at, .. }
-            | TraceEvent::Drop { at, .. }
             | TraceEvent::Corrupt { at, .. } => *at,
         }
     }
 }
 
-/// The causal annotation of one trace event: a stable per-run event id
+/// The causal annotation of one kernel event: a stable per-run event id
 /// and the id of the event that caused it.
 ///
 /// Ids are assigned by the generating kernel in dispatch order, so a
 /// cause id is always smaller than the id it caused. Id `0` is reserved
 /// for the environment (external injections, churn-driver actions), which
-/// is also the meaning of a defaulted annotation: events pushed through
-/// [`Trace::push`] rather than [`Trace::push_caused`] carry
-/// `Causality::default()` — no id, caused by the environment.
+/// is also the meaning of a defaulted annotation: no id, caused by the
+/// environment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Causality {
     /// Stable per-run event id (`0` = unassigned).
@@ -115,16 +87,19 @@ pub struct Causality {
     pub cause: u64,
 }
 
-/// The recorded history of one run.
+/// The membership history of one run.
 ///
 /// Events are appended in nondecreasing time order; [`Trace::push`] enforces
-/// the ordering so checkers can rely on it.
+/// the ordering so checkers can rely on it. The *horizon* — the instant up
+/// to which the run was observed, which closes the presence interval of
+/// every process still present — also moves on message traffic, which the
+/// generating kernel reports through [`Trace::advance`] without recording
+/// an event.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     events: Vec<TraceEvent>,
-    /// Causal annotations, one per event (columnar so the 60-odd existing
-    /// `TraceEvent` construction sites stay untouched).
-    causes: Vec<Causality>,
+    /// The latest instant pushed or advanced to.
+    horizon: Time,
     /// Declared intent of the generating churn driver (finite simulations
     /// only witness prefixes; see [`RunArrivalStats`]).
     arrivals_intended_finite: bool,
@@ -137,17 +112,17 @@ impl Trace {
     pub fn new() -> Self {
         Trace {
             events: Vec::new(),
-            causes: Vec::new(),
+            horizon: Time::ZERO,
             arrivals_intended_finite: true,
             concurrency_intended_finite: true,
         }
     }
 
-    /// Empties the trace and restores the default (finite) intent, keeping
-    /// the event storage for reuse across runs.
+    /// Empties the trace, rewinds the horizon and restores the default
+    /// (finite) intent, keeping the event storage for reuse across runs.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.causes.clear();
+        self.horizon = Time::ZERO;
         self.arrivals_intended_finite = true;
         self.concurrency_intended_finite = true;
     }
@@ -159,39 +134,32 @@ impl Trace {
         self.concurrency_intended_finite = concurrency_finite;
     }
 
+    /// Moves the horizon to `at` without recording an event: something
+    /// observable that is not a membership change (a send, a delivery, a
+    /// drop) happened then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the horizon.
+    #[inline]
+    pub fn advance(&mut self, at: Time) {
+        assert!(at >= self.horizon, "trace time must not go backwards");
+        self.horizon = at;
+    }
+
     /// Appends an event.
     ///
     /// # Panics
     ///
-    /// Panics if the event is earlier than the last recorded one.
+    /// Panics if the event is earlier than the horizon.
     pub fn push(&mut self, ev: TraceEvent) {
-        self.push_caused(ev, Causality::default());
-    }
-
-    /// Appends an event together with its causal annotation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event is earlier than the last recorded one.
-    pub fn push_caused(&mut self, ev: TraceEvent, causality: Causality) {
-        if let Some(last) = self.events.last() {
-            assert!(
-                ev.at() >= last.at(),
-                "trace events must be appended in time order"
-            );
-        }
+        self.advance(ev.at());
         self.events.push(ev);
-        self.causes.push(causality);
     }
 
     /// The recorded events, in time order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// The causal annotations, parallel to [`Trace::events`].
-    pub fn causality(&self) -> &[Causality] {
-        &self.causes
     }
 
     /// Number of recorded events.
@@ -204,9 +172,10 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// The instant of the last event, or [`Time::ZERO`] for an empty trace.
+    /// The latest instant the trace was pushed or advanced to, or
+    /// [`Time::ZERO`] for a fresh trace.
     pub fn horizon(&self) -> Time {
-        self.events.last().map(TraceEvent::at).unwrap_or(Time::ZERO)
+        self.horizon
     }
 
     /// Builds the presence index for membership queries.
@@ -260,7 +229,7 @@ impl Trace {
                     membership = membership.saturating_sub(1);
                     saw_membership_event = true;
                 }
-                _ => continue,
+                TraceEvent::Corrupt { .. } => continue,
             }
             min_membership = min_membership.min(membership);
             max_membership = max_membership.max(membership);
@@ -352,7 +321,7 @@ impl PresenceMap {
                     slot.departed = Some(at);
                     slot.crashed = true;
                 }
-                _ => {}
+                TraceEvent::Corrupt { .. } => {}
             }
         }
         PresenceMap {
@@ -449,8 +418,9 @@ mod tests {
         tr.push(TraceEvent::Leave { pid: pid(1), at: t(5) });
         tr.push(TraceEvent::Join { pid: pid(3), at: t(6) });
         tr.push(TraceEvent::Crash { pid: pid(2), at: t(8) });
-        tr.push(TraceEvent::Send { from: pid(0), to: pid(3), at: t(9) });
-        tr.push(TraceEvent::Deliver { from: pid(0), to: pid(3), at: t(10) });
+        // Message traffic moves the horizon only.
+        tr.advance(t(9));
+        tr.advance(t(10));
         tr
     }
 
@@ -462,6 +432,22 @@ mod tests {
             tr.push(TraceEvent::Join { pid: pid(1), at: t(4) });
         }));
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn advance_moves_the_horizon_only_and_enforces_time_order() {
+        let mut tr = sample_trace();
+        assert_eq!(tr.len(), 6);
+        assert_eq!(tr.horizon(), t(10));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tr.push(TraceEvent::Join { pid: pid(9), at: t(9) });
+        }));
+        assert!(result.is_err(), "a push behind an advance is out of order");
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tr.advance(t(9))));
+        assert!(result.is_err());
+        tr.clear();
+        assert_eq!(tr.horizon(), Time::ZERO);
+        tr.advance(t(1));
     }
 
     #[test]
@@ -556,21 +542,6 @@ mod tests {
             TraceEvent::Leave { pid: pid(0), at: t(1) },
         ]);
         assert_eq!(tr.len(), 2);
-    }
-
-    #[test]
-    fn push_caused_keeps_causality_parallel_to_events() {
-        let mut tr = Trace::new();
-        tr.push(TraceEvent::Join { pid: pid(0), at: t(0) });
-        tr.push_caused(
-            TraceEvent::Send { from: pid(0), to: pid(1), at: t(1) },
-            Causality { id: 7, cause: 3 },
-        );
-        assert_eq!(tr.causality().len(), tr.len());
-        assert_eq!(tr.causality()[0], Causality::default());
-        assert_eq!(tr.causality()[1], Causality { id: 7, cause: 3 });
-        tr.clear();
-        assert!(tr.causality().is_empty());
     }
 
     #[test]

@@ -100,6 +100,7 @@ impl fmt::Display for TimeDelta {
 impl Add<TimeDelta> for Time {
     type Output = Time;
 
+    #[inline]
     fn add(self, rhs: TimeDelta) -> Time {
         Time(self.0.checked_add(rhs.0).expect("virtual time overflow"))
     }

@@ -16,7 +16,8 @@
 //! - [`flight`] — [`flight::FlightRecorder`]: a bounded ring buffer of the
 //!   last N kernel events, dumped as JSONL when a spec predicate fails or
 //!   an actor panics;
-//! - [`export`] — JSONL renderers for traces and observation events
+//! - [`export`] — JSONL renderers for observation events, and the
+//!   [`export::TraceLog`] sink rendering a run's message-level trace
 //!   (integer-only fields, so output is byte-identical across thread
 //!   counts);
 //! - [`causal`] — happened-before DAG reconstruction over the kernel's

@@ -192,7 +192,8 @@ impl Sink for NoopSink {
 /// aggregating the run, a [`crate::flight::FlightRecorder`] holding the
 /// most recent events for post-mortem dumps, and a
 /// [`crate::causal::CausalLog`] keeping the run's happened-before
-/// skeleton for critical-path analysis.
+/// skeleton for critical-path analysis — plus, for a run that exports
+/// its message-level trace, the [`crate::export::TraceLog`] rendering it.
 #[derive(Debug, Clone, Default)]
 pub struct ObserverSink {
     /// Aggregated run statistics.
@@ -201,6 +202,9 @@ pub struct ObserverSink {
     pub flight: crate::flight::FlightRecorder,
     /// Causal skeleton of the run (id/cause edges).
     pub causal: crate::causal::CausalLog,
+    /// The message-level JSONL trace, when the run exports one (`None`,
+    /// the default, renders nothing).
+    pub trace: Option<crate::export::TraceLog>,
 }
 
 impl ObserverSink {
@@ -211,6 +215,7 @@ impl ObserverSink {
             report: crate::report::RunReport::default(),
             flight: crate::flight::FlightRecorder::new(flight_capacity),
             causal: crate::causal::CausalLog::default(),
+            trace: None,
         }
     }
 }
@@ -220,6 +225,9 @@ impl Sink for ObserverSink {
         self.report.record(ev, causal);
         self.flight.record(ev, causal);
         self.causal.record(ev, causal);
+        if let Some(trace) = &mut self.trace {
+            trace.record(ev, causal);
+        }
     }
 
     fn fail(&mut self, reason: &str, at: Time) {

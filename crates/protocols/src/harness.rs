@@ -17,6 +17,7 @@ use dds_core::spec::hook;
 use dds_core::spec::one_time_query::{check_outcome, QueryOutcome, ValidityReport};
 use dds_core::time::{Interval, Time, TimeDelta};
 use dds_net::graph::Graph;
+use dds_obs::export::TraceLog;
 use dds_obs::{CriticalPath, Histogram, ObsEvent, ObserverSink, RunReport};
 use dds_sim::actor::Actor;
 use dds_sim::corrupt::{Burst, CorruptionAdversary};
@@ -243,9 +244,10 @@ pub struct QueryScenario {
     /// Hard cut-off: a query not finished by then is recorded as
     /// non-terminated.
     pub deadline: Time,
-    /// When set, the run renders its full kernel trace as JSONL into
-    /// [`QueryRun::trace_jsonl`]. Read on the worker thread, so sweeps set
-    /// it per cell (see [`run_sweep`]) instead of relying on thread-locals.
+    /// When set, the run's observer renders the message-level kernel trace
+    /// as JSONL into [`QueryRun::trace_jsonl`]. Read on the worker thread,
+    /// so sweeps set it per cell (see [`run_sweep`]) instead of relying on
+    /// thread-locals.
     pub capture_trace: bool,
 }
 
@@ -358,7 +360,16 @@ impl QueryScenario {
             delay: self.delay,
             loss: self.loss,
             driver: self.driver.build(&self.graph),
-            sink: Some(Box::new(ObserverSink::default())),
+            sink: Some(Box::new(self.observer())),
+        }
+    }
+
+    /// The observer a run accumulates into, rendering the message-level
+    /// trace only for a run that exports it.
+    fn observer(&self) -> ObserverSink {
+        ObserverSink {
+            trace: self.capture_trace.then(TraceLog::default),
+            ..ObserverSink::default()
         }
     }
 
@@ -394,7 +405,7 @@ impl QueryScenario {
             slot => {
                 let world = self
                     .scenario_builder()
-                    .sink(ObserverSink::default())
+                    .sink(self.observer())
                     .spawn(spawn)
                     .build();
                 &mut slot.insert((key, world)).1
@@ -471,9 +482,7 @@ impl QueryScenario {
         // is consumed, and freed with the DAG right here: it is the
         // largest thing a run leaves behind.
         let critical = observer.causal.into_dag().critical_path();
-        let trace_jsonl = self
-            .capture_trace
-            .then(|| dds_obs::export::trace_jsonl(world.trace()));
+        let trace_jsonl = observer.trace.map(TraceLog::into_jsonl);
         let values = world.values();
         let metrics = world.metrics();
         let presence = world.trace().presence();

@@ -38,6 +38,7 @@ impl DelayModel {
     ///
     /// Always at least one tick: a message is never delivered at its send
     /// instant.
+    #[inline]
     pub fn sample(&self, rng: &mut Rng) -> TimeDelta {
         match self {
             DelayModel::Fixed(d) => TimeDelta::ticks(d.as_ticks().max(1)),
@@ -89,6 +90,7 @@ pub enum LossModel {
 
 impl LossModel {
     /// `true` when this particular message should be dropped.
+    #[inline]
     pub fn drops(&self, rng: &mut Rng) -> bool {
         match self {
             LossModel::None => false,

@@ -2,7 +2,7 @@
 //! crashing, message-passing processes.
 //!
 //! A [`World`] owns the event queue, the knowledge graph, the actors, the
-//! churn driver and the trace recorder. Runs are bit-reproducible: given
+//! churn driver and the membership trace. Runs are bit-reproducible: given
 //! the same [`WorldBuilder`] configuration and seed, every event fires in
 //! the same order (DESIGN.md §7).
 //!
@@ -10,6 +10,11 @@
 //! to the destination actor (or the churn driver) → the actor's buffered
 //! effects (sends, timers, leaves) are applied → resulting notifications
 //! (neighbor up/down, starts) run as nested callbacks at the same instant.
+//!
+//! Each event is written once. Membership changes go to the [`Trace`]
+//! (what the specifications judge against) and to the sink; message
+//! traffic is counted in [`Metrics`], moves the trace's horizon, and is
+//! otherwise only streamed to the sink, when one is installed.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -456,7 +461,7 @@ pub struct World<M> {
     /// plain counter increment, so the no-sink fast path stays
     /// allocation-free and id assignment is identical with and without a
     /// sink installed. Excluded from [`World::fingerprint`], like the
-    /// trace it annotates.
+    /// trace.
     next_obs_id: u64,
     /// The id of the event whose callback is currently producing effects
     /// (`0` between dispatches): sends, timer-sets and leaves performed by
@@ -499,7 +504,7 @@ impl<M: Clone + 'static> World<M> {
             // spawn (the spawn → first-step cause edge).
             let join_id = self.fresh_id();
             let causal = Causality { id: join_id, cause: 0 };
-            self.trace.push_caused(TraceEvent::Join { pid, at: Time::ZERO }, causal);
+            self.trace.push(TraceEvent::Join { pid, at: Time::ZERO });
             self.metrics.joins += 1;
             self.emit(ObsEvent::Join { pid, at: Time::ZERO }, causal);
             self.callbacks.push_back((join_id, Callback::Start(pid)));
@@ -738,11 +743,12 @@ impl<M: Clone + 'static> World<M> {
     /// [`World::reset`].
     ///
     /// The fork starts with an *empty* trace: the trace is an
-    /// observational accumulator that grows with every dispatch, so
-    /// copying it would make each fork O(events-so-far) instead of
-    /// O(live state), and nothing behavioral reads it (fingerprints
-    /// exclude it; checkers read actor state; counterexample dumps
-    /// replay the plan from scratch, which regenerates the full trace).
+    /// observational accumulator that grows with every membership
+    /// change, so copying it would make each fork O(churn-so-far)
+    /// instead of O(live state), and nothing behavioral reads it
+    /// (fingerprints exclude it; checkers read actor state;
+    /// counterexample dumps replay the plan from scratch, which
+    /// regenerates the full trace).
     pub fn try_fork(&self) -> Option<World<M>> {
         if !self.actors_fork() {
             return None;
@@ -819,11 +825,13 @@ impl<M: Clone + 'static> World<M> {
         Some(h.finish())
     }
 
-    /// Runs one popped event through the dispatch match and drains the
-    /// resulting callbacks — shared tail of [`World::step`] and
+    /// Runs one popped event through the dispatch match — its own callback
+    /// directly, whatever notifications that queues (starts, neighbor
+    /// changes) drained after it — shared tail of [`World::step`] and
     /// [`World::step_nth`].
     fn dispatch(&mut self, at: Time, event: Event<M>) {
         debug_assert!(at >= self.now, "event queue went backwards");
+        debug_assert!(self.callbacks.is_empty(), "a dispatch left callbacks behind");
         self.now = at;
         if self.sink.is_some() {
             let depth = self.queue.len();
@@ -835,8 +843,10 @@ impl<M: Clone + 'static> World<M> {
                 // is caused by the send that put the message in flight —
                 // the send → deliver edge of the happened-before DAG.
                 let causal = Causality { id: self.fresh_id(), cause };
+                // Traffic is not recorded in the trace, only the instant it
+                // reached: the horizon closes the presence intervals.
+                self.trace.advance(at);
                 if self.actors.contains(to) {
-                    self.trace.push_caused(TraceEvent::Deliver { from, to, at }, causal);
                     self.metrics.delivers += 1;
                     if self.sink.is_some() {
                         self.emit(
@@ -849,9 +859,8 @@ impl<M: Clone + 'static> World<M> {
                             causal,
                         );
                     }
-                    self.callbacks.push_back((causal.id, Callback::Message { to, from, msg }));
+                    self.run_callback(causal.id, Callback::Message { to, from, msg });
                 } else {
-                    self.trace.push_caused(TraceEvent::Drop { from, to, at }, causal);
                     self.metrics.drops += 1;
                     self.emit(ObsEvent::Drop { from, to, at }, causal);
                 }
@@ -863,7 +872,7 @@ impl<M: Clone + 'static> World<M> {
                     let causal = Causality { id: self.fresh_id(), cause };
                     self.metrics.timer_fires += 1;
                     self.emit(ObsEvent::TimerFire { pid, at }, causal);
-                    self.callbacks.push_back((causal.id, Callback::Timer { pid, timer }));
+                    self.run_callback(causal.id, Callback::Timer { pid, timer });
                 }
             }
             Event::ChurnTick => {
@@ -983,7 +992,7 @@ impl<M: Clone + 'static> World<M> {
             self.epoch += 1;
             self.metrics.corruptions += 1;
             let causal = Causality { id: self.fresh_id(), cause: 0 };
-            self.trace.push_caused(TraceEvent::Corrupt { pid, at: self.now }, causal);
+            self.trace.push(TraceEvent::Corrupt { pid, at: self.now });
             self.emit(ObsEvent::Corrupt { pid, at: self.now }, causal);
         }
     }
@@ -1013,7 +1022,7 @@ impl<M: Clone + 'static> World<M> {
         let actor = (self.spawn.borrow_mut())(pid);
         self.actors.insert(pid, ActorCell::seat(actor));
         let causal = Causality { id: join_id, cause };
-        self.trace.push_caused(TraceEvent::Join { pid, at: self.now }, causal);
+        self.trace.push(TraceEvent::Join { pid, at: self.now });
         self.metrics.joins += 1;
         self.emit(ObsEvent::Join { pid, at: self.now }, causal);
         self.metrics.max_membership =
@@ -1038,11 +1047,11 @@ impl<M: Clone + 'static> World<M> {
         let leave_id = self.fresh_id();
         let causal = Causality { id: leave_id, cause };
         if crashed {
-            self.trace.push_caused(TraceEvent::Crash { pid, at: self.now }, causal);
+            self.trace.push(TraceEvent::Crash { pid, at: self.now });
             self.metrics.crashes += 1;
             self.emit(ObsEvent::Crash { pid, at: self.now }, causal);
         } else {
-            self.trace.push_caused(TraceEvent::Leave { pid, at: self.now }, causal);
+            self.trace.push(TraceEvent::Leave { pid, at: self.now });
             self.metrics.leaves += 1;
             self.emit(ObsEvent::Leave { pid, at: self.now }, causal);
         }
@@ -1130,27 +1139,20 @@ impl<M: Clone + 'static> World<M> {
 
     /// Applies a callback's buffered effects. Every effect is caused by
     /// the event whose callback produced it ([`World::current_cause`]):
-    /// sends become traced events with fresh ids (and seed the scheduled
-    /// delivery's cause), timer-sets propagate the cause to the future
-    /// fire, leaves cause the departure.
+    /// sends get fresh ids (and seed the scheduled delivery's cause),
+    /// timer-sets propagate the cause to the future fire, leaves cause the
+    /// departure.
     fn apply_effects(&mut self, pid: ProcessId, effects: &mut Vec<Effect<M>>) {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     self.metrics.sends += 1;
                     let causal = Causality { id: self.fresh_id(), cause: self.current_cause };
+                    self.trace.advance(self.now);
                     if self.loss.drops(&mut self.rng) {
-                        self.trace.push_caused(
-                            TraceEvent::Drop { from: pid, to, at: self.now },
-                            causal,
-                        );
                         self.metrics.drops += 1;
                         self.emit(ObsEvent::Drop { from: pid, to, at: self.now }, causal);
                     } else {
-                        self.trace.push_caused(
-                            TraceEvent::Send { from: pid, to, at: self.now },
-                            causal,
-                        );
                         self.emit(ObsEvent::Send { from: pid, to, at: self.now }, causal);
                         let delay = self.delay.sample(&mut self.rng);
                         self.queue.schedule(
@@ -1231,7 +1233,7 @@ mod tests {
             let mut w = echo_world(seed);
             w.inject(Time::from_ticks(1), ProcessId::from_raw(0), 10);
             w.run_to_quiescence();
-            (*w.metrics(), w.trace().len(), w.now())
+            (*w.metrics(), w.trace().horizon(), w.now())
         };
         assert_eq!(run(7), run(7));
     }

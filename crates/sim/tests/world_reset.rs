@@ -1,6 +1,7 @@
 //! Regression pin: a reused (reset) `World` reproduces a freshly built
-//! world's run exactly — same trace, same metrics, same membership, same
-//! final clock. This is the invariant that lets sweeps recycle one world's
+//! world's run exactly — same membership trace and horizon, same metrics
+//! (which count every send, delivery and drop), same membership, same final
+//! clock. This is the invariant that lets sweeps recycle one world's
 //! allocations across every seed of a cell without perturbing results.
 
 use dds_core::churn::ChurnSpec;
@@ -58,7 +59,7 @@ fn fresh_world(seed: u64) -> World<u64> {
 fn snapshot(world: &mut World<u64>) -> (String, String, Vec<ProcessId>, Time) {
     world.run_until(Time::from_ticks(150));
     (
-        format!("{:?}", world.trace().events()),
+        format!("{:?}", world.trace()),
         format!("{:?}", world.metrics()),
         world.members().to_vec(),
         world.now(),

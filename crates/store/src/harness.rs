@@ -260,7 +260,7 @@ impl StoreScenario {
             }
         }
 
-        report.history = history_from_store(world, client_pids);
+        report.history = history_above(world, client_pids, all.last().copied());
         report
     }
 }
@@ -315,9 +315,18 @@ pub fn history_from_store(
     world: &World<StoreMsg>,
     processes: impl IntoIterator<Item = ProcessId>,
 ) -> RegisterHistory {
-    let processes: Vec<ProcessId> = processes.into_iter().collect();
-    let mut virtual_pid = all_pids(world)
-        .last()
+    let highest_seated = all_pids(world).last().copied();
+    history_above(world, processes.into_iter().collect(), highest_seated)
+}
+
+/// [`history_from_store`] for a caller that already knows the highest
+/// identity the world seated: virtual process ids start above it.
+fn history_above(
+    world: &World<StoreMsg>,
+    processes: Vec<ProcessId>,
+    highest_seated: Option<ProcessId>,
+) -> RegisterHistory {
+    let mut virtual_pid = highest_seated
         .map_or(0, |p| p.as_raw())
         .max(processes.iter().map(|p| p.as_raw()).max().unwrap_or(0))
         + 1;
