@@ -42,6 +42,7 @@
 //! seeded mutant must still be caught with it enabled.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dds_sim::snapshot::StableHasher;
 
@@ -381,6 +382,39 @@ struct Frame {
 /// counterexample either.
 type DedupKey = (u64, u64, usize, usize);
 
+/// Hasher for [`DedupKey`]s: their leading words are digests already, so
+/// folding the words together is all the mixing a table index needs (the
+/// keys come from the explorer, never from outside the program).
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Most dedup keys a walk is given room for up front: the visited set of
+/// a default-budget exploration never regrows, and a budget of 100 000
+/// runs does not reserve megabytes it will not touch.
+const VISITED_ROOM: usize = 1 << 12;
+
 /// Choice points probed for fingerprint-only dedup at the start of a
 /// descent whose preemption budget is spent. Commuting reorderings
 /// converge within an event or two of the final deviation, so a small
@@ -393,7 +427,7 @@ const PROBE_WINDOW: usize = 4;
 struct ForkDfs {
     budget: Budget,
     por: bool,
-    visited: HashSet<DedupKey>,
+    visited: HashSet<DedupKey, BuildHasherDefault<FoldHasher>>,
     runs: usize,
     states: usize,
     dedup_hits: usize,
@@ -412,7 +446,10 @@ impl ForkDfs {
         ForkDfs {
             budget,
             por,
-            visited: HashSet::new(),
+            visited: HashSet::with_capacity_and_hasher(
+                budget.max_runs.min(VISITED_ROOM),
+                BuildHasherDefault::default(),
+            ),
             runs: 0,
             states: 0,
             dedup_hits: 0,

@@ -580,6 +580,8 @@ impl<M: Clone + 'static> ExploreSession for WorldSession<M> {
     }
 
     fn finish(&mut self) {
+        // No fingerprint is coming: the rest of the run pays for none.
+        self.world.forget_fingerprint();
         while let Some(at) = self.world.peek_time().filter(|&at| at <= self.deadline) {
             self.judge.finalize_before(&self.world, at.as_ticks());
             self.world.step();

@@ -7,8 +7,10 @@
 //! [`EventQueue`] is a two-tier calendar queue. A ring of [`RING_SIZE`]
 //! per-tick FIFO buckets covers the near future — the dominant traffic,
 //! since delays and timer periods are a handful of ticks — giving O(1)
-//! schedule and pop. Events beyond the ring land in an overflow binary
-//! heap and migrate into buckets as the ring slides forward.
+//! schedule and pop. The buckets are linked lists through one slab of
+//! entries, so copying the ring (a fork) is one allocation. Events beyond
+//! the ring land in an overflow binary heap and migrate into buckets as
+//! the ring slides forward.
 //!
 //! The contract is the `(time, seq)` order a plain sorted list would
 //! produce; the `queue_equivalence` property test checks every operation
@@ -16,7 +18,7 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use dds_core::process::ProcessId;
@@ -196,9 +198,35 @@ impl<M> PartialOrd for Scheduled<M> {
 /// deliberately far-future schedules (long deadlines, generous timeouts)
 /// touch the overflow heap.
 const RING_SIZE: u64 = 128;
+// One bit of `Calendar::occupied` per bucket.
+const _: () = assert!(RING_SIZE == u128::BITS as u64);
+
+/// "No slot": ends a list, marks an empty one. Also out of range for
+/// `slab.get`, so a walk along `next` links stops on it by itself.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a ring event threaded into its tick's FIFO list, or a
+/// free slot (`event` is `None`) threaded into the free list.
+#[derive(Clone)]
+struct Node<M> {
+    seq: u64,
+    next: u32,
+    event: Option<Event<M>>,
+}
+
+/// A per-tick FIFO list through the slab.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Bucket = Bucket { head: NIL, tail: NIL };
 
 /// The calendar storage: a sliding window of per-tick FIFO buckets plus
-/// an overflow heap for events beyond the window.
+/// an overflow heap for events beyond the window. The ring's events live
+/// in one slab, each bucket a linked list through it, so a copy of the
+/// ring is one allocation whatever the number of occupied ticks.
 ///
 /// Invariants:
 /// * `cursor` never decreases; every event in bucket `t % RING_SIZE` has
@@ -208,8 +236,17 @@ const RING_SIZE: u64 = 128;
 ///   buckets (in `(time, seq)` order, so bucket FIFO order equals seq
 ///   order — migrated events were necessarily scheduled before any event
 ///   scheduled directly into the same bucket).
+/// * every slab slot is on exactly one list: its bucket's when it holds
+///   an event, the free list when it does not.
 struct Calendar<M> {
-    buckets: Vec<VecDeque<(u64, Event<M>)>>,
+    slab: Vec<Node<M>>,
+    /// Head of the free-slot list.
+    free: u32,
+    buckets: [Bucket; RING_SIZE as usize],
+    /// Bit `b` is set exactly when bucket `b` holds an event, so finding
+    /// the earliest occupied tick is a rotate and a bit scan, not a walk
+    /// along the ring.
+    occupied: u128,
     /// The earliest tick the ring can currently hold.
     cursor: u64,
     /// Events held in the ring (the rest are in `overflow`).
@@ -218,19 +255,29 @@ struct Calendar<M> {
 }
 
 impl<M: Clone> Clone for Calendar<M> {
-    /// Copies the occupied buckets only: a snapshot costs what is
-    /// pending, not the width of the ring.
+    /// Copies the pending events only, in the order they will pop, into
+    /// a slab without free slots: one allocation and one pass, whatever
+    /// the ring has seen before.
     fn clone(&self) -> Self {
         let mut copy = Calendar {
+            // Room for the slots this queue needed: the copy's next few
+            // schedules should not be what regrows it.
+            slab: Vec::with_capacity(self.slab.len()),
+            occupied: self.occupied,
             cursor: self.cursor,
             ring_len: self.ring_len,
             overflow: self.overflow.clone(),
             ..Calendar::new()
         };
-        for (dst, src) in copy.buckets.iter_mut().zip(&self.buckets) {
-            if !src.is_empty() {
-                dst.clone_from(src);
+        for (_, b) in self.window() {
+            let head = copy.slab.len() as u32;
+            for node in self.bucket(b) {
+                let next = copy.slab.len() as u32 + 1;
+                copy.slab.push(Node { next, ..node.clone() });
             }
+            let tail = copy.slab.len() as u32 - 1;
+            copy.slab[tail as usize].next = NIL;
+            copy.buckets[b] = Bucket { head, tail };
         }
         copy
     }
@@ -239,7 +286,10 @@ impl<M: Clone> Clone for Calendar<M> {
 impl<M> Calendar<M> {
     fn new() -> Self {
         Calendar {
-            buckets: (0..RING_SIZE).map(|_| VecDeque::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            buckets: [EMPTY; RING_SIZE as usize],
+            occupied: 0,
             cursor: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
@@ -251,20 +301,81 @@ impl<M> Calendar<M> {
         (tick % RING_SIZE) as usize
     }
 
+    /// The events of bucket `b`, in FIFO (= seq) order.
+    fn bucket(&self, b: usize) -> impl Iterator<Item = &Node<M>> + '_ {
+        std::iter::successors(self.slab.get(self.buckets[b].head as usize), |node| {
+            self.slab.get(node.next as usize)
+        })
+    }
+
+    /// Appends an event to bucket `b`, in a free slot if there is one.
+    #[inline]
+    fn push_back(&mut self, b: usize, seq: u64, event: Event<M>) {
+        let node = Node { seq, next: NIL, event: Some(event) };
+        let slot = match self.slab.get_mut(self.free as usize) {
+            Some(reused) => {
+                let slot = self.free;
+                self.free = reused.next;
+                *reused = node;
+                slot
+            }
+            None => {
+                assert!(self.slab.len() < NIL as usize, "calendar ring is full");
+                self.slab.push(node);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        let bucket = &mut self.buckets[b];
+        match self.slab.get_mut(bucket.tail as usize) {
+            Some(last) => last.next = slot,
+            None => {
+                bucket.head = slot;
+                self.occupied |= 1 << b;
+            }
+        }
+        bucket.tail = slot;
+        self.ring_len += 1;
+    }
+
+    /// Unlinks `slot` from bucket `b`, where it follows `prev` (`NIL`:
+    /// it is the head), and frees it.
+    #[inline]
+    fn unlink(&mut self, b: usize, prev: u32, slot: u32) -> Event<M> {
+        let node = &mut self.slab[slot as usize];
+        let event = node.event.take().expect("listed slots hold an event");
+        let next = node.next;
+        node.next = self.free;
+        self.free = slot;
+        let bucket = &mut self.buckets[b];
+        match self.slab.get_mut(prev as usize) {
+            Some(before) => before.next = next,
+            None => bucket.head = next,
+        }
+        if next == NIL {
+            bucket.tail = prev;
+            if prev == NIL {
+                self.occupied &= !(1 << b);
+            }
+        }
+        self.ring_len -= 1;
+        event
+    }
+
     fn schedule(&mut self, at: Time, seq: u64, event: Event<M>) {
         // The kernel never schedules into the past (`World::inject`
         // asserts it); clamping keeps the bucket mapping safe regardless.
         let tick = at.as_ticks().max(self.cursor);
         if tick < self.cursor + RING_SIZE {
-            self.buckets[Self::bucket_index(tick)].push_back((seq, event));
-            self.ring_len += 1;
+            self.push_back(Self::bucket_index(tick), seq, event);
         } else {
             self.overflow.push(Scheduled { at, seq, event });
         }
     }
 
     /// Slides the window start to `tick` and pulls every overflow event the
-    /// wider window now covers into its bucket.
+    /// wider window now covers into its bucket. Once per tick, not per
+    /// event: kept out of line so that `pop` stays small enough to inline.
+    #[inline(never)]
     fn advance_to(&mut self, tick: u64) {
         debug_assert!(tick >= self.cursor);
         self.cursor = tick;
@@ -275,56 +386,70 @@ impl<M> Calendar<M> {
             .is_some_and(|s| s.at.as_ticks() < end)
         {
             let s = self.overflow.pop().expect("peeked");
-            self.buckets[Self::bucket_index(s.at.as_ticks())].push_back((s.seq, s.event));
-            self.ring_len += 1;
+            self.push_back(Self::bucket_index(s.at.as_ticks()), s.seq, s.event);
         }
     }
 
-    /// The tick of the earliest pending event, scanning the ring from the
-    /// cursor (the overflow heap cannot beat a ring event by invariant).
+    /// The occupied buckets as `(tick, bucket index)`, earliest tick
+    /// first.
+    fn window(&self) -> impl Iterator<Item = (u64, usize)> {
+        let cursor = self.cursor;
+        // Bit `k`: the bucket `k` ticks past the cursor.
+        let mut ahead = self.occupied.rotate_right(Self::bucket_index(cursor) as u32);
+        std::iter::from_fn(move || {
+            if ahead == 0 {
+                return None;
+            }
+            let tick = cursor + u64::from(ahead.trailing_zeros());
+            ahead &= ahead - 1;
+            Some((tick, Self::bucket_index(tick)))
+        })
+    }
+
+    /// The tick of the earliest pending event (the overflow heap cannot
+    /// beat a ring event by invariant).
     fn next_tick(&self) -> Option<u64> {
-        if self.ring_len == 0 {
-            return self.overflow.peek().map(|s| s.at.as_ticks());
+        // Usually more is pending at the instant being drained.
+        if self.buckets[Self::bucket_index(self.cursor)].head != NIL {
+            return Some(self.cursor);
         }
-        (self.cursor..self.cursor + RING_SIZE)
-            .find(|&t| !self.buckets[Self::bucket_index(t)].is_empty())
+        match self.window().next() {
+            Some((tick, _)) => Some(tick),
+            None => self.overflow.peek().map(|s| s.at.as_ticks()),
+        }
     }
 
     /// Advances the window so the earliest pending events sit in their
     /// bucket, returning their tick. `None` when the queue is empty.
     fn settle_front(&mut self) -> Option<u64> {
-        if self.ring_len == 0 {
-            if self.overflow.is_empty() {
-                return None;
-            }
-            // Ring empty: jump straight to the earliest overflow tick.
-            let tick = self.overflow.peek().expect("nonempty").at.as_ticks();
-            self.advance_to(tick);
-        }
-        let tick = self
-            .next_tick()
-            .expect("ring_len > 0 guarantees an occupied bucket");
+        // With the ring empty this is the earliest overflow tick, and
+        // sliding the window there files its events.
+        let tick = self.next_tick()?;
         if tick > self.cursor {
             self.advance_to(tick);
         }
         Some(tick)
     }
 
-    fn pop(&mut self) -> Option<Scheduled<M>> {
-        let tick = self.settle_front()?;
-        let (seq, event) = self.buckets[Self::bucket_index(tick)]
-            .pop_front()
-            .expect("settle_front found this bucket occupied");
-        self.ring_len -= 1;
-        Some(Scheduled { at: Time::from_ticks(tick), seq, event })
-    }
-
-    /// Removes the `n`-th event (seq order) of the earliest instant.
-    fn pop_nth(&mut self, n: usize) -> Option<Scheduled<M>> {
-        let tick = self.settle_front()?;
-        let (seq, event) = self.buckets[Self::bucket_index(tick)].remove(n)?;
-        self.ring_len -= 1;
-        Some(Scheduled { at: Time::from_ticks(tick), seq, event })
+    /// Removes the `n`-th event (seq order) of the earliest instant,
+    /// after showing it — instant, seq, event — to `seen` where it lies:
+    /// the event then moves once, from its slot to the caller.
+    #[inline]
+    fn pop_nth(
+        &mut self,
+        n: usize,
+        seen: impl FnOnce(Time, u64, &Event<M>),
+    ) -> Option<(Time, Event<M>)> {
+        let at = Time::from_ticks(self.settle_front()?);
+        let b = Self::bucket_index(at.as_ticks());
+        let (mut prev, mut slot) = (NIL, self.buckets[b].head);
+        for _ in 0..n {
+            prev = slot;
+            slot = self.slab.get(slot as usize)?.next;
+        }
+        let node = self.slab.get(slot as usize)?;
+        seen(at, node.seq, node.event.as_ref().expect("listed slots hold an event"));
+        Some((at, self.unlink(b, prev, slot)))
     }
 
     /// Fills `out` with summaries of every event at the earliest instant,
@@ -332,11 +457,10 @@ impl<M> Calendar<M> {
     fn ready_set(&mut self, out: &mut Vec<ReadySummary>) -> Option<Time> {
         out.clear();
         let tick = self.settle_front()?;
-        out.extend(
-            self.buckets[Self::bucket_index(tick)]
-                .iter()
-                .map(|(seq, event)| ReadySummary { seq: *seq, kind: event.ready_kind() }),
-        );
+        out.extend(self.bucket(Self::bucket_index(tick)).map(|node| ReadySummary {
+            seq: node.seq,
+            kind: node.event.as_ref().expect("listed slots hold an event").ready_kind(),
+        }));
         Some(Time::from_ticks(tick))
     }
 
@@ -344,16 +468,15 @@ impl<M> Calendar<M> {
         self.ring_len + self.overflow.len()
     }
 
-    /// Visits every pending event (ring then overflow, no particular
-    /// order) as `(at, seq, event)`. Ring entries store only their seq —
-    /// the dispatch tick is implied by bucket position, so it is
-    /// reconstructed from the bucket index relative to the cursor.
+    /// Visits every pending event as `(at, seq, event)`: the ring in
+    /// `(time, seq)` order, then the overflow heap in no particular one.
+    /// Ring entries store only their seq — the dispatch tick is implied by
+    /// bucket position.
     fn for_each(&self, f: &mut dyn FnMut(Time, u64, &Event<M>)) {
-        let base = Self::bucket_index(self.cursor) as u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            let tick = self.cursor + (i as u64 + RING_SIZE - base) % RING_SIZE;
-            for (seq, event) in bucket {
-                f(Time::from_ticks(tick), *seq, event);
+        for (tick, b) in self.window() {
+            for node in self.bucket(b) {
+                let event = node.event.as_ref().expect("listed slots hold an event");
+                f(Time::from_ticks(tick), node.seq, event);
             }
         }
         for s in &self.overflow {
@@ -361,31 +484,34 @@ impl<M> Calendar<M> {
         }
     }
 
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
+    /// Hands every pending event to `f` for rewriting, in `(time, seq)`
+    /// order: the ring as it lies, then the overflow heap sorted (every
+    /// event there is later than the whole ring, and `f` cannot touch
+    /// what the heap orders by).
+    fn for_each_mut(&mut self, f: &mut dyn FnMut(&mut Event<M>)) {
+        for (_, b) in self.window() {
+            let mut slot = self.buckets[b].head;
+            while let Some(node) = self.slab.get_mut(slot as usize) {
+                f(node.event.as_mut().expect("listed slots hold an event"));
+                slot = node.next;
+            }
         }
+        let mut far = std::mem::take(&mut self.overflow).into_vec();
+        far.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.seq.cmp(&b.seq)));
+        for s in &mut far {
+            f(&mut s.event);
+        }
+        self.overflow = far.into();
+    }
+
+    fn clear(&mut self) {
+        self.slab.clear();
+        self.free = NIL;
+        self.buckets = [EMPTY; RING_SIZE as usize];
+        self.occupied = 0;
         self.cursor = 0;
         self.ring_len = 0;
         self.overflow.clear();
-    }
-
-    /// Removes every pending event as [`Scheduled`] triples, keeping the
-    /// cursor (and bucket allocations) where they are. Re-inserting the
-    /// drained events via [`Calendar::schedule`] in `(time, seq)` order
-    /// restores the bucket-FIFO-equals-seq invariant exactly.
-    fn drain_all(&mut self) -> Vec<Scheduled<M>> {
-        let mut out = Vec::with_capacity(self.len());
-        let base = Self::bucket_index(self.cursor) as u64;
-        for i in 0..self.buckets.len() {
-            let tick = self.cursor + (i as u64 + RING_SIZE - base) % RING_SIZE;
-            for (seq, event) in self.buckets[i].drain(..) {
-                out.push(Scheduled { at: Time::from_ticks(tick), seq, event });
-            }
-        }
-        self.ring_len = 0;
-        out.extend(std::mem::take(&mut self.overflow).into_vec());
-        out
     }
 }
 
@@ -412,6 +538,23 @@ struct Tracked<M> {
     sum: u64,
     /// Schedules and pops folded in since the last fingerprint.
     since: usize,
+}
+
+impl<M> Tracked<M> {
+    /// The state after one more event was scheduled (`add`) or popped,
+    /// `others` being the events the queue holds besides it: `None` once
+    /// upkeep has outrun a rescan. Out of line, so that the check for a
+    /// tracked sum is all that `schedule` and `pop` inline.
+    #[inline(never)]
+    fn fold(mut self, others: usize, add: bool, at: Time, seq: u64, event: &Event<M>) -> Option<Self> {
+        self.since += 1;
+        if self.since > others {
+            return None;
+        }
+        let d = event_digest(at, seq, event, self.msg_fp);
+        self.sum = if add { self.sum.wrapping_add(d) } else { self.sum.wrapping_sub(d) };
+        Some(self)
+    }
 }
 
 // Not derived: `M` itself need not be `Copy`.
@@ -468,38 +611,37 @@ impl<M> EventQueue<M> {
     }
 
     /// Folds one scheduled (`add`) or popped event into the tracked
-    /// digest sum, if one is being kept.
+    /// digest sum, if one is being kept; `others` counts the events the
+    /// queue holds besides this one. (The check is all an untracked queue
+    /// pays.)
     #[inline]
-    fn track(&self, add: bool, at: Time, seq: u64, event: &Event<M>) {
-        let Some(mut t) = self.tracked.get() else {
-            return;
-        };
-        t.since += 1;
-        if t.since > self.len() {
-            self.tracked.set(None);
-            return;
+    fn track(
+        tracked: &Cell<Option<Tracked<M>>>,
+        others: usize,
+        add: bool,
+        at: Time,
+        seq: u64,
+        event: &Event<M>,
+    ) {
+        if let Some(t) = tracked.get() {
+            tracked.set(t.fold(others, add, at, seq, event));
         }
-        // The instant a walk would report: an event scheduled behind the
-        // window is filed under the window's first tick.
-        let at = at.max(Time::from_ticks(self.calendar.cursor));
-        let d = event_digest(at, seq, event, t.msg_fp);
-        t.sum = if add { t.sum.wrapping_add(d) } else { t.sum.wrapping_sub(d) };
-        self.tracked.set(Some(t));
     }
 
     /// Schedules `event` for dispatch at `at`.
     pub fn schedule(&mut self, at: Time, event: Event<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.track(true, at, seq, &event);
+        // The instant a walk would report: an event scheduled behind the
+        // window is filed under the window's first tick.
+        let filed = at.max(Time::from_ticks(self.calendar.cursor));
+        Self::track(&self.tracked, self.len(), true, filed, seq, &event);
         self.calendar.schedule(at, seq, event);
     }
 
     /// Removes and returns the earliest event (FIFO among equal instants).
     pub fn pop(&mut self) -> Option<(Time, Event<M>)> {
-        let s = self.calendar.pop()?;
-        self.track(false, s.at, s.seq, &s.event);
-        Some((s.at, s.event))
+        self.pop_nth(0)
     }
 
     /// Removes and returns the `n`-th event (seq order) among those
@@ -507,9 +649,9 @@ impl<M> EventQueue<M> {
     /// variant of [`EventQueue::pop`]. `pop_nth(0)` is exactly `pop`;
     /// `None` if the queue is empty or `n` is out of the ready set.
     pub fn pop_nth(&mut self, n: usize) -> Option<(Time, Event<M>)> {
-        let s = self.calendar.pop_nth(n)?;
-        self.track(false, s.at, s.seq, &s.event);
-        Some((s.at, s.event))
+        let (tracked, others) = (&self.tracked, self.calendar.len().saturating_sub(1));
+        self.calendar
+            .pop_nth(n, |at, seq, event| Self::track(tracked, others, false, at, seq, event))
     }
 
     /// Fills `out` with a summary of every event pending at the earliest
@@ -583,6 +725,12 @@ impl<M> EventQueue<M> {
         h.write_u64(self.next_seq);
     }
 
+    /// Stops keeping the digest sum current: the caller knows no
+    /// fingerprint is coming (a later one walks the queue again).
+    pub(crate) fn forget_fingerprint(&mut self) {
+        self.tracked.set(None);
+    }
+
     /// Rewrites every pending [`Event::Deliver`] payload through `f`,
     /// visiting events in canonical `(time, seq)` order so RNG-consuming
     /// damage does not depend on where an event is stored (ring or
@@ -596,18 +744,13 @@ impl<M> EventQueue<M> {
         // Payloads change under the tracked sum: rescan at the next
         // fingerprint.
         self.tracked.set(None);
-        let mut pending = self.calendar.drain_all();
-        pending.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.seq.cmp(&b.seq)));
         let mut scrambled = 0;
-        for s in &mut pending {
-            if let Event::Deliver { msg, .. } = &mut s.event {
+        self.calendar.for_each_mut(&mut |event| {
+            if let Event::Deliver { msg, .. } = event {
                 f(msg, rng);
                 scrambled += 1;
             }
-        }
-        for s in pending {
-            self.calendar.schedule(s.at, s.seq, s.event);
-        }
+        });
         scrambled
     }
 

@@ -83,6 +83,23 @@ impl StableHasher {
     pub const fn finish(&self) -> u64 {
         self.state
     }
+
+    /// The digest as a term of a wrapping sum (the actor table's
+    /// commutative digest).
+    ///
+    /// FNV-1a is linear in its last bytes: two inputs that differ only in
+    /// the low byte of their final word have digests a small multiple of
+    /// one constant apart, so plain digests of states that differ by `+1`
+    /// here and `-1` there add up to the same sum. A bijective avalanche
+    /// step (the splitmix64 finaliser) on each term first removes that
+    /// structure. (The event queue's sum still adds plain digests: the
+    /// pinned exploration counters were taken with them, see ROADMAP.)
+    pub(crate) const fn summand(&self) -> u64 {
+        let mut x = self.state;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
 }
 
 impl Default for StableHasher {

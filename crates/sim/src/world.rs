@@ -221,6 +221,7 @@ impl<M: Clone + 'static> WorldBuilder<M> {
             spawn: Rc::new(RefCell::new(spawn)),
             value_fn: Rc::new(RefCell::new(self.value)),
             actors: SlotTable::new(),
+            table_digest: Cell::new(None),
             trace: Trace::new(),
             metrics: Metrics::default(),
             next_timer: 0,
@@ -287,8 +288,8 @@ fn memoised<T: Copy + PartialEq + fmt::Debug>(cell: &Cell<Option<T>>, scan: impl
 /// reaches it in as many hops as it took to reach a `Box`.
 struct ActorCell<M> {
     actor: Rc<dyn Actor<M>>,
-    /// Memoised [`Actor::fingerprint`] sub-digest (`Some(None)`: the
-    /// actor opts out), valid until the next [`ActorCell::make_mut`].
+    /// Memoised [`ActorCell::digest`] (`Some(None)`: the actor opts
+    /// out), valid until the next [`ActorCell::retire`].
     digest: Cell<Option<Option<u64>>>,
     /// Whether [`Actor::fork`] answers `Some`, asked once per actor.
     forks: Cell<Option<bool>>,
@@ -322,25 +323,40 @@ impl<M: 'static> ActorCell<M> {
         })
     }
 
-    /// The actor's state digest in a hasher of its own, or `None` when it
-    /// does not support fingerprinting.
-    fn digest(&self) -> Option<u64> {
+    /// What this cell, seated under `pid`, contributes to a world
+    /// fingerprint — the identity, whether it is present and the actor's
+    /// state in a hasher of their own — or `None` when the actor does not
+    /// support fingerprinting.
+    fn digest(&self, pid: ProcessId, present: bool) -> Option<u64> {
         memoised(&self.digest, || {
             let mut h = StableHasher::new();
-            self.actor.fingerprint(&mut h).then(|| h.finish())
+            h.write_u64(pid.as_raw());
+            h.write_bool(present);
+            self.actor.fingerprint(&mut h).then(|| h.summand())
         })
     }
 
-    /// The only `&mut` path to a seated actor: un-shares it from any
-    /// other world still holding it and forgets the memoised digest.
+    /// Forgets the memoised digest ahead of a change to the actor or to
+    /// its presence, taking it out of the running sum `table` (if one is
+    /// kept) and listing the slot there for the next fingerprint.
+    fn retire(&self, pid: ProcessId, table: &mut Option<TableDigest>) {
+        if let (Some(Some(digest)), Some(t)) = (self.digest.take(), table.as_mut()) {
+            t.sum = t.sum.wrapping_sub(digest);
+            TableDigest::push_stale(table, pid);
+        }
+    }
+
+    /// The only `&mut` path to a seated actor, for a cell that was
+    /// [retired](ActorCell::retire): un-shares the actor from any other
+    /// world still holding it.
     fn make_mut(&mut self) -> &mut dyn Actor<M> {
+        debug_assert!(self.digest.get().is_none(), "retire the cell before mutating its actor");
         if Rc::get_mut(&mut self.actor).is_none() {
             let own = self.actor.fork().expect(
                 "only worlds whose actors all fork are forked, and an actor that forked once keeps forking",
             );
             self.actor = Rc::from(own);
         }
-        self.digest.set(None);
         Rc::get_mut(&mut self.actor).expect("unshared above")
     }
 }
@@ -386,6 +402,39 @@ impl Roster {
         let roster = Rc::make_mut(this);
         roster.digest.set(None);
         roster
+    }
+}
+
+/// Most slots a [`TableDigest`] lists as stale: a dispatch or two lie
+/// between the fingerprints of a world under exploration, and upkeep past
+/// that has outrun what a rescan costs.
+const STALE_ROOM: usize = 8;
+
+/// The running state of an incrementally maintained actor-table digest,
+/// kept the way the queue keeps its own ([`EventQueue::fingerprint`]).
+#[derive(Clone, Copy)]
+struct TableDigest {
+    /// Wrapping sum of [`ActorCell::digest`] over every occupied slot
+    /// whose memo is filled.
+    sum: u64,
+    /// The slots whose memo is empty ([retired](ActorCell::retire) since
+    /// the last fingerprint, or admitted): `stale[..stale_len]`. The next
+    /// fingerprint adds what they hold by then.
+    stale: [ProcessId; STALE_ROOM],
+    stale_len: usize,
+}
+
+impl TableDigest {
+    /// Lists `pid` as stale; with no room left the digest is given up
+    /// (`table` becomes `None`: the next fingerprint rescans).
+    fn push_stale(table: &mut Option<TableDigest>, pid: ProcessId) {
+        match table {
+            Some(t) if t.stale_len < STALE_ROOM => {
+                t.stale[t.stale_len] = pid;
+                t.stale_len += 1;
+            }
+            _ => *table = None,
+        }
     }
 }
 
@@ -440,6 +489,11 @@ pub struct World<M> {
     /// departed ones are retained for post-run inspection. Mutate an
     /// actor through [`ActorCell::make_mut`] only.
     actors: SlotTable<ActorCell<M>>,
+    /// `Some` from the first [`World::fingerprint`] call on (inherited by
+    /// forks, dropped by [`World::reset`] and
+    /// [`World::forget_fingerprint`]): the actor table's digest, so the
+    /// next fingerprint costs the slots that changed, not the table.
+    table_digest: Cell<Option<TableDigest>>,
     trace: Trace,
     metrics: Metrics,
     next_timer: u64,
@@ -539,6 +593,7 @@ impl<M: Clone + 'static> World<M> {
         self.loss = spec.loss;
         self.driver = spec.driver;
         self.actors.clear();
+        self.table_digest.set(None);
         let roster = Roster::make_mut(&mut self.roster);
         roster.values.clear();
         self.trace.clear();
@@ -732,10 +787,12 @@ impl<M: Clone + 'static> World<M> {
     /// mid-flight).
     ///
     /// Cost is O(pending events + process slots), not O(world): the
-    /// queue's occupied buckets and the driver are copied; the roster
-    /// (graph, membership, values) and every actor slot, departed ones
-    /// included, are *shared* by reference count and copied — actors
-    /// through [`Actor::fork`] — by whichever side first mutates them;
+    /// queue's pending events (into one allocation) and the driver are
+    /// copied; the roster (graph, membership, values) and every actor
+    /// slot, departed ones included, are *shared* by reference count and
+    /// copied — actors through [`Actor::fork`] — by whichever side first
+    /// mutates them; the running digests behind [`World::fingerprint`]
+    /// are inherited;
     /// the actor factory and value function are shared outright (they are
     /// immutable run configuration). Each actor is asked once whether it
     /// forks, so support must not depend on its momentary state. Sinks
@@ -767,6 +824,7 @@ impl<M: Clone + 'static> World<M> {
             spawn: Rc::clone(&self.spawn),
             value_fn: Rc::clone(&self.value_fn),
             actors: self.actors.clone(),
+            table_digest: self.table_digest.clone(),
             trace: Trace::new(),
             metrics: self.metrics,
             next_timer: self.next_timer,
@@ -799,10 +857,11 @@ impl<M: Clone + 'static> World<M> {
     /// so deduplicating across them is what makes dedup useful — but it
     /// means a pruned branch's trace/metrics are those of the first visit.
     ///
-    /// Cost is O(what changed since the last call): the roster and each
-    /// actor slot enter as a memoised sub-digest that only a mutation of
-    /// that roster or slot forgets, and the queue keeps its digest
-    /// current as events come and go ([`EventQueue::fingerprint`]).
+    /// Cost is O(what changed since the last call): the roster enters as
+    /// a memoised sub-digest that only a mutation of it forgets, the
+    /// actor table as a running sum that only the slots touched since
+    /// are hashed into again, and the queue keeps its digest current as
+    /// events come and go ([`EventQueue::fingerprint`]).
     pub fn fingerprint(&self, msg_fp: fn(&M, &mut StableHasher)) -> Option<u64> {
         let mut h = StableHasher::new();
         h.write_u64(self.now.as_ticks());
@@ -813,16 +872,64 @@ impl<M: Clone + 'static> World<M> {
         }
         h.write_u64(self.ids.allocated());
         h.write_u64(self.roster.digest());
-        for (pid, cell, present) in self.actors.iter_entries() {
-            h.write_u64(pid.as_raw());
-            h.write_bool(present);
-            h.write_u64(cell.digest()?);
-        }
+        h.write_u64(self.table_sum()?);
         if !self.driver.fingerprint(&mut h) {
             return None;
         }
         self.queue.fingerprint(&mut h, msg_fp);
         Some(h.finish())
+    }
+
+    /// The digest sum of every occupied actor slot, from scratch; `None`
+    /// when an actor opts out of fingerprinting.
+    fn scan_table(&self) -> Option<u64> {
+        self.actors.iter_entries().try_fold(0u64, |sum, (pid, cell, present)| {
+            Some(sum.wrapping_add(cell.digest(pid, present)?))
+        })
+    }
+
+    /// The actor table's contribution to [`World::fingerprint`]: every
+    /// slot including departed ones, commutatively. The first call scans
+    /// the table; from then on the sum is kept as slots change, so a call
+    /// hashes only the slots touched since the last one.
+    fn table_sum(&self) -> Option<u64> {
+        // An actor that opts out leaves through `?` with nothing tracked.
+        let sum = match self.table_digest.take() {
+            Some(table) => {
+                let mut sum = table.sum;
+                for &pid in &table.stale[..table.stale_len] {
+                    let cell = self.actors.get_any(pid).expect("a stale slot stays occupied");
+                    sum = sum.wrapping_add(cell.digest(pid, self.actors.contains(pid))?);
+                }
+                debug_assert_eq!(Some(sum), self.scan_table(), "tracked actor-table digest drifted");
+                sum
+            }
+            None => self.scan_table()?,
+        };
+        self.table_digest.set(Some(TableDigest {
+            sum,
+            stale: [ProcessId::from_raw(0); STALE_ROOM],
+            stale_len: 0,
+        }));
+        Some(sum)
+    }
+
+    /// Stops keeping the running digests behind [`World::fingerprint`]
+    /// (actor table, event queue) current — for a caller that runs this
+    /// world on and will not fingerprint it again, so that dispatch stops
+    /// paying for them. A later fingerprint is still right: it rescans.
+    pub fn forget_fingerprint(&mut self) {
+        self.table_digest.set(None);
+        self.queue.forget_fingerprint();
+    }
+
+    /// Checks a present actor out of its slot for a callback or a
+    /// corruption (pair with `actors.insert`), taking what the slot
+    /// contributed out of the running table digest first.
+    fn take_actor(&mut self, pid: ProcessId) -> Option<ActorCell<M>> {
+        let cell = self.actors.take(pid)?;
+        cell.retire(pid, self.table_digest.get_mut());
+        Some(cell)
     }
 
     /// Runs one popped event through the dispatch match — its own callback
@@ -983,7 +1090,7 @@ impl<M: Clone + 'static> World<M> {
         if !self.roster.graph.contains(pid) {
             return;
         }
-        let Some(mut cell) = self.actors.take(pid) else {
+        let Some(mut cell) = self.take_actor(pid) else {
             return;
         };
         let corrupted = cell.make_mut().corrupt(&mut self.rng);
@@ -1021,6 +1128,7 @@ impl<M: Clone + 'static> World<M> {
         };
         let actor = (self.spawn.borrow_mut())(pid);
         self.actors.insert(pid, ActorCell::seat(actor));
+        TableDigest::push_stale(self.table_digest.get_mut(), pid);
         let causal = Causality { id: join_id, cause };
         self.trace.push(TraceEvent::Join { pid, at: self.now });
         self.metrics.joins += 1;
@@ -1041,6 +1149,9 @@ impl<M: Clone + 'static> World<M> {
         let policy = self.policy;
         let roster = Roster::make_mut(&mut self.roster);
         let detached = policy.repair.detach(&mut roster.graph, pid);
+        if let Some(cell) = self.actors.get(pid) {
+            cell.retire(pid, self.table_digest.get_mut());
+        }
         self.actors.depart(pid);
         // Bridge and down notifications below all descend from this
         // departure in the causal DAG.
@@ -1088,7 +1199,7 @@ impl<M: Clone + 'static> World<M> {
             | Callback::NeighborDown { pid: p, .. }
             | Callback::NeighborBridge { pid: p, .. } => *p,
         };
-        let Some(mut cell) = self.actors.take(pid) else {
+        let Some(mut cell) = self.take_actor(pid) else {
             return; // departed between scheduling and dispatch
         };
         let actor = cell.make_mut();

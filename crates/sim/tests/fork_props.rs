@@ -2,9 +2,10 @@
 //! copy-on-write forks.
 //!
 //! A world's fingerprint is assembled from caches — a queue digest kept
-//! current on schedule/pop, one memoised sub-digest per actor slot, one
-//! for the roster — and a fork shares everything it has not touched with
-//! its parent. Both are only sound if no mutation path forgets to
+//! current on schedule/pop, an actor-table digest kept current as slots
+//! are taken, admitted, departed and corrupted (over one memoised
+//! sub-digest per slot), a memoised one for the roster — and a fork
+//! shares everything it has not touched with its parent. Both are only sound if no mutation path forgets to
 //! invalidate or un-share, so the properties here drive random
 //! interleavings of every such path (dispatch in any ready order, churn
 //! ticks that join, remove, corrupt and scramble, forks at any point) and
@@ -105,13 +106,17 @@ fn action(kind: u8) -> ChurnAction {
 }
 
 fn world(seed: u64, churn: &[(u64, u8)]) -> World<u64> {
+    world_of(5, seed, churn)
+}
+
+fn world_of(residents: usize, seed: u64, churn: &[(u64, u8)]) -> World<u64> {
     let mut script: Vec<(Time, ChurnAction)> = churn
         .iter()
         .map(|&(tick, kind)| (Time::from_ticks(tick), action(kind)))
         .collect();
     script.sort_by_key(|&(at, _)| at);
     WorldBuilder::new(seed)
-        .initial_graph(generate::ring(5))
+        .initial_graph(generate::ring(residents))
         .driver(Scripted::new(script))
         .corrupt_msg(scramble)
         .spawn(|_| Box::new(Noisy { state: 0 }))
@@ -123,7 +128,10 @@ fn world(seed: u64, churn: &[(u64, u8)]) -> World<u64> {
 fn step(world: &mut World<u64>, pick: usize) -> bool {
     let mut ready = Vec::new();
     match world.ready_set(&mut ready) {
-        Some(at) if at.as_ticks() <= HORIZON => world.step_nth(pick % ready.len()),
+        Some(at) if at.as_ticks() <= HORIZON => match pick % ready.len() {
+            0 => world.step(),
+            nth => world.step_nth(nth),
+        },
         _ => false,
     }
 }
@@ -252,6 +260,86 @@ proptest! {
         let after = (twin.fingerprint(msg_fp), states(&twin));
         prop_assert_eq!(&(parent.fingerprint(msg_fp), states(&parent)), &after);
         prop_assert_eq!(&(sibling.fingerprint(msg_fp), states(&sibling)), &after);
+    }
+}
+
+/// More residents than the running actor-table digest lists as stale
+/// before it gives up, so a burst of dispatches takes that path too.
+const CROWD: usize = 12;
+
+#[derive(Debug, Clone, Copy)]
+enum TableOp {
+    /// Dispatch the `pick`-th ready event: `step_nth`, and `step` when
+    /// `pick` is 0. Scripted churn ticks among them admit, depart and
+    /// corrupt.
+    Step(usize),
+    /// Dispatch several events with no fingerprint in between.
+    Burst(usize),
+    /// Replace the fork by a fresh one of the parent.
+    Refork,
+    /// Carry on from the fork: it becomes the parent, and is forked.
+    Descend,
+}
+
+fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (0usize..8).prop_map(TableOp::Step),
+        (0usize..8).prop_map(TableOp::Step),
+        (2usize..60).prop_map(TableOp::Burst),
+        Just(TableOp::Refork),
+        Just(TableOp::Descend),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// After every operation — dispatch in any ready order, admissions,
+    /// departures and corruptions from the churn script, forks — the
+    /// running fingerprint of a parent and of its fork is the one a
+    /// from-scratch pass computes: that of a twin that was never
+    /// fingerprinted or forked on the way here.
+    #[test]
+    fn running_fingerprint_equals_a_rescan_after_every_op(
+        seed in 0u64..512,
+        // A crowd dispatches some forty events per tick: churn comes
+        // early, or the ops never reach it.
+        churn in proptest::collection::vec((1u64..6, 0u8..6), 1..10),
+        ops in proptest::collection::vec(table_op_strategy(), 1..40),
+    ) {
+        let mut parent = world_of(CROWD, seed, &churn);
+        // Fingerprinted before the first fork, so forks inherit running
+        // digests, stale slots and all.
+        prop_assert!(parent.fingerprint(msg_fp).is_some());
+        let mut fork = parent.try_fork().expect("every component forks");
+        let mut picks = Vec::new();
+        for op in ops {
+            match op {
+                TableOp::Step(pick) | TableOp::Burst(pick) => {
+                    let steps = if matches!(op, TableOp::Burst(_)) { pick } else { 1 };
+                    for k in 0..steps {
+                        let stepped = step(&mut parent, pick + k);
+                        prop_assert_eq!(step(&mut fork, pick + k), stepped);
+                        if stepped {
+                            picks.push(pick + k);
+                        }
+                    }
+                }
+                TableOp::Refork => fork = parent.try_fork().expect("every component forks"),
+                TableOp::Descend => {
+                    parent = fork;
+                    fork = parent.try_fork().expect("every component forks");
+                }
+            }
+            let mut twin = world_of(CROWD, seed, &churn);
+            for &pick in &picks {
+                step(&mut twin, pick);
+            }
+            let scratch = twin.fingerprint(msg_fp);
+            prop_assert!(scratch.is_some(), "every resident opts into fingerprinting");
+            prop_assert_eq!(parent.fingerprint(msg_fp), scratch, "parent after {:?}", op);
+            prop_assert_eq!(fork.fingerprint(msg_fp), scratch, "fork after {:?}", op);
+        }
     }
 }
 

@@ -7,7 +7,10 @@
 //! sequences exercise same-tick FIFO ties, far-future schedules that land
 //! in the overflow heap, interleaved schedule/pop traffic that slides the
 //! ring window, the exploration primitives (`ready_set`, `pop_nth`), the
-//! corruption primitive (`scramble_payloads`) and draining.
+//! corruption primitive (`scramble_payloads`) and draining. A queue
+//! cloned mid-stream (a fork's queue: the ring's slab is copied compacted,
+//! after pops have freed and schedules reused its slots) must go on
+//! answering as the list does, and so must the original.
 
 use dds_core::process::ProcessId;
 use dds_core::rng::Rng;
@@ -46,7 +49,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// The reference: pending `(time, seq, destination, payload)` entries,
 /// kept sorted by `(time, seq)`.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Model {
     pending: Vec<(Time, u64, u64, u32)>,
     next_seq: u64,
@@ -110,29 +113,46 @@ fn payload(popped: Option<(Time, Event<u32>)>) -> Option<(Time, u32)> {
     })
 }
 
-/// Applies `ops` to `queue` and to a fresh [`Model`], comparing every
-/// answer, then drains both. Returns the popped `(time, payload)`
-/// sequence.
-fn check(mut queue: EventQueue<u32>, ops: &[Op]) -> Result<Vec<(Time, u32)>, TestCaseError> {
-    let mut model = Model::default();
-    let mut now = Time::ZERO;
-    let (mut rng, mut model_rng) = (Rng::seeded(5), Rng::seeded(5));
-    let mut popped = Vec::new();
-    let mut ready = Vec::new();
-    for (i, &op) in ops.iter().enumerate() {
+/// A queue, the model it is held to, and what both have seen so far.
+#[derive(Clone)]
+struct Pair {
+    queue: EventQueue<u32>,
+    model: Model,
+    now: Time,
+    rng: Rng,
+    model_rng: Rng,
+    popped: Vec<(Time, u32)>,
+}
+
+impl Pair {
+    fn new(queue: EventQueue<u32>) -> Self {
+        Pair {
+            queue,
+            model: Model::default(),
+            now: Time::ZERO,
+            rng: Rng::seeded(5),
+            model_rng: Rng::seeded(5),
+            popped: Vec::new(),
+        }
+    }
+
+    /// Applies `op` (the `i`-th of the workload) to the queue and to the
+    /// model, comparing every answer.
+    fn apply(&mut self, i: usize, op: Op) -> Result<(), TestCaseError> {
+        let Pair { queue, model, now, rng, model_rng, popped } = self;
         // Inspecting the front (even a refused `pop_nth`) slides the ring
         // window there, and the kernel only schedules at or after the
         // instant it last looked at: the clock follows.
         if matches!(op, Op::PopNth(_) | Op::ReadySet) {
-            now = now.max(queue.peek_time().unwrap_or(now));
+            *now = (*now).max(queue.peek_time().unwrap_or(*now));
         }
         match op {
             Op::Schedule { delta } => {
-                let at = now + TimeDelta::ticks(delta);
+                let at = *now + TimeDelta::ticks(delta);
                 let (to, msg) = (i as u64 % 5, i as u32);
                 queue.schedule(
                     at,
-                    Event::Deliver { from: PID, to: ProcessId::from_raw(to), sent: now, cause: 0, msg },
+                    Event::Deliver { from: PID, to: ProcessId::from_raw(to), sent: *now, cause: 0, msg },
                 );
                 model.schedule(at, to, msg);
             }
@@ -143,35 +163,52 @@ fn check(mut queue: EventQueue<u32>, ops: &[Op]) -> Result<Vec<(Time, u32)>, Tes
                 };
                 prop_assert_eq!(got, want, "op {}: {:?}", i, op);
                 if let Some((at, msg)) = got {
-                    now = at; // the kernel's clock follows pops
+                    *now = at; // the kernel's clock follows pops
                     popped.push((at, msg));
                 }
             }
             Op::ReadySet => {
+                let mut ready = Vec::new();
                 let at = queue.ready_set(&mut ready);
                 let want = model.ready_set();
                 prop_assert_eq!(at, want.as_ref().map(|w| w.0), "op {}: ready instant", i);
                 prop_assert_eq!(&ready, &want.map(|w| w.1).unwrap_or_default(), "op {}: ready set", i);
             }
             Op::Scramble => {
-                let rewritten = queue.scramble_payloads(&mut rng, scramble);
-                prop_assert_eq!(rewritten, model.scramble(&mut model_rng), "op {}: scrambled", i);
+                let rewritten = queue.scramble_payloads(rng, scramble);
+                prop_assert_eq!(rewritten, model.scramble(model_rng), "op {}: scrambled", i);
                 prop_assert_eq!(rng.state_words(), model_rng.state_words(), "op {}: rng draws", i);
             }
         }
         prop_assert_eq!(queue.len(), model.pending.len(), "op {}: len", i);
         prop_assert_eq!(queue.peek_time(), model.pending.first().map(|e| e.0), "op {}: peek", i);
         prop_assert_eq!(queue.next_seq(), model.next_seq, "op {}: next seq", i);
+        Ok(())
     }
-    // Drain whatever is left so the tail order is compared too.
-    loop {
-        let got = payload(queue.pop());
-        prop_assert_eq!(got, model.pop_nth(0), "drain");
-        match got {
-            Some(entry) => popped.push(entry),
-            None => return Ok(popped),
+
+    /// Drains whatever is left so the tail order is compared too.
+    /// Returns the whole popped `(time, payload)` sequence.
+    fn drain(mut self) -> Result<Vec<(Time, u32)>, TestCaseError> {
+        loop {
+            let got = payload(self.queue.pop());
+            prop_assert_eq!(got, self.model.pop_nth(0), "drain");
+            match got {
+                Some(entry) => self.popped.push(entry),
+                None => return Ok(self.popped),
+            }
         }
     }
+}
+
+/// Applies `ops` to `queue` and to a fresh [`Model`], comparing every
+/// answer, then drains both. Returns the popped `(time, payload)`
+/// sequence.
+fn check(queue: EventQueue<u32>, ops: &[Op]) -> Result<Vec<(Time, u32)>, TestCaseError> {
+    let mut pair = Pair::new(queue);
+    for (i, &op) in ops.iter().enumerate() {
+        pair.apply(i, op)?;
+    }
+    pair.drain()
 }
 
 proptest! {
@@ -184,6 +221,33 @@ proptest! {
         for pair in popped.windows(2) {
             prop_assert!(pair[0].0 <= pair[1].0, "pop order went backwards");
         }
+    }
+
+    /// A queue cloned mid-stream and the queue it was cloned from both
+    /// go on as the sorted list does, each under its own later traffic:
+    /// the copy's compacted slab and the original's slab with reused
+    /// slots answer `pop_nth`, `ready_set` and `scramble_payloads` alike.
+    #[test]
+    fn cloned_calendar_and_its_original_both_match_the_model(
+        before in proptest::collection::vec(op_strategy(), 1..150),
+        after_original in proptest::collection::vec(op_strategy(), 1..100),
+        after_copy in proptest::collection::vec(op_strategy(), 1..100),
+    ) {
+        let mut original = Pair::new(EventQueue::calendar());
+        for (i, &op) in before.iter().enumerate() {
+            original.apply(i, op)?;
+        }
+        let mut copy = original.clone();
+        for (i, &op) in after_original.iter().enumerate() {
+            original.apply(before.len() + i, op)?;
+        }
+        for (i, &op) in after_copy.iter().enumerate() {
+            copy.apply(before.len() + i, op)?;
+        }
+        // A copy of the copy, taken after its slots were reused in turn.
+        copy.clone().drain()?;
+        copy.drain()?;
+        original.drain()?;
     }
 
     /// A cleared queue replays like a fresh one (the `World::reset` path).

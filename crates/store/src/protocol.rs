@@ -711,28 +711,26 @@ impl StoreCore {
 
     fn begin_query(&mut self, ctx: &mut CoreCtx<'_>) {
         let epoch = self.view.epoch;
-        let members = self.view.members.clone();
         let Some(p) = self.cur.as_mut() else { return };
         p.phase = Phase::Query;
         p.acks = 0;
         p.best_stamp = Stamp::ZERO;
         p.best_value = None;
         let tag = p.tag;
-        for &m in &members {
+        for &m in &self.view.members {
             ctx.send(m, StoreMsg::Query { tag, epoch });
         }
     }
 
     fn begin_store(&mut self, ctx: &mut CoreCtx<'_>, stamp: Stamp, value: Option<u64>) {
         let epoch = self.view.epoch;
-        let members = self.view.members.clone();
         let Some(p) = self.cur.as_mut() else { return };
         p.phase = Phase::Store;
         p.acks = 0;
         p.store_stamp = stamp;
         p.store_value = value;
         let tag = p.tag;
-        for &m in &members {
+        for &m in &self.view.members {
             ctx.send(
                 m,
                 StoreMsg::Store {

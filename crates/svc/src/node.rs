@@ -269,9 +269,13 @@ impl Conn {
         }
     }
 
-    /// Reads everything available into the frame reassembler. Returns
-    /// `true` if any bytes arrived. EOF or a hard error marks the
-    /// connection dead (frames already buffered stay decodable).
+    /// Reads what is available into the frame reassembler, stopping at
+    /// the first read that does not fill `scratch`: the socket is drained
+    /// then, and asking again would only buy an `EAGAIN`. Whatever
+    /// arrives later (an EOF included) makes the level-triggered poll
+    /// report the socket readable again. Returns `true` if any bytes
+    /// arrived. EOF or a hard error marks the connection dead (frames
+    /// already buffered stay decodable).
     pub fn fill(&mut self, scratch: &mut [u8]) -> bool {
         let mut any = false;
         loop {
@@ -283,6 +287,9 @@ impl Conn {
                 Ok(n) => {
                     self.reader.extend(&scratch[..n]);
                     any = true;
+                    if n < scratch.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -524,22 +531,24 @@ impl Host {
         self.conns.len() - 1
     }
 
-    /// The peer hint for a stepping core: replicas see every replica in
-    /// the roster except themselves (announce targets, view widening);
-    /// clients see the replicas too, except at `Start`, where an empty
-    /// hint keeps them from announcing themselves as reconfiguration
-    /// candidates (a client cannot be dialed, so it must never be drafted
-    /// into a configuration).
-    fn peers_for(&self, core_idx: usize, starting: bool) -> Vec<ProcessId> {
-        if starting && self.cfg.role != ROLE_REPLICA {
-            return Vec::new();
-        }
-        let me = self.cores[core_idx].pid;
-        self.peer_replicas
-            .iter()
-            .copied()
-            .filter(|&p| p != me)
-            .collect()
+    /// Steps core `idx` with `input` and routes what it decides.
+    ///
+    /// The peer hint is `peer_replicas`, which lists no hosted identity,
+    /// so no core ever sees itself in it: replicas see every other
+    /// replica in the roster (announce targets, view widening); clients
+    /// see the replicas too, except at `Start`, where an empty hint keeps
+    /// them from announcing themselves as reconfiguration candidates (a
+    /// client cannot be dialed, so it must never be drafted into a
+    /// configuration).
+    fn step_core(&mut self, idx: usize, input: CoreIn) {
+        let now = Time::from_ticks(self.now_ms());
+        let peers: &[ProcessId] = match input {
+            CoreIn::Start if self.cfg.role != ROLE_REPLICA => &[],
+            _ => &self.peer_replicas,
+        };
+        let hosted = &mut self.cores[idx];
+        hosted.core.step(now, hosted.pid, peers, input, &mut self.out);
+        self.route_outputs(idx);
     }
 
     fn start_cores(&mut self) {
@@ -547,16 +556,8 @@ impl Host {
             return;
         }
         self.started = true;
-        let now = Time::from_ticks(self.now_ms());
         for i in 0..self.cores.len() {
-            let peers = self.peers_for(i, true);
-            let me = self.cores[i].pid;
-            let mut out = std::mem::take(&mut self.out);
-            self.cores[i]
-                .core
-                .step(now, me, &peers, CoreIn::Start, &mut out);
-            self.out = out;
-            self.route_outputs(i);
+            self.step_core(i, CoreIn::Start);
         }
         self.drain_local();
     }
@@ -633,15 +634,7 @@ impl Host {
     /// Steps queued local deliveries until quiescent.
     fn drain_local(&mut self) {
         while let Some((idx, from, msg)) = self.local_q.pop_front() {
-            let now = Time::from_ticks(self.now_ms());
-            let peers = self.peers_for(idx, false);
-            let me = self.cores[idx].pid;
-            let mut out = std::mem::take(&mut self.out);
-            self.cores[idx]
-                .core
-                .step(now, me, &peers, CoreIn::Message { from, msg }, &mut out);
-            self.out = out;
-            self.route_outputs(idx);
+            self.step_core(idx, CoreIn::Message { from, msg });
         }
     }
 
@@ -685,15 +678,7 @@ impl Host {
         self.wheel.expire(now_ms, &mut fired);
         for packed in fired.drain(..) {
             let (idx, token) = unpack(packed);
-            let now = Time::from_ticks(self.now_ms());
-            let peers = self.peers_for(idx, false);
-            let me = self.cores[idx].pid;
-            let mut out = std::mem::take(&mut self.out);
-            self.cores[idx]
-                .core
-                .step(now, me, &peers, CoreIn::Timer(token), &mut out);
-            self.out = out;
-            self.route_outputs(idx);
+            self.step_core(idx, CoreIn::Timer(token));
         }
         self.fired = fired;
         // 2. local deliveries produced by timers
@@ -839,5 +824,51 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         panic!("frame never arrived");
+    }
+
+    #[test]
+    fn a_short_fill_leaves_later_frames_and_eof_to_the_next_fill() {
+        let (a, b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        b.set_nonblocking(true).unwrap();
+        let (mut client, mut server) = (Conn::new(Stream::Uds(a)), Conn::new(Stream::Uds(b)));
+        let frame = |n: u64| WireMsg::Hello {
+            pid: ProcessId::from_raw(n),
+            role: ROLE_REPLICA,
+            addr: "uds:/x".into(),
+        };
+        let mut scratch = vec![0u8; 4096];
+
+        client.queue(&frame(1));
+        client.flush();
+        assert!(server.fill(&mut scratch), "one short read took the frame");
+        assert_eq!(server.next_msg(), Some(frame(1)));
+        assert!(!server.is_dead());
+
+        // Written after the short fill: the next fill's business.
+        client.queue(&frame(2));
+        client.queue(&frame(3));
+        client.flush();
+        assert!(server.fill(&mut scratch));
+        assert_eq!(server.next_msg(), Some(frame(2)));
+        assert_eq!(server.next_msg(), Some(frame(3)));
+        assert_eq!(server.next_msg(), None);
+
+        // More than one scratch-full pending: the fill keeps reading.
+        let mut small = vec![0u8; 16];
+        client.queue(&frame(4));
+        client.flush();
+        assert!(server.fill(&mut small));
+        assert_eq!(server.next_msg(), Some(frame(4)));
+
+        // EOF behind data: the data first, the EOF at the fill after it.
+        client.queue(&frame(5));
+        client.flush();
+        drop(client);
+        assert!(server.fill(&mut scratch));
+        assert_eq!(server.next_msg(), Some(frame(5)));
+        assert!(!server.is_dead(), "the short read stopped before the EOF");
+        assert!(!server.fill(&mut scratch));
+        assert!(server.is_dead());
     }
 }
