@@ -19,10 +19,8 @@ fn bench_static_wave(c: &mut Criterion) {
             &(graph, d),
             |b, (graph, d)| {
                 b.iter(|| {
-                    let s = QueryScenario::new(
-                        graph.clone(),
-                        ProtocolKind::FloodEcho { ttl: d + 1 },
-                    );
+                    let s =
+                        QueryScenario::new(graph.clone(), ProtocolKind::FloodEcho { ttl: d + 1 });
                     black_box(s.run())
                 })
             },
@@ -30,17 +28,12 @@ fn bench_static_wave(c: &mut Criterion) {
     }
     for n in [16usize, 32, 64] {
         let graph = generate::complete(n);
-        group.bench_with_input(
-            BenchmarkId::new("complete", n),
-            &graph,
-            |b, graph| {
-                b.iter(|| {
-                    let s =
-                        QueryScenario::new(graph.clone(), ProtocolKind::FloodEcho { ttl: 2 });
-                    black_box(s.run())
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("complete", n), &graph, |b, graph| {
+            b.iter(|| {
+                let s = QueryScenario::new(graph.clone(), ProtocolKind::FloodEcho { ttl: 2 });
+                black_box(s.run())
+            })
+        });
     }
     group.finish();
 }

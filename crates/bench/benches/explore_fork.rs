@@ -42,7 +42,10 @@ fn bench_session(c: &mut Criterion) {
         .map(|s| (s.build)())
         .find(|t| t.name() == "store-fencing/correct")
         .expect("the suite has the fencing subject");
-    for (label, mut target) in [("flood-large", flood_exhaustive_large()()), ("store-fencing", fencing)] {
+    for (label, mut target) in [
+        ("flood-large", flood_exhaustive_large()()),
+        ("store-fencing", fencing),
+    ] {
         let at = session_at_choice(target.as_mut(), 12);
         group.bench_function(BenchmarkId::new("fork", label), |b| {
             b.iter(|| black_box(at.fork().is_some()))

@@ -14,11 +14,10 @@
 //! arguments.
 //!
 //! With `--json <file>` a summary document in the `BENCH_sweeps.json`
-//! style is written there; every field except the single-line `"timing"`
-//! sub-object is deterministic, so reruns — at any `DDS_THREADS` — are
-//! byte-identical once that one line is stripped (CI diffs two of them
-//! through `sed '/"timing"/d'`). Throughput (`states/sec`) and progress
-//! lines go to stderr only, for the same reason. With `--dump-dir <dir>`
+//! style is written there; every field is deterministic, so reruns — at
+//! any `DDS_THREADS` — are byte-identical (CI `cmp`s two of them).
+//! Wall time, throughput (`states/sec`) and progress lines go to stderr
+//! only, for the same reason. With `--dump-dir <dir>`
 //! every counterexample is replayed once more and its event history
 //! dumped as `<dir>/<target>.jsonl` flight-recorder JSONL, with the
 //! witness's minimal happened-before chain next to it as
@@ -156,11 +155,17 @@ fn main() {
 
     let all_ok = rows.iter().all(Row::ok);
     let total_secs = start.elapsed().as_secs_f64();
+    let states: usize = rows.iter().map(|r| r.states_explored).sum();
     eprintln!(
-        "checked {} targets in {:.1} ms: {}",
+        "checked {} targets in {:.1} ms ({:.0} states/sec): {}",
         rows.len(),
         total_secs * 1e3,
-        if all_ok { "all verdicts as expected" } else { "VERDICT MISMATCH" }
+        states as f64 / total_secs.max(1e-9),
+        if all_ok {
+            "all verdicts as expected"
+        } else {
+            "VERDICT MISMATCH"
+        }
     );
     if let Some(path) = &telemetry {
         match std::fs::write(path, render_telemetry(&rows)) {
@@ -172,7 +177,7 @@ fn main() {
         }
     }
     if let Some(path) = &json {
-        match std::fs::write(path, render_json(&rows, budget, all_ok, total_secs)) {
+        match std::fs::write(path, render_json(&rows, budget, all_ok)) {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(err) => {
                 eprintln!("cannot write {}: {err}", path.display());
@@ -220,7 +225,10 @@ fn report(row: &Row) {
             ce.preemptions,
             if ce.preemptions == 1 { "" } else { "s" }
         ),
-        None => println!("{verdict}{}", if row.exhausted { " (exhausted)" } else { "" }),
+        None => println!(
+            "{verdict}{}",
+            if row.exhausted { " (exhausted)" } else { "" }
+        ),
     }
 }
 
@@ -247,17 +255,9 @@ fn render_telemetry(rows: &[Row]) -> String {
 }
 
 /// Summary JSON in the `BENCH_sweeps.json` style: hand-rolled, numeric or
-/// known-safe strings only. Every field is deterministic except the
-/// `"timing"` sub-object, which is kept on one line of its own so
-/// byte-identity consumers can drop it with `sed '/"timing"/d'`.
-fn render_json(rows: &[Row], budget: Budget, all_ok: bool, total_secs: f64) -> String {
+/// known-safe strings only, and no wall-clock field.
+fn render_json(rows: &[Row], budget: Budget, all_ok: bool) -> String {
     let mut out = String::from("{\n");
-    let states: usize = rows.iter().map(|r| r.states_explored).sum();
-    out.push_str(&format!(
-        "  \"timing\": {{\"total_ms\": {:.1}, \"states_per_sec\": {:.0}}},\n",
-        total_secs * 1e3,
-        if total_secs > 0.0 { states as f64 / total_secs } else { 0.0 }
-    ));
     out.push_str(&format!(
         "  \"max_runs\": {}, \"max_depth\": {}, \"max_preemptions\": {}, \"ok\": {},\n  \"targets\": [\n",
         budget.max_runs, budget.max_depth, budget.max_preemptions, all_ok

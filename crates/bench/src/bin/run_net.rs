@@ -18,19 +18,16 @@
 //!   ([`StoreScenario`]) and the predicted abort/atomicity behavior is
 //!   recorded next to the measured one: below the sustainable-churn
 //!   bound both must be abort-free and linearizable.
-//! - `--json` upserts a `net1` row (ops/sec, merged p50/p99 read and
-//!   write latency, abort rate) into `BENCH_sweeps.json`, preserving the
-//!   simulator experiment rows; `--baseline <file>` gates ops/sec
-//!   against a stored row with the same skip-as-new semantics as
-//!   `run_experiments` (absent or scale-mismatched rows skip with a
-//!   note, they do not fail).
+//!
+//! Throughput and latency are reported in `summary.json` and on stdout,
+//! not gated here: the timed view of the service is the benchmark's
+//! `net-steady` and `net-paced-kill` workloads (`BENCHMARK.json`).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use dds_bench::sweeps::upsert_sweeps;
 use dds_core::churn::ChurnSpec;
 use dds_core::process::ProcessId;
 use dds_core::spec::history::OpRecord;
@@ -39,10 +36,6 @@ use dds_core::time::{Time, TimeDelta};
 use dds_net::generate;
 use dds_obs::Histogram;
 use dds_store::harness::StoreScenario;
-
-/// Tolerated fractional ops/sec drop against `--baseline` (matches the
-/// simulator gate in `run_experiments`).
-const REGRESSION_TOLERANCE: f64 = 0.30;
 
 /// Target completed records per atomicity window; windows close at the
 /// first quiescent cut at or past this size (checker cap is 128).
@@ -56,7 +49,7 @@ fn usage() -> ! {
         "usage: run_net [--dir DIR] [--tcp] [--replicas N] [--threads N] [--clients N] \\\n\
          \x20       [--ops N] [--write-pct N] [--op-gap-us N] [--kills N] \\\n\
          \x20       [--kill-after-ms N] [--kill-every-ms N] [--check-atomicity] \\\n\
-         \x20       [--out FILE] [--json] [--baseline FILE]\n\
+         \x20       [--out FILE]\n\
          \x20      run_net --check-file OPS.jsonl   (re-check a recorded op log)"
     );
     std::process::exit(2)
@@ -80,8 +73,6 @@ struct Cfg {
     kill_every_ms: u64,
     check_atomicity: bool,
     out: PathBuf,
-    json: bool,
-    baseline: Option<PathBuf>,
 }
 
 fn main() {
@@ -99,8 +90,6 @@ fn main() {
         kill_every_ms: 2000,
         check_atomicity: false,
         out: PathBuf::from("summary.json"),
-        json: false,
-        baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -118,10 +107,6 @@ fn main() {
             "--kill-every-ms" => cfg.kill_every_ms = parse_u64(args.next()),
             "--check-atomicity" => cfg.check_atomicity = true,
             "--out" => cfg.out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
-            "--json" => cfg.json = true,
-            "--baseline" => {
-                cfg.baseline = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
             // Offline mode: re-run the windowed atomicity check over an
             // op log a previous run recorded (no processes spawned).
             "--check-file" => {
@@ -158,7 +143,8 @@ impl Agent {
 
 fn spawn_agent(dir: &Path, bin_dir: &Path, name: &str, bin: &str, args: &[String]) -> Agent {
     let log = dir.join(format!("{name}.log"));
-    let file = std::fs::File::create(&log).unwrap_or_else(|e| fail(&format!("{}: {e}", log.display())));
+    let file =
+        std::fs::File::create(&log).unwrap_or_else(|e| fail(&format!("{}: {e}", log.display())));
     let child = Command::new(bin_dir.join(bin))
         .args(args)
         .stdout(Stdio::from(file))
@@ -201,7 +187,8 @@ fn addr_for(cfg: &Cfg, dir: &Path, name: &str, port: u16) -> String {
 
 fn run(cfg: &Cfg) -> i32 {
     let _ = std::fs::remove_dir_all(&cfg.dir);
-    std::fs::create_dir_all(&cfg.dir).unwrap_or_else(|e| fail(&format!("{}: {e}", cfg.dir.display())));
+    std::fs::create_dir_all(&cfg.dir)
+        .unwrap_or_else(|e| fail(&format!("{}: {e}", cfg.dir.display())));
     let dir = cfg.dir.clone();
     let bin_dir = std::env::current_exe()
         .ok()
@@ -292,8 +279,7 @@ fn run(cfg: &Cfg) -> i32 {
     // --- churn: kill the oldest replica, start a fresh-pid replacement ---
     let mut churn_events: Vec<String> = Vec::new();
     let mut kills_done = 0u64;
-    let mut next_kill =
-        run_start + Duration::from_millis(cfg.kill_after_ms.max(1));
+    let mut next_kill = run_start + Duration::from_millis(cfg.kill_after_ms.max(1));
     loop {
         match loader.child.try_wait() {
             Ok(Some(_)) => break,
@@ -370,7 +356,9 @@ fn run(cfg: &Cfg) -> i32 {
     let completed = extract_u64(&load_summary, "\"completed\": ").unwrap_or(0);
     let aborted = extract_u64(&load_summary, "\"aborted\": ").unwrap_or(0);
     let retries = extract_u64(&load_summary, "\"retries\": ").unwrap_or(0);
-    let elapsed_ms = extract_u64(&load_summary, "\"elapsed_ms\": ").unwrap_or(wall_ms).max(1);
+    let elapsed_ms = extract_u64(&load_summary, "\"elapsed_ms\": ")
+        .unwrap_or(wall_ms)
+        .max(1);
     let ops_per_sec = completed as f64 * 1000.0 / elapsed_ms as f64;
     let abort_rate = if issued > 0 {
         aborted as f64 / issued as f64
@@ -394,7 +382,7 @@ fn run(cfg: &Cfg) -> i32 {
     };
 
     // --- simulator cross-check: same churn regime, scaled to ticks ---
-    let sim = sim_crosscheck(cfg, wall_ms);
+    let sim = sim_crosscheck(cfg);
 
     // --- summary.json ---
     let mut summary = String::from("{\n");
@@ -454,32 +442,7 @@ fn run(cfg: &Cfg) -> i32 {
     );
     std::io::stdout().flush().ok();
 
-    // --- BENCH_sweeps.json upsert + baseline gate ---
-    let line = format!(
-        "{{\"id\": \"net1\", \"wall_ms\": {:.3}, \"runs\": {}, \"runs_per_sec\": {:.1}, \
-         \"p50_read_us\": {}, \"p99_read_us\": {}, \"p50_write_us\": {}, \"p99_write_us\": {}, \
-         \"abort_rate\": {:.6}, \"max_epoch\": {}}}",
-        elapsed_ms as f64,
-        issued,
-        ops_per_sec,
-        read_us.percentile(50.0),
-        read_us.percentile(99.0),
-        write_us.percentile(50.0),
-        write_us.percentile(99.0),
-        abort_rate,
-        max_epoch,
-    );
-    if cfg.json {
-        let path = Path::new("BENCH_sweeps.json");
-        match upsert_sweeps(path, &[("net1".to_string(), line.clone())], false) {
-            Ok(()) => eprintln!("updated {} (net1)", path.display()),
-            Err(e) => fail(&format!("{}: {e}", path.display())),
-        }
-    }
     let mut code = 0;
-    if let Some(file) = &cfg.baseline {
-        code = check_baseline(file, issued, ops_per_sec);
-    }
     if let Some(a) = &atomicity {
         if !a.linearizable {
             eprintln!("run_net: history NOT linearizable");
@@ -494,48 +457,6 @@ fn run(cfg: &Cfg) -> i32 {
         code = 5;
     }
     code
-}
-
-/// Baseline gate for the `net1` row: same tolerance as the simulator
-/// gate, and the same treat-missing-as-new semantics. A baseline row
-/// recorded at a different scale (`runs` differs) is also skipped —
-/// ops/sec at 50 ops per client says nothing about ops/sec at 10k.
-fn check_baseline(file: &Path, issued: u64, ops_per_sec: f64) -> i32 {
-    let Ok(text) = std::fs::read_to_string(file) else {
-        eprintln!("baseline: cannot read {}, skipping", file.display());
-        return 0;
-    };
-    let Some(row) = text.lines().find(|l| l.contains("\"id\": \"net1\"")) else {
-        eprintln!("baseline: net1 not present, skipping (new experiment)");
-        return 0;
-    };
-    let was_runs = extract_u64(row, "\"runs\": ").unwrap_or(0);
-    let was = extract_f64(row, "\"runs_per_sec\": ").unwrap_or(0.0);
-    if was <= 0.0 {
-        eprintln!("baseline: net1 has no throughput recorded, skipping");
-        return 0;
-    }
-    if was_runs != issued {
-        eprintln!(
-            "baseline: net1 recorded at different scale ({was_runs} vs {issued} ops), skipping"
-        );
-        return 0;
-    }
-    let ratio = ops_per_sec / was;
-    let verdict = if ratio < 1.0 - REGRESSION_TOLERANCE {
-        "REGRESSED"
-    } else {
-        "ok"
-    };
-    eprintln!(
-        "baseline: net1 {was:.1} -> {ops_per_sec:.1} ops/sec ({:+.1}%) {verdict}",
-        (ratio - 1.0) * 100.0
-    );
-    if verdict == "REGRESSED" {
-        3
-    } else {
-        0
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -582,7 +503,11 @@ fn parse_ops(text: &str) -> Vec<NetOp> {
         };
         out.push(NetOp {
             pid,
-            op: if write { RegOp::Write(value) } else { RegOp::Read },
+            op: if write {
+                RegOp::Write(value)
+            } else {
+                RegOp::Read
+            },
             invoked_us,
             responded_us,
             response,
@@ -613,7 +538,7 @@ fn check_net_atomicity(text: &str) -> AtomicityOutcome {
     let mut skipped = 0usize;
     // Floating aborted writes not yet consumed by a witness.
     let mut floats: Vec<(u64, u64)> = Vec::new(); // (value, invoked_us)
-    // Values the register may hold at the current cut, most likely first.
+                                                  // Values the register may hold at the current cut, most likely first.
     let mut chain: Vec<Option<u64>> = vec![None];
     let mut virtual_pid = 1_000_000_000u64;
 
@@ -630,10 +555,7 @@ fn check_net_atomicity(text: &str) -> AtomicityOutcome {
         let mut max_resp = 0u64;
         let mut cut = None;
         while end < completed.len() {
-            if end > i
-                && end - i >= WINDOW_TARGET
-                && max_resp < completed[end].invoked_us
-            {
+            if end > i && end - i >= WINDOW_TARGET && max_resp < completed[end].invoked_us {
                 cut = Some(end);
                 break;
             }
@@ -867,14 +789,13 @@ struct SimOutcome {
 /// tick-scaled protocol parameters. The simulator is the predictor: if
 /// its run under this regime is abort-free and linearizable, the
 /// networked run is expected to be too.
-fn sim_crosscheck(cfg: &Cfg, wall_ms: u64) -> SimOutcome {
+fn sim_crosscheck(cfg: &Cfg) -> SimOutcome {
     let deadline_ticks = 2_000u64;
     // kills/(replicas) of the membership turned over across the whole
     // run; expressed per 100-tick window of the sim deadline.
     let window = TimeDelta::ticks(100);
     let turnover = cfg.kills as f64 / cfg.replicas as f64;
-    let rate =
-        (turnover * 100.0 / deadline_ticks as f64).clamp(0.0, 1.0);
+    let rate = (turnover * 100.0 / deadline_ticks as f64).clamp(0.0, 1.0);
     let churn = ChurnSpec::rate(rate, window).unwrap_or_else(|_| ChurnSpec::none());
     let mut s = StoreScenario::new(
         generate::complete((cfg.replicas as usize + 8).max(12)),
@@ -892,7 +813,6 @@ fn sim_crosscheck(cfg: &Cfg, wall_ms: u64) -> SimOutcome {
     let linearizable = check_atomic(&report.history)
         .map(|l| l.is_linearizable())
         .unwrap_or(false);
-    let _ = wall_ms;
     SimOutcome {
         completed: report.completed,
         aborted: report.aborted,
@@ -909,14 +829,6 @@ fn extract_u64(line: &str, key: &str) -> Option<u64> {
     let rest = &line[line.find(key)? + key.len()..];
     let end = rest
         .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn extract_f64(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }

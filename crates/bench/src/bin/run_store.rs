@@ -184,7 +184,16 @@ fn main() {
 
     println!(
         "{:<10} {:>6} {:>10} {:>8} {:>8} {:>8} {:>9} {:>8} {:>8} {:>12}",
-        "churn", "bound", "completed", "aborted", "retries", "epochs", "reconfigs", "p50(t)", "p99(t)", "atomic runs"
+        "churn",
+        "bound",
+        "completed",
+        "aborted",
+        "retries",
+        "epochs",
+        "reconfigs",
+        "p50(t)",
+        "p99(t)",
+        "atomic runs"
     );
     for row in &rows {
         println!(
@@ -220,7 +229,10 @@ fn main() {
                 continue; // rate-level gate, no single cell to replay
             }
             let s = scenario(RATES[*idx], *seed);
-            let path = dir.join(format!("store_r{}_s{seed}.jsonl", (RATES[*idx] * 100.0) as u64));
+            let path = dir.join(format!(
+                "store_r{}_s{seed}.jsonl",
+                (RATES[*idx] * 100.0) as u64
+            ));
             let mut world = s.build();
             world.set_sink(FlightRecorder::new(512).with_dump_path(&path));
             world.run_until(s.deadline);

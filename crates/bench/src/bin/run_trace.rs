@@ -120,8 +120,6 @@ fn main() {
 /// The file name alone: stats lines stay identical wherever the artifact
 /// directory lives (CI scratch dirs are not deterministic, file names are).
 fn display_name(path: &Path) -> std::borrow::Cow<'_, str> {
-    path.file_name().map_or_else(
-        || path.to_string_lossy(),
-        |name| name.to_string_lossy(),
-    )
+    path.file_name()
+        .map_or_else(|| path.to_string_lossy(), |name| name.to_string_lossy())
 }

@@ -3,12 +3,12 @@
 //! One function per experiment (E1–E8 in EXPERIMENTS.md), each returning
 //! the table it prints so integration tests can assert on the *shape* of
 //! the results (who wins, where the frontier falls) rather than on exact
-//! numbers. The `run_experiments` binary prints any subset; the Criterion
+//! numbers. The `run_experiments` binary prints any subset and renders
+//! the result-shape ledger `BENCH_sweeps.json` ([`ledger`]); both are
+//! pinned byte for byte by `tests/experiment_pins.rs`. The Criterion
 //! benches in `benches/` time representative configurations.
 
 #![warn(missing_docs)]
-
-pub mod sweeps;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -22,13 +22,13 @@ use dds_net::generate;
 use dds_obs::Histogram;
 use dds_protocols::harness::{fold_sweep, run_sweep, SweepRow};
 use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
-use dds_sim::metrics::Metrics;
-use dds_sim::parallel::parallel_map;
 use dds_registers::base::ObjectState;
 use dds_registers::consensus::run_consensus;
 use dds_registers::harness::run_schedule;
 use dds_registers::Construction;
 use dds_sim::delay::DelayModel;
+use dds_sim::metrics::Metrics;
+use dds_sim::parallel::parallel_map;
 
 /// Number of seeds per sweep cell (keep experiments fast but stable).
 pub const SEEDS: u64 = 20;
@@ -49,7 +49,7 @@ pub struct Experiment {
     /// Simulated runs performed outside `rows` — experiments whose work
     /// does not fold into sweep rows (register schedules, consensus
     /// instances, continuous monitoring, heartbeat sweeps) count here so
-    /// throughput reporting stays honest.
+    /// the ledger's `runs` column counts every run.
     pub extra_runs: u64,
     /// Kernel counters of the runs counted by `extra_runs`, merged.
     pub extra_metrics: Metrics,
@@ -102,6 +102,54 @@ impl Experiment {
             m.merge(&row.metrics);
         }
         m
+    }
+
+    /// The experiment as `run_experiments` prints it: a heading, a blank
+    /// line, the table and another blank line.
+    pub fn report(&self) -> String {
+        format!("== {} — {}\n\n{}\n", self.id, self.title, self.table)
+    }
+
+    /// This experiment's line of `BENCH_sweeps.json`: the run count, the
+    /// p50/p99 pair of every pooled histogram that recorded a sample (the
+    /// critical-path pair followed by its summed decomposition), and the
+    /// merged kernel counters unless every one is zero. No wall-clock
+    /// field, so the line is the same at any `DDS_THREADS`.
+    pub fn ledger_line(&self) -> String {
+        let mut line = format!(
+            "{{\"id\": \"{}\", \"runs\": {}",
+            self.id.to_lowercase(),
+            self.total_runs()
+        );
+        for (name, hist) in [
+            ("delivery_latency", &self.latency),
+            ("queue_depth", &self.queue_depth),
+            ("critical_path", &self.critical),
+            ("stabilization", &self.stabilization),
+        ] {
+            if hist.is_empty() {
+                continue;
+            }
+            let _ = write!(
+                line,
+                ", \"p50_{name}\": {}, \"p99_{name}\": {}",
+                hist.percentile(50.0),
+                hist.percentile(99.0)
+            );
+            if name == "critical_path" {
+                let _ = write!(
+                    line,
+                    ", \"crit_transit\": {}, \"crit_queueing\": {}, \"crit_processing\": {}",
+                    self.crit_transit, self.crit_queueing, self.crit_processing
+                );
+            }
+        }
+        let metrics = self.merged_metrics();
+        if metrics != Metrics::default() {
+            let _ = write!(line, ", \"metrics\": {}", metrics.to_json());
+        }
+        line.push('}');
+        line
     }
 
     /// Runs `scenario` over `seeds`, pools its observation histograms into
@@ -345,7 +393,12 @@ pub fn e6_registers() -> Experiment {
         "t", "resp. bank", "resp. accesses", "majority bank", "majority accesses"
     );
     let scripts = vec![
-        vec![RegOp::Write(1), RegOp::Write(2), RegOp::Write(3), RegOp::Write(4)],
+        vec![
+            RegOp::Write(1),
+            RegOp::Write(2),
+            RegOp::Write(3),
+            RegOp::Write(4),
+        ],
         vec![RegOp::Read; 4],
         vec![RegOp::Read; 4],
     ];
@@ -410,8 +463,7 @@ pub fn e7_consensus() -> Experiment {
         let report = dds_core::spec::consensus::check_consensus(&run);
         assert!(blocked.is_empty());
         // Nonresponsive: a single crash blocks everyone who reaches it.
-        let nr: BTreeMap<usize, ObjectState> =
-            [(0, ObjectState::CrashedNonresponsive)].into();
+        let nr: BTreeMap<usize, ObjectState> = [(0, ObjectState::CrashedNonresponsive)].into();
         let (_, blocked_nr, _) = run_consensus(t, &proposals, &nr, 3);
         format!(
             "{:<6} {:>10} {:>16} {:>12} {:>22}",
@@ -459,7 +511,11 @@ pub fn e8_landscape() -> Experiment {
             e.table,
             "{:<4} {:<12} {:>10} {:>10}  {}",
             name,
-            if verdict.is_solvable() { "solvable" } else { "UNSOLVABLE" },
+            if verdict.is_solvable() {
+                "solvable"
+            } else {
+                "UNSOLVABLE"
+            },
             v,
             t,
             class
@@ -476,11 +532,19 @@ pub fn landscape_probe(name: &str) -> Option<QueryScenario> {
     match name {
         "C1" => {}
         "C2" => {
-            s.driver = DriverSpec::Growth { per_window: 0.1, window: 2, cap: 64 };
+            s.driver = DriverSpec::Growth {
+                per_window: 0.1,
+                window: 2,
+                cap: 64,
+            };
             s.deadline = Time::from_ticks(60);
         }
         "C3" => {
-            s.driver = DriverSpec::Balanced { rate: 0.05, window: 10, crash_fraction: 0.2 };
+            s.driver = DriverSpec::Balanced {
+                rate: 0.05,
+                window: 10,
+                crash_fraction: 0.2,
+            };
         }
         "C4" => {
             s = QueryScenario::new(generate::path(6), ProtocolKind::FloodEcho { ttl: 5 });
@@ -493,7 +557,11 @@ pub fn landscape_probe(name: &str) -> Option<QueryScenario> {
             // stable tail is beyond any TTL. (With random attachment the
             // diameter stays logarithmic and the wave survives — the
             // impossibility needs the adversary to pick the topology.)
-            s.driver = DriverSpec::Growth { per_window: 0.2, window: 4, cap: 600 };
+            s.driver = DriverSpec::Growth {
+                per_window: 0.2,
+                window: 4,
+                cap: 600,
+            };
             s.policy = dds_sim::world::TopologyPolicy {
                 attach: dds_net::dynamic::AttachRule::Chain,
                 repair: dds_net::dynamic::RepairRule::BridgeNeighbors,
@@ -505,12 +573,19 @@ pub fn landscape_probe(name: &str) -> Option<QueryScenario> {
             // Delays routinely exceed whatever bound the protocol guesses:
             // its timeouts fire while echoes are still in flight.
             s.delay = DelayModel::Exponential { mean_ticks: 15.0 };
-            s.driver = DriverSpec::Balanced { rate: 0.05, window: 10, crash_fraction: 0.2 };
+            s.driver = DriverSpec::Balanced {
+                rate: 0.05,
+                window: 10,
+                crash_fraction: 0.2,
+            };
         }
         "C7" => {
             // Arbitrary connectivity: the partition adversary severs the
             // stable part before the query and never heals it.
-            s.driver = DriverSpec::Partition { cut_at: 1, heal_at: None };
+            s.driver = DriverSpec::Partition {
+                cut_at: 1,
+                heal_at: None,
+            };
         }
         _ => return None,
     }
@@ -524,7 +599,11 @@ pub fn a1_multitree() -> Experiment {
     let _ = writeln!(e.table, "{:<6} {:>10} {:>10}", "k", "validity", "msgs");
     for k in [1u32, 2, 4, 8] {
         let mut s = QueryScenario::new(graph.clone(), ProtocolKind::MultiTree { ttl: 8, k });
-        s.driver = DriverSpec::Balanced { rate: 0.10, window: 10, crash_fraction: 0.3 };
+        s.driver = DriverSpec::Balanced {
+            rate: 0.10,
+            window: 10,
+            crash_fraction: 0.3,
+        };
         s.deadline = Time::from_ticks(3_000);
         let row = e.sweep(format!("k={k}"), &s, 0..SEEDS);
         let _ = writeln!(
@@ -535,7 +614,10 @@ pub fn a1_multitree() -> Experiment {
             row.mean_messages
         );
     }
-    let _ = writeln!(e.table, "(each extra tree buys coverage at linear message cost)");
+    let _ = writeln!(
+        e.table,
+        "(each extra tree buys coverage at linear message cost)"
+    );
     e
 }
 
@@ -543,18 +625,29 @@ pub fn a1_multitree() -> Experiment {
 pub fn a2_timeouts() -> Experiment {
     let mut e = Experiment::new("A2", "ablation: delay-bound slack vs validity");
     let graph = generate::torus(5, 5);
-    let _ = writeln!(e.table, "{:<14} {:>10} {:>10}", "delay model", "validity", "term.");
+    let _ = writeln!(
+        e.table,
+        "{:<14} {:>10} {:>10}",
+        "delay model", "validity", "term."
+    );
     for (name, delay) in [
         ("fixed(1)", DelayModel::Fixed(TimeDelta::TICK)),
         (
             "uniform(1..3)",
-            DelayModel::Uniform { min: TimeDelta::TICK, max: TimeDelta::ticks(3) },
+            DelayModel::Uniform {
+                min: TimeDelta::TICK,
+                max: TimeDelta::ticks(3),
+            },
         ),
         ("exp(mean 3)", DelayModel::Exponential { mean_ticks: 3.0 }),
     ] {
         let mut s = QueryScenario::new(graph.clone(), ProtocolKind::FloodEcho { ttl: 8 });
         s.delay = delay;
-        s.driver = DriverSpec::Balanced { rate: 0.05, window: 10, crash_fraction: 0.3 };
+        s.driver = DriverSpec::Balanced {
+            rate: 0.05,
+            window: 10,
+            crash_fraction: 0.3,
+        };
         s.deadline = Time::from_ticks(3_000);
         let row = e.sweep(name, &s, 0..SEEDS);
         let _ = writeln!(
@@ -585,11 +678,17 @@ pub fn a3_partition() -> Experiment {
         ("always connected", None),
         (
             "eventually connected",
-            Some(DriverSpec::Partition { cut_at: 3, heal_at: Some(60) }),
+            Some(DriverSpec::Partition {
+                cut_at: 3,
+                heal_at: Some(60),
+            }),
         ),
         (
             "arbitrary (permanent)",
-            Some(DriverSpec::Partition { cut_at: 3, heal_at: None }),
+            Some(DriverSpec::Partition {
+                cut_at: 3,
+                heal_at: None,
+            }),
         ),
     ];
     for (name, driver) in cases {
@@ -633,10 +732,15 @@ pub fn e9_monitoring() -> Experiment {
         ("20% / NO repair", 0.2, false),
     ];
     for (name, rate, repaired) in cases {
-        let mut base = QueryScenario::new(generate::torus(4, 4), ProtocolKind::FloodEcho { ttl: 8 });
+        let mut base =
+            QueryScenario::new(generate::torus(4, 4), ProtocolKind::FloodEcho { ttl: 8 });
         base.deadline = Time::from_ticks(100_000);
         if rate > 0.0 {
-            base.driver = DriverSpec::Balanced { rate, window: 10, crash_fraction: 1.0 };
+            base.driver = DriverSpec::Balanced {
+                rate,
+                window: 10,
+                crash_fraction: 1.0,
+            };
         }
         if !repaired {
             base.policy = dds_sim::world::TopologyPolicy {
@@ -752,7 +856,10 @@ pub fn e10_register() -> Experiment {
         let mut regular = 0u32;
         let runs = 20u32;
         for seed in 0..u64::from(runs) {
-            let config = RegisterConfig { ttl: 5, delta: TimeDelta::TICK };
+            let config = RegisterConfig {
+                ttl: 5,
+                delta: TimeDelta::TICK,
+            };
             let mut builder = WorldBuilder::new(seed)
                 .initial_graph(generate::torus(3, 3))
                 .delay(DelayModel::Fixed(TimeDelta::TICK))
@@ -786,8 +893,12 @@ pub fn e10_register() -> Experiment {
                 Some(_) => stale += 1,
                 None => {} // the reader churned out mid-read
             }
-            let mut everyone: std::collections::BTreeSet<ProcessId> =
-                w.trace().presence().members_at(Time::ZERO).into_iter().collect();
+            let mut everyone: std::collections::BTreeSet<ProcessId> = w
+                .trace()
+                .presence()
+                .members_at(Time::ZERO)
+                .into_iter()
+                .collect();
             everyone.insert(member);
             let history = history_from_world(&w, everyone);
             if check_regular_single_writer(&history).unwrap_or(false) {
@@ -891,12 +1002,10 @@ after bounded fenced retries instead of hanging)",
 /// against the replay-DFS on the flood exhaustive sweep, at
 /// matched budgets (both engines fully exhaust the same bounded space).
 ///
-/// `extra_runs` counts the *states explored* by the fork engine, so this
-/// record's `runs_per_sec` in `BENCH_sweeps.json` is states/sec — the
-/// figure the `--baseline` exit-3 gate protects. The printed table keeps
-/// only deterministic counters (byte-identical across reruns and thread
-/// counts); wall-clock figures and the fork-over-replay speedup go to
-/// stderr.
+/// `extra_runs` counts the *states explored* by the fork engine. The
+/// printed table keeps only deterministic counters (byte-identical across
+/// reruns and thread counts); wall-clock figures and the fork-over-replay
+/// speedup go to stderr.
 pub fn check1_explore() -> Experiment {
     use dds_check::mutants::flood_exhaustive_large;
     use dds_check::{explore_fork, explore_replay, Budget};
@@ -940,22 +1049,13 @@ pub fn check1_explore() -> Experiment {
     let _ = writeln!(
         e.table,
         "(identical bounded space, both exhausted: forking skips the whole-run replays \
-and prunes fingerprint-identical subtrees; BENCH_sweeps.json gates this \
-record's states/sec)"
+and prunes fingerprint-identical subtrees; the speedup is on stderr)"
     );
     eprintln!(
         "CHECK1: replay {replay_ms:.1} ms, fork {fork_ms:.1} ms ({:.1}x at matched budgets)",
         replay_ms / fork_ms.max(1e-9)
     );
-
-    // The gated workload: repeated exhaustive fork sweeps, counted in
-    // explored states.
-    const REPS: usize = 24;
     e.extra_runs += forked.states_explored as u64;
-    for _ in 0..REPS {
-        let out = explore_fork(build().as_mut(), budget).expect("flood target supports sessions");
-        e.extra_runs += out.states_explored as u64;
-    }
     e
 }
 
@@ -963,12 +1063,10 @@ record's states/sec)"
 /// with the full [`dds_obs::ObserverSink`], and with the causal-skeleton
 /// [`dds_obs::CausalLog`] only.
 ///
-/// The sink-less pass pins the hot path the `noop_alloc` test protects;
-/// the record's combined `runs_per_sec` is what the `--baseline` exit-3
-/// gate tracks, so an instrumentation slowdown in *either* variant trips
-/// the same alarm as a kernel regression. The printed table keeps only
-/// deterministic counters (events observed, DAG shape); the measured
-/// sink-on/sink-off ratio goes to stderr.
+/// The sink-less pass runs the hot path the `noop_alloc` test protects.
+/// The printed table keeps only deterministic counters (events observed,
+/// DAG shape); the measured sink-on/sink-off ratio goes to stderr, and
+/// the benchmark's `obs.sink.events_per_s_ratio` probe is the timed view.
 pub fn obs1_overhead() -> Experiment {
     use dds_obs::{CausalLog, ObserverSink};
     use dds_protocols::membership::{HeartbeatActor, HeartbeatMsg};
@@ -985,7 +1083,10 @@ pub fn obs1_overhead() -> Experiment {
         WorldBuilder::new(seed)
             .initial_graph(generate::ring(16))
             .spawn(|_| {
-                Box::new(HeartbeatActor::new(TimeDelta::ticks(2), TimeDelta::ticks(7)))
+                Box::new(HeartbeatActor::new(
+                    TimeDelta::ticks(2),
+                    TimeDelta::ticks(7),
+                ))
             })
             .build()
     };
@@ -1035,7 +1136,7 @@ pub fn obs1_overhead() -> Experiment {
     let _ = writeln!(
         e.table,
         "(same seeds, same kernel events in all three passes: sinks observe the run \
-without perturbing it; BENCH_sweeps.json gates the combined runs/sec)"
+without perturbing it; the overhead ratios are on stderr)"
     );
     if let [(_, none), (_, obs), (_, causal)] = wall[..] {
         eprintln!(
@@ -1070,7 +1171,15 @@ pub fn scd1_broadcast() -> Experiment {
     let _ = writeln!(
         e.table,
         "{:<12} {:>6} {:>10} {:>8} {:>9} {:>10} {:>8} {:>8} {:>8}",
-        "churn", "bound", "completed", "aborted", "stranded", "converged", "set p50", "set p99", "lat p99"
+        "churn",
+        "bound",
+        "completed",
+        "aborted",
+        "stranded",
+        "converged",
+        "set p50",
+        "set p99",
+        "lat p99"
     );
     let runs = 10u64;
     let config = ScdConfig::new(4, TimeDelta::TICK, TimeDelta::ticks(4));
@@ -1092,7 +1201,11 @@ pub fn scd1_broadcast() -> Experiment {
             s.seed = seed;
             s.deadline = Time::from_ticks(60);
             if rate > 0.0 {
-                s.driver = DriverSpec::Balanced { rate, window, crash_fraction: 0.5 };
+                s.driver = DriverSpec::Balanced {
+                    rate,
+                    window,
+                    crash_fraction: 0.5,
+                };
             }
             above = s.above_bound();
             let mut world = s.build();
@@ -1111,8 +1224,9 @@ pub fn scd1_broadcast() -> Experiment {
             for &lat in &report.latencies {
                 lats.record(lat);
             }
-            if let Some(sink) =
-                world.take_sink().and_then(|s| s.into_any().downcast::<ObserverSink>().ok())
+            if let Some(sink) = world
+                .take_sink()
+                .and_then(|s| s.into_any().downcast::<ObserverSink>().ok())
             {
                 e.latency.merge(&sink.report.delivery_latency);
                 e.queue_depth.merge(&sink.report.queue_depth);
@@ -1163,10 +1277,7 @@ processes are lost — loudly, never by hanging)\n"
                     world.run_until(s.deadline);
                     let report = s.report(&world);
                     stranded += report.stranded;
-                    if report.violation.is_none()
-                        && report.converged
-                        && report.unresolved == 0
-                    {
+                    if report.violation.is_none() && report.converged && report.unresolved == 0 {
                         sustained += 1;
                     }
                     e.extra_runs += 1;
@@ -1207,10 +1318,18 @@ pub fn scd_landscape_probe(name: &str) -> Option<dds_protocols::scd::ScdScenario
     match name {
         "C1" => {}
         "C2" => {
-            s.driver = DriverSpec::Growth { per_window: 0.1, window: 2, cap: 64 };
+            s.driver = DriverSpec::Growth {
+                per_window: 0.1,
+                window: 2,
+                cap: 64,
+            };
         }
         "C3" => {
-            s.driver = DriverSpec::Balanced { rate: 0.05, window: 10, crash_fraction: 0.2 };
+            s.driver = DriverSpec::Balanced {
+                rate: 0.05,
+                window: 10,
+                crash_fraction: 0.2,
+            };
         }
         "C4" => {
             // The path keeps stretching, so the flood needs the larger TTL
@@ -1224,16 +1343,27 @@ pub fn scd_landscape_probe(name: &str) -> Option<dds_protocols::scd::ScdScenario
             s.deadline = Time::from_ticks(120);
         }
         "C5" => {
-            s.driver = DriverSpec::Growth { per_window: 0.2, window: 4, cap: 600 };
+            s.driver = DriverSpec::Growth {
+                per_window: 0.2,
+                window: 4,
+                cap: 600,
+            };
         }
         "C6" => {
             // Delays routinely exceed the delta the cutoff lag was computed
             // from: sets flush before slow messages land.
             s.delay = DelayModel::Exponential { mean_ticks: 15.0 };
-            s.driver = DriverSpec::Balanced { rate: 0.05, window: 10, crash_fraction: 0.2 };
+            s.driver = DriverSpec::Balanced {
+                rate: 0.05,
+                window: 10,
+                crash_fraction: 0.2,
+            };
         }
         "C7" => {
-            s.driver = DriverSpec::Partition { cut_at: 1, heal_at: None };
+            s.driver = DriverSpec::Partition {
+                cut_at: 1,
+                heal_at: None,
+            };
         }
         _ => return None,
     }
@@ -1253,7 +1383,7 @@ pub fn scd_landscape_probe(name: &str) -> Option<dds_protocols::scd::ScdScenario
 /// Each cell folds into a [`SweepRow`] whose `p50_stabilization` /
 /// `p99_stabilization` columns carry the recovery-time percentiles; the
 /// pooled histogram feeds the same columns of the experiment's
-/// `BENCH_sweeps.json` record. "stab." is the fraction of seeds that
+/// `BENCH_sweeps.json` line. "stab." is the fraction of seeds that
 /// reached a legal suffix holding through the horizon — the closure half
 /// of self-stabilization, not just a transient visit to legality.
 pub fn stab1_selfstab() -> Experiment {
@@ -1384,8 +1514,15 @@ pub fn registry() -> Vec<(&'static str, ExperimentFn)> {
     ]
 }
 
-/// All experiments, in order (runs everything; prefer [`registry`] for
-/// selective execution).
-pub fn all_experiments() -> Vec<Experiment> {
-    registry().into_iter().map(|(_, f)| f()).collect()
+/// The line `run_experiments` prints after the last table.
+pub const TABLES_FOOTER: &str = "(seeds fixed; rerunning reproduces these tables bit-for-bit)\n";
+
+/// `BENCH_sweeps.json` for `experiments`: one [`Experiment::ledger_line`]
+/// per line, in the order given.
+pub fn ledger(experiments: &[Experiment]) -> String {
+    let lines: Vec<String> = experiments.iter().map(Experiment::ledger_line).collect();
+    format!(
+        "{{\n  \"experiments\": [\n    {}\n  ]\n}}\n",
+        lines.join(",\n    ")
+    )
 }

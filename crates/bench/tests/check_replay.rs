@@ -1,10 +1,8 @@
 //! End-to-end test for `run_check`: the whole validation suite passes
 //! within the default CI budget, and its JSON summary — which embeds
-//! every counterexample's shape — is byte-identical across thread counts
-//! once the single-line `"timing"` sub-object (the one wall-clock field)
-//! is stripped, i.e. counterexamples replay deterministically. The
-//! `--telemetry` progress JSONL carries integer fields only, so it must
-//! compare equal without any stripping.
+//! every counterexample's shape and carries no wall-clock field — is
+//! byte-identical across thread counts, i.e. counterexamples replay
+//! deterministically. So is the `--telemetry` progress JSONL.
 
 use std::path::Path;
 use std::process::Command;
@@ -16,14 +14,6 @@ fn run_check(threads: &str, json: &Path, telemetry: &Path) -> std::process::Outp
         .env("DDS_THREADS", threads)
         .output()
         .expect("run_check must start")
-}
-
-/// Drops the wall-clock line the same way CI does: `sed '/"timing"/d'`.
-fn strip_timing(s: &str) -> String {
-    s.lines()
-        .filter(|l| !l.contains("\"timing\""))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 #[test]
@@ -50,20 +40,15 @@ fn suite_verdicts_replay_byte_identically_across_thread_counts() {
     for f in [&a, &b, &ta, &tb] {
         std::fs::remove_file(f).ok();
     }
-    assert!(
-        j1.contains("\"timing\""),
-        "summary must record wall-clock timing on its strippable line"
-    );
-    assert_eq!(
-        strip_timing(&j1),
-        strip_timing(&j8),
-        "summaries must be byte-identical modulo the timing line"
-    );
+    assert_eq!(j1, j8, "summaries must be byte-identical");
     assert!(j1.contains("\"ok\": true"), "suite must be green: {j1}");
     // Every mutant caught, every correct target clean.
     assert!(!j1.contains("\"ok\": false"));
-    // The progress telemetry is integer-only — identical with no strip.
-    assert_eq!(tel1, tel8, "progress telemetry must be thread-count invariant");
+    // The progress telemetry is integer-only too.
+    assert_eq!(
+        tel1, tel8,
+        "progress telemetry must be thread-count invariant"
+    );
     assert!(
         tel1.lines().any(|l| l.contains("\"t\":\"explored\"")),
         "telemetry must carry one explored line per target"

@@ -39,17 +39,28 @@ fn stats_are_deterministic_and_complete() {
     let out1 = run();
     let out2 = run();
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(out1.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out1.stderr));
+    assert_eq!(
+        out1.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out1.stderr)
+    );
     let text = String::from_utf8_lossy(&out1.stdout);
     // send@0 → deliver@4 → timer@6: 3 events, 2 hops of depth, 4 ticks of
     // transit plus 2 of queueing on the critical path.
     assert!(text.contains("relay.jsonl: events=3"), "stats line: {text}");
-    assert!(text.contains("transit=4 queueing=2"), "decomposition: {text}");
+    assert!(
+        text.contains("transit=4 queueing=2"),
+        "decomposition: {text}"
+    );
     assert!(text.contains("fan-out:"), "per-process fan-out: {text}");
     // The two-run export splits at its run headers: the critical path is
     // the longest per-run chain (7 ticks of flight in run 1), never a
     // fabricated cross-run edge.
-    assert!(text.contains("sweep.jsonl: runs=2 events=4"), "multi-run stats: {text}");
+    assert!(
+        text.contains("sweep.jsonl: runs=2 events=4"),
+        "multi-run stats: {text}"
+    );
     assert!(
         text.contains("critical[total=7 transit=7 queueing=0 processing=0 hops=1]"),
         "per-run critical path: {text}"
