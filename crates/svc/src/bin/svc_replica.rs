@@ -107,7 +107,8 @@ fn main() {
 
     let mut last_status = 0u64;
     loop {
-        if host.tick(100).is_err() {
+        if let Err(e) = host.tick(100) {
+            eprintln!("svc_replica: event loop: {e}");
             exit(1);
         }
         let now = host.now_ms();

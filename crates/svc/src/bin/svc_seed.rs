@@ -47,7 +47,10 @@ fn main() {
             exit(1)
         }
     };
-    println!("{{\"event\": \"ready\", \"listen\": \"{}\"}}", addr.display());
+    println!(
+        "{{\"event\": \"ready\", \"listen\": \"{}\"}}",
+        addr.display()
+    );
     std::io::stdout().flush().ok();
 
     let mut conns: Vec<Option<Conn>> = Vec::new();
@@ -70,7 +73,8 @@ fn main() {
                 }
             }
         }
-        if poll_fds(&mut pollfds, Some(1000)).is_err() {
+        if let Err(e) = poll_fds(&mut pollfds, Some(1000)) {
+            eprintln!("svc_seed: poll: {e}");
             exit(1);
         }
 

@@ -192,7 +192,12 @@ fn put_store_msg(buf: &mut Vec<u8>, msg: &StoreMsg) {
             put_tag(buf, *tag);
             put_u64(buf, *epoch);
         }
-        StoreMsg::Store { tag, epoch, stamp, value } => {
+        StoreMsg::Store {
+            tag,
+            epoch,
+            stamp,
+            value,
+        } => {
             buf.push(3);
             put_tag(buf, *tag);
             put_u64(buf, *epoch);
@@ -210,7 +215,11 @@ fn put_store_msg(buf: &mut Vec<u8>, msg: &StoreMsg) {
             buf.push(6);
             put_tag(buf, *tag);
         }
-        StoreMsg::Fenced { tag, epoch, members } => {
+        StoreMsg::Fenced {
+            tag,
+            epoch,
+            members,
+        } => {
             buf.push(7);
             put_tag(buf, *tag);
             put_u64(buf, *epoch);
@@ -240,14 +249,24 @@ fn put_store_msg(buf: &mut Vec<u8>, msg: &StoreMsg) {
             put_u64(buf, *epoch);
             put_pids(buf, members);
         }
-        StoreMsg::RecAck { epoch, base, stamp, value } => {
+        StoreMsg::RecAck {
+            epoch,
+            base,
+            stamp,
+            value,
+        } => {
             buf.push(14);
             put_u64(buf, *epoch);
             put_u64(buf, *base);
             put_stamp(buf, *stamp);
             put_opt_u64(buf, *value);
         }
-        StoreMsg::Migrate { epoch, members, stamp, value } => {
+        StoreMsg::Migrate {
+            epoch,
+            members,
+            stamp,
+            value,
+        } => {
             buf.push(15);
             put_u64(buf, *epoch);
             put_pids(buf, members);
@@ -317,11 +336,15 @@ impl<'a> Cur<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     fn pid(&mut self) -> Result<ProcessId, CodecError> {
@@ -387,7 +410,9 @@ impl<'a> Cur<'a> {
     fn store_msg(&mut self) -> Result<StoreMsg, CodecError> {
         Ok(match self.u8()? {
             0 => StoreMsg::Invoke(self.reg_op()?),
-            1 => StoreMsg::Reconfigure { members: self.pids()? },
+            1 => StoreMsg::Reconfigure {
+                members: self.pids()?,
+            },
             2 => StoreMsg::Query {
                 tag: self.tag()?,
                 epoch: self.u64()?,
@@ -415,7 +440,9 @@ impl<'a> Cur<'a> {
                 members: self.pids()?,
             },
             9 => StoreMsg::Announce,
-            10 => StoreMsg::Announce2 { joiner: self.pid()? },
+            10 => StoreMsg::Announce2 {
+                joiner: self.pid()?,
+            },
             11 => StoreMsg::Probe { epoch: self.u64()? },
             12 => StoreMsg::ProbeAck {
                 epoch: self.u64()?,

@@ -11,9 +11,9 @@
 //!   nothing — pinned by a counting-allocator test).
 //! - [`poller`]: a minimal `poll(2)` wrapper (no external crates; std
 //!   already links libc).
-//! - [`wheel`]: a calendar-queue timer wheel translating the core's
-//!   `SetTimer` outputs into poll timeouts, reusing the simulator's
-//!   calendar-queue idiom.
+//! - [`wheel`]: a timer wheel (1 ms slots, occupancy bitmap)
+//!   translating the core's `SetTimer` outputs into poll timeouts,
+//!   reusing the simulator's calendar-queue idiom.
 //! - [`node`]: the event loop — connection management, frame routing,
 //!   write coalescing, seed-roster discovery — hosting one or many
 //!   cores per process.

@@ -10,12 +10,20 @@
 //! 1. expire due timers on the [`TimerWheel`] and step their cores,
 //! 2. drain the local delivery queue (messages between hosted cores and
 //!    outputs produced by steps),
-//! 3. `poll(2)` on the listener and every connection — the timeout is
+//! 3. flush every connection's coalesced write buffer: what the timers
+//!    sent and the operations injected since the last tick,
+//! 4. `poll(2)` on the listener and every connection — the timeout is
 //!    the earliest pending timer deadline,
-//! 4. accept/read/dispatch: decode frames, route `Proto` frames to the
+//! 5. accept/read/dispatch: decode frames, route `Proto` frames to the
 //!    addressed core, apply `Roster` updates, learn routes from `Hello`s,
-//! 5. flush every connection's coalesced write buffer (one `write` per
-//!    connection per tick, no matter how many frames were queued).
+//! 6. flush again: the replies the dispatch produced,
+//! 7. reap dead connections.
+//!
+//! A flush is one `write` per connection with a backlog, no matter how
+//! many frames were queued, so a connection sees at most two per tick.
+//! (A single pre-`poll` flush carrying both was measured and did not
+//! win: it saves a `write` but holds the replies back until the next
+//! tick.)
 //!
 //! ## Identity, discovery, routing
 //!
@@ -34,7 +42,10 @@
 //! One protocol tick is one millisecond: `step` is fed
 //! `Time::from_ticks(ms since host epoch)`. The epoch is shared across a
 //! process's hosts so timestamps from different load threads are
-//! comparable.
+//! comparable. The clock is read once per phase — when a tick starts,
+//! when `poll` returns, and per [`Host::inject`] — and every step and
+//! timer of the phase uses that reading: a phase takes microseconds, far
+//! below the millisecond a tick stands for.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -154,7 +165,7 @@ impl Listener {
                     s.set_nonblocking(true)?;
                     Ok(Some(Stream::Uds(s)))
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+                Err(e) if Self::no_connection(&e) => Ok(None),
                 Err(e) => Err(e),
             },
             Listener::Tcp(l) => match l.accept() {
@@ -163,10 +174,23 @@ impl Listener {
                     s.set_nonblocking(true)?;
                     Ok(Some(Stream::Tcp(s)))
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+                Err(e) if Self::no_connection(&e) => Ok(None),
                 Err(e) => Err(e),
             },
         }
+    }
+
+    /// `accept` errors that mean "no connection this time", not a broken
+    /// listener: nothing queued, a peer that reset before it was
+    /// accepted, or a signal. The level-triggered poll reports any
+    /// connection still queued.
+    fn no_connection(e: &io::Error) -> bool {
+        matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock
+                | io::ErrorKind::ConnectionAborted
+                | io::ErrorKind::Interrupted
+        )
     }
 
     /// The raw fd, for polling.
@@ -364,6 +388,9 @@ const SCRATCH: usize = 64 * 1024;
 pub struct Host {
     cfg: HostCfg,
     epoch: Instant,
+    /// The clock as read at the start of the current loop phase, in ms
+    /// since `epoch`: every step and timer of the phase uses it.
+    phase_ms: u64,
     cores: Vec<CoreSlot>,
     by_pid: HashMap<u64, usize>,
     started: bool,
@@ -447,6 +474,7 @@ impl Host {
             scratch: vec![0u8; SCRATCH].into_boxed_slice(),
             pollfds: Vec::new(),
             poll_map: Vec::new(),
+            phase_ms: epoch.elapsed().as_millis() as u64,
             epoch,
             cfg,
         };
@@ -491,6 +519,7 @@ impl Host {
     /// (operation invocations). Outputs are routed immediately.
     pub fn inject(&mut self, i: usize, msg: StoreMsg) {
         let me = self.cores[i].pid;
+        self.phase_ms = self.now_ms();
         self.local_q.push_back((i, me, msg));
         self.drain_local();
     }
@@ -541,13 +570,15 @@ impl Host {
     /// client cannot be dialed, so it must never be drafted into a
     /// configuration).
     fn step_core(&mut self, idx: usize, input: CoreIn) {
-        let now = Time::from_ticks(self.now_ms());
+        let now = Time::from_ticks(self.phase_ms);
         let peers: &[ProcessId] = match input {
             CoreIn::Start if self.cfg.role != ROLE_REPLICA => &[],
             _ => &self.peer_replicas,
         };
         let hosted = &mut self.cores[idx];
-        hosted.core.step(now, hosted.pid, peers, input, &mut self.out);
+        hosted
+            .core
+            .step(now, hosted.pid, peers, input, &mut self.out);
         self.route_outputs(idx);
     }
 
@@ -564,7 +595,7 @@ impl Host {
 
     /// Dispatches everything the last step appended to `self.out`.
     fn route_outputs(&mut self, core_idx: usize) {
-        let now_ms = self.now_ms();
+        let now_ms = self.phase_ms;
         let from = self.cores[core_idx].pid;
         let mut out = std::mem::take(&mut self.out);
         for effect in out.drain(..) {
@@ -602,7 +633,7 @@ impl Host {
     }
 
     fn dial(&mut self, to: ProcessId) -> Option<usize> {
-        let now_ms = self.now_ms();
+        let now_ms = self.phase_ms;
         if self
             .dial_backoff
             .get(&to.as_raw())
@@ -673,9 +704,9 @@ impl Host {
     /// a timer is due sooner). Returns the number of frames processed.
     pub fn tick(&mut self, max_wait_ms: u64) -> io::Result<usize> {
         // 1. timers
-        let now_ms = self.now_ms();
+        self.phase_ms = self.now_ms();
         let mut fired = std::mem::take(&mut self.fired);
-        self.wheel.expire(now_ms, &mut fired);
+        self.wheel.expire(self.phase_ms, &mut fired);
         for packed in fired.drain(..) {
             let (idx, token) = unpack(packed);
             self.step_core(idx, CoreIn::Timer(token));
@@ -717,6 +748,7 @@ impl Host {
             return Ok(0);
         }
         poll_fds(&mut self.pollfds, Some(timeout as u32))?;
+        self.phase_ms = self.now_ms();
 
         // 5. accept + read + dispatch
         let mut processed = 0;
@@ -781,6 +813,17 @@ mod tests {
         let t = Addr::parse("tcp:127.0.0.1:9000").unwrap();
         assert_eq!(t, Addr::Tcp("127.0.0.1:9000".into()));
         assert!(Addr::parse("/tmp/x.sock").is_err());
+    }
+
+    #[test]
+    fn only_a_broken_listener_fails_accept() {
+        use io::ErrorKind::*;
+        for kind in [WouldBlock, ConnectionAborted, Interrupted] {
+            assert!(Listener::no_connection(&kind.into()), "{kind:?}");
+        }
+        for kind in [InvalidInput, PermissionDenied, OutOfMemory] {
+            assert!(!Listener::no_connection(&kind.into()), "{kind:?}");
+        }
     }
 
     #[test]

@@ -45,7 +45,12 @@ fn store_msg() -> impl Strategy<Value = StoreMsg> {
         reg_op().prop_map(StoreMsg::Invoke),
         members().prop_map(|members| StoreMsg::Reconfigure { members }),
         (tag(), any::<u64>()).prop_map(|(tag, epoch)| StoreMsg::Query { tag, epoch }),
-        (tag(), any::<u64>(), stamp(), proptest::option::of(any::<u64>()))
+        (
+            tag(),
+            any::<u64>(),
+            stamp(),
+            proptest::option::of(any::<u64>())
+        )
             .prop_map(|(tag, epoch, stamp, value)| StoreMsg::Store {
                 tag,
                 epoch,
@@ -56,14 +61,12 @@ fn store_msg() -> impl Strategy<Value = StoreMsg> {
         (tag(), stamp(), proptest::option::of(any::<u64>()))
             .prop_map(|(tag, stamp, value)| StoreMsg::QueryAck { tag, stamp, value }),
         tag().prop_map(|tag| StoreMsg::StoreAck { tag }),
-        (tag(), any::<u64>(), members())
-            .prop_map(|(tag, epoch, members)| StoreMsg::Fenced {
-                tag,
-                epoch,
-                members
-            }),
-        (any::<u64>(), members())
-            .prop_map(|(epoch, members)| StoreMsg::ViewRep { epoch, members }),
+        (tag(), any::<u64>(), members()).prop_map(|(tag, epoch, members)| StoreMsg::Fenced {
+            tag,
+            epoch,
+            members
+        }),
+        (any::<u64>(), members()).prop_map(|(epoch, members)| StoreMsg::ViewRep { epoch, members }),
         Just(StoreMsg::Announce),
         pid().prop_map(|joiner| StoreMsg::Announce2 { joiner }),
         any::<u64>().prop_map(|epoch| StoreMsg::Probe { epoch }),
@@ -71,14 +74,24 @@ fn store_msg() -> impl Strategy<Value = StoreMsg> {
             .prop_map(|(epoch, candidates)| StoreMsg::ProbeAck { epoch, candidates }),
         (any::<u64>(), members())
             .prop_map(|(epoch, members)| StoreMsg::RecQuery { epoch, members }),
-        (any::<u64>(), any::<u64>(), stamp(), proptest::option::of(any::<u64>()))
+        (
+            any::<u64>(),
+            any::<u64>(),
+            stamp(),
+            proptest::option::of(any::<u64>())
+        )
             .prop_map(|(epoch, base, stamp, value)| StoreMsg::RecAck {
                 epoch,
                 base,
                 stamp,
                 value
             }),
-        (any::<u64>(), members(), stamp(), proptest::option::of(any::<u64>()))
+        (
+            any::<u64>(),
+            members(),
+            stamp(),
+            proptest::option::of(any::<u64>())
+        )
             .prop_map(|(epoch, members, stamp, value)| StoreMsg::Migrate {
                 epoch,
                 members,
@@ -107,11 +120,7 @@ fn wire_msg() -> impl Strategy<Value = WireMsg> {
         }),
         proptest::collection::vec((pid(), any::<u8>(), addr()), 0..8)
             .prop_map(|entries| WireMsg::Roster { entries }),
-        (pid(), pid(), store_msg()).prop_map(|(from, to, msg)| WireMsg::Proto {
-            from,
-            to,
-            msg
-        }),
+        (pid(), pid(), store_msg()).prop_map(|(from, to, msg)| WireMsg::Proto { from, to, msg }),
     ]
 }
 

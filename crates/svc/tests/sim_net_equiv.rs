@@ -78,7 +78,17 @@ fn pid(raw: u64) -> ProcessId {
     ProcessId::from_raw(raw)
 }
 
-fn outcome_of(core_of: impl Fn(u64) -> (Vec<(RegOp, Option<RegResp>, bool)>, u64, Vec<ProcessId>, (Stamp, Option<u64>)), client_log: Vec<(RegOp, Option<RegResp>, bool)>) -> Outcome {
+fn outcome_of(
+    core_of: impl Fn(
+        u64,
+    ) -> (
+        Vec<(RegOp, Option<RegResp>, bool)>,
+        u64,
+        Vec<ProcessId>,
+        (Stamp, Option<u64>),
+    ),
+    client_log: Vec<(RegOp, Option<RegResp>, bool)>,
+) -> Outcome {
     let mut epochs = Vec::new();
     let mut members = Vec::new();
     let mut states = Vec::new();
@@ -116,7 +126,10 @@ impl Harness {
         let params = net_params(INITIAL.iter().copied().map(pid).collect());
         let mut pids: Vec<ProcessId> = REPLICAS.iter().copied().map(pid).collect();
         pids.push(pid(CLIENT));
-        let cores = pids.iter().map(|_| StoreCore::new(params.clone())).collect();
+        let cores = pids
+            .iter()
+            .map(|_| StoreCore::new(params.clone()))
+            .collect();
         let mut h = Harness {
             pids,
             cores,
@@ -317,13 +330,14 @@ fn run_networked() -> Outcome {
     .expect("client host");
 
     let deadline = Instant::now() + Duration::from_secs(60);
-    let pump = |replicas: &mut Host, client: &mut Host, done: &mut dyn FnMut(&Host, &Host) -> bool| {
-        while !done(replicas, client) {
-            assert!(Instant::now() < deadline, "networked side timed out");
-            replicas.tick(1).unwrap();
-            client.tick(1).unwrap();
-        }
-    };
+    let pump =
+        |replicas: &mut Host, client: &mut Host, done: &mut dyn FnMut(&Host, &Host) -> bool| {
+            while !done(replicas, client) {
+                assert!(Instant::now() < deadline, "networked side timed out");
+                replicas.tick(1).unwrap();
+                client.tick(1).unwrap();
+            }
+        };
 
     pump(&mut replicas, &mut client, &mut |r, c| {
         r.started() && c.started()
@@ -384,11 +398,17 @@ fn scripted_tape_agrees_between_sim_harness_and_loopback_service() {
     // equivalence claim says anything: all ops answered, epoch moved.
     assert_eq!(direct.responses.len(), 8, "direct: every op completed");
     assert!(
-        direct.responses.iter().all(|(_, r, aborted)| r.is_some() && !aborted),
+        direct
+            .responses
+            .iter()
+            .all(|(_, r, aborted)| r.is_some() && !aborted),
         "direct: no aborts on a lossless network: {:?}",
         direct.responses
     );
-    assert!(direct.epochs.iter().all(|&e| e == 2), "direct: epoch advanced");
+    assert!(
+        direct.epochs.iter().all(|&e| e == 2),
+        "direct: epoch advanced"
+    );
     assert_eq!(
         direct.members,
         vec![NEW_MEMBERS.iter().copied().map(pid).collect::<Vec<_>>(); 3],
