@@ -265,8 +265,6 @@ fn flood_target_sized(
             Ok(())
         },
     )
-    .with_reduction()
-    .with_fork()
 }
 
 // ---------------------------------------------------------------------------
@@ -438,8 +436,6 @@ fn race_target(wait_for_all: bool) -> WorldTarget<RaceMsg> {
             Ok(())
         },
     )
-    .with_reduction()
-    .with_fork()
 }
 
 // ---------------------------------------------------------------------------
@@ -542,8 +538,6 @@ fn store_writeback_target(write_back: bool) -> WorldTarget<StoreMsg> {
             )
         },
     )
-    .with_reduction()
-    .with_fork()
 }
 
 const WB_WRITER: u64 = 3;
@@ -641,8 +635,6 @@ fn store_fencing_target(epoch_fencing: bool) -> WorldTarget<StoreMsg> {
             )
         },
     )
-    .with_reduction()
-    .with_fork()
 }
 
 /// The shared SCD mutant scenario: a 3-process line where the two
@@ -689,8 +681,6 @@ fn scd_target(family: &'static str, fault: ScdFault) -> WorldTarget<ScdMsg> {
             })
         },
     )
-    .with_reduction()
-    .with_fork()
 }
 
 /// Set-constraint ablation: singleton sets in insertion order.
@@ -767,8 +757,6 @@ fn token_stab_target(correct: bool) -> StabTarget<TokenMsg> {
             }
         },
     )
-    .with_reduction()
-    .with_fork()
 }
 
 /// The membership view on a 3-ring, one process seeded with a phantom
@@ -820,8 +808,6 @@ fn view_stab_target(correct: bool) -> StabTarget<ProbeMsg> {
             Ok(())
         },
     )
-    .with_reduction()
-    .with_fork()
 }
 
 const RECONFIG_WRITER: u64 = 4;
@@ -926,8 +912,6 @@ fn store_reconfig_target() -> WorldTarget<StoreMsg> {
             Ok(())
         },
     )
-    .with_reduction()
-    .with_fork()
 }
 
 #[cfg(test)]

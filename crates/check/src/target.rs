@@ -192,13 +192,14 @@ struct Scenario<M> {
     deadline: Time,
     /// The verdict in its initial state; every run starts from a clone.
     judge: Judge<M>,
+    /// On unless a test turns it off: see [`WorldTarget::new`].
     reduction_safe: bool,
-    /// Message fingerprint hook; `Some` opts the target into
-    /// snapshot-forking exploration sessions.
-    forkable: Option<fn(&M, &mut StableHasher)>,
+    /// Message fingerprint hook, taken once so every session and fork
+    /// hands the kernel the same function.
+    msg_fp: fn(&M, &mut StableHasher),
 }
 
-impl<M: Clone + 'static> Scenario<M> {
+impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
     fn new(
         name: String,
         deadline: Time,
@@ -210,8 +211,8 @@ impl<M: Clone + 'static> Scenario<M> {
             build,
             deadline,
             judge,
-            reduction_safe: false,
-            forkable: None,
+            reduction_safe: true,
+            msg_fp: fingerprint_msg::<M>,
         }
     }
 
@@ -221,7 +222,7 @@ impl<M: Clone + 'static> Scenario<M> {
         WorldSession {
             world: (self.build)(),
             deadline: self.deadline,
-            msg_fp: self.forkable,
+            msg_fp: self.msg_fp,
             judge: self.judge.clone(),
             at: Time::ZERO,
             ready: Vec::new(),
@@ -236,12 +237,10 @@ impl<M: Clone + 'static> Scenario<M> {
         RunReport { choices, violation: run.violation() }
     }
 
-    /// Opens a live session for the explorer, or `None` when the target
-    /// did not opt into forking or some component of the world cannot
-    /// fork — the explorer must then take the replay path from the start
-    /// rather than fail mid-search.
+    /// Opens a live session for the explorer, or `None` when some
+    /// component of the world cannot fork — the explorer must then take
+    /// the replay path from the start rather than fail mid-search.
     fn session(&mut self) -> Option<Box<dyn ExploreSession>> {
-        self.forkable?;
         let session = self.open();
         if !session.world.can_fork() {
             return None;
@@ -302,40 +301,21 @@ impl<M: Clone + 'static> Scenario<M> {
     }
 }
 
-/// The builder methods and [`Target`] plumbing [`WorldTarget`] and
+/// The builder method and [`Target`] plumbing [`WorldTarget`] and
 /// [`StabTarget`] share: the types differ only in the [`Judge`] their
 /// constructors hand the scenario.
 macro_rules! scenario_target {
     ($target:ident) => {
-        impl<M: Clone + 'static> $target<M> {
-            /// Declares the target's callbacks rng-free, enabling the
-            /// sleep-set reduction.
-            pub fn with_reduction(mut self) -> Self {
-                self.scenario.reduction_safe = true;
-                self
-            }
-
-            /// Opts the target into snapshot-forking exploration: its
-            /// message type can be fingerprinted, so [`Target::session`]
-            /// returns a live session (provided the world's actors and
-            /// driver also support forking — asked when the session
-            /// opens).
-            pub fn with_fork(mut self) -> Self
-            where
-                M: FingerprintMsg,
-            {
-                self.scenario.forkable = Some(fingerprint_msg::<M>);
-                self
-            }
-
-            /// Turns the reduction back off (to measure its effect, or to
-            /// cross-check that it prunes only commutative interleavings).
+        impl<M: Clone + FingerprintMsg + 'static> $target<M> {
+            /// Turns the sleep-set reduction off (to measure its effect,
+            /// or to cross-check that it prunes only commutative
+            /// interleavings).
             pub fn disable_reduction(&mut self) {
                 self.scenario.reduction_safe = false;
             }
         }
 
-        impl<M: Clone + 'static> Target for $target<M> {
+        impl<M: Clone + FingerprintMsg + 'static> Target for $target<M> {
             fn name(&self) -> &str {
                 &self.scenario.name
             }
@@ -369,10 +349,15 @@ pub struct WorldTarget<M> {
     scenario: Scenario<M>,
 }
 
-impl<M: Clone + 'static> WorldTarget<M> {
+impl<M: Clone + FingerprintMsg + 'static> WorldTarget<M> {
     /// Creates a world target. `build` must return a freshly built,
     /// deterministic world (same seed every time); `check` judges the
     /// final state.
+    ///
+    /// Exploration forks the world at choice points ([`Target::session`]
+    /// opens a live session whenever the world's actors and driver can
+    /// fork) and prunes with the sleep-set reduction, which assumes the
+    /// actor callbacks do not race through the shared rng.
     pub fn new(
         name: impl Into<String>,
         deadline: Time,
@@ -414,9 +399,10 @@ pub struct StabTarget<M> {
     scenario: Scenario<M>,
 }
 
-impl<M: Clone + 'static> StabTarget<M> {
+impl<M: Clone + FingerprintMsg + 'static> StabTarget<M> {
     /// Creates a stabilization target: the world must be legal at every
-    /// tick after `converge_by` through `hold_until`.
+    /// tick after `converge_by` through `hold_until`. Exploration forks
+    /// and reduces as for [`WorldTarget::new`].
     ///
     /// # Panics
     ///
@@ -506,9 +492,7 @@ impl<M> Judge<M> {
 struct WorldSession<M> {
     world: World<M>,
     deadline: Time,
-    /// `None` when the target did not opt into forking: the run still
-    /// steps, it just has no fingerprint.
-    msg_fp: Option<fn(&M, &mut StableHasher)>,
+    msg_fp: fn(&M, &mut StableHasher),
     judge: Judge<M>,
     /// Instant of the pending choice point, when stopped at one.
     at: Time,
@@ -623,7 +607,7 @@ impl<M: Clone + 'static> ExploreSession for WorldSession<M> {
     }
 
     fn fingerprint(&self) -> Option<u64> {
-        let world = self.world.fingerprint(self.msg_fp?)?;
+        let world = self.world.fingerprint(self.msg_fp)?;
         let Judge::Trajectory { next_sample, violation, .. } = &self.judge else {
             return Some(world);
         };

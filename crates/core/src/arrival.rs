@@ -276,7 +276,9 @@ mod tests {
 
     #[test]
     fn display_names_mention_taxonomy() {
-        assert!(ArrivalModel::FiniteKnown { n: 2 }.to_string().contains("M^n"));
+        assert!(ArrivalModel::FiniteKnown { n: 2 }
+            .to_string()
+            .contains("M^n"));
         assert!(ArrivalModel::InfiniteBounded { b: 2 }
             .to_string()
             .contains("M^inf_b"));

@@ -250,7 +250,9 @@ mod tests {
     fn unbalanced_flag_propagates() {
         let spec = ChurnSpec::unbalanced(0.2, TimeDelta::ticks(4)).unwrap();
         assert!(!spec.is_balanced());
-        assert!(ChurnSpec::rate(0.2, TimeDelta::ticks(4)).unwrap().is_balanced());
+        assert!(ChurnSpec::rate(0.2, TimeDelta::ticks(4))
+            .unwrap()
+            .is_balanced());
     }
 
     #[test]

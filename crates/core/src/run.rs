@@ -238,7 +238,11 @@ impl Trace {
             joins,
             leaves,
             crashes,
-            min_membership: if saw_membership_event { min_membership } else { 0 },
+            min_membership: if saw_membership_event {
+                min_membership
+            } else {
+                0
+            },
             max_membership,
             observed_ticks: self.horizon().as_ticks(),
         }
@@ -412,12 +416,30 @@ mod tests {
 
     fn sample_trace() -> Trace {
         let mut tr = Trace::new();
-        tr.push(TraceEvent::Join { pid: pid(0), at: t(0) });
-        tr.push(TraceEvent::Join { pid: pid(1), at: t(0) });
-        tr.push(TraceEvent::Join { pid: pid(2), at: t(3) });
-        tr.push(TraceEvent::Leave { pid: pid(1), at: t(5) });
-        tr.push(TraceEvent::Join { pid: pid(3), at: t(6) });
-        tr.push(TraceEvent::Crash { pid: pid(2), at: t(8) });
+        tr.push(TraceEvent::Join {
+            pid: pid(0),
+            at: t(0),
+        });
+        tr.push(TraceEvent::Join {
+            pid: pid(1),
+            at: t(0),
+        });
+        tr.push(TraceEvent::Join {
+            pid: pid(2),
+            at: t(3),
+        });
+        tr.push(TraceEvent::Leave {
+            pid: pid(1),
+            at: t(5),
+        });
+        tr.push(TraceEvent::Join {
+            pid: pid(3),
+            at: t(6),
+        });
+        tr.push(TraceEvent::Crash {
+            pid: pid(2),
+            at: t(8),
+        });
         // Message traffic moves the horizon only.
         tr.advance(t(9));
         tr.advance(t(10));
@@ -427,9 +449,15 @@ mod tests {
     #[test]
     fn push_enforces_time_order() {
         let mut tr = Trace::new();
-        tr.push(TraceEvent::Join { pid: pid(0), at: t(5) });
+        tr.push(TraceEvent::Join {
+            pid: pid(0),
+            at: t(5),
+        });
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tr.push(TraceEvent::Join { pid: pid(1), at: t(4) });
+            tr.push(TraceEvent::Join {
+                pid: pid(1),
+                at: t(4),
+            });
         }));
         assert!(result.is_err());
     }
@@ -440,7 +468,10 @@ mod tests {
         assert_eq!(tr.len(), 6);
         assert_eq!(tr.horizon(), t(10));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tr.push(TraceEvent::Join { pid: pid(9), at: t(9) });
+            tr.push(TraceEvent::Join {
+                pid: pid(9),
+                at: t(9),
+            });
         }));
         assert!(result.is_err(), "a push behind an advance is out of order");
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tr.advance(t(9))));
@@ -499,9 +530,18 @@ mod tests {
     fn max_concurrency_with_replacement_is_tight() {
         // p0 leaves at t=2 and p1 joins at t=2: never 2 simultaneously.
         let mut tr = Trace::new();
-        tr.push(TraceEvent::Join { pid: pid(0), at: t(0) });
-        tr.push(TraceEvent::Leave { pid: pid(0), at: t(2) });
-        tr.push(TraceEvent::Join { pid: pid(1), at: t(2) });
+        tr.push(TraceEvent::Join {
+            pid: pid(0),
+            at: t(0),
+        });
+        tr.push(TraceEvent::Leave {
+            pid: pid(0),
+            at: t(2),
+        });
+        tr.push(TraceEvent::Join {
+            pid: pid(1),
+            at: t(2),
+        });
         assert_eq!(tr.presence().max_concurrency(), 1);
     }
 
@@ -538,8 +578,14 @@ mod tests {
     fn extend_appends_in_order() {
         let mut tr = Trace::new();
         tr.extend([
-            TraceEvent::Join { pid: pid(0), at: t(0) },
-            TraceEvent::Leave { pid: pid(0), at: t(1) },
+            TraceEvent::Join {
+                pid: pid(0),
+                at: t(0),
+            },
+            TraceEvent::Leave {
+                pid: pid(0),
+                at: t(1),
+            },
         ]);
         assert_eq!(tr.len(), 2);
     }
@@ -547,8 +593,14 @@ mod tests {
     #[test]
     fn open_presence_covers_query_window_at_horizon() {
         let mut tr = Trace::new();
-        tr.push(TraceEvent::Join { pid: pid(0), at: t(0) });
-        tr.push(TraceEvent::Join { pid: pid(1), at: t(2) });
+        tr.push(TraceEvent::Join {
+            pid: pid(0),
+            at: t(0),
+        });
+        tr.push(TraceEvent::Join {
+            pid: pid(1),
+            at: t(2),
+        });
         let pm = tr.presence();
         let window = Interval::new(t(0), t(2));
         assert_eq!(pm.present_throughout(&window), vec![pid(0)]);

@@ -54,7 +54,9 @@ pub struct History<Op, Resp> {
 
 impl<Op, Resp> Default for History<Op, Resp> {
     fn default() -> Self {
-        History { records: Vec::new() }
+        History {
+            records: Vec::new(),
+        }
     }
 }
 

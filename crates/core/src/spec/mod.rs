@@ -15,7 +15,7 @@
 
 pub mod aggregate;
 pub mod consensus;
-pub mod hook;
 pub mod history;
+pub mod hook;
 pub mod one_time_query;
 pub mod register;

@@ -126,7 +126,10 @@ impl ValidityLevel {
     /// `true` for outcomes that are at least sound (no phantom
     /// contributors) and terminated.
     pub const fn is_sound(&self) -> bool {
-        matches!(self, ValidityLevel::IntervalValid | ValidityLevel::WeaklyValid)
+        matches!(
+            self,
+            ValidityLevel::IntervalValid | ValidityLevel::WeaklyValid
+        )
     }
 }
 
@@ -237,11 +240,7 @@ pub fn check_outcome(outcome: &QueryOutcome, presence: &PresenceMap) -> Validity
         .difference(&outcome.contributors)
         .copied()
         .collect();
-    let phantom: BTreeSet<ProcessId> = outcome
-        .contributors
-        .difference(&allowed)
-        .copied()
-        .collect();
+    let phantom: BTreeSet<ProcessId> = outcome.contributors.difference(&allowed).copied().collect();
 
     let level = if !phantom.is_empty() {
         ValidityLevel::Invalid
@@ -318,12 +317,30 @@ mod tests {
     /// p3 departed before the window.
     fn trace() -> Trace {
         let mut tr = Trace::new();
-        tr.push(TraceEvent::Join { pid: pid(3), at: t(0) });
-        tr.push(TraceEvent::Join { pid: pid(0), at: t(0) });
-        tr.push(TraceEvent::Join { pid: pid(1), at: t(0) });
-        tr.push(TraceEvent::Leave { pid: pid(3), at: t(2) });
-        tr.push(TraceEvent::Leave { pid: pid(1), at: t(6) });
-        tr.push(TraceEvent::Join { pid: pid(2), at: t(7) });
+        tr.push(TraceEvent::Join {
+            pid: pid(3),
+            at: t(0),
+        });
+        tr.push(TraceEvent::Join {
+            pid: pid(0),
+            at: t(0),
+        });
+        tr.push(TraceEvent::Join {
+            pid: pid(1),
+            at: t(0),
+        });
+        tr.push(TraceEvent::Leave {
+            pid: pid(3),
+            at: t(2),
+        });
+        tr.push(TraceEvent::Leave {
+            pid: pid(1),
+            at: t(6),
+        });
+        tr.push(TraceEvent::Join {
+            pid: pid(2),
+            at: t(7),
+        });
         tr.push(TraceEvent::Join {
             pid: pid(9),
             at: t(20),

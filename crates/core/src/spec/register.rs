@@ -4,22 +4,30 @@
 //! self-implementations in `dds-registers` must provide an **atomic**
 //! register: every history must be *linearizable* — explainable by placing
 //! each operation at a single instant inside its interval such that every
-//! read returns the most recently written value. The checker here is a
-//! Wing–Gong style exhaustive search specialized to registers, with
-//! memoization on (linearized-set, last-write) pairs, which is fast enough
-//! for the bounded histories our scheduler produces.
+//! read returns the most recently written value. Two checkers decide it:
+//!
+//! - [`check_atomic`] is a Wing–Gong style exhaustive search specialized to
+//!   registers, with memoization on (linearized-set, last-write) pairs. It
+//!   takes any history of up to 128 operations (its bitmask width) and
+//!   returns a witness linearization.
+//! - [`check_atomic_unique`] takes histories whose writes carry distinct
+//!   values, so every read names its write, and decides them in
+//!   O(n log n) with no size cap (Gibbons–Korach). It checks whole
+//!   networked logs of millions of operations; [`check_atomic`] is its
+//!   differential oracle.
 //!
 //! The weaker **regular** condition (meaningful for a single writer) lets a
 //! read concurrent with writes return either the previous value or any
 //! concurrently-written one; [`check_regular_single_writer`] validates it
 //! directly, read by read.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::spec::history::{History, OpRecord};
+use crate::time::Time;
 
 /// Operations on a register holding `u64` values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -76,7 +84,7 @@ impl fmt::Display for Linearizability {
     }
 }
 
-/// Error from [`check_atomic`].
+/// Error from the register checkers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckError {
     /// The history has more operations than the checker supports (128).
@@ -85,19 +93,28 @@ pub enum CheckError {
     MalformedHistory,
     /// An operation completed without a recorded response value.
     MissingResponse(usize),
+    /// The write at this index carries a value an earlier write already
+    /// carried ([`check_atomic_unique`] needs every read to name its write).
+    DuplicateWrite(usize),
 }
 
 impl fmt::Display for CheckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckError::TooLarge(n) => {
-                write!(f, "history of {n} operations exceeds the 128-op checker limit")
+                write!(
+                    f,
+                    "history of {n} operations exceeds the 128-op checker limit"
+                )
             }
             CheckError::MalformedHistory => {
                 write!(f, "history interleaves operations of a single process")
             }
             CheckError::MissingResponse(i) => {
                 write!(f, "operation {i} completed without a response value")
+            }
+            CheckError::DuplicateWrite(i) => {
+                write!(f, "operation {i} writes a value an earlier write carried")
             }
         }
     }
@@ -194,8 +211,14 @@ pub fn check_atomic(history: &RegisterHistory) -> Result<Linearizability, CheckE
                 (RegOp::Read, Some(resp)) => {
                     if read_matches(resp, last_write_val) {
                         witness.push(i);
-                        if dfs(records, preceded_by, done | (1 << i), last_write_idx, memo, witness)
-                        {
+                        if dfs(
+                            records,
+                            preceded_by,
+                            done | (1 << i),
+                            last_write_idx,
+                            memo,
+                            witness,
+                        ) {
                             return true;
                         }
                         witness.pop();
@@ -222,6 +245,160 @@ pub fn check_atomic(history: &RegisterHistory) -> Result<Linearizability, CheckE
     } else {
         Ok(Linearizability::NotLinearizable)
     }
+}
+
+/// Outcome of [`check_atomic_unique`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Atomicity {
+    /// Some linearization exists (none is built).
+    Linearizable,
+    /// No linearization exists.
+    NotLinearizable {
+        /// Index into `history.records()` of a record that takes part in
+        /// the conflict: a read of a value never written or answered before
+        /// its write was invoked, or the read whose invocation closes the
+        /// zone of an overlapping cluster — for a stale read, that read.
+        record: usize,
+    },
+}
+
+impl Atomicity {
+    /// `true` when the history is linearizable.
+    pub const fn is_linearizable(&self) -> bool {
+        matches!(self, Atomicity::Linearizable)
+    }
+}
+
+/// Checks atomicity (linearizability) of a register history whose writes
+/// carry distinct values, in O(n log n) and with no size cap (Gibbons and
+/// Korach, *Testing Shared Memories*, SIAM J. Comput. 1997).
+///
+/// Distinct values map every read to the one write it returned, so the
+/// history splits into *clusters*: a write with the completed reads of its
+/// value; reads of `⊥` form a cluster with a virtual write at −∞. A pending
+/// write takes part only when some read returns its value, and then
+/// responds at +∞; pending reads are ignored. A cluster's latest invocation
+/// `s` and earliest response `f` give its *zone*: forward `[f, s]` when
+/// `f < s` (the cluster must stretch across it), backward `[s, f]`
+/// otherwise. The history is linearizable iff
+///
+/// - no read responds before its write is invoked,
+/// - no two forward zones overlap (touching endpoints do not: an operation
+///   responding at `t` and one invoked at `t` are concurrent), and
+/// - no backward zone lies strictly inside a forward zone.
+///
+/// A read of a value no write carries is not linearizable. The verdict is
+/// [`check_atomic`]'s on every history that search accepts, without the
+/// witness. Well-formedness is not required: a pending write is an interval
+/// open to +∞ whoever issued it, which is how an aborted write that may
+/// still land is modelled.
+///
+/// # Errors
+///
+/// [`CheckError::DuplicateWrite`] when two writes carry the same value,
+/// [`CheckError::MissingResponse`] when a completed operation has no
+/// response value.
+pub fn check_atomic_unique(history: &RegisterHistory) -> Result<Atomicity, CheckError> {
+    /// A write and the reads of its value. Times live on an axis with both
+    /// infinities (`i128::MIN` is the `⊥` write, `i128::MAX` the response
+    /// of a pending write).
+    struct Cluster {
+        /// Invocation of the write.
+        written: i128,
+        /// Latest invocation in the cluster, and the record invoked then.
+        s: i128,
+        closer: usize,
+        /// Earliest response in the cluster.
+        f: i128,
+        /// A completed write, or a write some read returned.
+        effective: bool,
+    }
+    let at = |t: Time| i128::from(t.as_ticks());
+    let violation = |record| Ok(Atomicity::NotLinearizable { record });
+
+    let records = history.records();
+    for (i, r) in records.iter().enumerate() {
+        if r.is_complete() && r.response.is_none() {
+            return Err(CheckError::MissingResponse(i));
+        }
+    }
+    // Cluster 0 is ⊥'s; the others follow the writes in record order.
+    let bottom = Cluster {
+        written: i128::MIN,
+        s: i128::MIN,
+        closer: usize::MAX,
+        f: i128::MIN,
+        effective: false,
+    };
+    let mut clusters = vec![bottom];
+    let mut by_value: HashMap<u64, usize> = HashMap::new();
+    for (i, r) in records.iter().enumerate() {
+        if let RegOp::Write(v) = r.op {
+            if by_value.insert(v, clusters.len()).is_some() {
+                return Err(CheckError::DuplicateWrite(i));
+            }
+            clusters.push(Cluster {
+                written: at(r.invoked),
+                s: at(r.invoked),
+                closer: i,
+                f: r.responded.map_or(i128::MAX, at),
+                effective: r.is_complete(),
+            });
+        }
+    }
+    for (i, r) in records.iter().enumerate() {
+        let (RegOp::Read, Some(responded)) = (r.op, r.responded) else {
+            continue;
+        };
+        let k = match r.response {
+            Some(RegResp::Value(None)) => 0,
+            Some(RegResp::Value(Some(v))) => match by_value.get(&v) {
+                Some(&k) => k,
+                None => return violation(i),
+            },
+            _ => return violation(i),
+        };
+        let c = &mut clusters[k];
+        if at(responded) < c.written {
+            return violation(i);
+        }
+        if at(r.invoked) > c.s {
+            c.s = at(r.invoked);
+            c.closer = i;
+        }
+        c.f = c.f.min(at(responded));
+        c.effective = true;
+    }
+
+    let mut forward: Vec<(i128, i128, usize)> = Vec::new(); // (f, s, closer)
+    let mut backward: Vec<(i128, i128)> = Vec::new(); // (s, f)
+    for c in clusters.iter().filter(|c| c.effective) {
+        if c.f < c.s {
+            forward.push((c.f, c.s, c.closer));
+        } else {
+            backward.push((c.s, c.f));
+        }
+    }
+    forward.sort_unstable();
+    // Sorted by opening, the zones seen so far are disjoint until one
+    // opens before its predecessor (the latest-closing so far) closes.
+    for pair in forward.windows(2) {
+        let ((_, s1, closer1), (f2, s2, closer2)) = (pair[0], pair[1]);
+        if f2 < s1 {
+            return violation(if s2 > s1 { closer2 } else { closer1 });
+        }
+    }
+    // Only the last forward zone opening before a backward zone can
+    // enclose it: every earlier one closes before that one opens.
+    for (s, f) in backward {
+        let k = forward.partition_point(|&(open, _, _)| open < s);
+        if let Some(&(_, close, closer)) = k.checked_sub(1).map(|k| &forward[k]) {
+            if f < close {
+                return violation(closer);
+            }
+        }
+    }
+    Ok(Atomicity::Linearizable)
 }
 
 /// Outcome of a sequential-consistency check.
@@ -477,6 +654,113 @@ mod tests {
         rec(p, RegOp::Read, inv, resp, RegResp::Value(got))
     }
 
+    fn pending_write(p: u64, v: u64, inv: u64) -> RegisterRecord {
+        OpRecord {
+            process: ProcessId::from_raw(p),
+            op: RegOp::Write(v),
+            invoked: Time::from_ticks(inv),
+            responded: None,
+            response: None,
+        }
+    }
+
+    /// [`check_atomic`]'s verdict, after asserting that the whole-history
+    /// check reaches the same one (every fixture here writes distinct
+    /// values).
+    fn atomic(h: &RegisterHistory) -> Linearizability {
+        let verdict = check_atomic(h).unwrap();
+        assert_eq!(
+            check_atomic_unique(h).unwrap().is_linearizable(),
+            verdict.is_linearizable(),
+            "the two checkers disagree on {h}"
+        );
+        verdict
+    }
+
+    fn culprit(h: &RegisterHistory) -> Option<usize> {
+        match check_atomic_unique(h).unwrap() {
+            Atomicity::Linearizable => None,
+            Atomicity::NotLinearizable { record } => Some(record),
+        }
+    }
+
+    #[test]
+    fn whole_history_check_names_the_conflicting_read() {
+        // Stale read: its invocation closes the forward zone of write(1).
+        let mut h = RegisterHistory::new();
+        h.push(write(0, 1, 0, 1));
+        h.push(write(0, 2, 2, 3));
+        h.push(read(1, Some(1), 4, 5));
+        assert_eq!(culprit(&h), Some(2));
+        // New/old inversion: two forward zones overlap; the later-closing
+        // one is the stale read's.
+        let mut h = RegisterHistory::new();
+        h.push(write(0, 1, 0, 1));
+        h.push(write(0, 2, 2, 20));
+        h.push(read(1, Some(2), 3, 5));
+        h.push(read(1, Some(1), 6, 8));
+        assert_eq!(culprit(&h), Some(3));
+        // Two readers disagree on the order of two writes: both zones are
+        // forward, and the stale read closes the one reaching further.
+        let mut h = RegisterHistory::new();
+        h.push(write(0, 1, 0, 1));
+        h.push(write(0, 2, 2, 3));
+        h.push(read(1, Some(2), 4, 5));
+        h.push(read(2, Some(1), 6, 7));
+        assert_eq!(culprit(&h), Some(3));
+        // A read answered before its write was invoked, a phantom value.
+        let mut h = RegisterHistory::new();
+        h.push(read(1, Some(1), 0, 1));
+        h.push(write(0, 1, 2, 3));
+        assert_eq!(culprit(&h), Some(0));
+        let mut h = RegisterHistory::new();
+        h.push(write(0, 1, 0, 1));
+        h.push(read(1, Some(9), 2, 3));
+        assert_eq!(culprit(&h), Some(1));
+        // A stale ⊥ read closes ⊥'s zone, opened by the write at −∞.
+        let mut h = RegisterHistory::new();
+        h.push(write(0, 1, 0, 1));
+        h.push(read(1, None, 2, 3));
+        assert_eq!(culprit(&h), Some(1));
+    }
+
+    #[test]
+    fn whole_history_check_takes_touching_zones_and_unread_pending_writes() {
+        // write(1)'s zone [1, 4] and write(2)'s zone [4, 6] touch at 4: the
+        // read invoked at 4 and the write responding at 4 are concurrent.
+        let mut h = RegisterHistory::new();
+        h.push(write(0, 1, 0, 1));
+        h.push(write(2, 2, 2, 4));
+        h.push(read(1, Some(1), 4, 5));
+        h.push(read(1, Some(2), 6, 7));
+        assert!(atomic(&h).is_linearizable());
+        // An unread pending write is dropped; a read one responds at +∞.
+        let mut h = RegisterHistory::new();
+        h.push(write(0, 1, 0, 1));
+        h.push(pending_write(2, 2, 2));
+        h.push(read(1, Some(1), 5, 6));
+        assert!(atomic(&h).is_linearizable());
+        h.push(read(1, Some(2), 7, 8));
+        assert!(atomic(&h).is_linearizable());
+        h.push(read(1, Some(1), 9, 10));
+        assert_eq!(atomic(&h), Linearizability::NotLinearizable);
+    }
+
+    #[test]
+    fn whole_history_check_needs_distinct_write_values() {
+        let mut h = RegisterHistory::new();
+        h.push(write(0, 1, 0, 1));
+        h.push(read(1, Some(1), 2, 3));
+        h.push(pending_write(0, 1, 4));
+        assert_eq!(check_atomic_unique(&h), Err(CheckError::DuplicateWrite(2)));
+        let mut h = RegisterHistory::new();
+        h.push(OpRecord {
+            response: None,
+            ..read(1, None, 0, 1)
+        });
+        assert_eq!(check_atomic_unique(&h), Err(CheckError::MissingResponse(0)));
+    }
+
     #[test]
     fn sequential_history_is_linearizable() {
         let mut h = RegisterHistory::new();
@@ -484,7 +768,7 @@ mod tests {
         h.push(read(1, Some(1), 2, 3));
         h.push(write(0, 2, 4, 5));
         h.push(read(1, Some(2), 6, 7));
-        assert!(check_atomic(&h).unwrap().is_linearizable());
+        assert!(atomic(&h).is_linearizable());
     }
 
     #[test]
@@ -492,7 +776,7 @@ mod tests {
         let mut h = RegisterHistory::new();
         h.push(read(1, None, 0, 1));
         h.push(write(0, 7, 2, 3));
-        assert!(check_atomic(&h).unwrap().is_linearizable());
+        assert!(atomic(&h).is_linearizable());
     }
 
     #[test]
@@ -501,7 +785,7 @@ mod tests {
         h.push(write(0, 1, 0, 1));
         h.push(write(0, 2, 2, 3));
         h.push(read(1, Some(1), 4, 5)); // write(2) already finished
-        assert_eq!(check_atomic(&h).unwrap(), Linearizability::NotLinearizable);
+        assert_eq!(atomic(&h), Linearizability::NotLinearizable);
     }
 
     #[test]
@@ -513,7 +797,7 @@ mod tests {
             h.push(write(0, 2, 2, 6));
             h.push(read(1, Some(got), 3, 5));
             assert!(
-                check_atomic(&h).unwrap().is_linearizable(),
+                atomic(&h).is_linearizable(),
                 "read of {got} should be linearizable"
             );
         }
@@ -529,7 +813,7 @@ mod tests {
         h.push(write(0, 2, 2, 20));
         h.push(read(1, Some(2), 3, 5));
         h.push(read(1, Some(1), 6, 8));
-        assert_eq!(check_atomic(&h).unwrap(), Linearizability::NotLinearizable);
+        assert_eq!(atomic(&h), Linearizability::NotLinearizable);
         assert!(check_regular_single_writer(&h).unwrap());
     }
 
@@ -538,7 +822,7 @@ mod tests {
         let mut h = RegisterHistory::new();
         h.push(write(0, 1, 0, 1));
         h.push(read(1, Some(9), 2, 3));
-        assert_eq!(check_atomic(&h).unwrap(), Linearizability::NotLinearizable);
+        assert_eq!(atomic(&h), Linearizability::NotLinearizable);
         assert!(!check_regular_single_writer(&h).unwrap());
     }
 
@@ -554,7 +838,7 @@ mod tests {
             response: None,
         });
         h.push(read(1, Some(5), 1, 2));
-        assert!(check_atomic(&h).unwrap().is_linearizable());
+        assert!(atomic(&h).is_linearizable());
         // … or the initial value.
         let mut h2 = RegisterHistory::new();
         h2.push(OpRecord {
@@ -565,7 +849,7 @@ mod tests {
             response: None,
         });
         h2.push(read(1, None, 1, 2));
-        assert!(check_atomic(&h2).unwrap().is_linearizable());
+        assert!(atomic(&h2).is_linearizable());
     }
 
     #[test]
@@ -573,7 +857,7 @@ mod tests {
         let mut h = RegisterHistory::new();
         h.push(write(0, 1, 0, 1));
         h.push(read(1, Some(1), 2, 3));
-        match check_atomic(&h).unwrap() {
+        match atomic(&h) {
             Linearizability::Linearizable { witness } => {
                 let mut sorted = witness.clone();
                 sorted.sort_unstable();
@@ -609,7 +893,7 @@ mod tests {
         let mut h = RegisterHistory::new();
         h.push(write(0, 1, 0, 1));
         h.push(read(1, None, 2, 3));
-        assert_eq!(check_atomic(&h).unwrap(), Linearizability::NotLinearizable);
+        assert_eq!(atomic(&h), Linearizability::NotLinearizable);
         assert!(check_sequentially_consistent(&h)
             .unwrap()
             .is_sequentially_consistent());
@@ -624,7 +908,7 @@ mod tests {
         h.push(write(0, 1, 0, 1));
         h.push(write(1, 2, 2, 3));
         h.push(read(2, Some(1), 4, 5));
-        assert_eq!(check_atomic(&h).unwrap(), Linearizability::NotLinearizable);
+        assert_eq!(atomic(&h), Linearizability::NotLinearizable);
         assert!(check_sequentially_consistent(&h)
             .unwrap()
             .is_sequentially_consistent());
@@ -640,7 +924,7 @@ mod tests {
         h.push(write(0, 2, 2, 20));
         h.push(read(1, Some(2), 3, 5));
         h.push(read(1, Some(1), 6, 8));
-        assert_eq!(check_atomic(&h).unwrap(), Linearizability::NotLinearizable);
+        assert_eq!(atomic(&h), Linearizability::NotLinearizable);
         assert_eq!(
             check_sequentially_consistent(&h).unwrap(),
             SeqConsistency::NotSequentiallyConsistent
@@ -658,7 +942,7 @@ mod tests {
         h.push(write(0, 2, 2, 3));
         h.push(read(1, Some(2), 4, 5));
         h.push(read(2, Some(1), 6, 7));
-        assert_eq!(check_atomic(&h).unwrap(), Linearizability::NotLinearizable);
+        assert_eq!(atomic(&h), Linearizability::NotLinearizable);
         assert!(check_sequentially_consistent(&h)
             .unwrap()
             .is_sequentially_consistent());
@@ -726,7 +1010,7 @@ mod tests {
         h.push(write(0, 1, 0, 1));
         h.push(write(0, 2, 2, 6));
         h.push(read(1, Some(2), 3, 5));
-        assert!(check_atomic(&h).unwrap().is_linearizable());
+        assert!(atomic(&h).is_linearizable());
         assert!(check_sequentially_consistent(&h)
             .unwrap()
             .is_sequentially_consistent());

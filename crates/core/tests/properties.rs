@@ -32,7 +32,10 @@ fn build_trace(script: &[(u64, Option<u64>, bool)]) -> Trace {
     let mut events: Vec<TraceEvent> = Vec::new();
     for (i, &(join, depart, crash)) in script.iter().enumerate() {
         let id = pid(i as u64);
-        events.push(TraceEvent::Join { pid: id, at: t(join) });
+        events.push(TraceEvent::Join {
+            pid: id,
+            at: t(join),
+        });
         if let Some(d) = depart {
             let at = t(join + d);
             if crash {

@@ -11,7 +11,8 @@
 use dds_core::process::ProcessId;
 use dds_core::spec::history::OpRecord;
 use dds_core::spec::register::{
-    check_atomic, check_regular_single_writer, RegOp, RegResp, RegisterHistory,
+    check_atomic, check_atomic_unique, check_regular_single_writer, RegOp, RegResp,
+    RegisterHistory,
 };
 use dds_core::time::Time;
 use dds_registers::transformations::{
@@ -51,6 +52,19 @@ fn read(p: u64, v: u64, invoked: u64, responded: u64) -> OpRecord<RegOp, RegResp
     rec(p, RegOp::Read, invoked, responded, RegResp::Value(Some(v)))
 }
 
+/// `check_atomic`'s verdict, after asserting that the whole-history check
+/// reaches the same one: every history judged for atomicity here writes
+/// distinct values.
+fn linearizable(h: &RegisterHistory) -> bool {
+    let verdict = check_atomic(h).unwrap().is_linearizable();
+    assert_eq!(
+        check_atomic_unique(h).unwrap().is_linearizable(),
+        verdict,
+        "the two checkers disagree on {h}"
+    );
+    verdict
+}
+
 // --- the checker itself, on hand-written histories ---
 
 #[test]
@@ -61,7 +75,7 @@ fn sequential_history_is_linearizable() {
         write(0, 2, 5, 6),
         read(1, 2, 7, 8),
     ]);
-    assert!(check_atomic(&h).unwrap().is_linearizable());
+    assert!(linearizable(&h));
     assert!(check_regular_single_writer(&h).unwrap());
 }
 
@@ -74,7 +88,7 @@ fn read_overlapping_a_write_may_return_old_or_new() {
             read(1, v, 5, 6), // concurrent with the second write
         ]);
         assert!(
-            check_atomic(&h).unwrap().is_linearizable(),
+            linearizable(&h),
             "value {v} must be allowed during the overlap"
         );
     }
@@ -94,7 +108,7 @@ fn new_old_inversion_is_rejected() {
     ]);
     assert!(check_regular_single_writer(&h).unwrap(), "regular: each read sees old or new");
     assert!(
-        !check_atomic(&h).unwrap().is_linearizable(),
+        !linearizable(&h),
         "new/old inversion must not linearize"
     );
 }
@@ -102,7 +116,7 @@ fn new_old_inversion_is_rejected() {
 #[test]
 fn read_of_never_written_value_is_rejected() {
     let h = history(vec![write(0, 1, 1, 2), read(1, 7, 3, 4)]);
-    assert!(!check_atomic(&h).unwrap().is_linearizable());
+    assert!(!linearizable(&h));
     assert!(!check_regular_single_writer(&h).unwrap());
 }
 
@@ -111,11 +125,11 @@ fn read_of_never_written_value_is_rejected() {
 #[test]
 fn mwmr_stale_read_after_two_writers_is_rejected() {
     let good = history(vec![write(0, 1, 1, 2), write(1, 2, 3, 4), read(2, 2, 5, 6)]);
-    assert!(check_atomic(&good).unwrap().is_linearizable());
+    assert!(linearizable(&good));
 
     let stale = history(vec![write(0, 1, 1, 2), write(1, 2, 3, 4), read(2, 1, 5, 6)]);
     assert!(
-        !check_atomic(&stale).unwrap().is_linearizable(),
+        !linearizable(&stale),
         "a read after both writes must see the last one"
     );
 }
@@ -135,7 +149,7 @@ fn pending_write_may_or_may_not_take_effect() {
         });
         h.push(read(1, v, 5, 6));
         assert!(
-            check_atomic(&h).unwrap().is_linearizable(),
+            linearizable(&h),
             "pending write: read of {v} is explainable"
         );
     }
@@ -168,7 +182,7 @@ fn atomic_from_regular_meets_its_rung() {
         &[vec![RegOp::Write(3), RegOp::Write(5)], vec![RegOp::Read; 4]],
         42,
     );
-    assert!(check_atomic(&h).unwrap().is_linearizable());
+    assert!(linearizable(&h));
 }
 
 #[test]
@@ -183,7 +197,7 @@ fn swmr_from_sw1r_meets_its_rung() {
         ],
         42,
     );
-    assert!(check_atomic(&h).unwrap().is_linearizable());
+    assert!(linearizable(&h));
 }
 
 #[test]
@@ -198,5 +212,5 @@ fn mwmr_from_atomic_meets_its_rung() {
         ],
         42,
     );
-    assert!(check_atomic(&h).unwrap().is_linearizable());
+    assert!(linearizable(&h));
 }

@@ -11,7 +11,7 @@
 //!
 //! All threads share one epoch `Instant`, so `--log-ops` rows from
 //! different threads live on a single time base and the merged JSONL is
-//! directly checkable by the Wing–Gong linearizability checker.
+//! directly checkable, whole, by `run_net --check-file`.
 //!
 //! The final summary is one JSON line on stdout (and `--out FILE` if
 //! given): counts, elapsed, ops/sec, and the two latency histograms in
@@ -149,13 +149,16 @@ fn run_thread(
                     }
                 }
                 if log_ops {
-                    let end_us = epoch.elapsed().as_micros() as u64;
+                    // Both ends are read off the shared epoch, the
+                    // invocation at injection: an invocation derived as
+                    // `now - us` absorbs any stall between the two clock
+                    // reads and can land past an overlapping write.
                     out.rows.push(OpRow {
                         pid: host.pid(i).as_raw(),
                         write: last_write[i],
                         value,
-                        invoked_us: end_us.saturating_sub(us),
-                        responded_us: end_us,
+                        invoked_us: started_at[i].duration_since(epoch).as_micros() as u64,
+                        responded_us: epoch.elapsed().as_micros() as u64,
                         response,
                         aborted,
                     });
@@ -170,10 +173,10 @@ fn run_thread(
                 && (op_gap_us == 0 || Instant::now() >= ready_at[i])
             {
                 let write = rng.next() % 100 < write_pct;
-                // Written values are unique per (pid, index) so a
-                // linearizability witness can identify every write.
+                // Written values are unique per (pid, index), pid in the
+                // high 32 bits, so every logged read names its write.
                 let op = if write {
-                    RegOp::Write(host.pid(i).as_raw() * 1_000_000 + issued[i] + 1)
+                    RegOp::Write((host.pid(i).as_raw() << 32) | (issued[i] + 1))
                 } else {
                     RegOp::Read
                 };
