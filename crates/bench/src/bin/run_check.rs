@@ -1,14 +1,15 @@
 //! Budgeted schedule exploration over the dds-check validation suite.
 //!
-//! Usage: `run_check [--json <file>] [--dump-dir <dir>] [--max-runs N]
-//! [--max-preemptions N] [--fuzz-attempts N] [--seed N]`.
+//! Usage: `run_check [--json <file>] [--dump-dir <dir>] [--telemetry <file>]`.
 //!
 //! Runs every correct/mutant pair in [`dds_check::mutants::suite`] through
-//! the bounded explorer — the snapshot-forking engine with its DFS
-//! frontier sharded across `DDS_THREADS` workers
+//! the bounded explorer at the default [`Budget`] — the snapshot-forking
+//! engine with its DFS frontier sharded across `DDS_THREADS` workers
 //! ([`dds_check::explore_parallel`]), whole-run replay for the register
-//! schedules, which have no world to fork — falling back to the seeded
-//! fuzzer for mutants the explorer misses within budget. A correct target that yields a
+//! schedules, which have no world to fork — falling back to the fuzzer for
+//! mutants the explorer misses. The fallback is the one the suite's own
+//! tests grant (fuzzer seed 1, 300 attempts, depth 64), so a conviction is
+//! a property of the code, not of a flag. A correct target that yields a
 //! counterexample, or a mutant that escapes both passes, is a suite
 //! failure: the process exits 4 (the CI checking gate). Exit 2 is bad
 //! arguments.
@@ -30,6 +31,11 @@ use std::time::Instant;
 
 use dds_check::mutants::suite;
 use dds_check::{explore_parallel, fuzz, Budget, Counterexample, ProgressSample};
+
+/// The fuzzer seed and attempts a mutant the explorer missed gets: what
+/// the tests of `mutants::suite()` grant.
+const FUZZ_SEED: u64 = 1;
+const FUZZ_ATTEMPTS: usize = 300;
 
 struct Row {
     name: String,
@@ -55,9 +61,7 @@ fn main() {
     let mut json: Option<PathBuf> = None;
     let mut dump_dir: Option<PathBuf> = None;
     let mut telemetry: Option<PathBuf> = None;
-    let mut budget = Budget::default();
-    let mut fuzz_attempts = 200usize;
-    let mut seed = 1u64;
+    let budget = Budget::default();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < raw.len() {
@@ -72,10 +76,6 @@ fn main() {
             "--json" => json = Some(PathBuf::from(need(&mut i))),
             "--dump-dir" => dump_dir = Some(PathBuf::from(need(&mut i))),
             "--telemetry" => telemetry = Some(PathBuf::from(need(&mut i))),
-            "--max-runs" => budget.max_runs = parse(&need(&mut i)),
-            "--max-preemptions" => budget.max_preemptions = parse(&need(&mut i)),
-            "--fuzz-attempts" => fuzz_attempts = parse(&need(&mut i)),
-            "--seed" => seed = parse(&need(&mut i)),
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);
@@ -133,7 +133,12 @@ fn main() {
         }
         // Mutants the bounded explorer misses get the deep random pass.
         if subject.expect_violation && row.counterexample.is_none() {
-            let out = fuzz(target.as_mut(), seed, fuzz_attempts, 2 * budget.max_depth);
+            let out = fuzz(
+                target.as_mut(),
+                FUZZ_SEED,
+                FUZZ_ATTEMPTS,
+                2 * budget.max_depth,
+            );
             row.fuzz_runs = out.runs;
             row.violation_found = out.counterexample.is_some();
             row.counterexample = out.counterexample;
@@ -188,13 +193,6 @@ fn main() {
     if !all_ok {
         std::process::exit(4);
     }
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("cannot parse argument {s}");
-        std::process::exit(2);
-    })
 }
 
 fn report(row: &Row) {

@@ -60,11 +60,15 @@ fn suite_verdicts_replay_byte_identically_across_thread_counts() {
     );
 }
 
+/// Unknown flags exit 2. `run_check` takes no budget or fuzzer flags (no
+/// `--seed`): the suite's verdicts are a property of the code.
 #[test]
 fn bad_arguments_exit_2() {
-    let out = Command::new(env!("CARGO_BIN_EXE_run_check"))
-        .arg("--frobnicate")
-        .output()
-        .expect("run_check must start");
-    assert_eq!(out.status.code(), Some(2));
+    for args in [&["--frobnicate"][..], &["--seed", "1"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_run_check"))
+            .args(args)
+            .output()
+            .expect("run_check must start");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }

@@ -187,8 +187,7 @@ mod tests {
     #[test]
     fn failure_free_consensus_is_correct() {
         for seed in 0..30 {
-            let (run, blocked, _) =
-                run_consensus(2, &[10, 20, 30], &BTreeMap::new(), seed);
+            let (run, blocked, _) = run_consensus(2, &[10, 20, 30], &BTreeMap::new(), seed);
             assert!(blocked.is_empty());
             let report = check_consensus(&run);
             assert!(report.is_correct(), "seed {seed}: {report}");
@@ -236,7 +235,10 @@ mod tests {
             let crashes: BTreeMap<usize, ObjectState> =
                 [(0, ObjectState::CrashedNonresponsive)].into();
             let (run, blocked, _) = run_consensus(1, &[3, 4, 5], &crashes, seed);
-            assert!(!blocked.is_empty(), "seed {seed}: nobody should get past object 0");
+            assert!(
+                !blocked.is_empty(),
+                "seed {seed}: nobody should get past object 0"
+            );
             let report = check_consensus(&run);
             assert!(!report.termination, "seed {seed}: {report}");
         }
@@ -244,8 +246,7 @@ mod tests {
 
     #[test]
     fn nonresponsive_crash_of_later_object_blocks_after_agreement_formed() {
-        let crashes: BTreeMap<usize, ObjectState> =
-            [(1, ObjectState::CrashedNonresponsive)].into();
+        let crashes: BTreeMap<usize, ObjectState> = [(1, ObjectState::CrashedNonresponsive)].into();
         let (run, blocked, _) = run_consensus(1, &[9, 10], &crashes, 1);
         // Everyone passes object 0 and blocks on object 1.
         assert_eq!(blocked.len(), 2);

@@ -33,9 +33,10 @@
 //! model; see DESIGN.md §4.
 
 use dds_core::rng::Rng;
+use dds_core::spec::register::{RegOp, RegResp};
 
 use crate::base::{Access, BaseRegister, ObjectState};
-use crate::machine::{respondable, OpMachine, Poll};
+use crate::machine::{respondable, Poll, SteppedRegister};
 
 /// A `(sequence, value)` pair as stored in base registers.
 pub type Tagged = (u64, u64);
@@ -78,15 +79,25 @@ impl Construction {
 /// A reliable single-writer multi-reader register built from unreliable
 /// base registers.
 ///
-/// The struct owns the base-register bank and hands out operation machines;
-/// a scheduler (see [`crate::harness`]) interleaves the machines of
-/// concurrent processes.
+/// The struct owns the base-register bank and each client's operation in
+/// flight; a scheduler (see [`crate::harness`]) interleaves the operations
+/// of concurrent processes through [`SteppedRegister`]. The single-writer
+/// discipline is the caller's: writes must be serialized, as the 1WMR
+/// specification requires.
 #[derive(Debug)]
 pub struct ReliableRegister {
     mem: Vec<BaseRegister<Tagged>>,
     construction: Construction,
     t: usize,
     writer_sn: u64,
+    running: Vec<Option<Running>>,
+}
+
+/// One client's operation in flight.
+#[derive(Debug)]
+enum Running {
+    Write(WriteMachine),
+    Read(ReadMachine),
 }
 
 impl ReliableRegister {
@@ -99,6 +110,7 @@ impl ReliableRegister {
             construction,
             t,
             writer_sn: 0,
+            running: Vec::new(),
         }
     }
 
@@ -125,28 +137,44 @@ impl ReliableRegister {
     pub fn total_base_accesses(&self) -> u64 {
         self.mem.iter().map(BaseRegister::accesses).sum()
     }
+}
 
-    /// Mutable access to the bank, for machines.
-    pub(crate) fn mem_mut(&mut self) -> &mut [BaseRegister<Tagged>] {
-        &mut self.mem
+impl SteppedRegister for ReliableRegister {
+    fn begin_op(&mut self, client: usize, op: RegOp) {
+        let running = match op {
+            RegOp::Write(value) => {
+                self.writer_sn += 1;
+                Running::Write(WriteMachine::new(
+                    self.construction,
+                    self.t,
+                    (self.writer_sn, value),
+                ))
+            }
+            RegOp::Read => {
+                Running::Read(ReadMachine::new(self.construction, self.t, self.mem.len()))
+            }
+        };
+        if client >= self.running.len() {
+            self.running.resize_with(client + 1, || None);
+        }
+        self.running[client] = Some(running);
     }
 
-    /// Starts a write of `value` (single writer: callers must serialize
-    /// their writes, as the 1WMR specification requires).
-    pub fn begin_write(&mut self, value: u64) -> WriteMachine {
-        self.writer_sn += 1;
-        WriteMachine::new(self.construction, self.t, (self.writer_sn, value))
-    }
-
-    /// Starts a read.
-    pub fn begin_read(&self) -> ReadMachine {
-        ReadMachine::new(self.construction, self.t, self.mem.len())
+    fn step(&mut self, client: usize, rng: &mut Rng) -> Poll<RegResp> {
+        let poll = match self.running[client].as_mut().expect("no operation open") {
+            Running::Write(m) => m.step(&mut self.mem, rng).map(|()| RegResp::Ack),
+            Running::Read(m) => m.step(&mut self.mem, rng).map(RegResp::Value),
+        };
+        if poll != Poll::Pending {
+            self.running[client] = None;
+        }
+        poll
     }
 }
 
 /// A derived write in progress.
 #[derive(Debug, Clone)]
-pub struct WriteMachine {
+struct WriteMachine {
     construction: Construction,
     quorum: usize,
     pair: Tagged,
@@ -170,10 +198,6 @@ impl WriteMachine {
             started: false,
         }
     }
-}
-
-impl OpMachine<Tagged> for WriteMachine {
-    type Output = ();
 
     fn step(&mut self, mem: &mut [BaseRegister<Tagged>], rng: &mut Rng) -> Poll<()> {
         if !self.started {
@@ -227,7 +251,7 @@ impl OpMachine<Tagged> for WriteMachine {
 
 /// A derived read in progress.
 #[derive(Debug, Clone)]
-pub struct ReadMachine {
+struct ReadMachine {
     construction: Construction,
     quorum: usize,
     phase: ReadPhase,
@@ -265,10 +289,6 @@ impl ReadMachine {
             }
         }
     }
-}
-
-impl OpMachine<Tagged> for ReadMachine {
-    type Output = Option<u64>;
 
     fn step(&mut self, mem: &mut [BaseRegister<Tagged>], rng: &mut Rng) -> Poll<Option<u64>> {
         if !self.started {
@@ -384,14 +404,17 @@ impl OpMachine<Tagged> for ReadMachine {
 mod tests {
     use super::*;
 
-    fn drive<M: OpMachine<Tagged>>(
+    /// Runs `op` alone (as client 0) until it ends, or `Stuck` after
+    /// `max_steps`.
+    fn drive(
         reg: &mut ReliableRegister,
-        machine: &mut M,
+        op: RegOp,
         rng: &mut Rng,
         max_steps: usize,
-    ) -> Poll<M::Output> {
+    ) -> Poll<RegResp> {
+        reg.begin_op(0, op);
         for _ in 0..max_steps {
-            match machine.step(reg.mem_mut(), rng) {
+            match reg.step(0, rng) {
                 Poll::Pending => continue,
                 done => return done,
             }
@@ -404,10 +427,14 @@ mod tests {
         let mut reg = ReliableRegister::new(Construction::ResponsiveAll { write_back: true }, 2);
         assert_eq!(reg.bank_size(), 3);
         let mut rng = Rng::seeded(1);
-        let mut w = reg.begin_write(42);
-        assert_eq!(drive(&mut reg, &mut w, &mut rng, 100), Poll::Done(()));
-        let mut r = reg.begin_read();
-        assert_eq!(drive(&mut reg, &mut r, &mut rng, 100), Poll::Done(Some(42)));
+        assert_eq!(
+            drive(&mut reg, RegOp::Write(42), &mut rng, 100),
+            Poll::Done(RegResp::Ack)
+        );
+        assert_eq!(
+            drive(&mut reg, RegOp::Read, &mut rng, 100),
+            Poll::Done(RegResp::Value(Some(42)))
+        );
     }
 
     #[test]
@@ -415,13 +442,14 @@ mod tests {
         let t = 3;
         let mut reg = ReliableRegister::new(Construction::ResponsiveAll { write_back: true }, t);
         let mut rng = Rng::seeded(2);
-        let mut w = reg.begin_write(7);
-        drive(&mut reg, &mut w, &mut rng, 100);
+        drive(&mut reg, RegOp::Write(7), &mut rng, 100);
         for i in 0..t {
             reg.crash_base(i, ObjectState::CrashedResponsive);
         }
-        let mut r = reg.begin_read();
-        assert_eq!(drive(&mut reg, &mut r, &mut rng, 100), Poll::Done(Some(7)));
+        assert_eq!(
+            drive(&mut reg, RegOp::Read, &mut rng, 100),
+            Poll::Done(RegResp::Value(Some(7)))
+        );
     }
 
     #[test]
@@ -430,49 +458,51 @@ mod tests {
         let mut reg = ReliableRegister::new(Construction::ResponsiveAll { write_back: true }, 1);
         reg.crash_base(0, ObjectState::CrashedNonresponsive);
         let mut rng = Rng::seeded(3);
-        let mut r = reg.begin_read();
-        assert_eq!(drive(&mut reg, &mut r, &mut rng, 100), Poll::Stuck);
+        assert_eq!(drive(&mut reg, RegOp::Read, &mut rng, 100), Poll::Stuck);
     }
 
     #[test]
     fn majority_survives_t_nonresponsive_crashes() {
         let t = 2;
-        let mut reg =
-            ReliableRegister::new(Construction::MajorityQuorum { write_back: true }, t);
+        let mut reg = ReliableRegister::new(Construction::MajorityQuorum { write_back: true }, t);
         assert_eq!(reg.bank_size(), 5);
         let mut rng = Rng::seeded(4);
-        let mut w = reg.begin_write(99);
-        assert_eq!(drive(&mut reg, &mut w, &mut rng, 1000), Poll::Done(()));
+        assert_eq!(
+            drive(&mut reg, RegOp::Write(99), &mut rng, 1000),
+            Poll::Done(RegResp::Ack)
+        );
         for i in 0..t {
             reg.crash_base(i, ObjectState::CrashedNonresponsive);
         }
-        let mut r = reg.begin_read();
         assert_eq!(
-            drive(&mut reg, &mut r, &mut rng, 1000),
-            Poll::Done(Some(99))
+            drive(&mut reg, RegOp::Read, &mut rng, 1000),
+            Poll::Done(RegResp::Value(Some(99)))
         );
     }
 
     #[test]
     fn majority_blocks_past_tolerance() {
         let t = 1;
-        let mut reg =
-            ReliableRegister::new(Construction::MajorityQuorum { write_back: true }, t);
+        let mut reg = ReliableRegister::new(Construction::MajorityQuorum { write_back: true }, t);
         for i in 0..2 {
             // t+1 nonresponsive crashes: no majority can respond.
             reg.crash_base(i, ObjectState::CrashedNonresponsive);
         }
         let mut rng = Rng::seeded(5);
-        let mut w = reg.begin_write(1);
-        assert_eq!(drive(&mut reg, &mut w, &mut rng, 1000), Poll::Stuck);
+        assert_eq!(
+            drive(&mut reg, RegOp::Write(1), &mut rng, 1000),
+            Poll::Stuck
+        );
     }
 
     #[test]
     fn read_of_fresh_register_returns_bottom() {
         let mut reg = ReliableRegister::new(Construction::ResponsiveAll { write_back: true }, 1);
         let mut rng = Rng::seeded(6);
-        let mut r = reg.begin_read();
-        assert_eq!(drive(&mut reg, &mut r, &mut rng, 100), Poll::Done(None));
+        assert_eq!(
+            drive(&mut reg, RegOp::Read, &mut rng, 100),
+            Poll::Done(RegResp::Value(None))
+        );
     }
 
     #[test]
@@ -480,19 +510,19 @@ mod tests {
         let mut reg = ReliableRegister::new(Construction::ResponsiveAll { write_back: true }, 1);
         let mut rng = Rng::seeded(7);
         for v in [10, 20, 30] {
-            let mut w = reg.begin_write(v);
-            drive(&mut reg, &mut w, &mut rng, 100);
+            drive(&mut reg, RegOp::Write(v), &mut rng, 100);
         }
-        let mut r = reg.begin_read();
-        assert_eq!(drive(&mut reg, &mut r, &mut rng, 100), Poll::Done(Some(30)));
+        assert_eq!(
+            drive(&mut reg, RegOp::Read, &mut rng, 100),
+            Poll::Done(RegResp::Value(Some(30)))
+        );
     }
 
     #[test]
     fn cost_scales_with_bank_size() {
         let mut reg = ReliableRegister::new(Construction::ResponsiveAll { write_back: true }, 4);
         let mut rng = Rng::seeded(8);
-        let mut w = reg.begin_write(1);
-        drive(&mut reg, &mut w, &mut rng, 100);
+        drive(&mut reg, RegOp::Write(1), &mut rng, 100);
         assert_eq!(reg.total_base_accesses(), 5, "one write per base register");
     }
 }

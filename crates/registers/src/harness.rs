@@ -1,12 +1,16 @@
-//! The interleaving harness: concurrent clients against a reliable
-//! register, with the schedule chosen adversarially (seeded), and the
-//! resulting history judged by the linearizability checker.
+//! The interleaving harness: concurrent clients against a register, with
+//! the schedule chosen adversarially (seeded, or by an explicit plan), and
+//! the resulting history judged by the checkers of `dds-core`.
 //!
 //! Each client owns a sequential script of operations. At every step the
-//! scheduler picks a random client and advances its current operation
-//! machine by one base access; crash events fire at configured steps.
-//! Invocation and response instants are the step counter, so the recorded
-//! [`RegisterHistory`] has exactly the real-time order the checker needs.
+//! scheduler picks an actionable client: one with nothing open begins its
+//! next operation (a step that accesses no base object), one mid-operation
+//! advances it by one base access ([`SteppedRegister`]); crash events fire
+//! at configured steps. Invocation and response instants are the step
+//! counter, so the recorded [`RegisterHistory`] has exactly the real-time
+//! order the checkers need. One loop drives every construction of the
+//! crate: [`run_schedule`] and [`run_schedule_planned`] the reliable
+//! registers, [`run_scripts`] the consistency ladder.
 
 use dds_core::process::ProcessId;
 use dds_core::rng::Rng;
@@ -15,8 +19,8 @@ use dds_core::spec::register::{RegOp, RegResp, RegisterHistory};
 use dds_core::time::Time;
 
 use crate::base::ObjectState;
-use crate::construction::{Construction, ReadMachine, ReliableRegister, WriteMachine};
-use crate::machine::{OpMachine, Poll};
+use crate::construction::{Construction, ReliableRegister};
+use crate::machine::{Poll, SteppedRegister};
 
 /// A crash to inject: at `step`, base register `index` fails with `state`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,20 +31,6 @@ pub struct CrashEvent {
     pub index: usize,
     /// How it crashes.
     pub state: ObjectState,
-}
-
-/// One client's pending operation.
-enum Running {
-    Write(WriteMachine, u64),
-    Read(ReadMachine),
-}
-
-struct Client {
-    pid: ProcessId,
-    script: Vec<RegOp>,
-    next: usize,
-    running: Option<(Running, Time)>,
-    stuck: bool,
 }
 
 /// Result of one scheduled run.
@@ -110,7 +100,7 @@ pub fn run_schedule(
     crashes: &[CrashEvent],
     seed: u64,
 ) -> RunOutput {
-    run_schedule_inner(construction, t, scripts, crashes, seed, &mut Picker::Seeded)
+    run_reliable(construction, t, scripts, crashes, seed, &mut Picker::Seeded)
 }
 
 /// Like [`run_schedule`], but the interleaving is an explicit decision
@@ -135,14 +125,26 @@ pub fn run_schedule_planned(
         cursor: 0,
         widths: Vec::new(),
     };
-    let out = run_schedule_inner(construction, t, scripts, crashes, seed, &mut picker);
+    let out = run_reliable(construction, t, scripts, crashes, seed, &mut picker);
     let Picker::Plan { widths, .. } = picker else {
         unreachable!()
     };
     (out, widths)
 }
 
-fn run_schedule_inner(
+/// Runs `scripts` (client `i` is process `p<i>`) against `reg` under the
+/// seeded scheduler, with no step budget and no crashes, and returns the
+/// history of high-level operations. A register born holding a value
+/// ([`SteppedRegister::initial`]) opens the history with it.
+pub fn run_scripts<R: SteppedRegister>(
+    reg: &mut R,
+    scripts: &[Vec<RegOp>],
+    seed: u64,
+) -> RegisterHistory {
+    schedule(reg, scripts, seed, u64::MAX, &mut Picker::Seeded, |_, _| {}).history
+}
+
+fn run_reliable(
     construction: Construction,
     t: usize,
     scripts: &[Vec<RegOp>],
@@ -160,110 +162,104 @@ fn run_schedule_inner(
     for c in crashes {
         assert!(c.index < reg.bank_size(), "crash index out of bank");
     }
+    // Generous budget: every op needs at most 3 × bank accesses.
+    let budget =
+        16 + 64 * scripts.iter().map(Vec::len).sum::<usize>() as u64 * reg.bank_size() as u64;
+    schedule(&mut reg, scripts, seed, budget, picker, |reg, step| {
+        for c in crashes {
+            if c.step == step {
+                reg.crash_base(c.index, c.state);
+            }
+        }
+    })
+}
+
+/// The scheduler. Steps are numbered from 1; before choosing at step `s`
+/// it runs `at_step(reg, s)`, and it stops when no client can act or past
+/// step `budget`. A client ends its script, or ends stuck with its last
+/// operation pending.
+fn schedule<R: SteppedRegister>(
+    reg: &mut R,
+    scripts: &[Vec<RegOp>],
+    seed: u64,
+    budget: u64,
+    picker: &mut Picker<'_>,
+    mut at_step: impl FnMut(&mut R, u64),
+) -> RunOutput {
+    struct Client<'a> {
+        pid: ProcessId,
+        script: &'a [RegOp],
+        next: usize,
+        open: Option<(RegOp, Time)>,
+        stuck: bool,
+    }
     let mut rng = Rng::seeded(seed);
     let mut clients: Vec<Client> = scripts
         .iter()
         .enumerate()
         .map(|(i, script)| Client {
             pid: ProcessId::from_raw(i as u64),
-            script: script.clone(),
+            script,
             next: 0,
-            running: None,
+            open: None,
             stuck: false,
         })
         .collect();
     let mut history = RegisterHistory::new();
+    if let Some(v) = reg.initial() {
+        history.push(OpRecord {
+            process: ProcessId::from_raw(0),
+            op: RegOp::Write(v),
+            invoked: Time::ZERO,
+            responded: Some(Time::ZERO),
+            response: Some(RegResp::Ack),
+        });
+    }
+    let mut actionable: Vec<usize> = Vec::with_capacity(scripts.len());
     let mut step: u64 = 0;
-    // Generous budget: every op needs at most 3 × bank accesses.
-    let budget = 16 + 64 * scripts.iter().map(Vec::len).sum::<usize>() as u64
-        * reg.bank_size() as u64;
-
     loop {
         step += 1;
         if step > budget {
             break;
         }
-        for c in crashes {
-            if c.step == step {
-                reg.crash_base(c.index, c.state);
-            }
-        }
-        // Clients that can act: not stuck, and either mid-op or with script
-        // remaining.
-        let actionable: Vec<usize> = clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.stuck && (c.running.is_some() || c.next < c.script.len()))
-            .map(|(i, _)| i)
-            .collect();
+        at_step(reg, step);
+        actionable.clear();
+        actionable.extend(
+            clients
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !c.stuck && (c.open.is_some() || c.next < c.script.len()))
+                .map(|(i, _)| i),
+        );
         if actionable.is_empty() {
             break;
         }
         let i = picker.pick(&actionable, &mut rng);
         let client = &mut clients[i];
         let now = Time::from_ticks(step);
-        if client.running.is_none() {
+        let Some((op, invoked)) = client.open else {
             let op = client.script[client.next];
             client.next += 1;
-            let running = match op {
-                RegOp::Write(v) => Running::Write(reg.begin_write(v), v),
-                RegOp::Read => Running::Read(reg.begin_read()),
-            };
-            client.running = Some((running, now));
+            reg.begin_op(i, op);
+            client.open = Some((op, now));
             continue;
-        }
-        let (running, invoked) = client.running.as_mut().expect("checked");
-        let invoked = *invoked;
-        match running {
-            Running::Write(m, v) => match m.step(reg.mem_mut(), &mut rng) {
-                Poll::Pending => {}
-                Poll::Done(()) => {
-                    history.push(OpRecord {
-                        process: client.pid,
-                        op: RegOp::Write(*v),
-                        invoked,
-                        responded: Some(now),
-                        response: Some(RegResp::Ack),
-                    });
-                    client.running = None;
-                }
-                Poll::Stuck => {
-                    history.push(OpRecord {
-                        process: client.pid,
-                        op: RegOp::Write(*v),
-                        invoked,
-                        responded: None,
-                        response: None,
-                    });
-                    client.stuck = true;
-                    client.running = None;
-                }
-            },
-            Running::Read(m) => match m.step(reg.mem_mut(), &mut rng) {
-                Poll::Pending => {}
-                Poll::Done(v) => {
-                    history.push(OpRecord {
-                        process: client.pid,
-                        op: RegOp::Read,
-                        invoked,
-                        responded: Some(now),
-                        response: Some(RegResp::Value(v)),
-                    });
-                    client.running = None;
-                }
-                Poll::Stuck => {
-                    history.push(OpRecord {
-                        process: client.pid,
-                        op: RegOp::Read,
-                        invoked,
-                        responded: None,
-                        response: None,
-                    });
-                    client.stuck = true;
-                    client.running = None;
-                }
-            },
-        }
+        };
+        let (responded, response) = match reg.step(i, &mut rng) {
+            Poll::Pending => continue,
+            Poll::Done(resp) => (Some(now), Some(resp)),
+            Poll::Stuck => {
+                client.stuck = true;
+                (None, None)
+            }
+        };
+        history.push(OpRecord {
+            process: client.pid,
+            op,
+            invoked,
+            responded,
+            response,
+        });
+        client.open = None;
     }
 
     RunOutput {
@@ -313,12 +309,23 @@ mod tests {
                 2,
                 &[writes(&[1, 2, 3]), reads(3)],
                 &[
-                    CrashEvent { step: 5, index: 0, state: ObjectState::CrashedResponsive },
-                    CrashEvent { step: 11, index: 2, state: ObjectState::CrashedResponsive },
+                    CrashEvent {
+                        step: 5,
+                        index: 0,
+                        state: ObjectState::CrashedResponsive,
+                    },
+                    CrashEvent {
+                        step: 11,
+                        index: 2,
+                        state: ObjectState::CrashedResponsive,
+                    },
                 ],
                 seed,
             );
-            assert!(out.stuck_clients.is_empty(), "responsive crashes never block");
+            assert!(
+                out.stuck_clients.is_empty(),
+                "responsive crashes never block"
+            );
             assert!(
                 check_atomic(&out.history).unwrap().is_linearizable(),
                 "seed {seed}:\n{}",
@@ -334,7 +341,11 @@ mod tests {
                 Construction::MajorityQuorum { write_back: true },
                 1,
                 &[writes(&[1, 2]), reads(3), reads(3)],
-                &[CrashEvent { step: 7, index: 1, state: ObjectState::CrashedNonresponsive }],
+                &[CrashEvent {
+                    step: 7,
+                    index: 1,
+                    state: ObjectState::CrashedNonresponsive,
+                }],
                 seed,
             );
             assert!(out.stuck_clients.is_empty());
@@ -353,8 +364,16 @@ mod tests {
             1,
             &[writes(&[1]), reads(1)],
             &[
-                CrashEvent { step: 1, index: 0, state: ObjectState::CrashedNonresponsive },
-                CrashEvent { step: 1, index: 1, state: ObjectState::CrashedNonresponsive },
+                CrashEvent {
+                    step: 1,
+                    index: 0,
+                    state: ObjectState::CrashedNonresponsive,
+                },
+                CrashEvent {
+                    step: 1,
+                    index: 1,
+                    state: ObjectState::CrashedNonresponsive,
+                },
             ],
             3,
         );
@@ -481,7 +500,11 @@ mod ablation_tests {
         let seed = find_inversion(
             Construction::ResponsiveAll { write_back: false },
             2,
-            &[CrashEvent { step: 6, index: 0, state: ObjectState::CrashedResponsive }],
+            &[CrashEvent {
+                step: 6,
+                index: 0,
+                state: ObjectState::CrashedResponsive,
+            }],
             0..300,
         );
         assert!(
@@ -495,7 +518,11 @@ mod ablation_tests {
         let seed = find_inversion(
             Construction::ResponsiveAll { write_back: true },
             2,
-            &[CrashEvent { step: 6, index: 0, state: ObjectState::CrashedResponsive }],
+            &[CrashEvent {
+                step: 6,
+                index: 0,
+                state: ObjectState::CrashedResponsive,
+            }],
             0..300,
         );
         assert_eq!(seed, None, "write-back must restore atomicity");

@@ -22,8 +22,17 @@
 //! ablations (no write skip, forgetful reader) exhibiting the exact
 //! violations the tricks prevent.
 //!
-//! Interleavings are chosen by a seeded adversarial scheduler
-//! ([`harness::run_schedule`]); histories are judged by the
+//! | module | holds |
+//! |---|---|
+//! | [`base`], [`weak`] | the base objects: crash-prone registers; safe, regular and atomic cells |
+//! | [`machine`] | the one step contract, [`machine::SteppedRegister`]: `begin_op`, then `step` until [`machine::Poll::Done`] or `Stuck` |
+//! | [`construction`] | [`ReliableRegister`], the two self-implementations |
+//! | [`transformations`] | the five rungs of the ladder |
+//! | [`harness`] | the one scheduler: [`harness::run_schedule`] (and its planned twin) for the reliable registers, [`harness::run_scripts`] for the ladder |
+//! | [`consensus`] | consensus objects and their own runner |
+//!
+//! Interleavings are chosen by a seeded adversarial scheduler (or an
+//! explicit plan, for the model checker); histories are judged by the
 //! linearizability and consensus checkers of `dds-core`.
 //!
 //! ## Example

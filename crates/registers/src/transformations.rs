@@ -28,122 +28,16 @@
 //!    writes its own cell; a reader returns the value of the largest
 //!    `(timestamp, writer)` pair.
 //!
-//! Every construction is executed step-by-step under a seeded adversarial
-//! scheduler ([`run_ladder`]) and judged by the history checkers of
-//! `dds-core`.
+//! Every construction is a [`SteppedRegister`], executed step-by-step by
+//! the crate's one scheduler ([`crate::harness::run_scripts`]) and judged
+//! by the history checkers of `dds-core`. Its operations never end
+//! [`Poll::Stuck`].
 
-use dds_core::process::ProcessId;
 use dds_core::rng::Rng;
-use dds_core::spec::history::OpRecord;
-use dds_core::spec::register::{RegOp, RegResp, RegisterHistory};
-use dds_core::time::Time;
+use dds_core::spec::register::{RegOp, RegResp};
 
+use crate::machine::{Poll, SteppedRegister};
 use crate::weak::{CellKind, WeakCell};
-
-/// A register construction steppable one base access at a time.
-///
-/// `begin_op` opens an operation for a client; `step` advances it by one
-/// base-cell access and returns the response when it completes. Clients
-/// are identified by index; constructions enforce their own writer
-/// disciplines (documented per type).
-pub trait LadderRegister {
-    /// Opens `op` for `client`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when the operation violates the construction's
-    /// writer discipline (e.g. a second writer on a 1W register).
-    fn begin_op(&mut self, client: usize, op: RegOp);
-
-    /// Advances `client`'s open operation by one base access.
-    fn step(&mut self, client: usize, rng: &mut Rng) -> Option<RegResp>;
-}
-
-/// Runs `scripts` (client `i` is process `p<i>`) against `reg` under a
-/// seeded interleaving, recording the history of high-level operations.
-///
-/// Constructions whose register is born holding a real value (rather than
-/// `⊥`) should use [`run_ladder_with_initial`], which seeds the history
-/// with a virtual initial write so the checkers account for it.
-pub fn run_ladder<R: LadderRegister>(
-    reg: &mut R,
-    scripts: &[Vec<RegOp>],
-    seed: u64,
-) -> RegisterHistory {
-    run_ladder_with_initial(reg, scripts, seed, None)
-}
-
-/// [`run_ladder`] with an explicit initial value: a zero-duration
-/// `Write(initial)` by the writer (client 0) is recorded at time 0, before
-/// every scripted operation.
-pub fn run_ladder_with_initial<R: LadderRegister>(
-    reg: &mut R,
-    scripts: &[Vec<RegOp>],
-    seed: u64,
-    initial: Option<u64>,
-) -> RegisterHistory {
-    struct Client {
-        script: Vec<RegOp>,
-        next: usize,
-        open: Option<(RegOp, Time)>,
-    }
-    let mut rng = Rng::seeded(seed);
-    let mut clients: Vec<Client> = scripts
-        .iter()
-        .map(|s| Client {
-            script: s.clone(),
-            next: 0,
-            open: None,
-        })
-        .collect();
-    let mut history = RegisterHistory::new();
-    if let Some(v) = initial {
-        history.push(OpRecord {
-            process: ProcessId::from_raw(0),
-            op: RegOp::Write(v),
-            invoked: Time::ZERO,
-            responded: Some(Time::ZERO),
-            response: Some(RegResp::Ack),
-        });
-    }
-    let mut step: u64 = 0;
-    loop {
-        let actionable: Vec<usize> = clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.open.is_some() || c.next < c.script.len())
-            .map(|(i, _)| i)
-            .collect();
-        if actionable.is_empty() {
-            break;
-        }
-        step += 1;
-        let &i = rng.choose(&actionable).expect("nonempty");
-        let now = Time::from_ticks(step);
-        let client = &mut clients[i];
-        match client.open {
-            None => {
-                let op = client.script[client.next];
-                client.next += 1;
-                reg.begin_op(i, op);
-                client.open = Some((op, now));
-            }
-            Some((op, invoked)) => {
-                if let Some(resp) = reg.step(i, &mut rng) {
-                    history.push(OpRecord {
-                        process: ProcessId::from_raw(i as u64),
-                        op,
-                        invoked,
-                        responded: Some(now),
-                        response: Some(resp),
-                    });
-                    client.open = None;
-                }
-            }
-        }
-    }
-    history
-}
 
 // ---------------------------------------------------------------------------
 // 1. Regular binary from safe binary.
@@ -183,7 +77,7 @@ impl RegularFromSafeBinary {
     }
 }
 
-impl LadderRegister for RegularFromSafeBinary {
+impl SteppedRegister for RegularFromSafeBinary {
     fn begin_op(&mut self, client: usize, op: RegOp) {
         match op {
             RegOp::Write(v) => {
@@ -202,29 +96,33 @@ impl LadderRegister for RegularFromSafeBinary {
         }
     }
 
-    fn step(&mut self, client: usize, rng: &mut Rng) -> Option<RegResp> {
+    fn initial(&self) -> Option<u64> {
+        Some(0)
+    }
+
+    fn step(&mut self, client: usize, rng: &mut Rng) -> Poll<RegResp> {
         if client == 0 {
             match self.writer_op.expect("no write open") {
                 WriterPhase::Skip => {
                     self.writer_op = None;
-                    Some(RegResp::Ack)
+                    Poll::Done(RegResp::Ack)
                 }
                 WriterPhase::Begin(v) => {
                     self.cell.begin_write(v);
                     self.last_written = v;
                     self.writer_op = Some(WriterPhase::End);
-                    None
+                    Poll::Pending
                 }
                 WriterPhase::End => {
                     self.cell.end_write();
                     self.writer_op = None;
-                    Some(RegResp::Ack)
+                    Poll::Done(RegResp::Ack)
                 }
             }
         } else {
             assert!(self.reading[client], "no read open");
             self.reading[client] = false;
-            Some(RegResp::Value(Some(self.cell.read(rng))))
+            Poll::Done(RegResp::Value(Some(self.cell.read(rng))))
         }
     }
 }
@@ -282,7 +180,7 @@ impl MultivaluedFromBinaryRegular {
     }
 }
 
-impl LadderRegister for MultivaluedFromBinaryRegular {
+impl SteppedRegister for MultivaluedFromBinaryRegular {
     fn begin_op(&mut self, client: usize, op: RegOp) {
         match op {
             RegOp::Write(v) => {
@@ -300,44 +198,54 @@ impl LadderRegister for MultivaluedFromBinaryRegular {
         }
     }
 
-    fn step(&mut self, client: usize, rng: &mut Rng) -> Option<RegResp> {
+    fn initial(&self) -> Option<u64> {
+        Some(0)
+    }
+
+    fn step(&mut self, client: usize, rng: &mut Rng) -> Poll<RegResp> {
         if client == 0 {
             let w = self.writer.expect("no write open");
             let t = w.target as usize;
             match w.phase {
                 UnaryPhase::SetBegin => {
                     self.cells[t].begin_write(1);
-                    self.writer = Some(UnaryWrite { phase: UnaryPhase::SetEnd, ..w });
-                    None
+                    self.writer = Some(UnaryWrite {
+                        phase: UnaryPhase::SetEnd,
+                        ..w
+                    });
+                    Poll::Pending
                 }
                 UnaryPhase::SetEnd => {
                     self.cells[t].end_write();
                     if t == 0 {
                         self.writer = None;
-                        return Some(RegResp::Ack);
+                        return Poll::Done(RegResp::Ack);
                     }
                     self.writer = Some(UnaryWrite {
                         phase: UnaryPhase::ClearBegin(t - 1),
                         ..w
                     });
-                    None
+                    Poll::Pending
                 }
                 UnaryPhase::ClearBegin(j) => {
                     self.cells[j].begin_write(0);
-                    self.writer = Some(UnaryWrite { phase: UnaryPhase::ClearEnd(j), ..w });
-                    None
+                    self.writer = Some(UnaryWrite {
+                        phase: UnaryPhase::ClearEnd(j),
+                        ..w
+                    });
+                    Poll::Pending
                 }
                 UnaryPhase::ClearEnd(j) => {
                     self.cells[j].end_write();
                     if j == 0 {
                         self.writer = None;
-                        Some(RegResp::Ack)
+                        Poll::Done(RegResp::Ack)
                     } else {
                         self.writer = Some(UnaryWrite {
                             phase: UnaryPhase::ClearBegin(j - 1),
                             ..w
                         });
-                        None
+                        Poll::Pending
                     }
                 }
             }
@@ -348,15 +256,15 @@ impl LadderRegister for MultivaluedFromBinaryRegular {
                 // transient overlaps); restart the scan — the classic
                 // argument bounds the retries.
                 self.readers[client] = Some(0);
-                return None;
+                return Poll::Pending;
             }
             let bit = self.cells[pos].read(rng);
             if bit == 1 {
                 self.readers[client] = None;
-                Some(RegResp::Value(Some(pos as u64)))
+                Poll::Done(RegResp::Value(Some(pos as u64)))
             } else {
                 self.readers[client] = Some(pos + 1);
-                None
+                Poll::Pending
             }
         }
     }
@@ -406,7 +314,7 @@ impl AtomicFromRegular {
     }
 }
 
-impl LadderRegister for AtomicFromRegular {
+impl SteppedRegister for AtomicFromRegular {
     fn begin_op(&mut self, client: usize, op: RegOp) {
         match op {
             RegOp::Write(v) => {
@@ -422,17 +330,17 @@ impl LadderRegister for AtomicFromRegular {
         }
     }
 
-    fn step(&mut self, client: usize, rng: &mut Rng) -> Option<RegResp> {
+    fn step(&mut self, client: usize, rng: &mut Rng) -> Poll<RegResp> {
         if client == 0 {
             let (packed, begun) = self.writer.expect("no write open");
             if !begun {
                 self.cell.begin_write(packed);
                 self.writer = Some((packed, true));
-                None
+                Poll::Pending
             } else {
                 self.cell.end_write();
                 self.writer = None;
-                Some(RegResp::Ack)
+                Poll::Done(RegResp::Ack)
             }
         } else {
             assert!(self.reading, "no read open");
@@ -448,8 +356,12 @@ impl LadderRegister for AtomicFromRegular {
                 (sn, v)
             };
             self.reader_best = Some(current);
-            let value = if current.0 == 0 { None } else { Some(current.1) };
-            Some(RegResp::Value(value))
+            let value = if current.0 == 0 {
+                None
+            } else {
+                Some(current.1)
+            };
+            Poll::Done(RegResp::Value(value))
         }
     }
 }
@@ -517,7 +429,7 @@ impl MwmrFromAtomic {
     }
 }
 
-impl LadderRegister for MwmrFromAtomic {
+impl SteppedRegister for MwmrFromAtomic {
     fn begin_op(&mut self, client: usize, op: RegOp) {
         let op = match op {
             RegOp::Write(v) => {
@@ -536,7 +448,7 @@ impl LadderRegister for MwmrFromAtomic {
         self.ops[client] = Some(op);
     }
 
-    fn step(&mut self, client: usize, rng: &mut Rng) -> Option<RegResp> {
+    fn step(&mut self, client: usize, rng: &mut Rng) -> Poll<RegResp> {
         let op = self.ops[client].expect("no operation open");
         match op {
             MwmrOp::Write {
@@ -554,7 +466,7 @@ impl LadderRegister for MwmrFromAtomic {
                         max_ts: max_ts.max(ts),
                         begun,
                     });
-                    None
+                    Poll::Pending
                 } else if !begun {
                     let packed = self.pack(max_ts + 1, client, value);
                     self.cells[client].begin_write(packed);
@@ -564,11 +476,11 @@ impl LadderRegister for MwmrFromAtomic {
                         max_ts,
                         begun: true,
                     });
-                    None
+                    Poll::Pending
                 } else {
                     self.cells[client].end_write();
                     self.ops[client] = None;
-                    Some(RegResp::Ack)
+                    Poll::Done(RegResp::Ack)
                 }
             }
             MwmrOp::Read { scan, best } => {
@@ -578,7 +490,7 @@ impl LadderRegister for MwmrFromAtomic {
                         scan: scan + 1,
                         best: best.max(raw),
                     });
-                    None
+                    Poll::Pending
                 } else {
                     self.ops[client] = None;
                     let value = if best == 0 {
@@ -586,7 +498,7 @@ impl LadderRegister for MwmrFromAtomic {
                     } else {
                         Some(self.unpack(best).2)
                     };
-                    Some(RegResp::Value(value))
+                    Poll::Done(RegResp::Value(value))
                 }
             }
         }
@@ -677,7 +589,7 @@ impl SwmrFromSw1r {
     }
 }
 
-impl LadderRegister for SwmrFromSw1r {
+impl SteppedRegister for SwmrFromSw1r {
     fn begin_op(&mut self, client: usize, op: RegOp) {
         match op {
             RegOp::Write(v) => {
@@ -704,12 +616,12 @@ impl LadderRegister for SwmrFromSw1r {
         }
     }
 
-    fn step(&mut self, client: usize, rng: &mut Rng) -> Option<RegResp> {
+    fn step(&mut self, client: usize, rng: &mut Rng) -> Poll<RegResp> {
         if client == 0 {
             let mut w = self.writer_op.expect("no write open");
             if w.index >= self.write_cells.len() {
                 self.writer_op = None;
-                return Some(RegResp::Ack);
+                return Poll::Done(RegResp::Ack);
             }
             if !w.begun {
                 self.write_cells[w.index].begin_write(w.packed);
@@ -720,11 +632,11 @@ impl LadderRegister for SwmrFromSw1r {
                 w.begun = false;
                 if w.index >= self.write_cells.len() {
                     self.writer_op = None;
-                    return Some(RegResp::Ack);
+                    return Poll::Done(RegResp::Ack);
                 }
             }
             self.writer_op = Some(w);
-            None
+            Poll::Pending
         } else {
             let me = client - 1;
             let mut r = self.reader_ops[client].expect("no read open");
@@ -746,17 +658,21 @@ impl LadderRegister for SwmrFromSw1r {
                         } else {
                             self.reader_ops[client] = None;
                             let (sn, v) = self.unpack(r.best);
-                            return Some(RegResp::Value(if sn == 0 { None } else { Some(v) }));
+                            return Poll::Done(RegResp::Value(if sn == 0 {
+                                None
+                            } else {
+                                Some(v)
+                            }));
                         }
                     }
                     self.reader_ops[client] = Some(r);
-                    None
+                    Poll::Pending
                 }
                 Sw1rPhase::ReportBegin => {
                     self.report_cells[me][r.scan].begin_write(r.best);
                     r.phase = Sw1rPhase::ReportEnd;
                     self.reader_ops[client] = Some(r);
-                    None
+                    Poll::Pending
                 }
                 Sw1rPhase::ReportEnd => {
                     self.report_cells[me][r.scan].end_write();
@@ -764,11 +680,11 @@ impl LadderRegister for SwmrFromSw1r {
                     if r.scan >= self.readers {
                         self.reader_ops[client] = None;
                         let (sn, v) = self.unpack(r.best);
-                        return Some(RegResp::Value(if sn == 0 { None } else { Some(v) }));
+                        return Poll::Done(RegResp::Value(if sn == 0 { None } else { Some(v) }));
                     }
                     r.phase = Sw1rPhase::ReportBegin;
                     self.reader_ops[client] = Some(r);
-                    None
+                    Poll::Pending
                 }
             }
         }
@@ -778,6 +694,7 @@ impl LadderRegister for SwmrFromSw1r {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_scripts;
     use dds_core::spec::register::{check_atomic, check_regular_single_writer};
 
     fn writer_script() -> Vec<RegOp> {
@@ -788,12 +705,7 @@ mod tests {
     fn regular_from_safe_is_regular_across_seeds() {
         for seed in 0..200 {
             let mut reg = RegularFromSafeBinary::new(1, true);
-            let history = run_ladder_with_initial(
-                &mut reg,
-                &[writer_script(), vec![RegOp::Read; 5]],
-                seed,
-                Some(0),
-            );
+            let history = run_scripts(&mut reg, &[writer_script(), vec![RegOp::Read; 5]], seed);
             assert!(
                 check_regular_single_writer(&history).unwrap(),
                 "seed {seed}:\n{history}"
@@ -808,14 +720,13 @@ mod tests {
         let mut violated = false;
         for seed in 0..300 {
             let mut reg = RegularFromSafeBinary::new(1, false);
-            let history = run_ladder_with_initial(
+            let history = run_scripts(
                 &mut reg,
                 &[
                     vec![RegOp::Write(1), RegOp::Write(1), RegOp::Write(1)],
                     vec![RegOp::Read; 6],
                 ],
                 seed,
-                Some(0),
             );
             if !check_regular_single_writer(&history).unwrap() {
                 violated = true;
@@ -829,14 +740,13 @@ mod tests {
     fn multivalued_from_binary_is_regular() {
         for seed in 0..200 {
             let mut reg = MultivaluedFromBinaryRegular::new(5, 1);
-            let history = run_ladder_with_initial(
+            let history = run_scripts(
                 &mut reg,
                 &[
                     vec![RegOp::Write(3), RegOp::Write(1), RegOp::Write(4)],
                     vec![RegOp::Read; 5],
                 ],
                 seed,
-                Some(0),
             );
             assert!(
                 check_regular_single_writer(&history).unwrap(),
@@ -849,7 +759,7 @@ mod tests {
     fn multivalued_reads_return_domain_values() {
         for seed in 0..50 {
             let mut reg = MultivaluedFromBinaryRegular::new(4, 2);
-            let history = run_ladder(
+            let history = run_scripts(
                 &mut reg,
                 &[
                     vec![RegOp::Write(2), RegOp::Write(3)],
@@ -870,7 +780,7 @@ mod tests {
     fn atomic_from_regular_is_linearizable() {
         for seed in 0..200 {
             let mut reg = AtomicFromRegular::new(8, true);
-            let history = run_ladder(
+            let history = run_scripts(
                 &mut reg,
                 &[
                     vec![RegOp::Write(1), RegOp::Write(2), RegOp::Write(3)],
@@ -890,7 +800,7 @@ mod tests {
         let mut violated = false;
         for seed in 0..400 {
             let mut reg = AtomicFromRegular::new(8, false);
-            let history = run_ladder(
+            let history = run_scripts(
                 &mut reg,
                 &[
                     vec![RegOp::Write(1), RegOp::Write(2), RegOp::Write(3)],
@@ -913,7 +823,7 @@ mod tests {
     fn swmr_from_sw1r_is_linearizable() {
         for seed in 0..200 {
             let mut reg = SwmrFromSw1r::new(2, 8, true);
-            let history = run_ladder(
+            let history = run_scripts(
                 &mut reg,
                 &[
                     vec![RegOp::Write(1), RegOp::Write(2), RegOp::Write(3)],
@@ -937,7 +847,7 @@ mod tests {
         let mut violated = false;
         for seed in 0..400 {
             let mut reg = SwmrFromSw1r::new(2, 8, false);
-            let history = run_ladder(
+            let history = run_scripts(
                 &mut reg,
                 &[
                     vec![RegOp::Write(1), RegOp::Write(2), RegOp::Write(3)],
@@ -968,7 +878,7 @@ mod tests {
     fn mwmr_is_linearizable_across_seeds() {
         for seed in 0..200 {
             let mut reg = MwmrFromAtomic::new(2, 4, 8);
-            let history = run_ladder(
+            let history = run_scripts(
                 &mut reg,
                 &[
                     vec![RegOp::Write(1), RegOp::Write(3)],
@@ -988,20 +898,21 @@ mod tests {
     #[test]
     fn mwmr_read_of_fresh_register_is_bottom() {
         let mut reg = MwmrFromAtomic::new(2, 3, 8);
-        let history = run_ladder(&mut reg, &[vec![], vec![], vec![RegOp::Read]], 0);
-        assert_eq!(
-            history.records()[0].response,
-            Some(RegResp::Value(None))
-        );
+        let history = run_scripts(&mut reg, &[vec![], vec![], vec![RegOp::Read]], 0);
+        assert_eq!(history.records()[0].response, Some(RegResp::Value(None)));
     }
 
     #[test]
     fn ladder_runner_is_deterministic() {
         let run = |seed| {
             let mut reg = MwmrFromAtomic::new(2, 3, 8);
-            run_ladder(
+            run_scripts(
                 &mut reg,
-                &[vec![RegOp::Write(1)], vec![RegOp::Write(2)], vec![RegOp::Read; 2]],
+                &[
+                    vec![RegOp::Write(1)],
+                    vec![RegOp::Write(2)],
+                    vec![RegOp::Read; 2],
+                ],
                 seed,
             )
         };

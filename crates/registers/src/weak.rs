@@ -86,7 +86,10 @@ impl WeakCell {
     /// Panics if a write is already open (single writer) or `v` is outside
     /// the domain.
     pub fn begin_write(&mut self, v: u64) {
-        assert!(self.in_flight.is_none(), "single-writer cell: write already open");
+        assert!(
+            self.in_flight.is_none(),
+            "single-writer cell: write already open"
+        );
         assert!(v < self.domain, "value outside domain");
         self.in_flight = Some(v);
     }
@@ -178,7 +181,10 @@ mod tests {
                 phantom = true;
             }
         }
-        assert!(phantom, "safe cell should eventually return a phantom value");
+        assert!(
+            phantom,
+            "safe cell should eventually return a phantom value"
+        );
     }
 
     #[test]

@@ -11,13 +11,12 @@
 use dds_core::process::ProcessId;
 use dds_core::spec::history::OpRecord;
 use dds_core::spec::register::{
-    check_atomic, check_atomic_unique, check_regular_single_writer, RegOp, RegResp,
-    RegisterHistory,
+    check_atomic, check_atomic_unique, check_regular_single_writer, RegOp, RegResp, RegisterHistory,
 };
 use dds_core::time::Time;
+use dds_registers::harness::run_scripts;
 use dds_registers::transformations::{
-    run_ladder, run_ladder_with_initial, AtomicFromRegular, MwmrFromAtomic,
-    RegularFromSafeBinary, SwmrFromSw1r,
+    AtomicFromRegular, MwmrFromAtomic, RegularFromSafeBinary, SwmrFromSw1r,
 };
 
 fn rec(
@@ -106,11 +105,11 @@ fn new_old_inversion_is_rejected() {
         read(1, 2, 4, 5),
         read(2, 1, 6, 7),
     ]);
-    assert!(check_regular_single_writer(&h).unwrap(), "regular: each read sees old or new");
     assert!(
-        !linearizable(&h),
-        "new/old inversion must not linearize"
+        check_regular_single_writer(&h).unwrap(),
+        "regular: each read sees old or new"
     );
+    assert!(!linearizable(&h), "new/old inversion must not linearize");
 }
 
 #[test]
@@ -160,7 +159,7 @@ fn pending_write_may_or_may_not_take_effect() {
 #[test]
 fn regular_from_safe_meets_its_rung() {
     let mut reg = RegularFromSafeBinary::new(2, true);
-    let h = run_ladder_with_initial(
+    let h = run_scripts(
         &mut reg,
         &[
             vec![RegOp::Write(1), RegOp::Write(0), RegOp::Write(1)],
@@ -168,7 +167,6 @@ fn regular_from_safe_meets_its_rung() {
             vec![RegOp::Read; 3],
         ],
         42,
-        Some(0),
     );
     assert!(check_regular_single_writer(&h).unwrap());
 }
@@ -177,7 +175,7 @@ fn regular_from_safe_meets_its_rung() {
 fn atomic_from_regular_meets_its_rung() {
     // The regular→atomic rung is 1W1R: client 0 writes, client 1 reads.
     let mut reg = AtomicFromRegular::new(8, true);
-    let h = run_ladder(
+    let h = run_scripts(
         &mut reg,
         &[vec![RegOp::Write(3), RegOp::Write(5)], vec![RegOp::Read; 4]],
         42,
@@ -188,7 +186,7 @@ fn atomic_from_regular_meets_its_rung() {
 #[test]
 fn swmr_from_sw1r_meets_its_rung() {
     let mut reg = SwmrFromSw1r::new(2, 8, true);
-    let h = run_ladder(
+    let h = run_scripts(
         &mut reg,
         &[
             vec![RegOp::Write(3), RegOp::Write(5)],
@@ -203,7 +201,7 @@ fn swmr_from_sw1r_meets_its_rung() {
 #[test]
 fn mwmr_from_atomic_meets_its_rung() {
     let mut reg = MwmrFromAtomic::new(2, 3, 8);
-    let h = run_ladder(
+    let h = run_scripts(
         &mut reg,
         &[
             vec![RegOp::Write(3), RegOp::Write(5)],

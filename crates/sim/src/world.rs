@@ -686,11 +686,6 @@ impl<M: Clone + 'static> World<M> {
         &self.roster.values
     }
 
-    /// The delay model in force (protocols use its bound for timeouts).
-    pub fn delay_model(&self) -> DelayModel {
-        self.delay
-    }
-
     /// Inspects an actor's state by downcasting (present or departed
     /// processes).
     pub fn actor<A: Actor<M>>(&self, pid: ProcessId) -> Option<&A> {

@@ -15,8 +15,8 @@
 //! replays the resulting [`CoreOut`] effects through the kernel
 //! [`Context`] *in emission order*, so the kernel sees exactly the
 //! `send`/`set_timer` sequence the pre-split monolithic actor produced
-//! (byte-identical runs, pinned by the store test suite and the
-//! `run_store` CI diff).
+//! (byte-identical runs, pinned by the store test suite and the S1
+//! experiment table).
 //!
 //! ## Fencing discipline (the safety core)
 //!

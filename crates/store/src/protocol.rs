@@ -11,7 +11,7 @@
 //!   [`dds_sim::actor::Actor`] adapter that replays the outputs through
 //!   the kernel's [`Context`](dds_sim::actor::Context) — byte-identical
 //!   to the pre-split monolithic actor, pinned by the store test suite
-//!   and the `run_store` CI diff), and
+//!   and the S1 experiment table), and
 //! - the networked service (`dds-svc` frames the same messages over real
 //!   TCP or Unix-domain sockets and arms the timers on a wall-clock
 //!   timer wheel, with one tick mapped to one millisecond).

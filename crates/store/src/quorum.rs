@@ -44,15 +44,6 @@ impl TimedQuorumSpec {
             size: (majority(n) + extra).min(n.max(1)),
         }
     }
-
-    /// A static-system spec: plain majority, views never expire within
-    /// the given validity window.
-    pub fn majority_of(n: usize, delta: TimeDelta) -> Self {
-        TimedQuorumSpec {
-            delta,
-            size: majority(n),
-        }
-    }
 }
 
 /// Expected number of members of a set of size `n` replaced by churn over

@@ -336,11 +336,6 @@ impl Conn {
         self.dead
     }
 
-    /// Force-marks the connection dead.
-    pub fn mark_dead(&mut self) {
-        self.dead = true;
-    }
-
     /// Decodes the next complete buffered frame. A malformed or
     /// oversized frame marks the connection dead and yields `None`.
     pub fn next_msg(&mut self) -> Option<WireMsg> {
