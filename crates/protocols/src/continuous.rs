@@ -64,11 +64,7 @@ impl ContinuousScenario {
         let ProtocolKind::FloodEcho { ttl } = self.base.protocol else {
             unreachable!("checked in the constructor")
         };
-        let delta = self
-            .base
-            .delay
-            .bound()
-            .unwrap_or(TimeDelta::ticks(4));
+        let delta = self.base.delay.bound().unwrap_or(TimeDelta::ticks(4));
         let config = WaveConfig::flood_echo(self.base.aggregate, delta);
         let mut world: World<WaveMsg> = self
             .base
@@ -97,8 +93,7 @@ impl ContinuousScenario {
             let outcome = match results.get(i) {
                 Some(r) => {
                     let end = r.finished_at.max(issued) + TimeDelta::TICK;
-                    let contributors: BTreeSet<ProcessId> =
-                        r.contributions.keys().copied().collect();
+                    let contributors: BTreeSet<ProcessId> = r.contributions.keys().collect();
                     QueryOutcome::answered(
                         initiator,
                         Interval::new(issued, end),
@@ -166,7 +161,11 @@ impl ContinuousRun {
         if self.per_query.is_empty() {
             return 0.0;
         }
-        let ok = self.per_query.iter().filter(|g| !g.outcome.timed_out).count();
+        let ok = self
+            .per_query
+            .iter()
+            .filter(|g| !g.outcome.timed_out)
+            .count();
         ok as f64 / self.per_query.len() as f64
     }
 
@@ -208,10 +207,7 @@ mod tests {
     use dds_net::generate;
 
     fn base(rate: f64) -> QueryScenario {
-        let mut s = QueryScenario::new(
-            generate::torus(4, 4),
-            ProtocolKind::FloodEcho { ttl: 8 },
-        );
+        let mut s = QueryScenario::new(generate::torus(4, 4), ProtocolKind::FloodEcho { ttl: 8 });
         if rate > 0.0 {
             s.driver = DriverSpec::Balanced {
                 rate,

@@ -180,12 +180,27 @@ impl Actor<GossipMsg> for GossipActor {
                 self.rounds_left = Some(rounds.max(1));
                 let _ = ctx;
             }
-            GossipMsg::Share { sum, weight, min, max, origins } => {
+            GossipMsg::Share {
+                sum,
+                weight,
+                min,
+                max,
+                origins,
+            } => {
                 if self.result.is_some() {
                     // Frozen: bounce the mass back into circulation so it
                     // is not silently destroyed.
                     if let Some(t) = ctx.choose_neighbor() {
-                        ctx.send(t, GossipMsg::Share { sum, weight, min, max, origins });
+                        ctx.send(
+                            t,
+                            GossipMsg::Share {
+                                sum,
+                                weight,
+                                min,
+                                max,
+                                origins,
+                            },
+                        );
                     }
                     return;
                 }
@@ -245,7 +260,11 @@ mod tests {
         let result = run(&mut world, 60).expect("initiator freezes");
         let truth = (0..n as u64).sum::<u64>() as f64 / n as f64;
         let err = (result.estimate - truth).abs() / truth;
-        assert!(err < 0.05, "estimate {} vs {truth} (err {err})", result.estimate);
+        assert!(
+            err < 0.05,
+            "estimate {} vs {truth} (err {err})",
+            result.estimate
+        );
     }
 
     #[test]
@@ -309,7 +328,12 @@ mod tests {
         let mut world: World<GossipMsg> = WorldBuilder::new(9)
             .initial_graph(g)
             .values(|_, _| 7.0)
-            .spawn(|_| Box::new(GossipActor::new(TimeDelta::ticks(2), AggregateKind::Average)))
+            .spawn(|_| {
+                Box::new(GossipActor::new(
+                    TimeDelta::ticks(2),
+                    AggregateKind::Average,
+                ))
+            })
             .build();
         let result = run(&mut world, 10).expect("terminates alone");
         assert_eq!(result.estimate, 7.0);

@@ -23,8 +23,8 @@ use dds_sim::actor::Actor;
 use dds_sim::corrupt::{Burst, CorruptionAdversary};
 use dds_sim::delay::{DelayModel, LossModel};
 use dds_sim::driver::{BalancedChurn, ChurnDriver, Compose, Growth, NoChurn, PathStretch};
-use dds_sim::partition::PartitionDriver;
 use dds_sim::metrics::Metrics;
+use dds_sim::partition::PartitionDriver;
 use dds_sim::world::{TopologyPolicy, World, WorldBuilder};
 
 use crate::gossip::{GossipActor, GossipMsg};
@@ -163,10 +163,16 @@ impl DriverSpec {
         };
         match *self {
             DriverSpec::None => Box::new(NoChurn),
-            DriverSpec::Balanced { rate, window, crash_fraction } => {
-                Box::new(churn(rate, window).with_crash_fraction(crash_fraction))
-            }
-            DriverSpec::Growth { per_window, window, cap } => Box::new(Growth {
+            DriverSpec::Balanced {
+                rate,
+                window,
+                crash_fraction,
+            } => Box::new(churn(rate, window).with_crash_fraction(crash_fraction)),
+            DriverSpec::Growth {
+                per_window,
+                window,
+                cap,
+            } => Box::new(Growth {
                 growth_per_window: per_window,
                 window: TimeDelta::ticks(window),
                 cap,
@@ -180,9 +186,11 @@ impl DriverSpec {
                 let split_at = ids[ids.len() / 2];
                 let cut = Time::from_ticks(cut_at);
                 match heal_at {
-                    Some(h) => {
-                        Box::new(PartitionDriver::transient(cut, Time::from_ticks(h), split_at))
-                    }
+                    Some(h) => Box::new(PartitionDriver::transient(
+                        cut,
+                        Time::from_ticks(h),
+                        split_at,
+                    )),
                     None => Box::new(PartitionDriver::permanent(cut, split_at)),
                 }
             }
@@ -328,7 +336,7 @@ impl QueryScenario {
             |actor: &WaveActor| {
                 actor.result().map(|r| Answer {
                     finished_at: r.finished_at,
-                    contributors: r.contributions.keys().copied().collect(),
+                    contributors: r.contributions.keys().collect(),
                     value: r.value,
                 })
             },
@@ -496,8 +504,10 @@ impl QueryScenario {
                 .dump_jsonl(&failures.join("; "), finished.unwrap_or(self.deadline))
         });
         let required = presence.present_throughout(&outcome.window);
-        let required_values: Vec<f64> =
-            required.iter().filter_map(|p| values.get(*p).copied()).collect();
+        let required_values: Vec<f64> = required
+            .iter()
+            .filter_map(|p| values.get(*p).copied())
+            .collect();
         let truth_over_required = self.aggregate.eval(&required_values);
         // Accuracy is judged against the membership snapshot at query
         // issue — "what was the aggregate when I asked?" — because under
@@ -681,7 +691,13 @@ pub fn fold_sweep(runs: &[QueryRun]) -> SweepRow {
         crit_processing += run.critical.processing;
         metrics.merge(&run.metrics);
     }
-    let per_run = |sum: u64| if total > 0 { sum as f64 / f64::from(total) } else { 0.0 };
+    let per_run = |sum: u64| {
+        if total > 0 {
+            sum as f64 / f64::from(total)
+        } else {
+            0.0
+        }
+    };
     SweepRow {
         runs: total,
         interval_valid: valid,
@@ -802,10 +818,8 @@ mod tests {
 
     #[test]
     fn static_flood_echo_is_interval_valid_and_exact() {
-        let scenario = QueryScenario::new(
-            generate::torus(4, 4),
-            ProtocolKind::FloodEcho { ttl: 8 },
-        );
+        let scenario =
+            QueryScenario::new(generate::torus(4, 4), ProtocolKind::FloodEcho { ttl: 8 });
         let run = scenario.run();
         assert_eq!(run.report.level, ValidityLevel::IntervalValid);
         assert_eq!(run.outcome.value, 16.0);
@@ -815,7 +829,11 @@ mod tests {
         // segments telescope to the total exactly (here it is the
         // flood-echo timeout timer: one queueing hop dominates the wave's
         // transit chain).
-        assert!(run.critical.total > 0 && run.critical.hops >= 1, "got {}", run.critical);
+        assert!(
+            run.critical.total > 0 && run.critical.hops >= 1,
+            "got {}",
+            run.critical
+        );
         assert_eq!(
             run.critical.total,
             run.critical.transit + run.critical.queueing + run.critical.processing,
@@ -826,8 +844,7 @@ mod tests {
 
     #[test]
     fn short_ttl_is_weakly_valid() {
-        let scenario =
-            QueryScenario::new(generate::path(8), ProtocolKind::FloodEcho { ttl: 3 });
+        let scenario = QueryScenario::new(generate::path(8), ProtocolKind::FloodEcho { ttl: 3 });
         let run = scenario.run();
         assert_eq!(run.report.level, ValidityLevel::WeaklyValid);
         assert_eq!(run.outcome.value, 4.0);
@@ -839,14 +856,15 @@ mod tests {
         // Same failing scenario as `short_ttl_is_weakly_valid`: the wave
         // misses half the path, the validity hook fires, and the judge
         // renders the recorder ring.
-        let scenario =
-            QueryScenario::new(generate::path(8), ProtocolKind::FloodEcho { ttl: 3 });
+        let scenario = QueryScenario::new(generate::path(8), ProtocolKind::FloodEcho { ttl: 3 });
         let run = scenario.run();
-        let dump = run.flight_dump.as_deref().expect("spec failure produces a dump");
+        let dump = run
+            .flight_dump
+            .as_deref()
+            .expect("spec failure produces a dump");
         let lines: Vec<&str> = dump.lines().collect();
         assert!(
-            lines[0].contains("\"t\":\"flight-dump\"")
-                && lines[0].contains("one-time query by"),
+            lines[0].contains("\"t\":\"flight-dump\"") && lines[0].contains("one-time query by"),
             "header names the violated spec: {}",
             lines[0]
         );
@@ -868,17 +886,18 @@ mod tests {
             QueryScenario::new(generate::ring(5), ProtocolKind::FloodEcho { ttl: 4 });
         scenario.capture_trace = true;
         let run = scenario.run();
-        let trace = run.trace_jsonl.as_deref().expect("capture_trace renders the trace");
+        let trace = run
+            .trace_jsonl
+            .as_deref()
+            .expect("capture_trace renders the trace");
         assert!(trace.lines().count() >= 5, "at least the initial joins");
         assert!(trace.starts_with("{\"t\":\"join\""));
     }
 
     #[test]
     fn moderate_churn_flood_echo_mostly_valid() {
-        let mut scenario = QueryScenario::new(
-            generate::torus(4, 4),
-            ProtocolKind::FloodEcho { ttl: 8 },
-        );
+        let mut scenario =
+            QueryScenario::new(generate::torus(4, 4), ProtocolKind::FloodEcho { ttl: 8 });
         scenario.driver = DriverSpec::Balanced {
             rate: 0.05,
             window: 10,
@@ -906,10 +925,8 @@ mod tests {
 
     #[test]
     fn growth_driver_scenario_terminates() {
-        let mut scenario = QueryScenario::new(
-            generate::ring(8),
-            ProtocolKind::FloodEcho { ttl: 6 },
-        );
+        let mut scenario =
+            QueryScenario::new(generate::ring(8), ProtocolKind::FloodEcho { ttl: 6 });
         scenario.driver = DriverSpec::Growth {
             per_window: 0.2,
             window: 10,
@@ -924,27 +941,22 @@ mod tests {
     fn path_stretch_defeats_fixed_ttl() {
         // Line of 4; adversary splices a node every 2 ticks. A TTL of 3
         // suffices initially but the witness recedes faster than the wave.
-        let mut scenario = QueryScenario::new(
-            generate::path(4),
-            ProtocolKind::FloodEcho { ttl: 3 },
-        );
+        let mut scenario =
+            QueryScenario::new(generate::path(4), ProtocolKind::FloodEcho { ttl: 3 });
         scenario.driver = DriverSpec::PathStretch { window: 1 };
         scenario.deadline = Time::from_ticks(300);
         let run = scenario.run();
         // The witness (p3) is present throughout but must be missed.
         assert!(
-            run.report.missed.contains(&scenario.witness())
-                || run.outcome.timed_out,
+            run.report.missed.contains(&scenario.witness()) || run.outcome.timed_out,
             "adversary must defeat the wave: {run}"
         );
     }
 
     #[test]
     fn gossip_terminates_and_estimates() {
-        let mut scenario = QueryScenario::new(
-            generate::complete(8),
-            ProtocolKind::Gossip { rounds: 50 },
-        );
+        let mut scenario =
+            QueryScenario::new(generate::complete(8), ProtocolKind::Gossip { rounds: 50 });
         scenario.aggregate = AggregateKind::Sum;
         scenario.deadline = Time::from_ticks(1000);
         let run = scenario.run();
@@ -954,10 +966,8 @@ mod tests {
 
     #[test]
     fn arena_reuse_matches_fresh_runs_byte_for_byte() {
-        let mut scenario = QueryScenario::new(
-            generate::torus(4, 4),
-            ProtocolKind::FloodEcho { ttl: 8 },
-        );
+        let mut scenario =
+            QueryScenario::new(generate::torus(4, 4), ProtocolKind::FloodEcho { ttl: 8 });
         scenario.driver = DriverSpec::Balanced {
             rate: 0.1,
             window: 10,
@@ -976,7 +986,10 @@ mod tests {
                 reused.trace_jsonl, fresh.trace_jsonl,
                 "trace diverged at seed {seed}"
             );
-            assert_eq!(reused.metrics, fresh.metrics, "metrics diverged at seed {seed}");
+            assert_eq!(
+                reused.metrics, fresh.metrics,
+                "metrics diverged at seed {seed}"
+            );
             assert_eq!(
                 format!("{:?}", reused.outcome),
                 format!("{:?}", fresh.outcome),
@@ -991,7 +1004,10 @@ mod tests {
         let reused = gossip.run_in(&mut arena);
         let fresh = gossip.run();
         assert_eq!(reused.trace_jsonl, fresh.trace_jsonl);
-        assert_eq!(format!("{:?}", reused.outcome), format!("{:?}", fresh.outcome));
+        assert_eq!(
+            format!("{:?}", reused.outcome),
+            format!("{:?}", fresh.outcome)
+        );
     }
 
     #[test]
@@ -1026,6 +1042,9 @@ mod tests {
             ProtocolKind::MultiTree { ttl: 4, k: 3 }.to_string(),
             "multi-tree(ttl=4, k=3)"
         );
-        assert_eq!(ProtocolKind::Gossip { rounds: 9 }.to_string(), "push-sum(rounds=9)");
+        assert_eq!(
+            ProtocolKind::Gossip { rounds: 9 }.to_string(),
+            "push-sum(rounds=9)"
+        );
     }
 }

@@ -114,7 +114,12 @@ impl Actor<HeartbeatMsg> for HeartbeatActor {
         self.beat(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, HeartbeatMsg>, from: ProcessId, _: HeartbeatMsg) {
+    fn on_message(
+        &mut self,
+        ctx: &mut Context<'_, HeartbeatMsg>,
+        from: ProcessId,
+        _: HeartbeatMsg,
+    ) {
         self.last_heard.insert(from, ctx.now());
         let prev = self.status.insert(from, NeighborStatus::Alive);
         if prev.is_none() {
@@ -228,7 +233,12 @@ mod tests {
             .initial_graph(generate::ring(8))
             .delay(DelayModel::Fixed(TimeDelta::TICK))
             .loss(LossModel::Bernoulli(0.4))
-            .spawn(|_| Box::new(HeartbeatActor::new(TimeDelta::ticks(2), TimeDelta::ticks(5))))
+            .spawn(|_| {
+                Box::new(HeartbeatActor::new(
+                    TimeDelta::ticks(2),
+                    TimeDelta::ticks(5),
+                ))
+            })
             .build();
         w.run_until(Time::from_ticks(300));
         let total: u64 = w

@@ -244,7 +244,13 @@ impl Actor<RegMsg> for RegisterActor {
             }
             RegMsg::ReadReq { reader, rid, ttl } => {
                 if self.relayed_reads.insert((reader, rid)) {
-                    ctx.send(reader, RegMsg::ReadRep { rid, pair: self.pair });
+                    ctx.send(
+                        reader,
+                        RegMsg::ReadRep {
+                            rid,
+                            pair: self.pair,
+                        },
+                    );
                     if ttl > 0 {
                         ctx.broadcast(RegMsg::ReadReq {
                             reader,
@@ -281,10 +287,7 @@ impl Actor<RegMsg> for RegisterActor {
                 return;
             }
         }
-        let finished = self
-            .pending_read
-            .as_ref()
-            .is_some_and(|r| r.timer == timer);
+        let finished = self.pending_read.as_ref().is_some_and(|r| r.timer == timer);
         if finished {
             let r = self.pending_read.take().expect("checked");
             // A read also installs what it learned (helping, as in the
@@ -433,7 +436,11 @@ mod tests {
         w.inject(Time::from_ticks(1), pid(0), RegMsg::Write { value: 77 });
         w.run_until(Time::from_ticks(300));
         // Read from whoever is currently present besides the writer.
-        let member = *w.members().iter().find(|&&m| m != pid(0)).expect("nonempty");
+        let member = *w
+            .members()
+            .iter()
+            .find(|&&m| m != pid(0))
+            .expect("nonempty");
         w.inject(Time::from_ticks(301), member, RegMsg::Read);
         w.run_until(Time::from_ticks(400));
         let reader: &RegisterActor = w.actor(member).unwrap();

@@ -510,8 +510,7 @@ impl ScdActor {
         // Stagger first flushes across processes so same-period timers do
         // not all contend at the same instant (and so mutant schedules
         // interleave deterministically).
-        let stagger =
-            TimeDelta::ticks(ctx.pid().as_raw() % self.config.period.as_ticks().max(1));
+        let stagger = TimeDelta::ticks(ctx.pid().as_raw() % self.config.period.as_ticks().max(1));
         self.flush_timer = Some(ctx.set_timer(self.config.period + stagger));
     }
 
@@ -651,9 +650,9 @@ impl ScdActor {
                 let p = self.pending.remove(pos);
                 let outcome = match p.call {
                     ScdCall::CtrRead => ScdOutcome::Counter(self.counter),
-                    ScdCall::SnapRead => ScdOutcome::Snapshot(
-                        self.snapshot.iter().map(|(&k, &v)| (k, v)).collect(),
-                    ),
+                    ScdCall::SnapRead => {
+                        ScdOutcome::Snapshot(self.snapshot.iter().map(|(&k, &v)| (k, v)).collect())
+                    }
                     _ => ScdOutcome::Ack,
                 };
                 self.log.push(ScdLogged {
@@ -882,7 +881,12 @@ pub fn check_world(world: &World<ScdMsg>) -> Result<(), ScdViolation> {
     for (i, (pid, _)) in actors.iter().enumerate() {
         for ((origin, seq), (_, m)) in &index[i] {
             if let Some(pos) = actors.iter().position(|(p, _)| p == origin) {
-                if !actors[pos].1.broadcasts().iter().any(|(s, t)| s == seq && *t == m.ts) {
+                if !actors[pos]
+                    .1
+                    .broadcasts()
+                    .iter()
+                    .any(|(s, t)| s == seq && *t == m.ts)
+                {
                     return Err(ScdViolation {
                         reason: "validity".into(),
                         details: format!(
@@ -999,9 +1003,7 @@ pub fn register_history_from_world(
         for entry in actor.log() {
             let (op, response) = match (&entry.call, &entry.outcome) {
                 (ScdCall::RegWrite(v), ScdOutcome::Ack) => (RegOp::Write(*v), RegResp::Ack),
-                (ScdCall::RegRead, ScdOutcome::Register(v)) => {
-                    (RegOp::Read, RegResp::Value(*v))
-                }
+                (ScdCall::RegRead, ScdOutcome::Register(v)) => (RegOp::Read, RegResp::Value(*v)),
                 _ => continue,
             };
             records.push(OpRecord {
@@ -1167,8 +1169,7 @@ impl ScdScenario {
             latencies.extend_from_slice(a.latencies());
         }
         let agree = counters.windows(2).all(|w| w[0] == w[1]);
-        let converged =
-            agree && !counters.is_empty() && counters[0] == expected_counter;
+        let converged = agree && !counters.is_empty() && counters[0] == expected_counter;
         ScdRunReport {
             completed,
             aborted,

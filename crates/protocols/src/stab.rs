@@ -40,8 +40,8 @@ use dds_core::time::{Time, TimeDelta};
 use dds_net::generate;
 use dds_sim::actor::{Actor, Context};
 use dds_sim::corrupt::{Burst, CorruptionAdversary};
-use dds_sim::driver::{BalancedChurn, ChurnDriver, Compose};
 use dds_sim::delay::DelayModel;
+use dds_sim::driver::{BalancedChurn, ChurnDriver, Compose};
 use dds_sim::event::TimerId;
 use dds_sim::metrics::Metrics;
 use dds_sim::snapshot::{FingerprintMsg, StableHasher};
@@ -540,7 +540,11 @@ impl StabScenario {
                 let raw = pid.as_raw();
                 let succ = ProcessId::from_raw((raw + 1) % n as u64);
                 let actor = DijkstraRing::new(k, raw == 0, succ, period);
-                Box::new(if mutant { actor.with_skew_mutation() } else { actor })
+                Box::new(if mutant {
+                    actor.with_skew_mutation()
+                } else {
+                    actor
+                })
             })
             .build();
         let ring: Vec<ProcessId> = (0..n as u64).map(ProcessId::from_raw).collect();
@@ -574,13 +578,21 @@ impl StabScenario {
             .boxed_driver(driver)
             .spawn(move |_| {
                 let actor = ViewActor::new(period, purge_after);
-                Box::new(if mutant { actor.without_eviction() } else { actor })
+                Box::new(if mutant {
+                    actor.without_eviction()
+                } else {
+                    actor
+                })
             })
             .build();
         let from = Time::from_ticks(self.corrupt_at);
         world.run_until(from);
-        let ticks =
-            measure_stabilization(&mut world, from, Time::from_ticks(self.deadline), views_legal);
+        let ticks = measure_stabilization(
+            &mut world,
+            from,
+            Time::from_ticks(self.deadline),
+            views_legal,
+        );
         StabOutcome {
             ticks_to_legal: ticks,
             corruptions: world.metrics().corruptions,
@@ -717,10 +729,9 @@ mod tests {
             })
             .build();
         let ring: Vec<ProcessId> = (0..n).map(pid).collect();
-        let ticks =
-            measure_stabilization(&mut world, Time::ZERO, Time::from_ticks(300), |w| {
-                token_legal(w, &ring)
-            });
+        let ticks = measure_stabilization(&mut world, Time::ZERO, Time::from_ticks(300), |w| {
+            token_legal(w, &ring)
+        });
         assert!(ticks.is_some());
         let mover = world.actor::<DijkstraRing>(pid(0)).unwrap();
         assert!(mover.moves() > 0, "the bottom regenerated the token");
@@ -741,7 +752,8 @@ mod tests {
             })
             .build();
         assert!(!views_legal(&world) || world.members().is_empty());
-        let ticks = measure_stabilization(&mut world, Time::ZERO, Time::from_ticks(100), views_legal);
+        let ticks =
+            measure_stabilization(&mut world, Time::ZERO, Time::from_ticks(100), views_legal);
         assert!(ticks.is_some(), "phantom must be purged");
         let a = world.actor::<ViewActor>(pid(1)).unwrap();
         assert!(a.purges() >= 1);
@@ -753,7 +765,12 @@ mod tests {
         let world: World<TokenMsg> = WorldBuilder::new(0)
             .initial_graph(generate::ring(3))
             .spawn(|p| {
-                Box::new(DijkstraRing::new(4, p.as_raw() == 0, pid((p.as_raw() + 1) % 3), TimeDelta::ticks(2)))
+                Box::new(DijkstraRing::new(
+                    4,
+                    p.as_raw() == 0,
+                    pid((p.as_raw() + 1) % 3),
+                    TimeDelta::ticks(2),
+                ))
             })
             .build();
         let ghost = [pid(0), pid(1), pid(7)];

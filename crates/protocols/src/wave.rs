@@ -20,10 +20,11 @@
 //!   extra tree recovers some of the coverage churn destroys (E4, and the
 //!   redundancy ablation).
 //!
-//! Echo payloads carry the explicit `contributor → value` map rather than a
-//! folded accumulator, so unioning across trees never double-counts.
+//! Echo payloads carry the explicit contributors with their values
+//! ([`Contributions`], sorted by identity) rather than a folded
+//! accumulator, so unioning across trees never double-counts.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use dds_core::process::ProcessId;
 use dds_core::spec::aggregate::{Aggregate, AggregateKind};
@@ -53,8 +54,73 @@ pub enum WaveMsg {
         /// Which tree this echo belongs to.
         tree: u32,
         /// Contributors and their values, merged over the subtree.
-        contributions: BTreeMap<ProcessId, f64>,
+        contributions: Contributions,
     },
+}
+
+/// Contributors and their values, one entry per identity, sorted by
+/// identity in one allocation: the payload an echo carries and what the
+/// initiator unions across trees. A process reached along two paths, or
+/// by two trees, is counted once.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Contributions(Vec<(ProcessId, f64)>);
+
+impl Contributions {
+    /// A single contributor.
+    pub fn single(pid: ProcessId, value: f64) -> Self {
+        Contributions(vec![(pid, value)])
+    }
+
+    /// Number of contributors.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether nobody contributed.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The contributors, in identity order.
+    pub fn keys(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.0.iter().map(|&(p, _)| p)
+    }
+
+    /// The contributed values, in identity order.
+    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.0.iter().map(|&(_, v)| v)
+    }
+
+    /// Adds every contributor of `other`. On an identity both hold,
+    /// `other`'s value wins (the rule of `BTreeMap::extend`).
+    ///
+    /// One linear merge, in place: `other`'s entries are appended as
+    /// scratch, the union is written from the back, and the slots freed by
+    /// shared identities — a gap just past the untouched prefix — are
+    /// closed with one move.
+    pub fn union(&mut self, other: &Contributions) {
+        let v = &mut self.0;
+        let (mut i, mut j) = (v.len(), other.0.len());
+        v.extend_from_slice(&other.0);
+        let mut k = v.len();
+        // Invariant: k = i + j + (shared identities merged so far), so the
+        // write slot k - 1 never holds an unread entry of `self` (< i).
+        while j > 0 {
+            k -= 1;
+            let theirs = other.0[j - 1];
+            if i > 0 && v[i - 1].0 > theirs.0 {
+                v[k] = v[i - 1];
+                i -= 1;
+            } else {
+                if i > 0 && v[i - 1].0 == theirs.0 {
+                    i -= 1;
+                }
+                v[k] = theirs;
+                j -= 1;
+            }
+        }
+        v.drain(i..k);
+    }
 }
 
 /// Churn-handling variant of the wave.
@@ -118,8 +184,10 @@ struct TreeState {
     parent: Option<ProcessId>,
     /// TTL this node received (its remaining hop budget).
     ttl: u32,
-    pending: BTreeSet<ProcessId>,
-    contributions: BTreeMap<ProcessId, f64>,
+    /// Children yet to echo, in no particular order: the shuffled probe
+    /// targets, plus bridge peers probed later. Only ever searched.
+    pending: Vec<ProcessId>,
+    contributions: Contributions,
     replied: bool,
     timer: Option<TimerId>,
 }
@@ -130,7 +198,7 @@ pub struct WaveResult {
     /// When the last tree completed.
     pub finished_at: Time,
     /// Union of contributors with their values.
-    pub contributions: BTreeMap<ProcessId, f64>,
+    pub contributions: Contributions,
     /// The aggregate value over the union.
     pub value: f64,
 }
@@ -141,7 +209,7 @@ pub struct WaveResult {
 #[derive(Debug, Default)]
 struct Generation {
     completed_trees: u32,
-    merged: BTreeMap<ProcessId, f64>,
+    merged: Contributions,
 }
 
 /// One process of a wave-family query.
@@ -196,8 +264,7 @@ impl WaveActor {
         parent: Option<ProcessId>,
         ttl: u32,
     ) {
-        let mut contributions = BTreeMap::new();
-        contributions.insert(ctx.pid(), ctx.value());
+        let contributions = Contributions::single(ctx.pid(), ctx.value());
         let mut targets: Vec<ProcessId> = ctx
             .neighbors()
             .iter()
@@ -205,14 +272,6 @@ impl WaveActor {
             .filter(|n| Some(*n) != parent)
             .collect();
         ctx.rng().shuffle(&mut targets);
-        let mut state = TreeState {
-            parent,
-            ttl,
-            pending: BTreeSet::new(),
-            contributions,
-            replied: false,
-            timer: None,
-        };
         if ttl > 0 {
             for &t in &targets {
                 ctx.send(
@@ -224,8 +283,17 @@ impl WaveActor {
                     },
                 );
             }
-            state.pending = targets.into_iter().collect();
+        } else {
+            targets.clear();
         }
+        let mut state = TreeState {
+            parent,
+            ttl,
+            pending: targets,
+            contributions,
+            replied: false,
+            timer: None,
+        };
         if !state.pending.is_empty() && self.config.variant == WaveVariant::FloodEcho {
             let timer = ctx.set_timer(self.subtree_timeout(ttl));
             state.timer = Some(timer);
@@ -247,44 +315,51 @@ impl WaveActor {
         }
         state.replied = true;
         state.pending.clear();
-        let contributions = state.contributions.clone();
         match state.parent {
             Some(parent) => {
                 ctx.send(
                     parent,
                     WaveMsg::Echo {
                         tree,
-                        contributions,
+                        contributions: state.contributions.clone(),
                     },
                 );
             }
             None if self.is_initiator => {
                 let generation = tree / self.config.trees;
                 let slot = self.open_generations.entry(generation).or_default();
-                slot.merged.extend(contributions);
+                slot.merged.union(&state.contributions);
                 slot.completed_trees += 1;
                 if slot.completed_trees >= self.config.trees {
                     let slot = self
                         .open_generations
                         .remove(&generation)
                         .expect("just updated");
-                    let acc = slot.merged.values().fold(
-                        self.config.aggregate.identity(),
-                        |acc, &v| {
-                            self.config
-                                .aggregate
-                                .combine(acc, self.config.aggregate.lift(v))
-                        },
-                    );
+                    let agg = self.config.aggregate;
+                    let acc = slot
+                        .merged
+                        .values()
+                        .fold(agg.identity(), |acc, v| agg.combine(acc, agg.lift(v)));
                     self.results.push(WaveResult {
                         finished_at: ctx.now(),
-                        contributions: slot.merged.clone(),
-                        value: self.config.aggregate.finish(acc),
+                        contributions: slot.merged,
+                        value: agg.finish(acc),
                     });
                 }
             }
             None => {}
         }
+    }
+}
+
+/// Removes `p` from the pending children, reporting whether it was there.
+fn take(pending: &mut Vec<ProcessId>, p: ProcessId) -> bool {
+    match pending.iter().position(|&q| q == p) {
+        Some(i) => {
+            pending.swap_remove(i);
+            true
+        }
+        None => false,
     }
 }
 
@@ -303,9 +378,10 @@ impl Actor<WaveMsg> for WaveActor {
                 if let Some(state) = self.trees.get(&tree) {
                     // Already in this tree: immediately release the sender,
                     // echoing everything gathered so far. Echo payloads are
-                    // keyed maps, so duplicates collapse at every merge —
-                    // and a subtree whose original echo died with a departed
-                    // parent is recovered when a repair edge re-probes it.
+                    // keyed by identity, so duplicates collapse at every
+                    // union — and a subtree whose original echo died with a
+                    // departed parent is recovered when a repair edge
+                    // re-probes it.
                     ctx.send(
                         from,
                         WaveMsg::Echo {
@@ -325,10 +401,10 @@ impl Actor<WaveMsg> for WaveActor {
                     let Some(state) = self.trees.get_mut(&tree) else {
                         return;
                     };
-                    if !state.pending.remove(&from) {
+                    if !take(&mut state.pending, from) {
                         return; // late echo after timeout: already answered
                     }
-                    state.contributions.extend(contributions);
+                    state.contributions.union(&contributions);
                     state.pending.is_empty() && !state.replied
                 };
                 if finish {
@@ -365,7 +441,10 @@ impl Actor<WaveMsg> for WaveActor {
             .trees
             .iter()
             .filter(|(_, s)| {
-                !s.replied && s.ttl > 0 && s.pending.contains(&replaced) && !s.pending.contains(&peer)
+                !s.replied
+                    && s.ttl > 0
+                    && s.pending.contains(&replaced)
+                    && !s.pending.contains(&peer)
             })
             .map(|(&t, s)| (t, s.ttl))
             .collect();
@@ -382,7 +461,7 @@ impl Actor<WaveMsg> for WaveActor {
                 .get_mut(&tree)
                 .expect("just listed")
                 .pending
-                .insert(peer);
+                .push(peer);
         }
     }
 
@@ -391,7 +470,7 @@ impl Actor<WaveMsg> for WaveActor {
         for tree in trees {
             let finish = {
                 let state = self.trees.get_mut(&tree).expect("iterating own keys");
-                state.pending.remove(&peer) && state.pending.is_empty() && !state.replied
+                take(&mut state.pending, peer) && state.pending.is_empty() && !state.replied
             };
             if finish {
                 self.finish_tree(ctx, tree);
@@ -413,11 +492,7 @@ mod tests {
         ProcessId::from_raw(n)
     }
 
-    fn build(
-        graph: dds_net::Graph,
-        config: WaveConfig,
-        seed: u64,
-    ) -> World<WaveMsg> {
+    fn build(graph: dds_net::Graph, config: WaveConfig, seed: u64) -> World<WaveMsg> {
         WorldBuilder::new(seed)
             .initial_graph(graph)
             .delay(DelayModel::Fixed(TimeDelta::TICK))
