@@ -3,34 +3,36 @@
 //! Usage: `run_check [--json <file>] [--dump-dir <dir>] [--telemetry <file>]`.
 //!
 //! Runs every correct/mutant pair in [`dds_check::mutants::suite`] through
-//! the bounded explorer at the default [`Budget`] — the snapshot-forking
-//! engine with its DFS frontier sharded across `DDS_THREADS` workers
-//! ([`dds_check::explore_parallel`]), whole-run replay for the register
+//! [`dds_check::explore()`] at the default [`Budget`] — the snapshot-forking
+//! engine for world-backed subjects, whole-run replay for the register
 //! schedules, which have no world to fork — falling back to the fuzzer for
-//! mutants the explorer misses. The fallback is the one the suite's own
-//! tests grant (fuzzer seed 1, 300 attempts, depth 64), so a conviction is
-//! a property of the code, not of a flag. A correct target that yields a
-//! counterexample, or a mutant that escapes both passes, is a suite
+//! mutants the explorer misses. It is the same call, on a fresh instance
+//! of each subject, that `tests/explore_pins.rs` and the benchmark's
+//! `check-explore` workload make, so every subject's runs, states, dedup
+//! hits and forks are the ones pinned in
+//! `benchmark/pins/check-explore.txt`. The fallback is the one the suite's
+//! own tests grant (fuzzer seed 1, 300 attempts, depth 64), so a conviction
+//! is a property of the code, not of a flag. A correct target that yields
+//! a counterexample, or a mutant that escapes both passes, is a suite
 //! failure: the process exits 4 (the CI checking gate). Exit 2 is bad
 //! arguments.
 //!
 //! With `--json <file>` a summary document in the `BENCH_sweeps.json`
-//! style is written there; every field is deterministic, so reruns — at
-//! any `DDS_THREADS` — are byte-identical (CI `cmp`s two of them).
-//! Wall time, throughput (`states/sec`) and progress lines go to stderr
-//! only, for the same reason. With `--dump-dir <dir>`
+//! style is written there; every field is deterministic, so reruns are
+//! byte-identical. Wall time, throughput (`states/sec`) and progress lines
+//! go to stderr only, for the same reason. With `--dump-dir <dir>`
 //! every counterexample is replayed once more and its event history
 //! dumped as `<dir>/<target>.jsonl` flight-recorder JSONL, with the
 //! witness's minimal happened-before chain next to it as
 //! `<dir>/<target>_chain.jsonl`. With `--telemetry <file>` the explorer's
-//! periodic progress samples (integer fields only — deterministic at any
-//! thread count) are appended there as JSONL.
+//! periodic progress samples and one `explored` line per subject (integer
+//! fields only) are written there as JSONL.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use dds_check::mutants::suite;
-use dds_check::{explore_parallel, fuzz, Budget, Counterexample, ProgressSample};
+use dds_check::{explore, fuzz, Budget, Counterexample, ProgressSample};
 
 /// The fuzzer seed and attempts a mutant the explorer missed gets: what
 /// the tests of `mutants::suite()` grant.
@@ -94,10 +96,9 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for subject in suite() {
         let target_start = Instant::now();
-        let explored = explore_parallel(subject.build, budget);
+        let explored = explore((subject.build)().as_mut(), budget);
         let target_secs = target_start.elapsed().as_secs_f64();
-        // The instance used for fallback fuzzing and counterexample dumps;
-        // exploration itself builds its own copies per frontier shard.
+        // A fresh instance for fallback fuzzing and counterexample dumps.
         let mut target = (subject.build)();
         let mut row = Row {
             name: target.name().to_string(),
@@ -113,7 +114,7 @@ fn main() {
             progress: explored.progress,
         };
         // Wall-clock-derived, so stderr only: stdout and the JSON document
-        // stay byte-identical across thread counts and machine speeds.
+        // stay byte-identical across runs and machine speeds.
         if row.states_explored > 0 && target_secs > 0.0 {
             eprintln!(
                 "{:28} {:>9.0} states/sec",
@@ -231,8 +232,8 @@ fn report(row: &Row) {
 }
 
 /// The explorer's periodic progress samples as JSONL, one line per
-/// sample. Integer fields only and no wall clock: the file is a pure
-/// function of the explored trees, byte-identical at any `DDS_THREADS`.
+/// sample, then one `explored` line per subject. Integer fields only and
+/// no wall clock: the file is a pure function of the explored trees.
 fn render_telemetry(rows: &[Row]) -> String {
     let mut out = String::new();
     for r in rows {

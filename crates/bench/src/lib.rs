@@ -5,8 +5,8 @@
 //! the results (who wins, where the frontier falls) rather than on exact
 //! numbers. The `run_experiments` binary prints any subset and renders
 //! the result-shape ledger `BENCH_sweeps.json` ([`ledger`]); both are
-//! pinned byte for byte by `tests/experiment_pins.rs`. The Criterion
-//! benches in `benches/` time representative configurations.
+//! pinned byte for byte by `tests/experiment_pins.rs`. Timing belongs to
+//! the repo benchmark (`benchmark/`).
 
 #![warn(missing_docs)]
 

@@ -1,62 +1,87 @@
 //! End-to-end test for `run_check`: the whole validation suite passes
-//! within the default CI budget, and its JSON summary — which embeds
-//! every counterexample's shape and carries no wall-clock field — is
-//! byte-identical across thread counts, i.e. counterexamples replay
-//! deterministically. So is the `--telemetry` progress JSONL.
+//! within the default CI budget, and the walk it reports is the pinned
+//! one. Every subject's runs, states, dedup hits and forks, and whether
+//! the explorer (not the fallback fuzzer) found the violation, must equal
+//! its line in `benchmark/pins/check-explore.txt` — the file
+//! `tests/explore_pins.rs` and the benchmark's `check-explore` workload
+//! hold the same exploration to.
 
-use std::path::Path;
 use std::process::Command;
 
-fn run_check(threads: &str, json: &Path, telemetry: &Path) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_run_check"))
-        .args(["--json", json.to_str().unwrap()])
-        .args(["--telemetry", telemetry.to_str().unwrap()])
-        .env("DDS_THREADS", threads)
-        .output()
-        .expect("run_check must start")
+/// The value of `"key": <value>` in one hand-rolled JSON object line.
+fn field<'a>(line: &'a str, key: &str) -> &'a str {
+    let tag = format!("\"{key}\": ");
+    let start = line.find(&tag).unwrap_or_else(|| panic!("{key} in {line}")) + tag.len();
+    line[start..]
+        .split([',', '}'])
+        .next()
+        .unwrap()
+        .trim_matches('"')
 }
 
 #[test]
-fn suite_verdicts_replay_byte_identically_across_thread_counts() {
+fn suite_reports_the_pinned_exploration() {
     let dir = std::env::temp_dir();
     let pid = std::process::id();
-    let a = dir.join(format!("dds_check_t1_{pid}.json"));
-    let b = dir.join(format!("dds_check_t8_{pid}.json"));
-    let ta = dir.join(format!("dds_check_t1_{pid}.telemetry.jsonl"));
-    let tb = dir.join(format!("dds_check_t8_{pid}.telemetry.jsonl"));
-    let out1 = run_check("1", &a, &ta);
-    let out8 = run_check("8", &b, &tb);
+    let json = dir.join(format!("dds_check_{pid}.json"));
+    let telemetry = dir.join(format!("dds_check_{pid}.telemetry.jsonl"));
+    let out = Command::new(env!("CARGO_BIN_EXE_run_check"))
+        .args(["--json", json.to_str().unwrap()])
+        .args(["--telemetry", telemetry.to_str().unwrap()])
+        .output()
+        .expect("run_check must start");
+    let summary = std::fs::read_to_string(&json).expect("summary written");
+    let tel = std::fs::read_to_string(&telemetry).expect("telemetry written");
+    std::fs::remove_file(&json).ok();
+    std::fs::remove_file(&telemetry).ok();
     assert_eq!(
-        out1.status.code(),
+        out.status.code(),
         Some(0),
         "stderr: {}",
-        String::from_utf8_lossy(&out1.stderr)
-    );
-    assert_eq!(out8.status.code(), Some(0));
-    let j1 = std::fs::read_to_string(&a).expect("summary written");
-    let j8 = std::fs::read_to_string(&b).expect("summary written");
-    let tel1 = std::fs::read_to_string(&ta).expect("telemetry written");
-    let tel8 = std::fs::read_to_string(&tb).expect("telemetry written");
-    for f in [&a, &b, &ta, &tb] {
-        std::fs::remove_file(f).ok();
-    }
-    assert_eq!(j1, j8, "summaries must be byte-identical");
-    assert!(j1.contains("\"ok\": true"), "suite must be green: {j1}");
-    // Every mutant caught, every correct target clean.
-    assert!(!j1.contains("\"ok\": false"));
-    // The progress telemetry is integer-only too.
-    assert_eq!(
-        tel1, tel8,
-        "progress telemetry must be thread-count invariant"
+        String::from_utf8_lossy(&out.stderr)
     );
     assert!(
-        tel1.lines().any(|l| l.contains("\"t\":\"explored\"")),
-        "telemetry must carry one explored line per target"
+        summary.contains("\"ok\": true"),
+        "suite must be green: {summary}"
     );
-    // stdout (per-target lines) is deterministic too.
+
+    // The first pin is the large flood sweep, which only the benchmark
+    // explores; the rest are the suite's subjects, in suite order.
+    let pins: Vec<&str> = include_str!("../../../benchmark/pins/check-explore.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .collect();
+    assert!(pins[0].starts_with("flood-merge/large "));
+    let got: Vec<String> = summary
+        .lines()
+        .filter(|l| l.trim_start().starts_with("{\"name\""))
+        .map(|l| {
+            let by_explorer = field(l, "violation_found") == "true" && field(l, "fuzz_runs") == "0";
+            format!(
+                "{} {} {} {} {} {}",
+                field(l, "name"),
+                field(l, "explore_runs"),
+                field(l, "states_explored"),
+                field(l, "dedup_hits"),
+                field(l, "forks"),
+                u8::from(by_explorer)
+            )
+        })
+        .collect();
+    assert_eq!(got, pins[1..], "name runs states dedup forks violation");
+
+    let explored: Vec<&str> = tel
+        .lines()
+        .filter_map(|l| l.strip_prefix("{\"t\":\"explored\",\"target\":\""))
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    let subjects: Vec<&str> = pins[1..]
+        .iter()
+        .map(|p| p.split(' ').next().unwrap())
+        .collect();
     assert_eq!(
-        String::from_utf8_lossy(&out1.stdout),
-        String::from_utf8_lossy(&out8.stdout)
+        explored, subjects,
+        "telemetry must carry one explored line per subject"
     );
 }
 

@@ -51,18 +51,17 @@ use crate::target::{Counterexample, ExploreSession, RunReport, SessionState, Tar
 
 /// Runs between two [`ProgressSample`]s. Coarse enough that sampling is
 /// free next to target execution, fine enough that a default budget
-/// (512 runs) still yields a couple of points per shard.
+/// (512 runs) still yields a couple of points.
 pub const PROGRESS_INTERVAL: usize = 256;
 
 /// A snapshot of the explorer's work counters, taken every
 /// [`PROGRESS_INTERVAL`] runs along the walk.
 ///
 /// Every field is a pure function of the explored tree — no wall-clock,
-/// no thread ids — so the sample vector is byte-identical at any
-/// `DDS_THREADS` value (shards are structure-determined and samples
-/// merge in shard order). Consumers that want timestamps attach them at
-/// emission time, on stderr or in a side-channel file, never in the
-/// checker's canonical JSON output.
+/// no thread ids — so the sample vector is byte-identical from run to
+/// run. Consumers that want timestamps attach them at emission time, on
+/// stderr or in a side-channel file, never in the checker's canonical
+/// JSON output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgressSample {
     /// Runs consumed when the sample was taken.
@@ -131,9 +130,8 @@ pub struct Explored {
     /// `true` when the bounded space was fully explored (no violation and
     /// no budget exhaustion).
     pub exhausted: bool,
-    /// Periodic counter snapshots (one per [`PROGRESS_INTERVAL`] runs),
-    /// concatenated in shard order under [`explore_parallel`]. Purely
-    /// structural, so identical at any `DDS_THREADS` value.
+    /// Periodic counter snapshots (one per [`PROGRESS_INTERVAL`] runs).
+    /// Purely structural, so identical on every run.
     pub progress: Vec<ProgressSample>,
 }
 
@@ -422,8 +420,8 @@ const VISITED_ROOM: usize = 1 << 12;
 /// full-state hashes along forced suffixes that nothing will match.
 const PROBE_WINDOW: usize = 4;
 
-/// The snapshot-forking DFS walk shared by [`explore_fork`] (whole tree)
-/// and [`explore_parallel`] (one root shard per instance).
+/// The snapshot-forking DFS walk behind [`explore_fork`]: one walk over
+/// the whole tree with one visited set.
 struct ForkDfs {
     budget: Budget,
     por: bool,
@@ -463,8 +461,7 @@ impl ForkDfs {
 
     /// Records a [`ProgressSample`] once per [`PROGRESS_INTERVAL`] runs.
     /// Called between descents (never mid-descent), so `frontier_depth`
-    /// is the settled DFS path length — a structural quantity, stable
-    /// across thread counts.
+    /// is the settled DFS path length — a structural quantity.
     fn sample(&mut self, frontier_depth: usize) {
         if self.runs >= self.next_sample {
             self.progress.push(ProgressSample {
@@ -604,11 +601,10 @@ impl ForkDfs {
         }
     }
 
-    /// Runs the DFS from a session positioned just past `path`'s last
-    /// decision (or a fresh start with an empty path).
-    fn run(mut self, mut session: Box<dyn ExploreSession>, mut path: Vec<Frame>) -> Explored {
-        let preemptions = path.iter().filter(|f| f.node.chosen != 0).count();
-        if let Some(v) = self.descend(&mut session, &mut path, preemptions) {
+    /// Runs the DFS from a freshly opened session.
+    fn run(mut self, mut session: Box<dyn ExploreSession>) -> Explored {
+        let mut path = Vec::new();
+        if let Some(v) = self.descend(&mut session, &mut path, 0) {
             return self.finish(&path, Some(v), false);
         }
         // Release what the first descent still shares with the snapshots
@@ -688,142 +684,7 @@ impl ForkDfs {
 pub fn explore_fork(target: &mut dyn Target, budget: Budget) -> Option<Explored> {
     let por = target.reduction_safe();
     let session = target.session()?;
-    Some(ForkDfs::new(budget, por).run(session, Vec::new()))
-}
-
-/// Explores `build`'s target with the DFS frontier sharded over the root
-/// choice point, one shard per root alternative, fanned across
-/// `DDS_THREADS` workers ([`dds_sim::parallel::parallel_map`]).
-///
-/// Shards are defined by the tree's structure (the root width), never by
-/// the worker count, and results merge in shard order with accumulation
-/// stopping at the first violating shard — so the outcome is
-/// byte-identical at any `DDS_THREADS` value. Each shard gets
-/// `max(1, max_runs / shards)` runs; state dedup is per-shard (shards
-/// share no memory). Falls back to the sequential [`explore`] when the
-/// target has no session support.
-pub fn explore_parallel(build: fn() -> Box<dyn Target>, budget: Budget) -> Explored {
-    explore_parallel_with(dds_sim::parallel::thread_count(), build, budget)
-}
-
-/// [`explore_parallel`] with an explicit worker count, so tests can pin
-/// thread-count invariance without touching the environment.
-pub fn explore_parallel_with(
-    threads: usize,
-    build: fn() -> Box<dyn Target>,
-    budget: Budget,
-) -> Explored {
-    let mut probe = build();
-    let Some(mut session) = probe.session() else {
-        return explore(probe.as_mut(), budget);
-    };
-    // Learn the root width from a probe descent to the first choice.
-    if session.advance(&mut Vec::new()) == SessionState::Done {
-        // No choice points at all: the single deterministic run is the
-        // whole space.
-        let counterexample = session
-            .violation()
-            .map(|v| Counterexample::new(&[], v));
-        let exhausted = counterexample.is_none();
-        return Explored {
-            runs: 1,
-            states_explored: 0,
-            dedup_hits: 0,
-            forks: 0,
-            counterexample,
-            exhausted,
-            progress: Vec::new(),
-        };
-    }
-    let width = session.choice().expect("Choice state has a choice point").width;
-    drop(session);
-    drop(probe);
-
-    let shards = if budget.max_preemptions == 0 || budget.max_depth == 0 {
-        // Root deviations are inadmissible: the whole tree is one shard.
-        1
-    } else {
-        width
-    };
-    let shard_budget = Budget {
-        max_runs: (budget.max_runs / shards).max(1),
-        ..budget
-    };
-
-    let results = dds_sim::parallel::parallel_map_with(threads, (0..shards).collect(), |k| {
-        let mut target = build();
-        let por = target.reduction_safe();
-        let Some(mut session) = target.session() else {
-            return explore(target.as_mut(), shard_budget);
-        };
-        if session.advance(&mut Vec::new()) == SessionState::Done {
-            let counterexample = session.violation().map(|v| Counterexample::new(&[], v));
-            let exhausted = counterexample.is_none();
-            return Explored {
-                runs: 1,
-                states_explored: 0,
-                dedup_hits: 0,
-                forks: 0,
-                counterexample,
-                exhausted,
-                progress: Vec::new(),
-            };
-        }
-        let cp = session.choice().expect("Choice state has a choice point");
-        // Shard k owns the subtree where the root dispatches alternative
-        // k. Reconstruct the root node exactly as the sequential walk
-        // would see it when it reaches that alternative: siblings 0..k
-        // completed (their executed events in `done`, feeding the sleep
-        // sets below), every root alternative marked tried so the shard
-        // never leaves its subtree.
-        let done = cp.ready.iter().take(k).copied().collect();
-        let mut node = node_from(cp, Vec::new(), Vec::new());
-        node.chosen = k;
-        node.tried = vec![true; node.width];
-        node.done = done;
-        let Some(snapshot) = session.fork() else {
-            return explore(target.as_mut(), shard_budget);
-        };
-        let path = vec![Frame {
-            snapshot: Some(snapshot),
-            node,
-        }];
-        let mut dfs = ForkDfs::new(shard_budget, por);
-        dfs.forks += 1;
-        session.choose(k);
-        dfs.run(session, path)
-    });
-
-    let mut total = Explored {
-        runs: 0,
-        states_explored: 0,
-        dedup_hits: 0,
-        forks: 0,
-        counterexample: None,
-        exhausted: true,
-        progress: Vec::new(),
-    };
-    for shard in results {
-        total.runs += shard.runs;
-        total.states_explored += shard.states_explored;
-        total.dedup_hits += shard.dedup_hits;
-        total.forks += shard.forks;
-        // Samples concatenate in shard order (shards are defined by the
-        // root width, not the worker count), keeping the merged vector
-        // thread-count invariant like every other field.
-        total.progress.extend(shard.progress.iter().copied());
-        if shard.counterexample.is_some() {
-            // Mirror the sequential early stop: later shards' work is
-            // discarded (they ran, but the report is deterministic).
-            total.counterexample = shard.counterexample;
-            total.exhausted = false;
-            break;
-        }
-        if !shard.exhausted {
-            total.exhausted = false;
-        }
-    }
-    total
+    Some(ForkDfs::new(budget, por).run(session))
 }
 
 #[cfg(test)]

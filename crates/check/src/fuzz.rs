@@ -55,10 +55,7 @@ pub fn fuzz(
             runs += shrink_runs;
             // Re-derive the violation from the minimal plan so the report
             // matches what replaying it shows.
-            let final_violation = target
-                .run(&minimal)
-                .violation
-                .unwrap_or(violation);
+            let final_violation = target.run(&minimal).violation.unwrap_or(violation);
             runs += 1;
             return FuzzOutcome {
                 runs,

@@ -46,8 +46,7 @@ pub mod schedule;
 pub mod target;
 
 pub use explore::{
-    explore, explore_fork, explore_parallel, explore_parallel_with, explore_replay, Budget,
-    Explored, ProgressSample, PROGRESS_INTERVAL,
+    explore, explore_fork, explore_replay, Budget, Explored, ProgressSample, PROGRESS_INTERVAL,
 };
 pub use fuzz::{fuzz, shrink, FuzzOutcome};
 pub use schedule::{ChoicePoint, ReadyEvent};

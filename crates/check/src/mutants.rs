@@ -91,10 +91,9 @@ const STORE_WRITEBACK_SEED: u64 = 161;
 /// One suite entry: a target factory and whether exploration must find a
 /// violation (mutants) or must not (correct variants).
 ///
-/// A `fn` pointer rather than a built target: the sharded explorer
-/// ([`crate::explore::explore_parallel`]) builds one independent target
-/// per worker thread, and `fn() -> Box<dyn Target>` is `Send + Sync` for
-/// free where a boxed world (full of `Rc`) is not.
+/// A `fn` pointer rather than a built target: every exploration (the
+/// suite's tests, `run_check`, the benchmark) starts from a fresh,
+/// deterministic instance, and a replayed counterexample gets its own.
 pub struct Subject {
     /// Builds a fresh, deterministic instance of the system under check.
     pub build: fn() -> Box<dyn Target>,
@@ -147,9 +146,8 @@ pub fn suite() -> Vec<Subject> {
 }
 
 /// Builder of the correct flood target — the canonical small world whose
-/// bounded schedule space exhausts quickly. Exported for the throughput
-/// experiment and the criterion benches in `dds-bench`, which measure the
-/// forking explorer against replay-DFS on exactly this sweep.
+/// bounded schedule space exhausts quickly. Exported for the benchmark's
+/// fuzzer probe, which times `fuzz` on exactly this sweep.
 pub fn flood_exhaustive() -> fn() -> Box<dyn Target> {
     || Box::new(flood_target(true)) as Box<dyn Target>
 }
@@ -496,10 +494,7 @@ fn majority_register_target(write_back: bool) -> RegisterTarget {
 // ---------------------------------------------------------------------------
 
 /// Checks a finished store world: the clients' history must be atomic.
-fn check_store_history(
-    world: &World<StoreMsg>,
-    clients: &[ProcessId],
-) -> Result<(), Violation> {
+fn check_store_history(world: &World<StoreMsg>, clients: &[ProcessId]) -> Result<(), Violation> {
     let history = history_from_store(world, clients.iter().copied());
     match check_atomic(&history) {
         Ok(lin) if lin.is_linearizable() => Ok(()),
@@ -534,7 +529,10 @@ fn store_writeback_target(write_back: bool) -> WorldTarget<StoreMsg> {
         |world: &World<StoreMsg>| {
             check_store_history(
                 world,
-                &[ProcessId::from_raw(WB_WRITER), ProcessId::from_raw(WB_READER)],
+                &[
+                    ProcessId::from_raw(WB_WRITER),
+                    ProcessId::from_raw(WB_READER),
+                ],
             )
         },
     )
@@ -651,8 +649,7 @@ fn scd_target(family: &'static str, fault: ScdFault) -> WorldTarget<ScdMsg> {
     } else {
         "mutant"
     };
-    let config =
-        ScdConfig::new(2, TimeDelta::TICK, TimeDelta::ticks(2)).with_fault(fault);
+    let config = ScdConfig::new(2, TimeDelta::TICK, TimeDelta::ticks(2)).with_fault(fault);
     WorldTarget::new(
         format!("{family}/{suffix}"),
         Time::from_ticks(12),
@@ -687,7 +684,11 @@ fn scd_target(family: &'static str, fault: ScdFault) -> WorldTarget<ScdMsg> {
 fn scd_split_target(correct: bool) -> WorldTarget<ScdMsg> {
     scd_target(
         "scd-split",
-        if correct { ScdFault::None } else { ScdFault::SplitSets },
+        if correct {
+            ScdFault::None
+        } else {
+            ScdFault::SplitSets
+        },
     )
 }
 
@@ -695,7 +696,11 @@ fn scd_split_target(correct: bool) -> WorldTarget<ScdMsg> {
 fn scd_cutoff_target(correct: bool) -> WorldTarget<ScdMsg> {
     scd_target(
         "scd-cutoff",
-        if correct { ScdFault::None } else { ScdFault::EagerCutoff },
+        if correct {
+            ScdFault::None
+        } else {
+            ScdFault::EagerCutoff
+        },
     )
 }
 
@@ -703,7 +708,11 @@ fn scd_cutoff_target(correct: bool) -> WorldTarget<ScdMsg> {
 fn scd_self_target(correct: bool) -> WorldTarget<ScdMsg> {
     scd_target(
         "scd-self",
-        if correct { ScdFault::None } else { ScdFault::SkipSelf },
+        if correct {
+            ScdFault::None
+        } else {
+            ScdFault::SkipSelf
+        },
     )
 }
 
@@ -917,9 +926,7 @@ fn store_reconfig_target() -> WorldTarget<StoreMsg> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{
-        explore, explore_fork, explore_parallel_with, explore_replay, Budget,
-    };
+    use crate::explore::{explore, explore_fork, explore_replay, Budget};
     use crate::fuzz::fuzz;
     use crate::target::{ExploreSession, SessionState};
 
@@ -960,7 +967,9 @@ mod tests {
     #[test]
     fn mutant_flood_is_caught() {
         let out = explore(&mut flood_target(false), budget());
-        let ce = out.counterexample.expect("overwrite merge must lose origins");
+        let ce = out
+            .counterexample
+            .expect("overwrite merge must lose origins");
         assert!(ce.preemptions <= 2);
     }
 
@@ -993,7 +1002,10 @@ mod tests {
             world.run_until(Time::from_ticks(90));
             let bad = check_store_history(
                 &world,
-                &[ProcessId::from_raw(WB_WRITER), ProcessId::from_raw(WB_READER)],
+                &[
+                    ProcessId::from_raw(WB_WRITER),
+                    ProcessId::from_raw(WB_READER),
+                ],
             )
             .is_err();
             if bad {
@@ -1156,7 +1168,10 @@ mod tests {
             let b = explore_fork(mk(false).as_mut(), budget()).expect("stab targets fork");
             let pa = a.counterexample.expect("fork engine catches the mutant");
             let pb = b.counterexample.expect("fork engine catches the mutant");
-            assert_eq!(pa.plan, pb.plan, "{label}: witness plans must be byte-identical");
+            assert_eq!(
+                pa.plan, pb.plan,
+                "{label}: witness plans must be byte-identical"
+            );
             assert!(pa.plan.len() <= 20, "{label}");
         }
     }
@@ -1174,7 +1189,11 @@ mod tests {
     /// What "the engines agree" means: same first counterexample
     /// (byte-identical plan, same violation), and exhaustion whenever
     /// replay exhausts — dedup only ever *saves* runs.
-    fn check_pair(label: &str, forked: crate::explore::Explored, replayed: crate::explore::Explored) {
+    fn check_pair(
+        label: &str,
+        forked: crate::explore::Explored,
+        replayed: crate::explore::Explored,
+    ) {
         assert!(
             forked.runs <= replayed.runs,
             "{label}: pruning cannot add runs (fork {}, replay {})",
@@ -1186,7 +1205,10 @@ mod tests {
                 .counterexample
                 .as_ref()
                 .unwrap_or_else(|| panic!("{label}: fork missed replay's witness {rce:?}"));
-            assert_eq!(rce.plan, fce.plan, "{label}: witness plans must be byte-identical");
+            assert_eq!(
+                rce.plan, fce.plan,
+                "{label}: witness plans must be byte-identical"
+            );
             assert_eq!(
                 rce.violation.reason, fce.violation.reason,
                 "{label}: the witness must break the same thing"
@@ -1264,7 +1286,10 @@ mod tests {
             let replayed = explore_replay((subject.build)().as_mut(), Budget::default());
             check_pair(target.name(), forked, replayed);
         }
-        assert_eq!(compared, 19, "every subject but the four register schedules");
+        assert_eq!(
+            compared, 19,
+            "every subject but the four register schedules"
+        );
     }
 
     /// A plan entry past the ready set clamps to its last alternative, a
@@ -1280,12 +1305,26 @@ mod tests {
         assert!(forced.iter().all(|c| c.chosen == 0 && c.ready.len() == 1));
 
         let deviated = target.run(&[99]);
-        let first = deviated.choices.iter().find(|c| c.width > 1).expect("a choice point");
-        assert_eq!(first.chosen, first.width - 1, "99 clamps to the last alternative");
+        let first = deviated
+            .choices
+            .iter()
+            .find(|c| c.width > 1)
+            .expect("a choice point");
+        assert_eq!(
+            first.chosen,
+            first.width - 1,
+            "99 clamps to the last alternative"
+        );
         assert_eq!(first.ready.len(), first.width);
-        assert!(deviated.plan()[1..].iter().all(|&d| d == 0), "plan exhausted");
+        assert!(
+            deviated.plan()[1..].iter().all(|&d| d == 0),
+            "plan exhausted"
+        );
         let replayed = target.run(&deviated.plan());
-        assert_eq!(format!("{:?}", replayed.choices), format!("{:?}", deviated.choices));
+        assert_eq!(
+            format!("{:?}", replayed.choices),
+            format!("{:?}", deviated.choices)
+        );
     }
 
     /// Runs `session` to its terminal one choice point at a time, always
@@ -1306,7 +1345,14 @@ mod tests {
         let mut builds: Vec<fn() -> Box<dyn Target>> =
             suite().into_iter().map(|s| s.build).collect();
         builds.push(flood_exhaustive_large());
-        let prefixes: [&[usize]; 6] = [&[], &[1], &[0, 1], &[2, 0, 1], &[1, 1, 1, 1], &[0, 0, 0, 3, 0, 2]];
+        let prefixes: [&[usize]; 6] = [
+            &[],
+            &[1],
+            &[0, 1],
+            &[2, 0, 1],
+            &[1, 1, 1, 1],
+            &[0, 0, 0, 3, 0, 2],
+        ];
         let mut sessions = 0;
         for build in builds {
             let mut target = build();
@@ -1332,13 +1378,21 @@ mod tests {
                 );
                 let fp = fast.fingerprint();
                 assert!(fp.is_some(), "{name}: suite worlds fingerprint");
-                assert_eq!(fp, slow.fingerprint(), "{name} after {prefix:?}: terminal states");
+                assert_eq!(
+                    fp,
+                    slow.fingerprint(),
+                    "{name} after {prefix:?}: terminal states"
+                );
                 // Finishing a finished run changes nothing.
                 fast.finish();
                 assert_eq!(fp, fast.fingerprint(), "{name}: finish is idempotent");
             }
         }
-        assert_eq!(sessions, 20 * prefixes.len(), "19 world-backed subjects and the sweep");
+        assert_eq!(
+            sessions,
+            20 * prefixes.len(),
+            "19 world-backed subjects and the sweep"
+        );
     }
 
     /// Pins the POR/dedup interaction: an epoch bump conservatively wipes
@@ -1364,39 +1418,6 @@ mod tests {
             reduced.runs,
             unreduced.runs
         );
-    }
-
-    /// Frontier sharding must be invisible in the output: every counter
-    /// and the witness are identical at any worker count.
-    #[test]
-    fn parallel_exploration_is_thread_count_invariant() {
-        for (label, build) in [
-            ("flood/correct", (|| Box::new(flood_target(true)) as Box<dyn Target>) as fn() -> Box<dyn Target>),
-            ("flood/mutant", || Box::new(flood_target(false)) as Box<dyn Target>),
-            ("race/mutant", || Box::new(race_target(false)) as Box<dyn Target>),
-            ("scd-split/mutant", || Box::new(scd_split_target(false)) as Box<dyn Target>),
-            ("scd-cutoff/mutant", || Box::new(scd_cutoff_target(false)) as Box<dyn Target>),
-            ("scd-self/mutant", || Box::new(scd_self_target(false)) as Box<dyn Target>),
-            ("stab-token/mutant", || Box::new(token_stab_target(false)) as Box<dyn Target>),
-            ("stab-view/mutant", || Box::new(view_stab_target(false)) as Box<dyn Target>),
-        ] {
-            let t1 = explore_parallel_with(1, build, budget());
-            let t8 = explore_parallel_with(8, build, budget());
-            assert_eq!(t1.runs, t8.runs, "{label}: runs");
-            assert_eq!(t1.states_explored, t8.states_explored, "{label}: states");
-            assert_eq!(t1.dedup_hits, t8.dedup_hits, "{label}: dedup hits");
-            assert_eq!(t1.forks, t8.forks, "{label}: forks");
-            assert_eq!(t1.exhausted, t8.exhausted, "{label}: exhausted");
-            assert_eq!(
-                t1.progress, t8.progress,
-                "{label}: progress telemetry (purely structural, merged in shard order)"
-            );
-            assert_eq!(
-                t1.counterexample.as_ref().map(|c| &c.plan),
-                t8.counterexample.as_ref().map(|c| &c.plan),
-                "{label}: witness plan"
-            );
-        }
     }
 
     /// The causal-chain witness artifact: replaying a plan with a
@@ -1431,7 +1452,11 @@ mod tests {
                 // The root's cause may name a spawn-time event recorded
                 // before the sink was installed; from then on each node's
                 // cause is exactly the previous line's id.
-                assert_eq!(field(line, "\"cause\":"), prev_id, "chain telescopes: {line}");
+                assert_eq!(
+                    field(line, "\"cause\":"),
+                    prev_id,
+                    "chain telescopes: {line}"
+                );
             }
             assert_eq!(field(line, "\"depth\":"), nodes as u64);
             let id = field(line, "\"id\":");
@@ -1446,7 +1471,10 @@ mod tests {
     #[test]
     fn register_mutants_are_caught_and_correct_ones_survive() {
         for (mk, caught) in [
-            (responsive_register_target as fn(bool) -> RegisterTarget, true),
+            (
+                responsive_register_target as fn(bool) -> RegisterTarget,
+                true,
+            ),
             (majority_register_target, true),
         ] {
             let correct_out = explore(&mut mk(true), budget());

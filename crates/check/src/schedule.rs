@@ -83,7 +83,10 @@ mod tests {
             seq: 2,
             target: Some(ProcessId::from_raw(1)),
         };
-        let churn = ReadyEvent { seq: 3, target: None };
+        let churn = ReadyEvent {
+            seq: 3,
+            target: None,
+        };
         assert!(a.independent(&b));
         assert!(!a.independent(&a));
         assert!(!a.independent(&churn), "churn conflicts with everything");

@@ -234,7 +234,10 @@ impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
     fn run(&mut self, plan: &[usize]) -> RunReport {
         let mut run = self.open();
         let choices = run.follow(plan);
-        RunReport { choices, violation: run.violation() }
+        RunReport {
+            choices,
+            violation: run.violation(),
+        }
     }
 
     /// Opens a live session for the explorer, or `None` when some
@@ -251,7 +254,8 @@ impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
     /// Replays `plan` under a [`FlightRecorder`] and dumps it to `path`.
     fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str) {
         let mut run = self.open();
-        run.world.set_sink(FlightRecorder::new(4096).with_dump_path(path));
+        run.world
+            .set_sink(FlightRecorder::new(4096).with_dump_path(path));
         run.follow(plan);
         let at = run.world.now();
         if let Some(sink) = run.world.take_sink() {
@@ -452,7 +456,11 @@ impl<M> Clone for Judge<M> {
     fn clone(&self) -> Self {
         match self {
             Judge::Final(check) => Judge::Final(Rc::clone(check)),
-            Judge::Trajectory { legal, next_sample, violation } => Judge::Trajectory {
+            Judge::Trajectory {
+                legal,
+                next_sample,
+                violation,
+            } => Judge::Trajectory {
                 legal: Rc::clone(legal),
                 next_sample: *next_sample,
                 violation: violation.clone(),
@@ -467,7 +475,12 @@ impl<M> Judge<M> {
     /// exactly the current state — legality is constant over the span, so
     /// one evaluation covers it, attributed to the first sample in it.
     fn finalize_before(&mut self, world: &World<M>, limit: u64) {
-        let Judge::Trajectory { legal, next_sample, violation } = self else {
+        let Judge::Trajectory {
+            legal,
+            next_sample,
+            violation,
+        } = self
+        else {
             return;
         };
         if *next_sample >= limit {
@@ -537,7 +550,13 @@ impl<M: Clone + 'static> WorldSession<M> {
         let mut decisions = plan.iter().copied();
         loop {
             let state = self.advance_with(|at, epoch, only| {
-                log.push(ChoicePoint { at, epoch, width: 1, chosen: 0, ready: vec![only] });
+                log.push(ChoicePoint {
+                    at,
+                    epoch,
+                    width: 1,
+                    chosen: 0,
+                    ready: vec![only],
+                });
             });
             if state == SessionState::Done {
                 return log;
@@ -553,7 +572,8 @@ impl<M: Clone + 'static> WorldSession<M> {
     /// the deadline is left to dispatch.
     fn complete(&mut self) {
         self.world.idle_until(self.deadline);
-        self.judge.finalize_before(&self.world, self.deadline.as_ticks() + 1);
+        self.judge
+            .finalize_before(&self.world, self.deadline.as_ticks() + 1);
         self.ready.clear();
     }
 }
@@ -608,7 +628,12 @@ impl<M: Clone + 'static> ExploreSession for WorldSession<M> {
 
     fn fingerprint(&self) -> Option<u64> {
         let world = self.world.fingerprint(self.msg_fp)?;
-        let Judge::Trajectory { next_sample, violation, .. } = &self.judge else {
+        let Judge::Trajectory {
+            next_sample,
+            violation,
+            ..
+        } = &self.judge
+        else {
             return Some(world);
         };
         // Fold in the trajectory verdict: a violated run must never dedup
@@ -751,7 +776,10 @@ impl Target for RegisterTarget {
         // Register histories have no kernel event ids; number the spans
         // in time order so the dump is still causality-complete JSONL.
         for (i, (_, ev)) in spans.iter().enumerate() {
-            let causal = dds_core::run::Causality { id: i as u64 + 1, cause: 0 };
+            let causal = dds_core::run::Causality {
+                id: i as u64 + 1,
+                cause: 0,
+            };
             dds_obs::Sink::record(&mut recorder, ev, causal);
         }
         dds_obs::Sink::fail(&mut recorder, reason, last);

@@ -10,8 +10,7 @@
 //! - [`algo`] — BFS, connectivity, components, diameter, shortest paths;
 //! - [`dynamic`] — attachment and repair rules that maintain the overlay
 //!   under churn (including the adversarial chain rule of class C4);
-//! - [`tvg`] — time-varying graphs and temporal (journey) reachability;
-//! - [`metrics`] — structural metrics reported by the harness.
+//! - [`tvg`] — time-varying graphs and temporal (journey) reachability.
 //!
 //! ## Example
 //!
@@ -30,7 +29,6 @@ pub mod algo;
 pub mod dynamic;
 pub mod generate;
 pub mod graph;
-pub mod metrics;
 pub mod tvg;
 
 pub use graph::Graph;
