@@ -48,7 +48,7 @@ pub struct Experiment {
     pub rows: BTreeMap<String, SweepRow>,
     /// Simulated runs performed outside `rows` — experiments whose work
     /// does not fold into sweep rows (register schedules, consensus
-    /// instances, continuous monitoring, heartbeat sweeps) count here so
+    /// instances, continuous monitoring, membership-view sweeps) count here so
     /// the ledger's `runs` column counts every run.
     pub extra_runs: u64,
     /// Kernel counters of the runs counted by `extra_runs`, merged.
@@ -771,10 +771,12 @@ first few windows and monitoring collapses)"
     e
 }
 
-/// A4 — membership substrate: heartbeat false suspicions vs message loss.
+/// A4 — membership substrate: false suspicions of the purge-based
+/// [`dds_protocols::stab::ViewActor`] vs message loss. Nothing departs,
+/// so every purge evicts a live neighbor: a false suspicion.
 pub fn a4_membership() -> Experiment {
     use dds_core::time::TimeDelta;
-    use dds_protocols::membership::{HeartbeatActor, HeartbeatMsg};
+    use dds_protocols::stab::{ProbeMsg, ViewActor};
     use dds_sim::delay::LossModel;
     use dds_sim::world::{World, WorldBuilder};
 
@@ -793,7 +795,7 @@ pub fn a4_membership() -> Experiment {
         for loss in [0.0, 0.05, 0.1, 0.2] {
             let mut total = 0u64;
             for seed in 0..10u64 {
-                let mut world: World<HeartbeatMsg> = WorldBuilder::new(seed)
+                let mut world: World<ProbeMsg> = WorldBuilder::new(seed)
                     .initial_graph(generate::ring(10))
                     .loss(if loss > 0.0 {
                         LossModel::Bernoulli(loss)
@@ -801,7 +803,7 @@ pub fn a4_membership() -> Experiment {
                         LossModel::None
                     })
                     .spawn(move |_| {
-                        Box::new(HeartbeatActor::new(
+                        Box::new(ViewActor::new(
                             TimeDelta::ticks(2),
                             TimeDelta::ticks(threshold),
                         ))
@@ -809,13 +811,12 @@ pub fn a4_membership() -> Experiment {
                     .build();
                 world.run_until(Time::from_ticks(200));
                 for &pid in world.members() {
-                    let hb: &HeartbeatActor = world.actor(pid).expect("present");
-                    total += hb.suspicions_raised();
+                    let view: &ViewActor = world.actor(pid).expect("present");
+                    total += view.purges();
                 }
                 e.extra_runs += 1;
                 e.extra_metrics.merge(world.metrics());
             }
-            // Nothing ever departs: every suspicion is false.
             let _ = write!(line, "{:>12.1}", total as f64 / 10.0);
         }
         let _ = writeln!(e.table, "{line}");
@@ -983,8 +984,8 @@ pub fn s1_store() -> Experiment {
             completed,
             aborted,
             epochs,
-            latency.percentile(0.99),
-            quorum.percentile(0.5),
+            latency.percentile(99.0),
+            quorum.percentile(50.0),
             atomic as f64 / runs as f64 * 100.0,
         );
     }
@@ -1069,7 +1070,7 @@ and prunes fingerprint-identical subtrees; the speedup is on stderr)"
 /// the benchmark's `obs.sink.events_per_s_ratio` probe is the timed view.
 pub fn obs1_overhead() -> Experiment {
     use dds_obs::{CausalLog, ObserverSink};
-    use dds_protocols::membership::{HeartbeatActor, HeartbeatMsg};
+    use dds_protocols::stab::{ProbeMsg, ViewActor};
     use dds_sim::world::{World, WorldBuilder};
     use std::time::Instant;
 
@@ -1079,15 +1080,10 @@ pub fn obs1_overhead() -> Experiment {
     );
     const RUNS: u64 = 40;
     let deadline = Time::from_ticks(400);
-    let build = |seed: u64| -> World<HeartbeatMsg> {
+    let build = |seed: u64| -> World<ProbeMsg> {
         WorldBuilder::new(seed)
             .initial_graph(generate::ring(16))
-            .spawn(|_| {
-                Box::new(HeartbeatActor::new(
-                    TimeDelta::ticks(2),
-                    TimeDelta::ticks(7),
-                ))
-            })
+            .spawn(|_| Box::new(ViewActor::new(TimeDelta::ticks(2), TimeDelta::ticks(7))))
             .build()
     };
     let _ = writeln!(

@@ -106,6 +106,16 @@ impl ChurnSpec {
     pub fn expected_replacements(&self, membership: usize) -> usize {
         (self.rate * membership as f64).floor() as usize
     }
+
+    /// Expected number of members of a set of size `n` replaced over
+    /// `period` (fractional — callers decide how to round).
+    pub fn expected_replacements_over(&self, n: usize, period: TimeDelta) -> f64 {
+        if self.is_none() {
+            return 0.0;
+        }
+        let windows = period.as_ticks() as f64 / self.window.as_ticks() as f64;
+        self.rate * n as f64 * windows
+    }
 }
 
 impl Default for ChurnSpec {
@@ -244,6 +254,14 @@ mod tests {
         let spec = ChurnSpec::rate(0.1, TimeDelta::ticks(10)).unwrap();
         assert_eq!(spec.expected_replacements(50), 5);
         assert_eq!(spec.expected_replacements(7), 0); // floor(0.7)
+        assert_eq!(
+            spec.expected_replacements_over(50, TimeDelta::ticks(40)),
+            20.0
+        );
+        assert_eq!(
+            ChurnSpec::none().expected_replacements_over(50, TimeDelta::ticks(40)),
+            0.0
+        );
     }
 
     #[test]

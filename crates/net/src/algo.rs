@@ -1,10 +1,6 @@
 //! Graph algorithms used by the protocols and the experiment harness:
 //! breadth-first distances, connectivity, components, diameter and
-//! eccentricity.
-//!
-//! Everything here treats the graph as a snapshot; temporal questions (can
-//! information travel through a *changing* graph?) live in
-//! [`crate::tvg`].
+//! eccentricity. Everything here treats the graph as a snapshot.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -25,7 +21,9 @@ pub fn bfs_distances(graph: &Graph, source: ProcessId) -> BTreeMap<ProcessId, us
     let mut queue = VecDeque::from([source]);
     while let Some(u) = queue.pop_front() {
         let du = dist[&u];
-        let Some(nbrs) = graph.neighbors(u) else { continue };
+        let Some(nbrs) = graph.neighbors(u) else {
+            continue;
+        };
         for &v in nbrs {
             if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(v) {
                 e.insert(du + 1);
@@ -122,7 +120,9 @@ pub fn shortest_path(graph: &Graph, from: ProcessId, to: ProcessId) -> Option<Ve
             path.reverse();
             return Some(path);
         }
-        let Some(nbrs) = graph.neighbors(u) else { continue };
+        let Some(nbrs) = graph.neighbors(u) else {
+            continue;
+        };
         for &v in nbrs {
             if seen.insert(v) {
                 prev.insert(v, u);
@@ -261,10 +261,7 @@ pub fn articulation_points(graph: &Graph) -> BTreeSet<ProcessId> {
         low.insert(root, counter);
         counter += 1;
         while let Some(&mut (u, parent, ref mut idx)) = stack.last_mut() {
-            let nbrs: Vec<ProcessId> = graph
-                .neighbors(u)
-                .expect("node on stack exists")
-                .to_vec();
+            let nbrs: Vec<ProcessId> = graph.neighbors(u).expect("node on stack exists").to_vec();
             if *idx < nbrs.len() {
                 let v = nbrs[*idx];
                 *idx += 1;

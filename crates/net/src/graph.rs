@@ -87,7 +87,10 @@ impl Graph {
         self.adj[i] = Some(Vec::new());
         // Identities grow along a run, so a joiner almost always goes last.
         if self.members.last().is_some_and(|&last| last > node) {
-            let at = self.members.binary_search(&node).expect_err("slot was vacant");
+            let at = self
+                .members
+                .binary_search(&node)
+                .expect_err("slot was vacant");
             self.members.insert(at, node);
         } else {
             self.members.push(node);
@@ -107,7 +110,10 @@ impl Graph {
             let i = list.binary_search(&node).expect("edges are symmetric");
             list.remove(i);
         }
-        let at = self.members.binary_search(&node).expect("present nodes are listed");
+        let at = self
+            .members
+            .binary_search(&node)
+            .expect("present nodes are listed");
         self.members.remove(at);
         self.edges -= neighbors.len();
         neighbors
@@ -138,8 +144,12 @@ impl Graph {
 
     /// Removes the undirected edge `{a, b}` if present.
     pub fn remove_edge(&mut self, a: ProcessId, b: ProcessId) {
-        let Some(list_a) = self.list_mut(a) else { return };
-        let Ok(i) = list_a.binary_search(&b) else { return };
+        let Some(list_a) = self.list_mut(a) else {
+            return;
+        };
+        let Ok(i) = list_a.binary_search(&b) else {
+            return;
+        };
         list_a.remove(i);
         let list_b = self.list_mut(b).expect("edges are symmetric");
         let j = list_b.binary_search(&a).expect("edges are symmetric");
@@ -155,7 +165,8 @@ impl Graph {
 
     /// `true` when the edge `{a, b}` is present.
     pub fn has_edge(&self, a: ProcessId, b: ProcessId) -> bool {
-        self.neighbors(a).is_some_and(|list| list.binary_search(&b).is_ok())
+        self.neighbors(a)
+            .is_some_and(|list| list.binary_search(&b).is_ok())
     }
 
     /// The neighbors of a node in identity order, or `None` when the node
@@ -199,7 +210,10 @@ impl Graph {
     pub fn edges(&self) -> impl Iterator<Item = (ProcessId, ProcessId)> + '_ {
         self.members.iter().flat_map(move |&a| {
             let nbrs = self.neighbors(a).expect("listed nodes are present");
-            nbrs.iter().copied().filter(move |&b| a < b).map(move |b| (a, b))
+            nbrs.iter()
+                .copied()
+                .filter(move |&b| a < b)
+                .map(move |b| (a, b))
         })
     }
 
@@ -244,7 +258,10 @@ impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.edges == other.edges
             && self.members == other.members
-            && self.members.iter().all(|&n| self.neighbors(n) == other.neighbors(n))
+            && self
+                .members
+                .iter()
+                .all(|&n| self.neighbors(n) == other.neighbors(n))
     }
 }
 

@@ -9,8 +9,7 @@
 //!   instantiate the geography dimension in experiments;
 //! - [`algo`] — BFS, connectivity, components, diameter, shortest paths;
 //! - [`dynamic`] — attachment and repair rules that maintain the overlay
-//!   under churn (including the adversarial chain rule of class C4);
-//! - [`tvg`] — time-varying graphs and temporal (journey) reachability.
+//!   under churn (including the adversarial chain rule of class C4).
 //!
 //! ## Example
 //!
@@ -29,6 +28,5 @@ pub mod algo;
 pub mod dynamic;
 pub mod generate;
 pub mod graph;
-pub mod tvg;
 
 pub use graph::Graph;

@@ -6,15 +6,13 @@ use std::collections::BTreeSet;
 
 use dds_core::process::ProcessId;
 use dds_core::rng::Rng;
-use dds_core::time::Time;
 use dds_net::algo::{
-    articulation_points, bfs_distances, components, diameter, diameter_double_sweep,
-    is_connected, shortest_path,
+    articulation_points, bfs_distances, components, diameter, diameter_double_sweep, is_connected,
+    shortest_path,
 };
 use dds_net::dynamic::{AttachRule, RepairRule};
 use dds_net::generate;
 use dds_net::graph::Graph;
-use dds_net::tvg::TimeVaryingGraph;
 use proptest::prelude::*;
 
 fn pid(n: u64) -> ProcessId {
@@ -120,23 +118,6 @@ proptest! {
             RepairRule::BridgeNeighbors.detach(&mut g, victim);
         }
         prop_assert!(is_connected(&g), "bridging lost connectivity");
-    }
-
-    /// On a static TVG, journey arrival times equal BFS distances.
-    #[test]
-    fn static_tvg_journeys_match_bfs(g in er_strategy()) {
-        let mut tvg = TimeVaryingGraph::new();
-        tvg.push(Time::ZERO, g.clone());
-        let Some(source) = g.nodes().next() else { return Ok(()); };
-        let arrivals = tvg.earliest_arrivals(source, Time::ZERO, Time::from_ticks(64));
-        let distances = bfs_distances(&g, source);
-        for (node, d) in distances {
-            prop_assert_eq!(
-                arrivals.get(&node).map(|t| t.as_ticks() as usize),
-                Some(d),
-                "journey/BFS mismatch at {}", node
-            );
-        }
     }
 
     /// Edge count equals the handshake sum of degrees.

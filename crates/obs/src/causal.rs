@@ -208,7 +208,9 @@ impl CausalDag {
         // Strictly increasing ids spanning exactly `len` values have no
         // gap: node `k` carries id `first + k`.
         let first = nodes.first().map_or(0, |n| n.id);
-        let contiguous = nodes.last().is_some_and(|n| n.id - first == nodes.len() as u64 - 1);
+        let contiguous = nodes
+            .last()
+            .is_some_and(|n| n.id - first == nodes.len() as u64 - 1);
         // A cause is looked up among the nodes before its effect only:
         // an id at or past the effect's own is not a cause.
         let find = |nodes: &[CausalNode], id: u64| -> Option<usize> {
@@ -344,7 +346,10 @@ impl CausalDag {
     /// time, ties broken toward the smallest event id.
     fn critical_end_index(&self) -> Option<usize> {
         (0..self.nodes.len()).max_by_key(|&i| {
-            let elapsed = self.nodes[i].at.saturating_since(self.root_at[i]).as_ticks();
+            let elapsed = self.nodes[i]
+                .at
+                .saturating_since(self.root_at[i])
+                .as_ticks();
             // Prefer larger elapsed, then smaller id: negate the id in a
             // sortable way by subtracting from MAX.
             (elapsed, u64::MAX - self.nodes[i].id)
@@ -373,7 +378,10 @@ impl CausalDag {
         };
         let mut i = end;
         while let Some(p) = self.parent[i] {
-            let dur = self.nodes[i].at.saturating_since(self.nodes[p].at).as_ticks();
+            let dur = self.nodes[i]
+                .at
+                .saturating_since(self.nodes[p].at)
+                .as_ticks();
             match self.nodes[i].segment {
                 SegmentKind::Transit => cp.transit += dur,
                 SegmentKind::Queueing => cp.queueing += dur,
@@ -396,8 +404,7 @@ impl CausalDag {
         let mut clocks: Vec<BTreeMap<ProcessId, u64>> = Vec::with_capacity(self.nodes.len());
         let mut last_on: BTreeMap<ProcessId, usize> = BTreeMap::new();
         for i in 0..self.nodes.len() {
-            let mut clock = self
-                .parent[i]
+            let mut clock = self.parent[i]
                 .map(|p| clocks[p].clone())
                 .unwrap_or_default();
             if let Some(&prev) = last_on.get(&self.nodes[i].pid) {
@@ -570,11 +577,18 @@ mod tests {
     fn log_skips_unidentified_events_and_builds_the_dag() {
         let mut log = CausalLog::default();
         log.record(
-            &ObsEvent::Step { at: t(0), queue_depth: 3 },
+            &ObsEvent::Step {
+                at: t(0),
+                queue_depth: 3,
+            },
             Causality::default(),
         );
         log.record(
-            &ObsEvent::Send { from: pid(0), to: pid(1), at: t(0) },
+            &ObsEvent::Send {
+                from: pid(0),
+                to: pid(1),
+                at: t(0),
+            },
             Causality { id: 1, cause: 0 },
         );
         log.record(
@@ -589,7 +603,11 @@ mod tests {
         assert_eq!(log.len(), 2, "the unidentified step is skipped");
         let dag = log.dag();
         assert_eq!(dag.critical_path().total, 3);
-        assert_eq!(dag.nodes()[1].pid, pid(1), "delivery attributed to destination");
+        assert_eq!(
+            dag.nodes()[1].pid,
+            pid(1),
+            "delivery attributed to destination"
+        );
     }
 
     #[test]
@@ -631,7 +649,10 @@ mod tests {
             assert_eq!(cp.transit + cp.queueing + cp.processing, cp.total);
         }
         // No headers → one DAG; nothing identified → one empty DAG.
-        assert_eq!(CausalDag::from_jsonl_runs("{\"t\":\"send\",\"at\":0,\"id\":1,\"cause\":0}").len(), 1);
+        assert_eq!(
+            CausalDag::from_jsonl_runs("{\"t\":\"send\",\"at\":0,\"id\":1,\"cause\":0}").len(),
+            1
+        );
         let empty = CausalDag::from_jsonl_runs("{\"t\":\"run\",\"index\":0}\n");
         assert_eq!(empty.len(), 1);
         assert!(empty[0].is_empty());
@@ -655,7 +676,12 @@ mod tests {
     fn sort_and_search(mut nodes: Vec<CausalNode>) -> CausalDag {
         nodes.sort_by_key(|n| n.id);
         nodes.dedup_by_key(|n| n.id);
-        let mut dag = CausalDag { nodes, parent: Vec::new(), depth: Vec::new(), root_at: Vec::new() };
+        let mut dag = CausalDag {
+            nodes,
+            parent: Vec::new(),
+            depth: Vec::new(),
+            root_at: Vec::new(),
+        };
         for i in 0..dag.nodes.len() {
             let cause = dag.nodes[i].cause;
             let p = (cause != 0)
@@ -663,7 +689,8 @@ mod tests {
                 .flatten();
             dag.parent.push(p);
             dag.depth.push(p.map_or(0, |pi| dag.depth[pi] + 1));
-            dag.root_at.push(p.map_or(dag.nodes[i].at, |pi| dag.root_at[pi]));
+            dag.root_at
+                .push(p.map_or(dag.nodes[i].at, |pi| dag.root_at[pi]));
         }
         dag
     }
@@ -683,7 +710,11 @@ mod tests {
     }
 
     fn shaped_nodes(shape: Shape, first: u64, raw: &[(u64, u64, u64, u64)]) -> Vec<CausalNode> {
-        let segments = [SegmentKind::Transit, SegmentKind::Queueing, SegmentKind::Processing];
+        let segments = [
+            SegmentKind::Transit,
+            SegmentKind::Queueing,
+            SegmentKind::Processing,
+        ];
         let mut id = first;
         let mut nodes: Vec<CausalNode> = Vec::new();
         for &(step, back, dt, p) in raw {
@@ -691,7 +722,11 @@ mod tests {
             // Causes reach back a few ids — 0 (the environment), ids the
             // stream skipped, ids before `first`, and, rarely, ids at or
             // past the node's own all occur.
-            let cause = if back == 7 { id + p } else { id.saturating_sub(back) };
+            let cause = if back == 7 {
+                id + p
+            } else {
+                id.saturating_sub(back)
+            };
             nodes.push(node(id, cause, at, p, segments[(p % 3) as usize]));
             id += match shape {
                 Shape::Contiguous | Shape::Shuffled => 1,
@@ -712,7 +747,11 @@ mod tests {
     }
 
     fn gcd(a: usize, b: usize) -> usize {
-        if b == 0 { a } else { gcd(b, a % b) }
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
     }
 
     proptest::proptest! {
@@ -751,7 +790,10 @@ mod tests {
         let mut log = CausalLog::default();
         for id in 1..=20u64 {
             log.record(
-                &ObsEvent::TimerFire { pid: pid(id % 3), at: t(id * 2) },
+                &ObsEvent::TimerFire {
+                    pid: pid(id % 3),
+                    at: t(id * 2),
+                },
                 Causality { id, cause: id / 2 },
             );
         }
@@ -770,6 +812,9 @@ mod tests {
         ]);
         assert_eq!(dag.len(), 1);
         assert!(CausalDag::new(Vec::new()).is_empty());
-        assert_eq!(CausalDag::new(Vec::new()).critical_path(), CriticalPath::default());
+        assert_eq!(
+            CausalDag::new(Vec::new()).critical_path(),
+            CriticalPath::default()
+        );
     }
 }

@@ -109,7 +109,12 @@ pub fn obs_event_line(ev: &ObsEvent, causal: Causality, out: &mut String) {
             to.as_raw(),
             at.as_ticks()
         ),
-        ObsEvent::Deliver { from, to, at, latency } => write!(
+        ObsEvent::Deliver {
+            from,
+            to,
+            at,
+            latency,
+        } => write!(
             out,
             "{{\"t\":\"deliver\",\"from\":{},\"to\":{},\"at\":{},\"latency\":{}",
             from.as_raw(),
@@ -164,17 +169,43 @@ mod tests {
     fn trace_log_renders_kernel_events_only() {
         let p = ProcessId::from_raw(0);
         let mut log = TraceLog::default();
-        log.record(&ObsEvent::Join { pid: p, at: Time::ZERO }, Causality { id: 1, cause: 0 });
-        log.record(&ObsEvent::Step { at: Time::from_ticks(2), queue_depth: 1 }, Causality::default());
         log.record(
-            &ObsEvent::SpanStart { name: "query", pid: p, at: Time::from_ticks(2) },
+            &ObsEvent::Join {
+                pid: p,
+                at: Time::ZERO,
+            },
+            Causality { id: 1, cause: 0 },
+        );
+        log.record(
+            &ObsEvent::Step {
+                at: Time::from_ticks(2),
+                queue_depth: 1,
+            },
+            Causality::default(),
+        );
+        log.record(
+            &ObsEvent::SpanStart {
+                name: "query",
+                pid: p,
+                at: Time::from_ticks(2),
+            },
             Causality { id: 3, cause: 0 },
         );
         log.record(
-            &ObsEvent::Send { from: p, to: p, at: Time::from_ticks(2) },
+            &ObsEvent::Send {
+                from: p,
+                to: p,
+                at: Time::from_ticks(2),
+            },
             Causality { id: 4, cause: 0 },
         );
-        log.record(&ObsEvent::TimerFire { pid: p, at: Time::from_ticks(3) }, Causality { id: 5, cause: 1 });
+        log.record(
+            &ObsEvent::TimerFire {
+                pid: p,
+                at: Time::from_ticks(3),
+            },
+            Causality { id: 5, cause: 1 },
+        );
         log.record(
             &ObsEvent::Deliver {
                 from: p,
@@ -187,8 +218,14 @@ mod tests {
         let s = log.into_jsonl();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "{\"t\":\"join\",\"pid\":0,\"at\":0,\"id\":1,\"cause\":0}");
-        assert_eq!(lines[1], "{\"t\":\"send\",\"from\":0,\"to\":0,\"at\":2,\"id\":4,\"cause\":0}");
+        assert_eq!(
+            lines[0],
+            "{\"t\":\"join\",\"pid\":0,\"at\":0,\"id\":1,\"cause\":0}"
+        );
+        assert_eq!(
+            lines[1],
+            "{\"t\":\"send\",\"from\":0,\"to\":0,\"at\":2,\"id\":4,\"cause\":0}"
+        );
         assert_eq!(
             lines[2],
             "{\"t\":\"deliver\",\"from\":0,\"to\":0,\"at\":3,\"id\":6,\"cause\":4}"
@@ -210,12 +247,19 @@ mod tests {
             &mut out,
         );
         obs_event_line(
-            &ObsEvent::Step { at: Time::from_ticks(7), queue_depth: 9 },
+            &ObsEvent::Step {
+                at: Time::from_ticks(7),
+                queue_depth: 9,
+            },
             Causality::default(),
             &mut out,
         );
         obs_event_line(
-            &ObsEvent::SpanStart { name: "query", pid: p, at: Time::from_ticks(1) },
+            &ObsEvent::SpanStart {
+                name: "query",
+                pid: p,
+                at: Time::from_ticks(1),
+            },
             Causality::default(),
             &mut out,
         );
@@ -224,7 +268,10 @@ mod tests {
             lines[0],
             "{\"t\":\"deliver\",\"from\":4,\"to\":4,\"at\":7,\"latency\":2,\"id\":9,\"cause\":3}"
         );
-        assert_eq!(lines[1], "{\"t\":\"step\",\"at\":7,\"depth\":9,\"id\":0,\"cause\":0}");
+        assert_eq!(
+            lines[1],
+            "{\"t\":\"step\",\"at\":7,\"depth\":9,\"id\":0,\"cause\":0}"
+        );
         assert_eq!(
             lines[2],
             "{\"t\":\"span-start\",\"name\":\"query\",\"pid\":4,\"at\":1,\"id\":0,\"cause\":0}"

@@ -155,7 +155,13 @@ mod tests {
     fn ring_keeps_only_the_last_n() {
         let mut fr = FlightRecorder::new(3);
         for i in 0..10 {
-            fr.record(&join(i), Causality { id: i + 1, cause: 0 });
+            fr.record(
+                &join(i),
+                Causality {
+                    id: i + 1,
+                    cause: 0,
+                },
+            );
         }
         assert_eq!(fr.len(), 3);
         assert_eq!(fr.recorded, 10);
@@ -166,7 +172,13 @@ mod tests {
     #[test]
     fn step_events_are_skipped() {
         let mut fr = FlightRecorder::new(4);
-        fr.record(&ObsEvent::Step { at: Time::ZERO, queue_depth: 5 }, Causality::default());
+        fr.record(
+            &ObsEvent::Step {
+                at: Time::ZERO,
+                queue_depth: 5,
+            },
+            Causality::default(),
+        );
         assert!(fr.is_empty());
         assert_eq!(fr.recorded, 0);
     }
@@ -180,13 +192,18 @@ mod tests {
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"t\":\"flight-dump\""));
-        assert!(lines[0].contains("\\\"failure\\\""), "reason is escaped: {}", lines[0]);
+        assert!(
+            lines[0].contains("\\\"failure\\\""),
+            "reason is escaped: {}",
+            lines[0]
+        );
         assert!(lines[1].contains("\"t\":\"join\""));
     }
 
     #[test]
     fn fail_writes_to_the_configured_path() {
-        let path = std::env::temp_dir().join(format!("dds-flight-test-{}.jsonl", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("dds-flight-test-{}.jsonl", std::process::id()));
         let mut fr = FlightRecorder::new(8).with_dump_path(&path);
         fr.record(&join(3), Causality::default());
         fr.fail("unit test", Time::from_ticks(3));

@@ -11,8 +11,8 @@
 //!   [`sink::NoopSink`] and the composite [`sink::ObserverSink`];
 //! - [`histogram`] — a hand-rolled log-bucket (HDR-style) [`histogram::Histogram`]
 //!   with bounded memory and ≤ ~6% relative bucketing error;
-//! - [`report`] — [`report::RunReport`]: delivery latency, per-step event-queue
-//!   depth, membership-over-time and per-process message complexity for one run;
+//! - [`report`] — [`report::RunReport`]: delivery-latency and per-step
+//!   event-queue-depth histograms and the event count of one run;
 //! - [`flight`] — [`flight::FlightRecorder`]: a bounded ring buffer of the
 //!   last N kernel events, dumped as JSONL when a spec predicate fails or
 //!   an actor panics;

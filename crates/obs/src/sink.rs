@@ -255,7 +255,14 @@ mod tests {
         };
         assert_eq!(ev.kind(), "deliver");
         assert_eq!(ev.at(), t);
-        assert_eq!(ObsEvent::Step { at: t, queue_depth: 3 }.kind(), "step");
+        assert_eq!(
+            ObsEvent::Step {
+                at: t,
+                queue_depth: 3
+            }
+            .kind(),
+            "step"
+        );
     }
 
     #[test]
@@ -268,8 +275,20 @@ mod tests {
     fn observer_sink_feeds_all_parts() {
         let mut obs = ObserverSink::new(8);
         let p = ProcessId::from_raw(0);
-        obs.record(&ObsEvent::Join { pid: p, at: Time::ZERO }, Causality { id: 1, cause: 0 });
-        obs.record(&ObsEvent::Step { at: Time::ZERO, queue_depth: 1 }, Causality::default());
+        obs.record(
+            &ObsEvent::Join {
+                pid: p,
+                at: Time::ZERO,
+            },
+            Causality { id: 1, cause: 0 },
+        );
+        obs.record(
+            &ObsEvent::Step {
+                at: Time::ZERO,
+                queue_depth: 1,
+            },
+            Causality::default(),
+        );
         assert_eq!(obs.report.events, 2);
         // Flight recorder skips step noise but keeps the join.
         assert_eq!(obs.flight.len(), 1);

@@ -23,11 +23,7 @@ fn from_samples(samples: &[u64]) -> Histogram {
 /// Samples spanning the exact range, the bucketed mid range, and huge
 /// magnitudes, so splits cross bucket-resolution boundaries.
 fn sample() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        0u64..32,
-        32u64..10_000,
-        (0u32..63).prop_map(|b| 1u64 << b),
-    ]
+    prop_oneof![0u64..32, 32u64..10_000, (0u32..63).prop_map(|b| 1u64 << b),]
 }
 
 proptest! {

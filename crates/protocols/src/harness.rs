@@ -594,8 +594,7 @@ pub struct QueryRun {
     /// Completion instant, when the query terminated.
     pub finished: Option<Time>,
     /// Aggregated kernel observations: delivery-latency and queue-depth
-    /// histograms, membership timeline, per-process message complexity and
-    /// protocol spans.
+    /// histograms and the number of events observed.
     pub obs: RunReport,
     /// Critical-path decomposition of the run's happened-before DAG: the
     /// longest-latency causal chain split into transit/queueing/processing.

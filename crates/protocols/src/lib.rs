@@ -11,8 +11,6 @@
 //!   multi-tree variant;
 //! - [`gossip`] — push-sum aggregation, the robust-but-approximate
 //!   baseline;
-//! - [`membership`] — heartbeat-maintained neighborhood views, the local
-//!   failure-detection substrate of neighborhood knowledge;
 //! - [`continuous`] — the monitoring extension: the wave re-issued
 //!   periodically over one evolving system, judged generation by
 //!   generation;
@@ -24,7 +22,8 @@
 //!   register, judged by the set-order oracle and the SC checker;
 //! - [`stab`] — self-stabilizing protocols (Dijkstra K-state token
 //!   circulation, purge-based membership views) recovering a legal
-//!   configuration after transient state corruption;
+//!   configuration after transient state corruption; the view is also
+//!   the local failure-detection substrate of neighborhood knowledge;
 //! - [`harness`] — the scenario runner that builds a world, runs one query
 //!   and judges it against the interval-validity specification.
 //!
@@ -48,7 +47,6 @@
 pub mod continuous;
 pub mod gossip;
 pub mod harness;
-pub mod membership;
 pub mod obs;
 pub mod register;
 pub mod scd;

@@ -982,9 +982,7 @@ pub fn sustainable(churn: &ChurnSpec, membership: usize, reaction: TimeDelta) ->
     if churn.is_none() {
         return true;
     }
-    let windows = reaction.as_ticks() as f64 / churn.window().as_ticks() as f64;
-    let expected = churn.churn_rate() * membership as f64 * windows;
-    expected < membership as f64 / 2.0
+    churn.expected_replacements_over(membership, reaction) < membership as f64 / 2.0
 }
 
 /// Extracts a [`RegisterHistory`] of the derived register's operations

@@ -761,6 +761,28 @@ mod tests {
     }
 
     #[test]
+    fn kernel_departure_updates_the_view_without_a_purge() {
+        // Ring 0-1-2-3-4-0; p1 leaves at t=10 and bridging connects 0-2.
+        // The kernel's notifications drop p1 and adopt p2 at once: no
+        // timeout has to expire.
+        use dds_sim::driver::{ChurnAction, Scripted};
+        let mut world: World<ProbeMsg> = WorldBuilder::new(2)
+            .initial_graph(generate::ring(5))
+            .delay(DelayModel::Fixed(TimeDelta::TICK))
+            .driver(Scripted::new(vec![(
+                Time::from_ticks(10),
+                ChurnAction::Leave(pid(1)),
+            )]))
+            .spawn(|_| Box::new(ViewActor::new(TimeDelta::ticks(2), TimeDelta::ticks(7))))
+            .build();
+        world.run_until(Time::from_ticks(11));
+        let a = world.actor::<ViewActor>(pid(0)).unwrap();
+        assert!(!a.view().contains(&pid(1)), "departure removes p1");
+        assert!(a.view().contains(&pid(2)), "bridge edge 0-2 adopted");
+        assert_eq!(a.purges(), 0);
+    }
+
+    #[test]
     fn privileges_counts_missing_processes_as_illegal() {
         let world: World<TokenMsg> = WorldBuilder::new(0)
             .initial_graph(generate::ring(3))

@@ -38,22 +38,12 @@ impl TimedQuorumSpec {
     /// `O(√(n·churn))` shape of the timed-quorum analysis. Clamped to
     /// `[majority(n), n]`.
     pub fn recommend(n: usize, churn: &ChurnSpec, delta: TimeDelta) -> Self {
-        let extra = expected_replacements_over(churn, n, delta).sqrt().ceil() as usize;
+        let extra = churn.expected_replacements_over(n, delta).sqrt().ceil() as usize;
         TimedQuorumSpec {
             delta,
             size: (majority(n) + extra).min(n.max(1)),
         }
     }
-}
-
-/// Expected number of members of a set of size `n` replaced by churn over
-/// `period` (fractional — callers decide how to round).
-pub fn expected_replacements_over(churn: &ChurnSpec, n: usize, period: TimeDelta) -> f64 {
-    if churn.is_none() {
-        return 0.0;
-    }
-    let windows = period.as_ticks() as f64 / churn.window().as_ticks() as f64;
-    churn.churn_rate() * n as f64 * windows
 }
 
 /// The liveness bound: can a configuration of `config_size` replicas keep
@@ -69,7 +59,7 @@ pub fn expected_replacements_over(churn: &ChurnSpec, n: usize, period: TimeDelta
 /// retrying helps.
 pub fn sustainable(churn: &ChurnSpec, config_size: usize, reaction: TimeDelta) -> bool {
     let losable = config_size.saturating_sub(majority(config_size)) as f64 + 1.0;
-    expected_replacements_over(churn, config_size, reaction) < losable
+    churn.expected_replacements_over(config_size, reaction) < losable
 }
 
 /// A probed quorum view: configuration epoch, member list, and when it

@@ -149,6 +149,6 @@ fn runs_are_deterministic_per_seed() {
     assert_eq!(a.retries, b.retries);
     assert_eq!(a.max_epoch, b.max_epoch);
     assert_eq!(a.epoch_transitions, b.epoch_transitions);
-    assert_eq!(a.latency.percentile(0.99), b.latency.percentile(0.99));
+    assert_eq!(a.latency.percentile(99.0), b.latency.percentile(99.0));
     assert_eq!(a.history.records(), b.history.records());
 }

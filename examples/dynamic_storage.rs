@@ -62,7 +62,7 @@ fn main() {
             completed,
             aborted,
             max_epoch,
-            latency.percentile(0.99),
+            latency.percentile(99.0),
             atomic,
             SEEDS,
         );
@@ -81,8 +81,8 @@ fn main() {
     );
     println!(
         "op latency: p50 {} ticks, p99 {} ticks; history atomic: {}",
-        report.latency.percentile(0.5),
-        report.latency.percentile(0.99),
+        report.latency.percentile(50.0),
+        report.latency.percentile(99.0),
         check_atomic(&report.history).is_ok_and(|l| l.is_linearizable()),
     );
 }
