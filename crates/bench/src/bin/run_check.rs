@@ -7,9 +7,9 @@
 //! engine for world-backed subjects, whole-run replay for the register
 //! schedules, which have no world to fork — falling back to the fuzzer for
 //! mutants the explorer misses. It is the same call, on a fresh instance
-//! of each subject, that `tests/explore_pins.rs` and the benchmark's
-//! `check-explore` workload make, so every subject's runs, states, dedup
-//! hits and forks are the ones pinned in
+//! of each subject, that `crates/check/tests/explore_pins.rs` and the
+//! benchmark's `check-explore` workload make, so every subject's runs,
+//! states, dedup hits and forks are the ones pinned in
 //! `benchmark/pins/check-explore.txt`. The fallback is the one the suite's
 //! own tests grant (fuzzer seed 1, 300 attempts, depth 64), so a conviction
 //! is a property of the code, not of a flag. A correct target that yields

@@ -1,7 +1,9 @@
 //! Prints the experiment tables recorded in EXPERIMENTS.md.
 //!
-//! Usage: `run_experiments [--json] [--trace-dir <dir>] [e1 e2 … a2 | all]`
-//! (default: all). Any other `--flag` exits 2.
+//! Usage: `run_experiments [--json] [--trace-dir <dir>] [<id>… | all]`
+//! (default: all), where the ids are those of [`registry`]. Any other
+//! `--flag`, or an id that is neither `all` nor in the registry, exits 2
+//! before anything runs.
 //!
 //! With `--json`, `BENCH_sweeps.json` in the current directory is
 //! overwritten with one line per experiment run ([`dds_bench::ledger`]):
@@ -51,6 +53,18 @@ fn main() {
             id => args.push(id.to_lowercase()),
         }
     }
+    let registry = registry();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| *a != "all" && !registry.iter().any(|(id, _)| id == a))
+    {
+        let known: Vec<&str> = registry.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "unknown experiment id {bad}; known: {}, all",
+            known.join(" ")
+        );
+        std::process::exit(2);
+    }
     if let Some(dir) = &trace_dir {
         if let Err(err) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {err}", dir.display());
@@ -59,7 +73,7 @@ fn main() {
     }
     let want_all = args.is_empty() || args.iter().any(|a| a == "all");
     let mut experiments = Vec::new();
-    for (id, build) in registry() {
+    for (id, build) in registry {
         if !want_all && !args.iter().any(|a| a == id) {
             continue;
         }
@@ -74,10 +88,6 @@ fn main() {
         }
         print!("{}", e.report());
         experiments.push(e);
-    }
-    if experiments.is_empty() {
-        eprintln!("unknown experiment ids; known: e1..e10, a1..a4, all");
-        std::process::exit(2);
     }
     print!("{TABLES_FOOTER}");
     if json {

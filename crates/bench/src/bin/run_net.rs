@@ -1,7 +1,7 @@
 //! `run_net` — orchestrates a networked dds-store run.
 //!
 //! Spawns real processes from the build directory — one `svc_seed`,
-//! `--replicas` initial `svc_replica`s, one multi-threaded `svc_load` —
+//! three initial `svc_replica`s, one multi-threaded `svc_load` —
 //! over Unix-domain sockets (default) or TCP loopback, injects churn by
 //! SIGKILLing replicas mid-run and starting replacements under *fresh*
 //! process ids (the paper's infinite-arrival model: identities are never
@@ -42,7 +42,7 @@ use dds_store::harness::StoreScenario;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: run_net [--dir DIR] [--tcp] [--replicas N] [--threads N] [--clients N] \\\n\
+        "usage: run_net [--dir DIR] [--tcp] [--threads N] [--clients N] \\\n\
          \x20       [--ops N] [--write-pct N] [--op-gap-us N] [--kills N] \\\n\
          \x20       [--kill-after-ms N] [--kill-every-ms N] [--check-atomicity] \\\n\
          \x20       [--out FILE]\n\
@@ -55,10 +55,14 @@ fn parse_u64(s: Option<String>) -> u64 {
     s.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
 }
 
+/// Initial replicas: the configuration size every replica is built
+/// with (`net_params`' `replica_count`), so the simulator cross-check
+/// models the same one.
+const REPLICAS: u64 = 3;
+
 struct Cfg {
     dir: PathBuf,
     tcp: bool,
-    replicas: u64,
     threads: u64,
     clients: u64,
     ops: u64,
@@ -75,7 +79,6 @@ fn main() {
     let mut cfg = Cfg {
         dir: PathBuf::from("net_run"),
         tcp: false,
-        replicas: 3,
         threads: 2,
         clients: 16,
         ops: 1000,
@@ -92,7 +95,6 @@ fn main() {
         match a.as_str() {
             "--dir" => cfg.dir = PathBuf::from(args.next().unwrap_or_else(|| usage())),
             "--tcp" => cfg.tcp = true,
-            "--replicas" => cfg.replicas = parse_u64(args.next()).max(1),
             "--threads" => cfg.threads = parse_u64(args.next()).max(1),
             "--clients" => cfg.clients = parse_u64(args.next()).max(1),
             "--ops" => cfg.ops = parse_u64(args.next()),
@@ -185,7 +187,7 @@ fn run(cfg: &Cfg) -> i32 {
         .and_then(|p| p.parent().map(Path::to_path_buf))
         .unwrap_or_else(|| fail("cannot locate build directory"));
 
-    let initial: Vec<String> = (1..=cfg.replicas).map(|i| i.to_string()).collect();
+    let initial: Vec<String> = (1..=REPLICAS).map(|i| i.to_string()).collect();
     let initial_arg = initial.join(",");
     let seed_addr = addr_for(cfg, &dir, "seed", 39000);
 
@@ -204,9 +206,9 @@ fn run(cfg: &Cfg) -> i32 {
 
     // --- initial replicas ---
     let mut replicas: Vec<(u64, Agent)> = Vec::new();
-    let mut next_pid = cfg.replicas + 1;
+    let mut next_pid = REPLICAS + 1;
     let mut next_port = 39001u16;
-    for i in 1..=cfg.replicas {
+    for i in 1..=REPLICAS {
         let name = format!("replica{i}");
         let listen = addr_for(cfg, &dir, &name, next_port);
         next_port += 1;
@@ -374,7 +376,7 @@ fn run(cfg: &Cfg) -> i32 {
         "  \"config\": {{\"transport\": \"{}\", \"replicas\": {}, \"threads\": {}, \
          \"clients\": {}, \"ops_per_client\": {}, \"write_pct\": {}, \"kills\": {}}},\n",
         if cfg.tcp { "tcp" } else { "uds" },
-        cfg.replicas,
+        REPLICAS,
         cfg.threads,
         cfg.clients,
         cfg.ops,
@@ -541,14 +543,11 @@ fn sim_crosscheck(cfg: &Cfg) -> SimOutcome {
     // kills/(replicas) of the membership turned over across the whole
     // run; expressed per 100-tick window of the sim deadline.
     let window = TimeDelta::ticks(100);
-    let turnover = cfg.kills as f64 / cfg.replicas as f64;
+    let turnover = cfg.kills as f64 / REPLICAS as f64;
     let rate = (turnover * 100.0 / deadline_ticks as f64).clamp(0.0, 1.0);
     let churn = ChurnSpec::rate(rate, window).unwrap_or_else(|_| ChurnSpec::none());
-    let mut s = StoreScenario::new(
-        generate::complete((cfg.replicas as usize + 8).max(12)),
-        0xD5_D5,
-    );
-    s.replica_count = cfg.replicas as usize;
+    let mut s = StoreScenario::new(generate::complete((REPLICAS as usize + 8).max(12)), 0xD5_D5);
+    s.replica_count = REPLICAS as usize;
     s.clients = 4;
     s.churn = churn;
     s.crash_fraction = 1.0;

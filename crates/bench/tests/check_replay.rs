@@ -3,8 +3,8 @@
 //! one. Every subject's runs, states, dedup hits and forks, and whether
 //! the explorer (not the fallback fuzzer) found the violation, must equal
 //! its line in `benchmark/pins/check-explore.txt` — the file
-//! `tests/explore_pins.rs` and the benchmark's `check-explore` workload
-//! hold the same exploration to.
+//! `crates/check/tests/explore_pins.rs` and the benchmark's
+//! `check-explore` workload hold the same exploration to.
 
 use std::process::Command;
 

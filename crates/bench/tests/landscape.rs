@@ -7,9 +7,9 @@
 //! near-perfect interval validity in the solvable classes, clear failure in
 //! the unsolvable ones.
 
-use dds::core::class::SystemClass;
-use dds::core::solvability::one_time_query;
 use dds_bench::landscape_probe;
+use dds_core::class::SystemClass;
+use dds_core::solvability::one_time_query;
 use dds_protocols::harness::success_rate;
 
 const SEEDS: std::ops::Range<u64> = 0..15;

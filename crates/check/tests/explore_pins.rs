@@ -31,7 +31,7 @@ fn line(name: &str, e: &Explored) -> String {
 
 #[test]
 fn exploration_counters_match_the_benchmark_pins() {
-    let pins: Vec<&str> = include_str!("../benchmark/pins/check-explore.txt")
+    let pins: Vec<&str> = include_str!("../../../benchmark/pins/check-explore.txt")
         .lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .collect();

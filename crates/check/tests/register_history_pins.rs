@@ -9,15 +9,15 @@
 //! too — so a change to the scheduler's draw order, its step counting or a
 //! construction's step function fails here even when every verdict holds.
 
-use dds::core::spec::register::{RegOp, RegResp, RegisterHistory};
-use dds::registers::base::ObjectState;
-use dds::registers::harness::{run_schedule, run_scripts, CrashEvent, RunOutput};
-use dds::registers::transformations::{
+use dds_core::spec::register::{RegOp, RegResp, RegisterHistory};
+use dds_registers::base::ObjectState;
+use dds_registers::harness::{run_schedule, run_scripts, CrashEvent, RunOutput};
+use dds_registers::transformations::{
     AtomicFromRegular, MultivaluedFromBinaryRegular, MwmrFromAtomic, RegularFromSafeBinary,
     SwmrFromSw1r,
 };
-use dds::registers::Construction;
-use dds::sim::snapshot::StableHasher;
+use dds_registers::Construction;
+use dds_sim::snapshot::StableHasher;
 
 const SEEDS: std::ops::Range<u64> = 0..50;
 
@@ -91,9 +91,10 @@ fn e6_schedules_are_pinned() {
     assert_eq!(h.finish(), 8_114_850_645_817_277_619, "E6 schedules");
 }
 
-/// The workload and crash sets of `tests/reliable_objects.rs` (the first
-/// `k` base registers crash at steps `1..=k`), past the tolerance too, in
-/// both crash styles against both constructions: responsive and stuck runs.
+/// The workload and crash sets of `crates/registers/tests/reliable_objects.rs`
+/// (the first `k` base registers crash at steps `1..=k`), past the tolerance
+/// too, in both crash styles against both constructions: responsive and
+/// stuck runs.
 #[test]
 fn crash_schedules_are_pinned() {
     let scripts = vec![

@@ -7,10 +7,10 @@
 //!
 //! Run with: `cargo run --release --example monitoring`
 
-use dds::core::time::{Time, TimeDelta};
-use dds::net::generate;
-use dds::protocols::continuous::ContinuousScenario;
-use dds::protocols::{DriverSpec, ProtocolKind, QueryScenario};
+use dds_core::time::{Time, TimeDelta};
+use dds_net::generate;
+use dds_protocols::continuous::ContinuousScenario;
+use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
 
 fn scenario(repaired: bool) -> ContinuousScenario {
     let mut base = QueryScenario::new(generate::torus(4, 4), ProtocolKind::FloodEcho { ttl: 8 });
@@ -21,9 +21,9 @@ fn scenario(repaired: bool) -> ContinuousScenario {
         crash_fraction: 1.0,
     };
     if !repaired {
-        base.policy = dds::sim::world::TopologyPolicy {
-            attach: dds::net::dynamic::AttachRule::RandomK(2),
-            repair: dds::net::dynamic::RepairRule::None,
+        base.policy = dds_sim::world::TopologyPolicy {
+            attach: dds_net::dynamic::AttachRule::RandomK(2),
+            repair: dds_net::dynamic::RepairRule::None,
         };
     }
     ContinuousScenario::new(base, TimeDelta::ticks(40), 20)
@@ -37,7 +37,11 @@ fn main() {
         for q in &run.per_query {
             print!(
                 "{}",
-                if q.report.level.is_interval_valid() { 'Y' } else { '.' }
+                if q.report.level.is_interval_valid() {
+                    'Y'
+                } else {
+                    '.'
+                }
             );
         }
         println!();

@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dds::net::generate;
-use dds::protocols::{DriverSpec, ProtocolKind, QueryScenario};
+use dds_net::generate;
+use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
 
 fn main() {
     // A static 4x4 torus: diameter 4, so a TTL of 4 suffices; we use 8 for

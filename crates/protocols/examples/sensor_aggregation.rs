@@ -9,11 +9,11 @@
 //!
 //! Run with: `cargo run --example sensor_aggregation`
 
-use dds::core::rng::Rng;
-use dds::core::spec::aggregate::AggregateKind;
-use dds::core::time::Time;
-use dds::net::{algo, generate};
-use dds::protocols::{DriverSpec, ProtocolKind, QueryScenario};
+use dds_core::rng::Rng;
+use dds_core::spec::aggregate::AggregateKind;
+use dds_core::time::Time;
+use dds_net::{algo, generate};
+use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
 
 fn main() {
     let mut rng = Rng::seeded(2026);
@@ -50,7 +50,10 @@ fn main() {
 
     let wave = scenario.run();
     println!("\nwave query   : {wave}");
-    println!("  true average over stable sensors: {:.2}", wave.truth_over_required);
+    println!(
+        "  true average over stable sensors: {:.2}",
+        wave.truth_over_required
+    );
 
     let mut gossip_scenario = scenario.clone();
     gossip_scenario.protocol = ProtocolKind::Gossip { rounds: 120 };

@@ -20,9 +20,8 @@ use dds_net::graph::Graph;
 use dds_obs::export::TraceLog;
 use dds_obs::{CriticalPath, Histogram, ObsEvent, ObserverSink, RunReport};
 use dds_sim::actor::Actor;
-use dds_sim::corrupt::{Burst, CorruptionAdversary};
 use dds_sim::delay::{DelayModel, LossModel};
-use dds_sim::driver::{BalancedChurn, ChurnDriver, Compose, Growth, NoChurn, PathStretch};
+use dds_sim::driver::{BalancedChurn, ChurnDriver, Growth, NoChurn, PathStretch};
 use dds_sim::metrics::Metrics;
 use dds_sim::partition::PartitionDriver;
 use dds_sim::world::{TopologyPolicy, World, WorldBuilder};
@@ -119,26 +118,6 @@ pub enum DriverSpec {
         /// When the cut heals, if ever (ticks).
         heal_at: Option<u64>,
     },
-    /// The transient-corruption adversary of the self-stabilization fault
-    /// model: a burst of `actors` random state flips every `every` ticks
-    /// from `start` on, optionally scrambling pending payloads, optionally
-    /// composed with balanced replacement churn (so corruption rides along
-    /// joins and leaves).
-    Corruption {
-        /// First burst instant (ticks).
-        start: u64,
-        /// Burst period (ticks).
-        every: u64,
-        /// Random members whose state is flipped per burst.
-        actors: u8,
-        /// Whether each burst also scrambles every pending payload.
-        scramble: bool,
-        /// Balanced churn rate composed alongside (`0.0` ⇒ corruption
-        /// only).
-        churn_rate: f64,
-        /// Churn window in ticks (ignored when `churn_rate == 0.0`).
-        churn_window: u64,
-    },
 }
 
 impl DriverSpec {
@@ -156,18 +135,21 @@ impl DriverSpec {
     pub(crate) fn build(&self, graph: &Graph) -> Box<dyn ChurnDriver> {
         let ids = graph.members();
         let initiator = || *ids.first().expect("scenario graph is empty");
-        let churn = |rate: f64, window: u64| {
-            let spec = ChurnSpec::rate(rate, TimeDelta::ticks(window))
-                .expect("scenario churn rate must be valid");
-            BalancedChurn::new(spec).with_protected(initiator())
-        };
         match *self {
             DriverSpec::None => Box::new(NoChurn),
             DriverSpec::Balanced {
                 rate,
                 window,
                 crash_fraction,
-            } => Box::new(churn(rate, window).with_crash_fraction(crash_fraction)),
+            } => {
+                let spec = ChurnSpec::rate(rate, TimeDelta::ticks(window))
+                    .expect("scenario churn rate must be valid");
+                Box::new(
+                    BalancedChurn::new(spec)
+                        .with_protected(initiator())
+                        .with_crash_fraction(crash_fraction),
+                )
+            }
             DriverSpec::Growth {
                 per_window,
                 window,
@@ -192,29 +174,6 @@ impl DriverSpec {
                         split_at,
                     )),
                     None => Box::new(PartitionDriver::permanent(cut, split_at)),
-                }
-            }
-            DriverSpec::Corruption {
-                start,
-                every,
-                actors,
-                scramble,
-                churn_rate,
-                churn_window,
-            } => {
-                let mut burst = Burst::actors(usize::from(actors));
-                if scramble {
-                    burst = burst.with_scramble();
-                }
-                let adversary = CorruptionAdversary::periodic(
-                    Time::from_ticks(start),
-                    TimeDelta::ticks(every),
-                    burst,
-                );
-                if churn_rate > 0.0 {
-                    Box::new(Compose::new(churn(churn_rate, churn_window), adversary))
-                } else {
-                    Box::new(adversary)
                 }
             }
         }

@@ -6,18 +6,17 @@
 //! same TTL is perfectly sufficient on the static graph the run started
 //! from.
 
-use dds::core::spec::one_time_query::ValidityLevel;
-use dds::core::time::Time;
-use dds::net::generate;
-use dds::protocols::{DriverSpec, ProtocolKind, QueryScenario};
+use dds_core::spec::one_time_query::ValidityLevel;
+use dds_core::time::Time;
+use dds_net::generate;
+use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
 
 /// The adversary defeats every TTL: the witness (p3, present from start to
 /// finish) is missed no matter how far the wave is allowed to travel.
 #[test]
 fn path_stretch_defeats_every_ttl() {
     for ttl in [2u32, 4, 8, 16, 32] {
-        let mut scenario =
-            QueryScenario::new(generate::path(4), ProtocolKind::FloodEcho { ttl });
+        let mut scenario = QueryScenario::new(generate::path(4), ProtocolKind::FloodEcho { ttl });
         scenario.driver = DriverSpec::PathStretch { window: 1 };
         scenario.deadline = Time::from_ticks(60 + 20 * u64::from(ttl));
         let witness = scenario.witness();
@@ -72,12 +71,12 @@ fn one_hop_short_is_already_too_little() {
 /// splices the initiator–witness distance grew by `k`.
 #[test]
 fn stretching_grows_the_distance() {
-    use dds::net::algo::shortest_path;
-    use dds::sim::actor::{Actor, Context};
-    use dds::sim::driver::PathStretch;
-    use dds::sim::world::WorldBuilder;
     use dds_core::process::ProcessId;
     use dds_core::time::TimeDelta;
+    use dds_net::algo::shortest_path;
+    use dds_sim::actor::{Actor, Context};
+    use dds_sim::driver::PathStretch;
+    use dds_sim::world::WorldBuilder;
 
     struct Idle;
     impl Actor<()> for Idle {

@@ -20,15 +20,15 @@
 
 use std::collections::BTreeSet;
 
-use dds::core::process::ProcessId;
-use dds::core::rng::Rng;
-use dds::core::time::{Time, TimeDelta};
-use dds::net::algo::{diameter, is_connected};
-use dds::net::generate::{torus, watts_strogatz};
-use dds::protocols::continuous::ContinuousScenario;
-use dds::protocols::harness::{QueryRun, SweepArena};
-use dds::protocols::{DriverSpec, ProtocolKind, QueryScenario};
-use dds::sim::snapshot::StableHasher;
+use dds_core::process::ProcessId;
+use dds_core::rng::Rng;
+use dds_core::time::{Time, TimeDelta};
+use dds_net::algo::{diameter, is_connected};
+use dds_net::generate::{torus, watts_strogatz};
+use dds_protocols::continuous::ContinuousScenario;
+use dds_protocols::harness::{QueryRun, SweepArena};
+use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
+use dds_sim::snapshot::StableHasher;
 
 const PIN_SEED: u64 = 0x0D15_EA5E;
 const PIN_RUNS: u64 = 12;
@@ -84,7 +84,7 @@ fn digest(r: &QueryRun) -> u64 {
 
 #[test]
 fn prologue_digests_match_the_benchmark_pins() {
-    let pins: Vec<&str> = include_str!("../benchmark/pins/sim-otq-churn.txt")
+    let pins: Vec<&str> = include_str!("../../../benchmark/pins/sim-otq-churn.txt")
         .lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .collect();

@@ -5,11 +5,11 @@
 //! real deployment — only the *shape*: who wins, and in which direction
 //! the knobs move the result.
 
-use dds::core::spec::aggregate::AggregateKind;
-use dds::core::time::Time;
-use dds::net::generate;
-use dds::protocols::harness::{success_rate, SweepRow};
-use dds::protocols::{DriverSpec, ProtocolKind, QueryScenario};
+use dds_core::spec::aggregate::AggregateKind;
+use dds_core::time::Time;
+use dds_net::generate;
+use dds_protocols::harness::{success_rate, SweepRow};
+use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
 
 const SEEDS: std::ops::Range<u64> = 0..20;
 
@@ -35,7 +35,11 @@ fn all_protocols_exact_without_churn() {
         ProtocolKind::MultiTree { ttl: 8, k: 4 },
     ] {
         let row = run(protocol, 0.0);
-        assert_eq!(row.validity_rate(), 1.0, "{protocol} must be exact statically");
+        assert_eq!(
+            row.validity_rate(),
+            1.0,
+            "{protocol} must be exact statically"
+        );
         assert!(row.mean_relative_error < 1e-9);
     }
 }
@@ -70,7 +74,10 @@ fn gossip_always_terminates_and_degrades_gracefully() {
     let storm = run(ProtocolKind::Gossip { rounds: 80 }, 0.4);
     assert_eq!(calm.termination_rate(), 1.0);
     assert_eq!(storm.termination_rate(), 1.0);
-    assert!(calm.mean_relative_error < 0.05, "calm gossip converges: {calm}");
+    assert!(
+        calm.mean_relative_error < 0.05,
+        "calm gossip converges: {calm}"
+    );
     // Under churn the error grows but stays bounded (mass leaks, it does
     // not explode).
     assert!(

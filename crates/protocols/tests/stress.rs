@@ -6,16 +6,16 @@
 //! maintenance, churn drivers, wave protocol, trace recording) violates
 //! its contract under sustained pressure, the invariants here catch it.
 
-use dds::core::process::ProcessId;
-use dds::core::time::{Time, TimeDelta};
-use dds::net::generate;
-use dds::protocols::continuous::ContinuousScenario;
-use dds::protocols::{DriverSpec, ProtocolKind, QueryScenario};
-use dds::sim::actor::{Actor, Context};
-use dds::sim::delay::{DelayModel, LossModel};
-use dds::sim::driver::BalancedChurn;
-use dds::sim::world::{World, WorldBuilder};
 use dds_core::churn::ChurnSpec;
+use dds_core::process::ProcessId;
+use dds_core::time::{Time, TimeDelta};
+use dds_net::generate;
+use dds_protocols::continuous::ContinuousScenario;
+use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
+use dds_sim::actor::{Actor, Context};
+use dds_sim::delay::{DelayModel, LossModel};
+use dds_sim::driver::BalancedChurn;
+use dds_sim::world::{World, WorldBuilder};
 
 /// Relays every message to a random neighbor — a traffic generator that
 /// keeps the network saturated for the accounting checks.
@@ -94,10 +94,7 @@ fn monitoring_survives_churn_plus_partition() {
     // Queries run while the system churns AND suffers a transient
     // partition; queries issued during the cut fail, queries before and
     // after succeed — and the run never wedges.
-    let mut base = QueryScenario::new(
-        generate::torus(4, 4),
-        ProtocolKind::FloodEcho { ttl: 8 },
-    );
+    let mut base = QueryScenario::new(generate::torus(4, 4), ProtocolKind::FloodEcho { ttl: 8 });
     base.driver = DriverSpec::Partition {
         cut_at: 200,
         heal_at: Some(400),

@@ -9,10 +9,10 @@
 //! under balanced churn with lossy links so leave, crash and drop lines
 //! occur.
 
-use dds::net::generate;
-use dds::protocols::{DriverSpec, ProtocolKind, QueryScenario};
-use dds::sim::delay::LossModel;
-use dds::sim::snapshot::StableHasher;
+use dds_net::generate;
+use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
+use dds_sim::delay::LossModel;
+use dds_sim::snapshot::StableHasher;
 
 /// Line count and digest of the scenario's export, plus the line kinds
 /// the caller wants witnessed.
@@ -55,7 +55,10 @@ fn wave_on_a_churning_lossy_torus() {
     };
     scenario.loss = LossModel::Bernoulli(0.1);
     assert_eq!(
-        export(scenario, &["join", "leave", "crash", "send", "deliver", "drop"]),
+        export(
+            scenario,
+            &["join", "leave", "crash", "send", "deliver", "drop"]
+        ),
         (314, 0x9ab7c6d09739af85),
         "(lines, digest) of the churned torus(4,4) wave trace"
     );

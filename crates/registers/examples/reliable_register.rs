@@ -10,12 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use dds::core::spec::consensus::check_consensus;
-use dds::core::spec::register::{check_atomic, RegOp};
-use dds::registers::base::ObjectState;
-use dds::registers::consensus::run_consensus;
-use dds::registers::harness::{run_schedule, CrashEvent};
-use dds::registers::Construction;
+use dds_core::spec::consensus::check_consensus;
+use dds_core::spec::register::{check_atomic, RegOp};
+use dds_registers::base::ObjectState;
+use dds_registers::consensus::run_consensus;
+use dds_registers::harness::{run_schedule, CrashEvent};
+use dds_registers::Construction;
 
 fn main() {
     let scripts = vec![
@@ -30,8 +30,16 @@ fn main() {
         2,
         &scripts,
         &[
-            CrashEvent { step: 6, index: 0, state: ObjectState::CrashedResponsive },
-            CrashEvent { step: 14, index: 2, state: ObjectState::CrashedResponsive },
+            CrashEvent {
+                step: 6,
+                index: 0,
+                state: ObjectState::CrashedResponsive,
+            },
+            CrashEvent {
+                step: 14,
+                index: 2,
+                state: ObjectState::CrashedResponsive,
+            },
         ],
         2026,
     );
@@ -44,7 +52,11 @@ fn main() {
         Construction::MajorityQuorum { write_back: true },
         1,
         &scripts,
-        &[CrashEvent { step: 9, index: 1, state: ObjectState::CrashedNonresponsive }],
+        &[CrashEvent {
+            step: 9,
+            index: 1,
+            state: ObjectState::CrashedNonresponsive,
+        }],
         2026,
     );
     println!("\nmajority 2t+1 construction (t=1, 1 nonresponsive crash):");
@@ -59,8 +71,15 @@ fn main() {
         2026,
     );
     println!("\nconsensus from t+1 responsive-crash objects (t=2, 1 crash):");
-    println!("  decisions: {:?}", run.decisions.values().collect::<Vec<_>>());
-    println!("  {} | {} base accesses", check_consensus(&run), bank.total_accesses());
+    println!(
+        "  decisions: {:?}",
+        run.decisions.values().collect::<Vec<_>>()
+    );
+    println!(
+        "  {} | {} base accesses",
+        check_consensus(&run),
+        bank.total_accesses()
+    );
     assert!(blocked.is_empty());
 
     // The impossibility: one nonresponsive crash blocks the construction.

@@ -7,12 +7,12 @@
 
 use std::collections::BTreeMap;
 
-use dds::core::spec::consensus::check_consensus;
-use dds::core::spec::register::{check_atomic, RegOp};
-use dds::registers::base::ObjectState;
-use dds::registers::consensus::run_consensus;
-use dds::registers::harness::{run_schedule, CrashEvent};
-use dds::registers::Construction;
+use dds_core::spec::consensus::check_consensus;
+use dds_core::spec::register::{check_atomic, RegOp};
+use dds_registers::base::ObjectState;
+use dds_registers::consensus::run_consensus;
+use dds_registers::harness::{run_schedule, CrashEvent};
+use dds_registers::Construction;
 
 fn scripts() -> Vec<Vec<RegOp>> {
     vec![
@@ -24,7 +24,11 @@ fn scripts() -> Vec<Vec<RegOp>> {
 
 fn crash_first(n: usize, state: ObjectState) -> Vec<CrashEvent> {
     (0..n)
-        .map(|index| CrashEvent { step: 1 + index as u64, index, state })
+        .map(|index| CrashEvent {
+            step: 1 + index as u64,
+            index,
+            state,
+        })
         .collect()
 }
 
@@ -73,7 +77,10 @@ fn responsive_bound_fails_past_t() {
             break;
         }
     }
-    assert!(violated, "crashing every base register must break atomicity");
+    assert!(
+        violated,
+        "crashing every base register must break atomicity"
+    );
 }
 
 #[test]

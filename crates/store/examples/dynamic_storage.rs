@@ -12,11 +12,11 @@
 //!
 //! Run with: `cargo run --release --example dynamic_storage`
 
-use dds::core::churn::ChurnSpec;
-use dds::core::spec::register::check_atomic;
-use dds::core::time::{Time, TimeDelta};
-use dds::net::generate;
-use dds::store::StoreScenario;
+use dds_core::churn::ChurnSpec;
+use dds_core::spec::register::check_atomic;
+use dds_core::time::{Time, TimeDelta};
+use dds_net::generate;
+use dds_store::StoreScenario;
 
 fn scenario(rate: f64, seed: u64) -> StoreScenario {
     let mut s = StoreScenario::new(generate::complete(12), seed);
@@ -43,7 +43,7 @@ fn main() {
         let mut max_epoch = 0u64;
         let mut atomic = 0u64;
         let mut above = false;
-        let mut latency = dds::obs::Histogram::new();
+        let mut latency = dds_obs::Histogram::new();
         for seed in 0..SEEDS {
             let report = scenario(rate, seed).run();
             completed += report.completed;

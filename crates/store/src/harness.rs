@@ -236,12 +236,19 @@ impl StoreScenario {
         // start/end accounting stays balanced for downstream consumers.
         for (&epoch, &(at, pid)) in &epoch_first {
             if epoch > 1 {
-                world.observe(ObsEvent::SpanStart { name: "reconfig", pid, at });
-                world.observe(ObsEvent::SpanEnd { name: "reconfig", pid, at });
+                world.observe(ObsEvent::SpanStart {
+                    name: "reconfig",
+                    pid,
+                    at,
+                });
+                world.observe(ObsEvent::SpanEnd {
+                    name: "reconfig",
+                    pid,
+                    at,
+                });
             }
         }
-        report.epoch_transitions =
-            epoch_first.into_iter().map(|(e, (t, _))| (t, e)).collect();
+        report.epoch_transitions = epoch_first.into_iter().map(|(e, (t, _))| (t, e)).collect();
 
         for &pid in &client_pids {
             let Some(actor) = world.actor::<StoreActor>(pid) else {

@@ -184,7 +184,10 @@ impl CoreCtx<'_> {
 
     fn broadcast(&mut self, msg: StoreMsg) {
         for &n in self.peers {
-            self.out.push(CoreOut::Send { to: n, msg: msg.clone() });
+            self.out.push(CoreOut::Send {
+                to: n,
+                msg: msg.clone(),
+            });
         }
     }
 
@@ -456,7 +459,14 @@ impl StoreCore {
         self.stats.fenced_nacks += 1;
         let (epoch, members) = self.latest_config();
         let members = members.to_vec();
-        ctx.send(to, StoreMsg::Fenced { tag, epoch, members });
+        ctx.send(
+            to,
+            StoreMsg::Fenced {
+                tag,
+                epoch,
+                members,
+            },
+        );
     }
 
     fn heard(&mut self, from: ProcessId, now: Time) {
@@ -511,7 +521,11 @@ impl StoreCore {
         if new_members.is_empty() {
             return;
         }
-        let epoch = self.epoch.max(self.promised).max(self.rec.as_ref().map_or(0, |r| r.epoch)) + 1;
+        let epoch = self
+            .epoch
+            .max(self.promised)
+            .max(self.rec.as_ref().map_or(0, |r| r.epoch))
+            + 1;
         self.stats.reconfigs_started += 1;
         self.rec = Some(RecState {
             epoch,
@@ -572,7 +586,8 @@ impl StoreCore {
                 }
                 self.rec = None;
             }
-            let repair_needed = !suspected.is_empty() || self.members.len() < self.params.replica_count;
+            let repair_needed =
+                !suspected.is_empty() || self.members.len() < self.params.replica_count;
             if !repair_needed {
                 return;
             }
@@ -783,7 +798,13 @@ impl StoreCore {
         self.begin_attempt(ctx, force_refresh);
     }
 
-    fn on_query_ack(&mut self, ctx: &mut CoreCtx<'_>, tag: OpTag, stamp: Stamp, value: Option<u64>) {
+    fn on_query_ack(
+        &mut self,
+        ctx: &mut CoreCtx<'_>,
+        tag: OpTag,
+        stamp: Stamp,
+        value: Option<u64>,
+    ) {
         let quorum = self.phase_quorum();
         let write_back = self.params.write_back;
         let me = ctx.pid();
@@ -876,7 +897,12 @@ impl StoreCore {
                 Err(true) => self.fence_nack(ctx, from, tag),
                 Err(false) => {}
             },
-            StoreMsg::Store { tag, epoch, stamp, value } => match self.serve(ctx.pid(), epoch) {
+            StoreMsg::Store {
+                tag,
+                epoch,
+                stamp,
+                value,
+            } => match self.serve(ctx.pid(), epoch) {
                 Ok(()) => {
                     if stamp > self.stamp {
                         self.stamp = stamp;
@@ -898,7 +924,11 @@ impl StoreCore {
 
             StoreMsg::QueryAck { tag, stamp, value } => self.on_query_ack(ctx, tag, stamp, value),
             StoreMsg::StoreAck { tag } => self.on_store_ack(ctx, tag),
-            StoreMsg::Fenced { tag, epoch, members } => {
+            StoreMsg::Fenced {
+                tag,
+                epoch,
+                members,
+            } => {
                 self.view.adopt(epoch, &members, now);
                 if self.cur.as_ref().is_some_and(|p| p.tag == tag) {
                     self.retry(ctx, false);
@@ -923,7 +953,10 @@ impl StoreCore {
                     },
                 );
             }
-            StoreMsg::ProbeAck { epoch: _, candidates } => {
+            StoreMsg::ProbeAck {
+                epoch: _,
+                candidates,
+            } => {
                 self.heard(from, now);
                 for c in candidates {
                     self.note_candidate(ctx, c, false);
@@ -946,11 +979,21 @@ impl StoreCore {
                     );
                 }
             }
-            StoreMsg::RecAck { epoch, base, stamp, value } => {
+            StoreMsg::RecAck {
+                epoch,
+                base,
+                stamp,
+                value,
+            } => {
                 self.heard(from, now);
                 self.on_rec_ack(ctx, epoch, base, stamp, value);
             }
-            StoreMsg::Migrate { epoch, members, stamp, value } => {
+            StoreMsg::Migrate {
+                epoch,
+                members,
+                stamp,
+                value,
+            } => {
                 self.heard(from, now);
                 if epoch >= self.epoch && epoch >= self.promised && epoch > 0 {
                     if stamp > self.stamp {
@@ -1125,13 +1168,18 @@ mod tests {
             now,
             pid(1),
             &[pid(0)],
-            CoreIn::Message { from: pid(1), msg: StoreMsg::Invoke(RegOp::Write(7)) },
+            CoreIn::Message {
+                from: pid(1),
+                msg: StoreMsg::Invoke(RegOp::Write(7)),
+            },
             &mut out,
         );
         // Route messages until quiescent (ignore timers: nothing is lost).
         let mut hops = 0;
         while let Some(pos) = out.iter().position(|o| matches!(o, CoreOut::Send { .. })) {
-            let CoreOut::Send { to, msg } = out.remove(pos) else { unreachable!() };
+            let CoreOut::Send { to, msg } = out.remove(pos) else {
+                unreachable!()
+            };
             let (core, me, from) = if to == pid(0) {
                 (&mut replica, pid(0), pid(1))
             } else {

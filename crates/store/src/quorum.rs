@@ -164,12 +164,20 @@ mod tests {
         let fast = ChurnSpec::rate(0.5, TimeDelta::ticks(10)).unwrap();
         assert!(sustainable(&slow, 5, reaction));
         assert!(!sustainable(&fast, 5, reaction));
-        assert!(sustainable(&ChurnSpec::none(), 5, TimeDelta::ticks(1_000_000)));
+        assert!(sustainable(
+            &ChurnSpec::none(),
+            5,
+            TimeDelta::ticks(1_000_000)
+        ));
     }
 
     #[test]
     fn view_validity_and_adoption() {
-        let mut v = QuorumView::new(1, vec![pid(2), pid(0), pid(1), pid(2)], Time::from_ticks(10));
+        let mut v = QuorumView::new(
+            1,
+            vec![pid(2), pid(0), pid(1), pid(2)],
+            Time::from_ticks(10),
+        );
         assert_eq!(v.members, vec![pid(0), pid(1), pid(2)]);
         assert_eq!(v.quorum(), 2);
         let delta = TimeDelta::ticks(20);

@@ -32,7 +32,10 @@ fn quiet_system_completes_everything_atomically() {
             "seed {seed}: every op must complete without churn"
         );
         assert_eq!(report.aborted, 0, "seed {seed}");
-        assert_eq!(report.max_epoch, 1, "seed {seed}: no reconfiguration needed");
+        assert_eq!(
+            report.max_epoch, 1,
+            "seed {seed}: no reconfiguration needed"
+        );
         assert!(
             check_atomic(&report.history).unwrap().is_linearizable(),
             "seed {seed}: history must be atomic"
@@ -68,7 +71,10 @@ fn reconfiguration_engine_reacts_to_churn() {
         let report = churned_scenario(seed, 0.04).run();
         if report.max_epoch > 1 {
             reconfigured += 1;
-            assert!(report.migrations > 0, "seed {seed}: adoption must migrate state");
+            assert!(
+                report.migrations > 0,
+                "seed {seed}: adoption must migrate state"
+            );
         }
     }
     assert!(
@@ -123,7 +129,10 @@ fn injected_reconfiguration_migrates_and_stays_atomic() {
     );
     world.run_until(s.deadline);
     let report = s.report(&mut world);
-    assert!(report.max_epoch >= 2, "epoch must advance past the injection");
+    assert!(
+        report.max_epoch >= 2,
+        "epoch must advance past the injection"
+    );
     assert!(report.migrations > 0);
     assert_eq!(report.aborted, 0, "hand-off must not lose liveness");
     assert!(check_atomic(&report.history).unwrap().is_linearizable());
@@ -137,7 +146,10 @@ fn injected_reconfiguration_migrates_and_stays_atomic() {
                 .is_some_and(|a| a.epoch() >= 2)
         })
         .count();
-    assert!(serving >= 3, "new members must have adopted the epoch ({serving})");
+    assert!(
+        serving >= 3,
+        "new members must have adopted the epoch ({serving})"
+    );
 }
 
 #[test]

@@ -23,17 +23,22 @@ use std::time::Instant;
 
 use dds_core::process::ProcessId;
 use dds_core::spec::register::{RegOp, RegResp};
-use dds_core::time::TimeDelta;
 use dds_obs::histogram::Histogram;
 use dds_store::msg::StoreMsg;
 use dds_svc::codec::ROLE_CLIENT;
 use dds_svc::node::{net_params, Addr, Host, HostCfg};
 
+/// The first client identity; thread `t`'s clients follow at
+/// `PID_BASE + t * clients`.
+const PID_BASE: u64 = 1000;
+
+/// Seed of the op mix; each thread xors in its own constant.
+const RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
 fn usage() -> ! {
     eprintln!(
         "usage: svc_load --seed <addr> --initial 1,2,3 [--threads N] [--clients N] \\\n\
-         \x20        [--ops N] [--write-pct N] [--pid-base N] [--rng-seed N] \\\n\
-         \x20        [--timeout-ms N] [--max-attempts N] [--op-gap-us N] \\\n\
+         \x20        [--ops N] [--write-pct N] [--op-gap-us N] \\\n\
          \x20        [--log-ops FILE] [--out FILE]"
     );
     exit(2)
@@ -86,16 +91,12 @@ fn run_thread(
     ops_per_client: u64,
     write_pct: u64,
     rng_seed: u64,
-    timeout_ms: u64,
-    max_attempts: u32,
     op_gap_us: u64,
     epoch: Instant,
     log_ops: bool,
 ) -> std::io::Result<ThreadResult> {
     let k = pids.len();
-    let mut params = net_params(initial);
-    params.op_timeout = TimeDelta::ticks(timeout_ms);
-    params.max_attempts = max_attempts;
+    let params = net_params(initial);
     let cfg = HostCfg {
         listen: None,
         seed: Some(seed),
@@ -208,10 +209,6 @@ fn main() {
     let mut clients = 16u64;
     let mut ops = 1000u64;
     let mut write_pct = 20u64;
-    let mut pid_base = 1000u64;
-    let mut rng_seed = 0x9E37_79B9_7F4A_7C15u64;
-    let mut timeout_ms = 250u64;
-    let mut max_attempts = 6u32;
     let mut op_gap_us = 0u64;
     let mut log_ops_path: Option<String> = None;
     let mut out_path: Option<String> = None;
@@ -231,10 +228,6 @@ fn main() {
             "--clients" => clients = parse_u64(args.next()),
             "--ops" => ops = parse_u64(args.next()),
             "--write-pct" => write_pct = parse_u64(args.next()),
-            "--pid-base" => pid_base = parse_u64(args.next()),
-            "--rng-seed" => rng_seed = parse_u64(args.next()),
-            "--timeout-ms" => timeout_ms = parse_u64(args.next()),
-            "--max-attempts" => max_attempts = parse_u64(args.next()) as u32,
             "--op-gap-us" => op_gap_us = parse_u64(args.next()),
             "--log-ops" => log_ops_path = args.next(),
             "--out" => out_path = args.next(),
@@ -256,23 +249,13 @@ fn main() {
         let seed = seed.clone();
         let initial = initial.clone();
         let pids: Vec<ProcessId> = (0..clients)
-            .map(|j| ProcessId::from_raw(pid_base + t * clients + j))
+            .map(|j| ProcessId::from_raw(PID_BASE + t * clients + j))
             .collect();
         let log_ops = log_ops_path.is_some();
-        let rng = rng_seed ^ (t.wrapping_mul(0xA24B_AED4_963E_E407));
+        let rng = RNG_SEED ^ (t.wrapping_mul(0xA24B_AED4_963E_E407));
         handles.push(std::thread::spawn(move || {
             run_thread(
-                seed,
-                initial,
-                pids,
-                ops,
-                write_pct,
-                rng,
-                timeout_ms,
-                max_attempts,
-                op_gap_us,
-                epoch,
-                log_ops,
+                seed, initial, pids, ops, write_pct, rng, op_gap_us, epoch, log_ops,
             )
         }));
     }

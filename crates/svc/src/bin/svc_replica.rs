@@ -14,14 +14,12 @@ use std::process::exit;
 use std::time::Instant;
 
 use dds_core::process::ProcessId;
-use dds_core::time::TimeDelta;
 use dds_svc::codec::ROLE_REPLICA;
 use dds_svc::node::{net_params, Addr, Host, HostCfg};
 
 fn usage() -> ! {
     eprintln!(
         "usage: svc_replica --pid N --listen <addr> --seed <addr> --initial 1,2,3 \\\n\
-         \x20        [--timeout-ms N] [--probe-ms N] [--suspect-ms N] [--view-ms N] \\\n\
          \x20        [--status-every-ms N]"
     );
     exit(2)
@@ -36,10 +34,6 @@ fn main() {
     let mut listen = None;
     let mut seed = None;
     let mut initial = Vec::new();
-    let mut timeout_ms = None;
-    let mut probe_ms = None;
-    let mut suspect_ms = None;
-    let mut view_ms = None;
     let mut status_every_ms = 1000u64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -55,10 +49,6 @@ fn main() {
                     .map(|p| ProcessId::from_raw(p.trim().parse().unwrap_or_else(|_| usage())))
                     .collect()
             }
-            "--timeout-ms" => timeout_ms = Some(parse_u64(args.next())),
-            "--probe-ms" => probe_ms = Some(parse_u64(args.next())),
-            "--suspect-ms" => suspect_ms = Some(parse_u64(args.next())),
-            "--view-ms" => view_ms = Some(parse_u64(args.next())),
             "--status-every-ms" => status_every_ms = parse_u64(args.next()),
             _ => usage(),
         }
@@ -70,19 +60,6 @@ fn main() {
         usage()
     }
     let me = ProcessId::from_raw(pid);
-    let mut params = net_params(initial);
-    if let Some(t) = timeout_ms {
-        params.op_timeout = TimeDelta::ticks(t);
-    }
-    if let Some(t) = probe_ms {
-        params.probe_every = Some(TimeDelta::ticks(t));
-    }
-    if let Some(t) = suspect_ms {
-        params.suspect_after = TimeDelta::ticks(t);
-    }
-    if let Some(t) = view_ms {
-        params.view_delta = TimeDelta::ticks(t);
-    }
 
     let cfg = HostCfg {
         listen: Some(Addr::parse(&listen).unwrap_or_else(|e| {
@@ -95,7 +72,7 @@ fn main() {
         })),
         role: ROLE_REPLICA,
     };
-    let mut host = match Host::new(cfg, vec![(me, params)], Instant::now()) {
+    let mut host = match Host::new(cfg, vec![(me, net_params(initial))], Instant::now()) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("svc_replica: start: {e}");
