@@ -19,7 +19,7 @@ use dds_core::spec::aggregate::AggregateKind;
 use dds_core::spec::register::RegOp;
 use dds_core::time::{Time, TimeDelta};
 use dds_net::generate;
-use dds_obs::Histogram;
+use dds_obs::{CriticalPath, Histogram, RunReport};
 use dds_protocols::harness::{fold_sweep, run_sweep, SweepRow};
 use dds_protocols::{DriverSpec, ProtocolKind, QueryScenario};
 use dds_registers::base::ObjectState;
@@ -152,8 +152,20 @@ impl Experiment {
         line
     }
 
-    /// Runs `scenario` over `seeds`, pools its observation histograms into
-    /// the experiment, stores the folded row under `label`, and returns it.
+    /// Pools one run's kernel observations and critical path into the
+    /// experiment's histograms and critical-path sums.
+    fn observe(&mut self, obs: &RunReport, critical: &CriticalPath) {
+        self.latency.merge(&obs.delivery_latency);
+        self.queue_depth.merge(&obs.queue_depth);
+        self.critical.record(critical.total);
+        self.crit_transit += critical.transit;
+        self.crit_queueing += critical.queueing;
+        self.crit_processing += critical.processing;
+    }
+
+    /// Runs `scenario` over `seeds`, pools every run into the experiment
+    /// ([`Self::observe`]), stores the folded row under `label`, and
+    /// returns it.
     fn sweep(
         &mut self,
         label: impl Into<String>,
@@ -162,12 +174,7 @@ impl Experiment {
     ) -> SweepRow {
         let runs = run_sweep(scenario, seeds);
         for run in &runs {
-            self.latency.merge(&run.obs.delivery_latency);
-            self.queue_depth.merge(&run.obs.queue_depth);
-            self.critical.record(run.critical.total);
-            self.crit_transit += run.critical.transit;
-            self.crit_queueing += run.critical.queueing;
-            self.crit_processing += run.critical.processing;
+            self.observe(&run.obs, &run.critical);
         }
         let row = fold_sweep(&runs);
         self.rows.insert(label.into(), row);
@@ -963,7 +970,7 @@ pub fn s1_store() -> Experiment {
             above = s.above_bound();
             let mut world = s.build();
             world.run_until(s.deadline);
-            let report = s.report(&mut world);
+            let report = s.report(&world);
             completed += report.completed;
             aborted += report.aborted;
             epochs = epochs.max(report.max_epoch);
@@ -991,9 +998,10 @@ pub fn s1_store() -> Experiment {
     }
     let _ = writeln!(
         e.table,
-        "(timed quorums over {} seeds/rate: below the bound every run is atomic and \
-aborts are rare; above it the engine sheds load explicitly — operations abort \
-after bounded fenced retries instead of hanging)",
+        "(timed quorums over {} seeds/rate: below the bound every run stays atomic, but \
+aborts climb well before the bound — it predicts atomicity, not completion; above \
+it the engine sheds load explicitly — operations abort after bounded fenced \
+retries instead of hanging)",
         runs
     );
     e
@@ -1224,13 +1232,8 @@ pub fn scd1_broadcast() -> Experiment {
                 .take_sink()
                 .and_then(|s| s.into_any().downcast::<ObserverSink>().ok())
             {
-                e.latency.merge(&sink.report.delivery_latency);
-                e.queue_depth.merge(&sink.report.queue_depth);
                 let critical = sink.causal.into_dag().critical_path();
-                e.critical.record(critical.total);
-                e.crit_transit += critical.transit;
-                e.crit_queueing += critical.queueing;
-                e.crit_processing += critical.processing;
+                e.observe(&sink.report, &critical);
             }
             e.extra_runs += 1;
             e.extra_metrics.merge(world.metrics());
@@ -1412,7 +1415,7 @@ pub fn stab1_selfstab() -> Experiment {
                 stabilized += 1;
                 hist.record(t);
             }
-            corruptions += out.corruptions;
+            corruptions += out.metrics.corruptions;
             metrics.merge(&out.metrics);
         }
         e.stabilization.merge(&hist);

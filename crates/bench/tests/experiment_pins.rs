@@ -80,6 +80,10 @@ fn experiments_match_their_pins_at_any_thread_count() {
         !cap_seq.traces.is_empty(),
         "E2 capture scope collected no traces"
     );
+    assert!(
+        !cap_seq.flight_dumps.is_empty(),
+        "E2 capture scope collected no flight dumps"
+    );
     assert_eq!(
         Some(&cap_seq),
         cap_par.as_ref(),

@@ -67,7 +67,7 @@ use dds_core::spec::register::{check_atomic, RegOp};
 use dds_core::time::{Time, TimeDelta};
 use dds_net::graph::Graph;
 use dds_protocols::scd::{
-    check_world as check_scd_world, ScdActor, ScdCall, ScdConfig, ScdFault, ScdMsg,
+    check_world as check_scd_world, ScdCall, ScdConfig, ScdFault, ScdMsg, ScdScenario,
 };
 use dds_protocols::stab::{token_privileges, DijkstraRing, ProbeMsg, TokenMsg, ViewActor};
 use dds_registers::base::ObjectState;
@@ -650,27 +650,15 @@ fn scd_target(family: &'static str, fault: ScdFault) -> WorldTarget<ScdMsg> {
         "mutant"
     };
     let config = ScdConfig::new(2, TimeDelta::TICK, TimeDelta::ticks(2)).with_fault(fault);
+    let mut scenario = ScdScenario::new(dds_net::generate::path(3), config)
+        .op(1, 0, ScdCall::Tag(10))
+        .op(1, 2, ScdCall::Tag(20));
+    scenario.seed = 5;
+    scenario.deadline = Time::from_ticks(12);
     WorldTarget::new(
         format!("{family}/{suffix}"),
-        Time::from_ticks(12),
-        move || {
-            let mut world = WorldBuilder::new(5)
-                .initial_graph(dds_net::generate::path(3))
-                .delay(DelayModel::Fixed(TimeDelta::TICK))
-                .spawn(move |_| Box::new(ScdActor::new(config)))
-                .build();
-            world.inject(
-                Time::from_ticks(1),
-                ProcessId::from_raw(0),
-                ScdMsg::Invoke(ScdCall::Tag(10)),
-            );
-            world.inject(
-                Time::from_ticks(1),
-                ProcessId::from_raw(2),
-                ScdMsg::Invoke(ScdCall::Tag(20)),
-            );
-            world
-        },
+        scenario.deadline,
+        move || scenario.build(),
         |world: &World<ScdMsg>| {
             check_scd_world(world).map_err(|v| Violation {
                 reason: v.reason,

@@ -4,9 +4,9 @@
 //! the id of the event that caused it ([`dds_core::run::Causality`]):
 //! send→deliver, timer-set→fire, join→first-step. This module rebuilds
 //! the induced happened-before DAG from an [`ObsEvent`] stream (or its
-//! JSONL rendering), annotates it with vector clocks, and decomposes the
-//! longest end-to-end latency chain — the *critical path* — into transit
-//! (message flight), queueing (timer wait) and processing segments.
+//! JSONL rendering) and decomposes the longest end-to-end latency chain —
+//! the *critical path* — into transit (message flight), queueing (timer
+//! wait) and processing segments.
 //!
 //! Ids are assigned in dispatch order, so a cause id is always smaller
 //! than the id it caused; every analysis here is a single forward pass
@@ -393,33 +393,6 @@ impl CausalDag {
         cp
     }
 
-    /// Vector clocks, one per node (aligned with [`CausalDag::nodes`]).
-    ///
-    /// Each clock merges the cause's clock with the same-process
-    /// predecessor's clock (program order: id order within a process) and
-    /// increments the owning process's component — the standard
-    /// happened-before characterization: `a → b` iff `clock(a) ≤
-    /// clock(b)` pointwise and `a ≠ b`.
-    pub fn vector_clocks(&self) -> Vec<BTreeMap<ProcessId, u64>> {
-        let mut clocks: Vec<BTreeMap<ProcessId, u64>> = Vec::with_capacity(self.nodes.len());
-        let mut last_on: BTreeMap<ProcessId, usize> = BTreeMap::new();
-        for i in 0..self.nodes.len() {
-            let mut clock = self.parent[i]
-                .map(|p| clocks[p].clone())
-                .unwrap_or_default();
-            if let Some(&prev) = last_on.get(&self.nodes[i].pid) {
-                for (&pid, &v) in &clocks[prev] {
-                    let slot = clock.entry(pid).or_insert(0);
-                    *slot = (*slot).max(v);
-                }
-            }
-            *clock.entry(self.nodes[i].pid).or_insert(0) += 1;
-            last_on.insert(self.nodes[i].pid, i);
-            clocks.push(clock);
-        }
-        clocks
-    }
-
     /// One-line deterministic stats summary (what `run_trace` prints).
     pub fn summary(&self) -> String {
         let cp = self.critical_path();
@@ -552,25 +525,6 @@ mod tests {
         let ids: Vec<u64> = chain.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
         assert!(dag.chain_of(99).is_empty());
-    }
-
-    #[test]
-    fn vector_clocks_characterize_happened_before() {
-        // Two roots: 1 on p1 causes 3 on p2; 2 on p9 is concurrent.
-        let dag = CausalDag::new(vec![
-            node(1, 0, 0, 1, SegmentKind::Processing),
-            node(2, 0, 0, 9, SegmentKind::Processing),
-            node(3, 1, 4, 2, SegmentKind::Transit),
-        ]);
-        let clocks = dag.vector_clocks();
-        let leq = |a: &BTreeMap<ProcessId, u64>, b: &BTreeMap<ProcessId, u64>| {
-            a.iter().all(|(p, v)| b.get(p).copied().unwrap_or(0) >= *v)
-        };
-        assert!(leq(&clocks[0], &clocks[2]), "1 happened before 3");
-        assert!(!leq(&clocks[1], &clocks[2]), "2 is concurrent with 3");
-        assert!(!leq(&clocks[2], &clocks[1]));
-        assert_eq!(clocks[2][&pid(2)], 1);
-        assert_eq!(clocks[2][&pid(1)], 1);
     }
 
     #[test]

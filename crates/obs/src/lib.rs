@@ -7,8 +7,8 @@
 //! the kernel's determinism contract or its hot-path performance:
 //!
 //! - [`sink`] — the [`sink::Sink`] trait the kernel's dispatch loop feeds
-//!   ([`sink::ObsEvent`] per kernel event), plus the zero-cost
-//!   [`sink::NoopSink`] and the composite [`sink::ObserverSink`];
+//!   ([`sink::ObsEvent`] per kernel event), plus the composite
+//!   [`sink::ObserverSink`];
 //! - [`histogram`] — a hand-rolled log-bucket (HDR-style) [`histogram::Histogram`]
 //!   with bounded memory and ≤ ~6% relative bucketing error;
 //! - [`report`] — [`report::RunReport`]: delivery-latency and per-step
@@ -21,9 +21,8 @@
 //!   (integer-only fields, so output is byte-identical across thread
 //!   counts);
 //! - [`causal`] — happened-before DAG reconstruction over the kernel's
-//!   id/cause annotations: vector clocks, per-process fan-out, and
-//!   critical-path latency decomposition into transit/queueing/processing
-//!   segments.
+//!   id/cause annotations: per-process fan-out and critical-path latency
+//!   decomposition into transit/queueing/processing segments.
 //!
 //! Everything is hand-rolled std-only Rust, consistent with the
 //! vendored-offline-deps constraint (DESIGN.md §12): no external crates,
@@ -43,4 +42,4 @@ pub use causal::{CausalDag, CausalLog, CausalNode, CriticalPath, SegmentKind};
 pub use flight::FlightRecorder;
 pub use histogram::Histogram;
 pub use report::RunReport;
-pub use sink::{NoopSink, ObsEvent, ObserverSink, Sink};
+pub use sink::{ObsEvent, ObserverSink, Sink};

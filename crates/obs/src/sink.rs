@@ -172,22 +172,6 @@ pub trait Sink: Any {
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-/// The do-nothing sink: every call compiles to a no-op.
-///
-/// Installing `NoopSink` is equivalent to installing no sink at all except
-/// that the kernel still performs the (empty) virtual calls; it exists so
-/// the instrumentation overhead itself can be measured.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn record(&mut self, _ev: &ObsEvent, _causal: Causality) {}
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 /// The harness's standard composite: a [`crate::report::RunReport`]
 /// aggregating the run, a [`crate::flight::FlightRecorder`] holding the
 /// most recent events for post-mortem dumps, and a
@@ -263,12 +247,6 @@ mod tests {
             .kind(),
             "step"
         );
-    }
-
-    #[test]
-    fn noop_sink_downcasts() {
-        let s: Box<dyn Sink> = Box::new(NoopSink);
-        assert!(s.into_any().downcast::<NoopSink>().is_ok());
     }
 
     #[test]

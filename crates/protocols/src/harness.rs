@@ -18,7 +18,7 @@ use dds_core::spec::one_time_query::{check_outcome, QueryOutcome, ValidityReport
 use dds_core::time::{Interval, Time, TimeDelta};
 use dds_net::graph::Graph;
 use dds_obs::export::TraceLog;
-use dds_obs::{CriticalPath, Histogram, ObsEvent, ObserverSink, RunReport};
+use dds_obs::{CriticalPath, ObsEvent, ObserverSink, RunReport};
 use dds_sim::actor::Actor;
 use dds_sim::delay::{DelayModel, LossModel};
 use dds_sim::driver::{BalancedChurn, ChurnDriver, Growth, NoChurn, PathStretch};
@@ -490,7 +490,6 @@ impl QueryScenario {
             report,
             metrics: *metrics,
             truth_over_required,
-            truth_at_start,
             relative_error,
             finished,
             obs: observer.report,
@@ -544,11 +543,8 @@ pub struct QueryRun {
     /// The reference aggregate over the processes present throughout the
     /// window (the set interval validity is judged against).
     pub truth_over_required: f64,
-    /// The reference aggregate over the membership snapshot at query issue
-    /// (the set accuracy is judged against).
-    pub truth_at_start: f64,
-    /// `|answer − truth_at_start| / |truth_at_start|` (∞ for
-    /// non-terminated queries).
+    /// Relative error of the answer against the aggregate over the
+    /// membership snapshot at query issue (∞ for non-terminated queries).
     pub relative_error: f64,
     /// Completion instant, when the query terminated.
     pub finished: Option<Time>,
@@ -621,12 +617,6 @@ pub fn fold_sweep(runs: &[QueryRun]) -> SweepRow {
     let mut err_sum = 0.0;
     let mut err_count = 0u32;
     let mut msg_sum = 0u64;
-    let mut latency = Histogram::new();
-    let mut depth = Histogram::new();
-    let mut critical = Histogram::new();
-    let mut crit_transit = 0u64;
-    let mut crit_queueing = 0u64;
-    let mut crit_processing = 0u64;
     let mut metrics = Metrics::default();
     for run in runs {
         total += 1;
@@ -641,21 +631,8 @@ pub fn fold_sweep(runs: &[QueryRun]) -> SweepRow {
             }
         }
         msg_sum += run.metrics.sends;
-        latency.merge(&run.obs.delivery_latency);
-        depth.merge(&run.obs.queue_depth);
-        critical.record(run.critical.total);
-        crit_transit += run.critical.transit;
-        crit_queueing += run.critical.queueing;
-        crit_processing += run.critical.processing;
         metrics.merge(&run.metrics);
     }
-    let per_run = |sum: u64| {
-        if total > 0 {
-            sum as f64 / f64::from(total)
-        } else {
-            0.0
-        }
-    };
     SweepRow {
         runs: total,
         interval_valid: valid,
@@ -670,15 +647,6 @@ pub fn fold_sweep(runs: &[QueryRun]) -> SweepRow {
         } else {
             0.0
         },
-        p50_delivery_latency: latency.percentile(50.0),
-        p99_delivery_latency: latency.percentile(99.0),
-        p50_queue_depth: depth.percentile(50.0),
-        p99_queue_depth: depth.percentile(99.0),
-        p50_critical_path: critical.percentile(50.0),
-        p99_critical_path: critical.percentile(99.0),
-        mean_crit_transit: per_run(crit_transit),
-        mean_crit_queueing: per_run(crit_queueing),
-        mean_crit_processing: per_run(crit_processing),
         p50_stabilization: 0,
         p99_stabilization: 0,
         metrics,
@@ -706,24 +674,6 @@ pub struct SweepRow {
     pub mean_relative_error: f64,
     /// Mean messages per run.
     pub mean_messages: f64,
-    /// Median in-flight delivery latency across all runs, in ticks.
-    pub p50_delivery_latency: u64,
-    /// 99th-percentile delivery latency across all runs, in ticks.
-    pub p99_delivery_latency: u64,
-    /// Median event-queue depth sampled at every dispatch.
-    pub p50_queue_depth: u64,
-    /// 99th-percentile event-queue depth.
-    pub p99_queue_depth: u64,
-    /// Median end-to-end critical-path length (ticks) across runs.
-    pub p50_critical_path: u64,
-    /// 99th-percentile critical-path length across runs.
-    pub p99_critical_path: u64,
-    /// Mean ticks the critical path spent in message flight, per run.
-    pub mean_crit_transit: f64,
-    /// Mean ticks the critical path spent waiting on timers, per run.
-    pub mean_crit_queueing: f64,
-    /// Mean ticks of local work on the critical path, per run.
-    pub mean_crit_processing: f64,
     /// Median ticks-to-legal after a corruption burst. Filled by
     /// stabilization sweeps (the `stab1` experiment); 0 for query sweeps,
     /// whose runs carry no legality predicate.
@@ -976,15 +926,6 @@ mod tests {
             terminated: 9,
             mean_relative_error: 0.1,
             mean_messages: 100.0,
-            p50_delivery_latency: 1,
-            p99_delivery_latency: 2,
-            p50_queue_depth: 3,
-            p99_queue_depth: 8,
-            p50_critical_path: 12,
-            p99_critical_path: 20,
-            mean_crit_transit: 8.0,
-            mean_crit_queueing: 3.0,
-            mean_crit_processing: 0.0,
             p50_stabilization: 0,
             p99_stabilization: 0,
             metrics: Metrics::default(),

@@ -1173,7 +1173,6 @@ impl ScdScenario {
             aborted,
             unresolved,
             stranded,
-            agree,
             expected_counter,
             converged,
             set_sizes,
@@ -1197,11 +1196,10 @@ pub struct ScdRunReport {
     /// freshly joined processes are normal; a persistent majority means
     /// churn outpaces the sync round trip (the above-bound signature).
     pub stranded: usize,
-    /// Whether all present synced processes agree on the counter.
-    pub agree: bool,
     /// The counter value implied by the completed `CtrAdd` calls.
     pub expected_counter: i64,
-    /// `agree` and the common value matches [`Self::expected_counter`].
+    /// All present synced processes agree on the counter, and the common
+    /// value matches [`Self::expected_counter`].
     pub converged: bool,
     /// Sizes of every delivered set across processes.
     pub set_sizes: Vec<u64>,

@@ -555,8 +555,6 @@ impl StabScenario {
         });
         StabOutcome {
             ticks_to_legal: ticks,
-            corruptions: world.metrics().corruptions,
-            sends: world.metrics().sends,
             metrics: *world.metrics(),
         }
     }
@@ -595,8 +593,6 @@ impl StabScenario {
         );
         StabOutcome {
             ticks_to_legal: ticks,
-            corruptions: world.metrics().corruptions,
-            sends: world.metrics().sends,
             metrics: *world.metrics(),
         }
     }
@@ -609,11 +605,8 @@ pub struct StabOutcome {
     /// holds through the deadline; `None` when the system never (re)joined
     /// a closed legal configuration — the mutants' signature.
     pub ticks_to_legal: Option<u64>,
-    /// Kernel corruption count (actor flips + scrambled payloads).
-    pub corruptions: u64,
-    /// Messages sent over the whole run.
-    pub sends: u64,
-    /// The run's full kernel counters, for sweep aggregation.
+    /// The run's kernel counters: `corruptions` counts actor flips and
+    /// scrambled payloads, `sends` the messages of the whole run.
     pub metrics: Metrics,
 }
 
@@ -631,7 +624,7 @@ mod tests {
         let mut clean = s;
         clean.burst = Burst::default();
         let out = clean.run();
-        assert_eq!(out.corruptions, 0);
+        assert_eq!(out.metrics.corruptions, 0);
         assert_eq!(out.ticks_to_legal, Some(1), "all-zero values are legal");
     }
 
@@ -641,7 +634,7 @@ mod tests {
             let mut s = StabScenario::new(StabProtocol::TokenRing, 6, seed);
             s.burst = Burst::actors(3);
             let out = s.run();
-            assert!(out.corruptions >= 3, "burst landed: {out:?}");
+            assert!(out.metrics.corruptions >= 3, "burst landed: {out:?}");
             let ticks = out.ticks_to_legal.expect("K-state ring must stabilize");
             assert!(ticks < 500, "within the horizon: {ticks}");
         }
@@ -672,7 +665,7 @@ mod tests {
             let mut s = StabScenario::new(StabProtocol::View, 8, seed);
             s.burst = Burst::actors(3);
             let out = s.run();
-            assert!(out.corruptions >= 3);
+            assert!(out.metrics.corruptions >= 3);
             let ticks = out.ticks_to_legal.expect("purging views must stabilize");
             // Phantoms are evicted within one purge threshold plus a probe
             // round; dropped real entries return with the next probe.

@@ -49,7 +49,12 @@ pub trait Actor<M>: Any {
     ///
     /// The default delegates to [`Actor::on_neighbor_up`] — protocols that
     /// do not care about the distinction see every new edge uniformly.
-    fn on_neighbor_bridge(&mut self, ctx: &mut Context<'_, M>, peer: ProcessId, replaced: ProcessId) {
+    fn on_neighbor_bridge(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        peer: ProcessId,
+        replaced: ProcessId,
+    ) {
         let _ = replaced;
         self.on_neighbor_up(ctx, peer);
     }
@@ -202,7 +207,10 @@ impl<'a, M> Context<'a, M> {
         M: Clone,
     {
         for &n in self.neighbors {
-            self.effects.push(Effect::Send { to: n, msg: msg.clone() });
+            self.effects.push(Effect::Send {
+                to: n,
+                msg: msg.clone(),
+            });
         }
     }
 

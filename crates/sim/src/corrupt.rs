@@ -48,7 +48,10 @@ pub struct Burst {
 impl Burst {
     /// A burst that flips `actors` random members and nothing else.
     pub fn actors(actors: usize) -> Self {
-        Burst { actors, ..Burst::default() }
+        Burst {
+            actors,
+            ..Burst::default()
+        }
     }
 
     /// Adds a queue scramble to the burst.
@@ -94,7 +97,10 @@ impl CorruptionAdversary {
             script.windows(2).all(|w| w[0].0 <= w[1].0),
             "corruption script must be sorted by time"
         );
-        CorruptionAdversary { script, ..CorruptionAdversary::default() }
+        CorruptionAdversary {
+            script,
+            ..CorruptionAdversary::default()
+        }
     }
 
     /// Creates a periodic adversary injecting `burst` every `period`
@@ -106,7 +112,13 @@ impl CorruptionAdversary {
         }
     }
 
-    fn emit(burst: Burst, graph: &Graph, rng: &mut Rng, out: &mut Vec<ChurnAction>, restore: &mut Vec<(ProcessId, ProcessId)>) {
+    fn emit(
+        burst: Burst,
+        graph: &Graph,
+        rng: &mut Rng,
+        out: &mut Vec<ChurnAction>,
+        restore: &mut Vec<(ProcessId, ProcessId)>,
+    ) {
         for _ in 0..burst.actors {
             out.push(ChurnAction::CorruptRandom);
         }
@@ -161,7 +173,13 @@ impl ChurnDriver for CorruptionAdversary {
         }
         let mut restore = Vec::new();
         while self.cursor < self.script.len() && self.script[self.cursor].0 <= now {
-            Self::emit(self.script[self.cursor].1, graph, rng, &mut actions, &mut restore);
+            Self::emit(
+                self.script[self.cursor].1,
+                graph,
+                rng,
+                &mut actions,
+                &mut restore,
+            );
             self.cursor += 1;
         }
         if let Some((next, period, burst)) = self.periodic {
@@ -233,20 +251,23 @@ mod tests {
         let g = generate::ring(4);
         let mut rng = Rng::seeded(7);
         let (a1, n1) = d.on_tick(t(5), &g, &mut rng);
-        assert_eq!(a1, vec![ChurnAction::CorruptRandom, ChurnAction::CorruptRandom]);
+        assert_eq!(
+            a1,
+            vec![ChurnAction::CorruptRandom, ChurnAction::CorruptRandom]
+        );
         assert_eq!(n1, Some(t(9)));
         let (a2, n2) = d.on_tick(t(9), &g, &mut rng);
-        assert_eq!(a2, vec![ChurnAction::CorruptRandom, ChurnAction::ScrambleQueue]);
+        assert_eq!(
+            a2,
+            vec![ChurnAction::CorruptRandom, ChurnAction::ScrambleQueue]
+        );
         assert_eq!(n2, None);
     }
 
     #[test]
     #[should_panic(expected = "sorted")]
     fn scripted_rejects_unsorted() {
-        CorruptionAdversary::scripted(vec![
-            (t(9), Burst::actors(1)),
-            (t(5), Burst::actors(1)),
-        ]);
+        CorruptionAdversary::scripted(vec![(t(9), Burst::actors(1)), (t(5), Burst::actors(1))]);
     }
 
     #[test]
@@ -294,10 +315,8 @@ mod tests {
 
     #[test]
     fn fork_is_deep_and_fingerprint_tracks_cursor() {
-        let mut d = CorruptionAdversary::scripted(vec![
-            (t(1), Burst::actors(1)),
-            (t(2), Burst::actors(1)),
-        ]);
+        let mut d =
+            CorruptionAdversary::scripted(vec![(t(1), Burst::actors(1)), (t(2), Burst::actors(1))]);
         let g = generate::ring(3);
         let mut rng = Rng::seeded(3);
         let mut h0 = StableHasher::default();

@@ -347,10 +347,9 @@ impl ChurnDriver for PathStretch {
     ) -> (Vec<ChurnAction>, Option<Time>) {
         let next = Some(now + self.window);
         match shortest_path(graph, self.initiator, self.witness) {
-            Some(path) if path.len() >= 2 => (
-                vec![ChurnAction::InsertBetween(path[0], path[1])],
-                next,
-            ),
+            Some(path) if path.len() >= 2 => {
+                (vec![ChurnAction::InsertBetween(path[0], path[1])], next)
+            }
             _ => (Vec::new(), next),
         }
     }
@@ -384,7 +383,12 @@ impl Compose {
     pub fn new(a: impl ChurnDriver + 'static, b: impl ChurnDriver + 'static) -> Self {
         let (a, b) = (Box::new(a), Box::new(b));
         let (next_a, next_b) = (a.initial_wakeup(), b.initial_wakeup());
-        Compose { a, b, next_a, next_b }
+        Compose {
+            a,
+            b,
+            next_a,
+            next_b,
+        }
     }
 }
 

@@ -83,7 +83,10 @@ impl<M> Event<M> {
     /// The payload-free summary of this event a ready set reports.
     fn ready_kind(&self) -> ReadyKind {
         match self {
-            Event::Deliver { from, to, .. } => ReadyKind::Deliver { from: *from, to: *to },
+            Event::Deliver { from, to, .. } => ReadyKind::Deliver {
+                from: *from,
+                to: *to,
+            },
             Event::Timer { pid, .. } => ReadyKind::Timer { pid: *pid },
             Event::ChurnTick => ReadyKind::ChurnTick,
         }
@@ -144,7 +147,13 @@ impl<M> Event<M> {
     /// under exploration dedup.
     fn fingerprint(&self, h: &mut StableHasher, msg_fp: fn(&M, &mut StableHasher)) {
         match self {
-            Event::Deliver { from, to, sent, msg, .. } => {
+            Event::Deliver {
+                from,
+                to,
+                sent,
+                msg,
+                ..
+            } => {
                 h.write_u8(0);
                 h.write_u64(from.as_raw());
                 h.write_u64(to.as_raw());
@@ -221,7 +230,10 @@ struct Bucket {
     tail: u32,
 }
 
-const EMPTY: Bucket = Bucket { head: NIL, tail: NIL };
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
 
 /// The calendar storage: a sliding window of per-tick FIFO buckets plus
 /// an overflow heap for events beyond the window. The ring's events live
@@ -273,7 +285,10 @@ impl<M: Clone> Clone for Calendar<M> {
             let head = copy.slab.len() as u32;
             for node in self.bucket(b) {
                 let next = copy.slab.len() as u32 + 1;
-                copy.slab.push(Node { next, ..node.clone() });
+                copy.slab.push(Node {
+                    next,
+                    ..node.clone()
+                });
             }
             let tail = copy.slab.len() as u32 - 1;
             copy.slab[tail as usize].next = NIL;
@@ -311,7 +326,11 @@ impl<M> Calendar<M> {
     /// Appends an event to bucket `b`, in a free slot if there is one.
     #[inline]
     fn push_back(&mut self, b: usize, seq: u64, event: Event<M>) {
-        let node = Node { seq, next: NIL, event: Some(event) };
+        let node = Node {
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
         let slot = match self.slab.get_mut(self.free as usize) {
             Some(reused) => {
                 let slot = self.free;
@@ -380,11 +399,7 @@ impl<M> Calendar<M> {
         debug_assert!(tick >= self.cursor);
         self.cursor = tick;
         let end = self.cursor + RING_SIZE;
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|s| s.at.as_ticks() < end)
-        {
+        while self.overflow.peek().is_some_and(|s| s.at.as_ticks() < end) {
             let s = self.overflow.pop().expect("peeked");
             self.push_back(Self::bucket_index(s.at.as_ticks()), s.seq, s.event);
         }
@@ -395,7 +410,9 @@ impl<M> Calendar<M> {
     fn window(&self) -> impl Iterator<Item = (u64, usize)> {
         let cursor = self.cursor;
         // Bit `k`: the bucket `k` ticks past the cursor.
-        let mut ahead = self.occupied.rotate_right(Self::bucket_index(cursor) as u32);
+        let mut ahead = self
+            .occupied
+            .rotate_right(Self::bucket_index(cursor) as u32);
         std::iter::from_fn(move || {
             if ahead == 0 {
                 return None;
@@ -448,7 +465,11 @@ impl<M> Calendar<M> {
             slot = self.slab.get(slot as usize)?.next;
         }
         let node = self.slab.get(slot as usize)?;
-        seen(at, node.seq, node.event.as_ref().expect("listed slots hold an event"));
+        seen(
+            at,
+            node.seq,
+            node.event.as_ref().expect("listed slots hold an event"),
+        );
         Some((at, self.unlink(b, prev, slot)))
     }
 
@@ -457,9 +478,15 @@ impl<M> Calendar<M> {
     fn ready_set(&mut self, out: &mut Vec<ReadySummary>) -> Option<Time> {
         out.clear();
         let tick = self.settle_front()?;
-        out.extend(self.bucket(Self::bucket_index(tick)).map(|node| ReadySummary {
-            seq: node.seq,
-            kind: node.event.as_ref().expect("listed slots hold an event").ready_kind(),
+        out.extend(self.bucket(Self::bucket_index(tick)).map(|node| {
+            ReadySummary {
+                seq: node.seq,
+                kind: node
+                    .event
+                    .as_ref()
+                    .expect("listed slots hold an event")
+                    .ready_kind(),
+            }
         }));
         Some(Time::from_ticks(tick))
     }
@@ -517,12 +544,7 @@ impl<M> Calendar<M> {
 
 /// The digest one pending event contributes to a queue fingerprint:
 /// instant, seq, routing fields and payload, in a hasher of its own.
-fn event_digest<M>(
-    at: Time,
-    seq: u64,
-    event: &Event<M>,
-    msg_fp: fn(&M, &mut StableHasher),
-) -> u64 {
+fn event_digest<M>(at: Time, seq: u64, event: &Event<M>, msg_fp: fn(&M, &mut StableHasher)) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(at.as_ticks());
     h.write_u64(seq);
@@ -546,13 +568,24 @@ impl<M> Tracked<M> {
     /// upkeep has outrun a rescan. Out of line, so that the check for a
     /// tracked sum is all that `schedule` and `pop` inline.
     #[inline(never)]
-    fn fold(mut self, others: usize, add: bool, at: Time, seq: u64, event: &Event<M>) -> Option<Self> {
+    fn fold(
+        mut self,
+        others: usize,
+        add: bool,
+        at: Time,
+        seq: u64,
+        event: &Event<M>,
+    ) -> Option<Self> {
         self.since += 1;
         if self.since > others {
             return None;
         }
         let d = event_digest(at, seq, event, self.msg_fp);
-        self.sum = if add { self.sum.wrapping_add(d) } else { self.sum.wrapping_sub(d) };
+        self.sum = if add {
+            self.sum.wrapping_add(d)
+        } else {
+            self.sum.wrapping_sub(d)
+        };
         Some(self)
     }
 }
@@ -650,8 +683,9 @@ impl<M> EventQueue<M> {
     /// `None` if the queue is empty or `n` is out of the ready set.
     pub fn pop_nth(&mut self, n: usize) -> Option<(Time, Event<M>)> {
         let (tracked, others) = (&self.tracked, self.calendar.len().saturating_sub(1));
-        self.calendar
-            .pop_nth(n, |at, seq, event| Self::track(tracked, others, false, at, seq, event))
+        self.calendar.pop_nth(n, |at, seq, event| {
+            Self::track(tracked, others, false, at, seq, event)
+        })
     }
 
     /// Fills `out` with a summary of every event pending at the earliest
@@ -719,7 +753,11 @@ impl<M> EventQueue<M> {
             }
             _ => self.scan(msg_fp),
         };
-        self.tracked.set(Some(Tracked { msg_fp, sum, since: 0 }));
+        self.tracked.set(Some(Tracked {
+            msg_fp,
+            sum,
+            since: 0,
+        }));
         h.write_u64(sum);
         h.write_usize(self.len());
         h.write_u64(self.next_seq);
@@ -808,7 +846,9 @@ mod tests {
         for i in 0..10u32 {
             q.schedule(t(3), deliver(0, i));
         }
-        let msgs: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| msg(e)).collect();
+        let msgs: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| msg(e))
+            .collect();
         assert_eq!(msgs, (0..10).collect::<Vec<_>>());
     }
 
@@ -859,7 +899,9 @@ mod tests {
         for i in 0..20u32 {
             q.schedule(far, deliver(0, i));
         }
-        let msgs: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| msg(e)).collect();
+        let msgs: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| msg(e))
+            .collect();
         assert_eq!(msgs, (0..20).collect::<Vec<_>>());
     }
 
@@ -885,7 +927,11 @@ mod tests {
         q.schedule(t(3), deliver(7, 0));
         q.schedule(
             t(3),
-            Event::Timer { pid: ProcessId::from_raw(2), timer: TimerId(9), cause: 0 },
+            Event::Timer {
+                pid: ProcessId::from_raw(2),
+                timer: TimerId(9),
+                cause: 0,
+            },
         );
         assert_eq!(q.ready_set(&mut ready), Some(t(3)));
         assert_eq!(
@@ -898,7 +944,12 @@ mod tests {
                         to: ProcessId::from_raw(7),
                     },
                 },
-                ReadySummary { seq: 2, kind: ReadyKind::Timer { pid: ProcessId::from_raw(2) } },
+                ReadySummary {
+                    seq: 2,
+                    kind: ReadyKind::Timer {
+                        pid: ProcessId::from_raw(2)
+                    }
+                },
             ]
         );
         // Inspection does not disturb the queue.
@@ -943,7 +994,11 @@ mod tests {
             q.schedule(t(RING_SIZE + 50), deliver(2, 20));
             q.schedule(
                 t(100),
-                Event::Timer { pid: ProcessId::from_raw(5), timer: TimerId(4), cause: 0 },
+                Event::Timer {
+                    pid: ProcessId::from_raw(5),
+                    timer: TimerId(4),
+                    cause: 0,
+                },
             );
         };
         // `a` holds the far event in the overflow heap; inspecting `b`
@@ -999,7 +1054,11 @@ mod tests {
         q.schedule(t(3), deliver(1, 10));
         q.schedule(
             t(3),
-            Event::Timer { pid: ProcessId::from_raw(5), timer: TimerId(4), cause: 0 },
+            Event::Timer {
+                pid: ProcessId::from_raw(5),
+                timer: TimerId(4),
+                cause: 0,
+            },
         );
         q.schedule(t(3), deliver(3, 30));
         let scramble = |m: &mut u32, rng: &mut Rng| *m = rng.below(1000) as u32;
@@ -1033,12 +1092,18 @@ mod tests {
     #[test]
     fn ready_kind_targets() {
         assert_eq!(
-            ReadyKind::Deliver { from: ProcessId::from_raw(1), to: ProcessId::from_raw(2) }
-                .target(),
+            ReadyKind::Deliver {
+                from: ProcessId::from_raw(1),
+                to: ProcessId::from_raw(2)
+            }
+            .target(),
             Some(ProcessId::from_raw(2))
         );
         assert_eq!(
-            ReadyKind::Timer { pid: ProcessId::from_raw(4) }.target(),
+            ReadyKind::Timer {
+                pid: ProcessId::from_raw(4)
+            }
+            .target(),
             Some(ProcessId::from_raw(4))
         );
         assert_eq!(ReadyKind::ChurnTick.target(), None);

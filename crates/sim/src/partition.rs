@@ -222,11 +222,7 @@ mod tests {
         world.run_until(t(15));
         assert_eq!(world.graph().node_count(), 7, "joiner admitted");
         for (a, b) in world.graph().edges() {
-            assert_eq!(
-                a < pid(3),
-                b < pid(3),
-                "edge {a}-{b} bridges the partition"
-            );
+            assert_eq!(a < pid(3), b < pid(3), "edge {a}-{b} bridges the partition");
         }
         world.run_until(t(35));
         assert!(

@@ -273,9 +273,10 @@ impl DenseSet {
 
     /// `true` when every member of `self` is a member of `other`.
     pub fn is_subset(&self, other: &DenseSet) -> bool {
-        self.words.iter().enumerate().all(|(i, &w)| {
-            w & !other.words.get(i).copied().unwrap_or(0) == 0
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
     }
 
     /// Adds every member of `other` to `self`.
@@ -371,8 +372,10 @@ mod tests {
         t.insert(pid(1), 10);
         t.insert(pid(2), 20);
         t.depart(pid(2));
-        let entries: Vec<(ProcessId, u32, bool)> =
-            t.iter_entries().map(|(p, &v, alive)| (p, v, alive)).collect();
+        let entries: Vec<(ProcessId, u32, bool)> = t
+            .iter_entries()
+            .map(|(p, &v, alive)| (p, v, alive))
+            .collect();
         assert_eq!(
             entries,
             vec![(pid(1), 10, true), (pid(2), 20, false), (pid(4), 40, true)]

@@ -350,7 +350,10 @@ impl<M: 'static> ActorCell<M> {
     /// [retired](ActorCell::retire): un-shares the actor from any other
     /// world still holding it.
     fn make_mut(&mut self) -> &mut dyn Actor<M> {
-        debug_assert!(self.digest.get().is_none(), "retire the cell before mutating its actor");
+        debug_assert!(
+            self.digest.get().is_none(),
+            "retire the cell before mutating its actor"
+        );
         if Rc::get_mut(&mut self.actor).is_none() {
             let own = self.actor.fork().expect(
                 "only worlds whose actors all fork are forked, and an actor that forked once keeps forking",
@@ -557,10 +560,22 @@ impl<M: Clone + 'static> World<M> {
             // callback carries it so first-step effects trace back to the
             // spawn (the spawn → first-step cause edge).
             let join_id = self.fresh_id();
-            let causal = Causality { id: join_id, cause: 0 };
-            self.trace.push(TraceEvent::Join { pid, at: Time::ZERO });
+            let causal = Causality {
+                id: join_id,
+                cause: 0,
+            };
+            self.trace.push(TraceEvent::Join {
+                pid,
+                at: Time::ZERO,
+            });
             self.metrics.joins += 1;
-            self.emit(ObsEvent::Join { pid, at: Time::ZERO }, causal);
+            self.emit(
+                ObsEvent::Join {
+                    pid,
+                    at: Time::ZERO,
+                },
+                causal,
+            );
             self.callbacks.push_back((join_id, Callback::Start(pid)));
         }
         // `clone_from` keeps the table and neighbor lists a previous run
@@ -635,7 +650,10 @@ impl<M: Clone + 'static> World<M> {
     /// dispatched when it is emitted mid-callback, or the environment
     /// (`0`) when emitted between steps.
     pub fn observe(&mut self, ev: ObsEvent) {
-        let causal = Causality { id: self.fresh_id(), cause: self.current_cause };
+        let causal = Causality {
+            id: self.fresh_id(),
+            cause: self.current_cause,
+        };
         self.emit(ev, causal);
     }
 
@@ -766,7 +784,11 @@ impl<M: Clone + 'static> World<M> {
     /// Whether every seated actor forks and no callback is mid-flight —
     /// all [`World::try_fork`] needs besides a fork of the driver.
     fn actors_fork(&self) -> bool {
-        self.callbacks.is_empty() && self.actors.iter_entries().all(|(_, cell, _)| cell.can_fork())
+        self.callbacks.is_empty()
+            && self
+                .actors
+                .iter_entries()
+                .all(|(_, cell, _)| cell.can_fork())
     }
 
     /// `true` when [`World::try_fork`] would succeed — the question a
@@ -878,9 +900,11 @@ impl<M: Clone + 'static> World<M> {
     /// The digest sum of every occupied actor slot, from scratch; `None`
     /// when an actor opts out of fingerprinting.
     fn scan_table(&self) -> Option<u64> {
-        self.actors.iter_entries().try_fold(0u64, |sum, (pid, cell, present)| {
-            Some(sum.wrapping_add(cell.digest(pid, present)?))
-        })
+        self.actors
+            .iter_entries()
+            .try_fold(0u64, |sum, (pid, cell, present)| {
+                Some(sum.wrapping_add(cell.digest(pid, present)?))
+            })
     }
 
     /// The actor table's contribution to [`World::fingerprint`]: every
@@ -893,10 +917,17 @@ impl<M: Clone + 'static> World<M> {
             Some(table) => {
                 let mut sum = table.sum;
                 for &pid in &table.stale[..table.stale_len] {
-                    let cell = self.actors.get_any(pid).expect("a stale slot stays occupied");
+                    let cell = self
+                        .actors
+                        .get_any(pid)
+                        .expect("a stale slot stays occupied");
                     sum = sum.wrapping_add(cell.digest(pid, self.actors.contains(pid))?);
                 }
-                debug_assert_eq!(Some(sum), self.scan_table(), "tracked actor-table digest drifted");
+                debug_assert_eq!(
+                    Some(sum),
+                    self.scan_table(),
+                    "tracked actor-table digest drifted"
+                );
                 sum
             }
             None => self.scan_table()?,
@@ -933,18 +964,36 @@ impl<M: Clone + 'static> World<M> {
     /// [`World::step_nth`].
     fn dispatch(&mut self, at: Time, event: Event<M>) {
         debug_assert!(at >= self.now, "event queue went backwards");
-        debug_assert!(self.callbacks.is_empty(), "a dispatch left callbacks behind");
+        debug_assert!(
+            self.callbacks.is_empty(),
+            "a dispatch left callbacks behind"
+        );
         self.now = at;
         if self.sink.is_some() {
             let depth = self.queue.len();
-            self.emit(ObsEvent::Step { at, queue_depth: depth }, Causality::default());
+            self.emit(
+                ObsEvent::Step {
+                    at,
+                    queue_depth: depth,
+                },
+                Causality::default(),
+            );
         }
         match event {
-            Event::Deliver { from, to, sent, cause, msg } => {
+            Event::Deliver {
+                from,
+                to,
+                sent,
+                cause,
+                msg,
+            } => {
                 // The delivery (or the drop, if the destination departed)
                 // is caused by the send that put the message in flight —
                 // the send → deliver edge of the happened-before DAG.
-                let causal = Causality { id: self.fresh_id(), cause };
+                let causal = Causality {
+                    id: self.fresh_id(),
+                    cause,
+                };
                 // Traffic is not recorded in the trace, only the instant it
                 // reached: the horizon closes the presence intervals.
                 self.trace.advance(at);
@@ -971,14 +1020,19 @@ impl<M: Clone + 'static> World<M> {
                 if self.actors.contains(pid) {
                     // Timer-set → fire edge: the fire's cause is the event
                     // whose callback armed the timer.
-                    let causal = Causality { id: self.fresh_id(), cause };
+                    let causal = Causality {
+                        id: self.fresh_id(),
+                        cause,
+                    };
                     self.metrics.timer_fires += 1;
                     self.emit(ObsEvent::TimerFire { pid, at }, causal);
                     self.run_callback(causal.id, Callback::Timer { pid, timer });
                 }
             }
             Event::ChurnTick => {
-                let (actions, next) = self.driver.on_tick(self.now, &self.roster.graph, &mut self.rng);
+                let (actions, next) =
+                    self.driver
+                        .on_tick(self.now, &self.roster.graph, &mut self.rng);
                 for action in actions {
                     self.apply_churn(action);
                 }
@@ -994,11 +1048,7 @@ impl<M: Clone + 'static> World<M> {
     /// Runs until the queue holds no event at or before `deadline`, then
     /// advances the clock to `deadline`.
     pub fn run_until(&mut self, deadline: Time) {
-        while self
-            .queue
-            .peek_time()
-            .is_some_and(|t| t <= deadline)
-        {
+        while self.queue.peek_time().is_some_and(|t| t <= deadline) {
             self.step();
         }
         if self.now < deadline {
@@ -1044,8 +1094,10 @@ impl<M: Clone + 'static> World<M> {
                 if self.roster.graph.has_edge(a, b) {
                     self.epoch += 1;
                     Roster::make_mut(&mut self.roster).graph.remove_edge(a, b);
-                    self.callbacks.push_back((0, Callback::NeighborDown { pid: a, peer: b }));
-                    self.callbacks.push_back((0, Callback::NeighborDown { pid: b, peer: a }));
+                    self.callbacks
+                        .push_back((0, Callback::NeighborDown { pid: a, peer: b }));
+                    self.callbacks
+                        .push_back((0, Callback::NeighborDown { pid: b, peer: a }));
                 }
             }
             ChurnAction::RestoreEdge(a, b) => {
@@ -1053,8 +1105,10 @@ impl<M: Clone + 'static> World<M> {
                 if a != b && graph.contains(a) && graph.contains(b) && !graph.has_edge(a, b) {
                     self.epoch += 1;
                     Roster::make_mut(&mut self.roster).graph.add_edge(a, b);
-                    self.callbacks.push_back((0, Callback::NeighborUp { pid: a, peer: b }));
-                    self.callbacks.push_back((0, Callback::NeighborUp { pid: b, peer: a }));
+                    self.callbacks
+                        .push_back((0, Callback::NeighborUp { pid: a, peer: b }));
+                    self.callbacks
+                        .push_back((0, Callback::NeighborUp { pid: b, peer: a }));
                 }
             }
             ChurnAction::CorruptActor(pid) => self.corrupt_actor(pid),
@@ -1093,7 +1147,10 @@ impl<M: Clone + 'static> World<M> {
         if corrupted {
             self.epoch += 1;
             self.metrics.corruptions += 1;
-            let causal = Causality { id: self.fresh_id(), cause: 0 };
+            let causal = Causality {
+                id: self.fresh_id(),
+                cause: 0,
+            };
             self.trace.push(TraceEvent::Corrupt { pid, at: self.now });
             self.emit(ObsEvent::Corrupt { pid, at: self.now }, causal);
         }
@@ -1116,8 +1173,10 @@ impl<M: Clone + 'static> World<M> {
                 roster.graph.add_edge(pid, a);
                 roster.graph.add_edge(pid, b);
                 roster.graph.remove_edge(a, b);
-                self.callbacks.push_back((join_id, Callback::NeighborDown { pid: a, peer: b }));
-                self.callbacks.push_back((join_id, Callback::NeighborDown { pid: b, peer: a }));
+                self.callbacks
+                    .push_back((join_id, Callback::NeighborDown { pid: a, peer: b }));
+                self.callbacks
+                    .push_back((join_id, Callback::NeighborDown { pid: b, peer: a }));
                 vec![a, b]
             }
         };
@@ -1128,11 +1187,19 @@ impl<M: Clone + 'static> World<M> {
         self.trace.push(TraceEvent::Join { pid, at: self.now });
         self.metrics.joins += 1;
         self.emit(ObsEvent::Join { pid, at: self.now }, causal);
-        self.metrics.max_membership =
-            self.metrics.max_membership.max(self.roster.graph.node_count());
+        self.metrics.max_membership = self
+            .metrics
+            .max_membership
+            .max(self.roster.graph.node_count());
         self.callbacks.push_back((join_id, Callback::Start(pid)));
         for peer in wired_to {
-            self.callbacks.push_back((join_id, Callback::NeighborUp { pid: peer, peer: pid }));
+            self.callbacks.push_back((
+                join_id,
+                Callback::NeighborUp {
+                    pid: peer,
+                    peer: pid,
+                },
+            ));
         }
     }
 
@@ -1151,7 +1218,10 @@ impl<M: Clone + 'static> World<M> {
         // Bridge and down notifications below all descend from this
         // departure in the causal DAG.
         let leave_id = self.fresh_id();
-        let causal = Causality { id: leave_id, cause };
+        let causal = Causality {
+            id: leave_id,
+            cause,
+        };
         if crashed {
             self.trace.push(TraceEvent::Crash { pid, at: self.now });
             self.metrics.crashes += 1;
@@ -1166,13 +1236,26 @@ impl<M: Clone + 'static> World<M> {
         // process must learn its replacement routes first, or it may give
         // up on the subtree in the instant between the two notifications.
         for (a, b) in detached.bridges {
-            self.callbacks
-                .push_back((leave_id, Callback::NeighborBridge { pid: a, peer: b, replaced: pid }));
-            self.callbacks
-                .push_back((leave_id, Callback::NeighborBridge { pid: b, peer: a, replaced: pid }));
+            self.callbacks.push_back((
+                leave_id,
+                Callback::NeighborBridge {
+                    pid: a,
+                    peer: b,
+                    replaced: pid,
+                },
+            ));
+            self.callbacks.push_back((
+                leave_id,
+                Callback::NeighborBridge {
+                    pid: b,
+                    peer: a,
+                    replaced: pid,
+                },
+            ));
         }
         for n in detached.neighbors {
-            self.callbacks.push_back((leave_id, Callback::NeighborDown { pid: n, peer: pid }));
+            self.callbacks
+                .push_back((leave_id, Callback::NeighborDown { pid: n, peer: pid }));
         }
     }
 
@@ -1253,13 +1336,30 @@ impl<M: Clone + 'static> World<M> {
             match effect {
                 Effect::Send { to, msg } => {
                     self.metrics.sends += 1;
-                    let causal = Causality { id: self.fresh_id(), cause: self.current_cause };
+                    let causal = Causality {
+                        id: self.fresh_id(),
+                        cause: self.current_cause,
+                    };
                     self.trace.advance(self.now);
                     if self.loss.drops(&mut self.rng) {
                         self.metrics.drops += 1;
-                        self.emit(ObsEvent::Drop { from: pid, to, at: self.now }, causal);
+                        self.emit(
+                            ObsEvent::Drop {
+                                from: pid,
+                                to,
+                                at: self.now,
+                            },
+                            causal,
+                        );
                     } else {
-                        self.emit(ObsEvent::Send { from: pid, to, at: self.now }, causal);
+                        self.emit(
+                            ObsEvent::Send {
+                                from: pid,
+                                to,
+                                at: self.now,
+                            },
+                            causal,
+                        );
                         let delay = self.delay.sample(&mut self.rng);
                         self.queue.schedule(
                             self.now + delay,
@@ -1276,7 +1376,11 @@ impl<M: Clone + 'static> World<M> {
                 Effect::SetTimer { id, delay } => {
                     self.queue.schedule(
                         self.now + delay,
-                        Event::Timer { pid, timer: id, cause: self.current_cause },
+                        Event::Timer {
+                            pid,
+                            timer: id,
+                            cause: self.current_cause,
+                        },
                     );
                 }
                 Effect::Leave => {
@@ -1429,7 +1533,9 @@ mod tests {
         let new = ProcessId::from_raw(2);
         assert!(w.graph().has_edge(ProcessId::from_raw(0), new));
         assert!(w.graph().has_edge(new, ProcessId::from_raw(1)));
-        assert!(!w.graph().has_edge(ProcessId::from_raw(0), ProcessId::from_raw(1)));
+        assert!(!w
+            .graph()
+            .has_edge(ProcessId::from_raw(0), ProcessId::from_raw(1)));
         assert_eq!(
             dds_net::algo::diameter(w.graph()),
             Some(2),
@@ -1514,13 +1620,19 @@ mod tests {
         }
         let mut f = w.try_fork().expect("forkable");
         // The fork starts unobserved: no sink, empty flight recorder/trace.
-        assert!(f.take_sink().is_none(), "fork must not inherit the parent's sink");
+        assert!(
+            f.take_sink().is_none(),
+            "fork must not inherit the parent's sink"
+        );
         assert_eq!(f.trace().len(), 0, "fork trace starts empty");
         // Driving the fork must not feed the parent's observer.
         let parent_events_before = {
             let sink = w.sink.as_ref().expect("parent keeps its sink");
             let any: &dyn Any = &**sink;
-            any.downcast_ref::<dds_obs::ObserverSink>().unwrap().report.events
+            any.downcast_ref::<dds_obs::ObserverSink>()
+                .unwrap()
+                .report
+                .events
         };
         f.run_to_quiescence();
         let obs = w
@@ -1702,7 +1814,10 @@ mod tests {
         assert_eq!(w.metrics().corruptions, 1);
         assert!(w.epoch() > epoch_before, "corruption bumps the epoch");
         let a: &CorruptibleEcho = w.actor(p2).unwrap();
-        assert_ne!(a.received, 0, "state was overwritten (seed 31 draw is nonzero)");
+        assert_ne!(
+            a.received, 0,
+            "state was overwritten (seed 31 draw is nonzero)"
+        );
         assert!(
             w.trace()
                 .events()
@@ -1726,7 +1841,11 @@ mod tests {
             .build();
         w.run_to_quiescence();
         assert_eq!(w.metrics().corruptions, 0, "Echo has no corrupt hook");
-        assert!(w.trace().events().iter().all(|e| !matches!(e, TraceEvent::Corrupt { .. })));
+        assert!(w
+            .trace()
+            .events()
+            .iter()
+            .all(|e| !matches!(e, TraceEvent::Corrupt { .. })));
     }
 
     #[test]
@@ -1747,7 +1866,10 @@ mod tests {
             // In flight across the scramble instant: delivery at t=5.
             w.inject(Time::from_ticks(5), p0, 424242);
             w.run_to_quiescence();
-            (w.actor::<OrderLog>(p0).unwrap().seen.clone(), w.metrics().corruptions)
+            (
+                w.actor::<OrderLog>(p0).unwrap().seen.clone(),
+                w.metrics().corruptions,
+            )
         };
         let (clean, zero) = build(false);
         assert_eq!(clean, vec![424242]);
@@ -1755,7 +1877,10 @@ mod tests {
         let (scrambled, count) = build(true);
         assert_eq!(count, 1);
         assert_eq!(scrambled.len(), 1, "the schedule is preserved");
-        assert_ne!(scrambled, clean, "the payload is not (seed 33 draw differs)");
+        assert_ne!(
+            scrambled, clean,
+            "the payload is not (seed 33 draw differs)"
+        );
     }
 
     #[test]
@@ -1799,7 +1924,10 @@ mod tests {
                     Time::from_ticks(6),
                     ChurnAction::RestoreEdge(ProcessId::from_raw(0), ProcessId::from_raw(1)),
                 ),
-                (Time::from_ticks(8), ChurnAction::Leave(ProcessId::from_raw(2))),
+                (
+                    Time::from_ticks(8),
+                    ChurnAction::Leave(ProcessId::from_raw(2)),
+                ),
             ]))
             .spawn(|_| Box::new(Echo { received: 0 }))
             .build();

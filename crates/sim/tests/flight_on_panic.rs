@@ -30,8 +30,7 @@ impl Actor<u32> for Bomb {
 
 #[test]
 fn panic_inside_callback_writes_the_dump_file() {
-    let path =
-        std::env::temp_dir().join(format!("dds-panic-dump-{}.jsonl", std::process::id()));
+    let path = std::env::temp_dir().join(format!("dds-panic-dump-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let mut world = WorldBuilder::new(13)
         .initial_graph(generate::ring(4))

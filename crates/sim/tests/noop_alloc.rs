@@ -139,6 +139,14 @@ fn dispatch_without_sink_allocates_nothing() {
         "sink-less send + deliver dispatch allocated in every one of 3 windows \
          (best window: {cleanest} allocations over 8000 dispatches)"
     );
-    assert_eq!(ring.metrics().sends, ring.metrics().delivers, "every delivery forwarded one message");
-    assert_eq!(ring.trace().len(), 8, "the trace holds the joins and none of the traffic");
+    assert_eq!(
+        ring.metrics().sends,
+        ring.metrics().delivers,
+        "every delivery forwarded one message"
+    );
+    assert_eq!(
+        ring.trace().len(),
+        8,
+        "the trace holds the joins and none of the traffic"
+    );
 }

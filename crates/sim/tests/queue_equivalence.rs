@@ -22,7 +22,9 @@ use proptest::prelude::*;
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Schedule an event `delta` ticks from the current virtual time.
-    Schedule { delta: u64 },
+    Schedule {
+        delta: u64,
+    },
     Pop,
     PopNth(usize),
     ReadySet,
@@ -59,7 +61,9 @@ impl Model {
     fn schedule(&mut self, at: Time, to: u64, msg: u32) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.pending.partition_point(|&(t, s, ..)| (t, s) < (at, seq));
+        let slot = self
+            .pending
+            .partition_point(|&(t, s, ..)| (t, s) < (at, seq));
         self.pending.insert(slot, (at, seq, to, msg));
     }
 
@@ -85,7 +89,10 @@ impl Model {
             .iter()
             .map(|&(_, seq, to, _)| ReadySummary {
                 seq,
-                kind: ReadyKind::Deliver { from: PID, to: ProcessId::from_raw(to) },
+                kind: ReadyKind::Deliver {
+                    from: PID,
+                    to: ProcessId::from_raw(to),
+                },
             })
             .collect();
         Some((front, ready))
@@ -139,7 +146,14 @@ impl Pair {
     /// Applies `op` (the `i`-th of the workload) to the queue and to the
     /// model, comparing every answer.
     fn apply(&mut self, i: usize, op: Op) -> Result<(), TestCaseError> {
-        let Pair { queue, model, now, rng, model_rng, popped } = self;
+        let Pair {
+            queue,
+            model,
+            now,
+            rng,
+            model_rng,
+            popped,
+        } = self;
         // Inspecting the front (even a refused `pop_nth`) slides the ring
         // window there, and the kernel only schedules at or after the
         // instant it last looked at: the clock follows.
@@ -152,7 +166,13 @@ impl Pair {
                 let (to, msg) = (i as u64 % 5, i as u32);
                 queue.schedule(
                     at,
-                    Event::Deliver { from: PID, to: ProcessId::from_raw(to), sent: *now, cause: 0, msg },
+                    Event::Deliver {
+                        from: PID,
+                        to: ProcessId::from_raw(to),
+                        sent: *now,
+                        cause: 0,
+                        msg,
+                    },
                 );
                 model.schedule(at, to, msg);
             }
@@ -172,16 +192,31 @@ impl Pair {
                 let at = queue.ready_set(&mut ready);
                 let want = model.ready_set();
                 prop_assert_eq!(at, want.as_ref().map(|w| w.0), "op {}: ready instant", i);
-                prop_assert_eq!(&ready, &want.map(|w| w.1).unwrap_or_default(), "op {}: ready set", i);
+                prop_assert_eq!(
+                    &ready,
+                    &want.map(|w| w.1).unwrap_or_default(),
+                    "op {}: ready set",
+                    i
+                );
             }
             Op::Scramble => {
                 let rewritten = queue.scramble_payloads(rng, scramble);
                 prop_assert_eq!(rewritten, model.scramble(model_rng), "op {}: scrambled", i);
-                prop_assert_eq!(rng.state_words(), model_rng.state_words(), "op {}: rng draws", i);
+                prop_assert_eq!(
+                    rng.state_words(),
+                    model_rng.state_words(),
+                    "op {}: rng draws",
+                    i
+                );
             }
         }
         prop_assert_eq!(queue.len(), model.pending.len(), "op {}: len", i);
-        prop_assert_eq!(queue.peek_time(), model.pending.first().map(|e| e.0), "op {}: peek", i);
+        prop_assert_eq!(
+            queue.peek_time(),
+            model.pending.first().map(|e| e.0),
+            "op {}: peek",
+            i
+        );
         prop_assert_eq!(queue.next_seq(), model.next_seq, "op {}: next seq", i);
         Ok(())
     }

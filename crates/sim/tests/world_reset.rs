@@ -70,7 +70,11 @@ fn snapshot(world: &mut World<u64>) -> (String, String, Vec<ProcessId>, Time) {
 fn reset_world_reproduces_fresh_world_run_for_run() {
     let mut reused = fresh_world(1);
     let first = snapshot(&mut reused);
-    assert_eq!(first, snapshot(&mut fresh_world(1)), "fresh baseline is deterministic");
+    assert_eq!(
+        first,
+        snapshot(&mut fresh_world(1)),
+        "fresh baseline is deterministic"
+    );
 
     // Reset across several seeds: each must match a fresh build bit for bit,
     // including going *back* to an already-run seed.

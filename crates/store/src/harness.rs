@@ -29,7 +29,6 @@ use dds_core::spec::register::{RegOp, RegisterHistory};
 use dds_core::time::{Time, TimeDelta};
 use dds_net::graph::Graph;
 use dds_obs::histogram::Histogram;
-use dds_obs::sink::ObsEvent;
 use dds_sim::delay::{DelayModel, LossModel};
 use dds_sim::driver::BalancedChurn;
 use dds_sim::world::{World, WorldBuilder};
@@ -177,45 +176,19 @@ impl StoreScenario {
     pub fn run(&self) -> StoreRunReport {
         let mut world = self.build();
         world.run_until(self.deadline);
-        self.report(&mut world)
+        self.report(&world)
     }
 
-    /// Folds a finished world into a report, emitting one `store_op`
-    /// span per completed operation into the world's sink (if any).
-    pub fn report(&self, world: &mut World<StoreMsg>) -> StoreRunReport {
+    /// Folds a finished world into a report.
+    pub fn report(&self, world: &World<StoreMsg>) -> StoreRunReport {
         let client_pids = self.client_pids();
         let all = all_pids(world);
-
-        // Spans for the observability sink.
-        for &pid in &client_pids {
-            let spans: Vec<(Time, Time)> = world
-                .actor::<StoreActor>(pid)
-                .map(|a| {
-                    a.log()
-                        .iter()
-                        .filter_map(|op| op.responded.map(|r| (op.invoked, r)))
-                        .collect()
-                })
-                .unwrap_or_default();
-            for (invoked, responded) in spans {
-                world.observe(ObsEvent::SpanStart {
-                    name: "store_op",
-                    pid,
-                    at: invoked,
-                });
-                world.observe(ObsEvent::SpanEnd {
-                    name: "store_op",
-                    pid,
-                    at: responded,
-                });
-            }
-        }
 
         let mut report = StoreRunReport {
             above_bound: self.above_bound(),
             ..StoreRunReport::default()
         };
-        let mut epoch_first: BTreeMap<u64, (Time, ProcessId)> = BTreeMap::new();
+        let mut epoch_first: BTreeMap<u64, Time> = BTreeMap::new();
         for &pid in &all {
             let Some(actor) = world.actor::<StoreActor>(pid) else {
                 continue;
@@ -225,30 +198,11 @@ impl StoreScenario {
             report.migrations += actor.stats().migrations;
             report.fenced += actor.stats().fenced_nacks;
             for &(at, epoch) in actor.epoch_log() {
-                let slot = epoch_first.entry(epoch).or_insert((at, pid));
-                if at < slot.0 {
-                    *slot = (at, pid);
-                }
+                let first = epoch_first.entry(epoch).or_insert(at);
+                *first = (*first).min(at);
             }
         }
-        // Mark each reconfiguration boundary in the observation stream,
-        // attributed to the epoch's first adopter — zero-length spans, so
-        // start/end accounting stays balanced for downstream consumers.
-        for (&epoch, &(at, pid)) in &epoch_first {
-            if epoch > 1 {
-                world.observe(ObsEvent::SpanStart {
-                    name: "reconfig",
-                    pid,
-                    at,
-                });
-                world.observe(ObsEvent::SpanEnd {
-                    name: "reconfig",
-                    pid,
-                    at,
-                });
-            }
-        }
-        report.epoch_transitions = epoch_first.into_iter().map(|(e, (t, _))| (t, e)).collect();
+        report.epoch_transitions = epoch_first.into_iter().map(|(e, t)| (t, e)).collect();
 
         for &pid in &client_pids {
             let Some(actor) = world.actor::<StoreActor>(pid) else {

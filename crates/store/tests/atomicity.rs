@@ -128,7 +128,7 @@ fn injected_reconfiguration_migrates_and_stays_atomic() {
         },
     );
     world.run_until(s.deadline);
-    let report = s.report(&mut world);
+    let report = s.report(&world);
     assert!(
         report.max_epoch >= 2,
         "epoch must advance past the injection"
