@@ -22,11 +22,11 @@
 //! byte-identical. Wall time, throughput (`states/sec`) and progress lines
 //! go to stderr only, for the same reason. With `--dump-dir <dir>`
 //! every counterexample is replayed once more and its event history
-//! dumped as `<dir>/<target>.jsonl` flight-recorder JSONL, with the
-//! witness's minimal happened-before chain next to it as
-//! `<dir>/<target>_chain.jsonl`. With `--telemetry <file>` the explorer's
-//! periodic progress samples and one `explored` line per subject (integer
-//! fields only) are written there as JSONL.
+//! dumped as `<dir>/<target>.jsonl` flight-dump JSONL, with the
+//! witness's minimal happened-before chain, read from the same replay,
+//! next to it as `<dir>/<target>_chain.jsonl`. With `--telemetry
+//! <file>` the explorer's periodic progress samples and one `explored`
+//! line per subject (integer fields only) are written there as JSONL.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -146,13 +146,8 @@ fn main() {
         }
         if let (Some(dir), Some(ce)) = (&dump_dir, &row.counterexample) {
             let stem = row.name.replace('/', "_");
-            let file = dir.join(format!("{stem}.jsonl"));
-            target.dump_counterexample(&ce.plan, &file, &ce.violation.reason);
-            eprintln!("wrote {}", file.display());
-            let chain = dir.join(format!("{stem}_chain.jsonl"));
-            target.dump_causal_chain(&ce.plan, &chain, &ce.violation.reason);
-            if chain.exists() {
-                eprintln!("wrote {}", chain.display());
+            for file in target.dump_counterexample(&ce.plan, dir, &stem, &ce.violation.reason) {
+                eprintln!("wrote {}", file.display());
             }
         }
         report(&row);

@@ -17,7 +17,7 @@
 //!
 //! With `--trace-dir <dir>`, every sweep run's kernel trace is rendered as
 //! JSONL into `<dir>/<id>.jsonl` (one `{"t":"run",…}` header per run, in
-//! seed order), and any flight-recorder dumps produced by spec-violating
+//! seed order), and any flight dumps produced by spec-violating
 //! runs are written to `<dir>/<id>_flight_<n>.jsonl` (at most
 //! [`MAX_FLIGHT_DUMPS`] per experiment).
 

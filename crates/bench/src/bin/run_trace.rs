@@ -4,7 +4,7 @@
 //!
 //! Feeds every `*.jsonl` file under the given directories (or the files
 //! themselves) through [`dds_obs::CausalDag::from_jsonl_runs`] — traces
-//! from `run_experiments --trace-dir`, flight-recorder and causal-chain
+//! from `run_experiments --trace-dir`, flight dumps and causal-chain
 //! dumps from `run_check --dump-dir`, anything with `"id"`/`"cause"`
 //! fields — and prints one deterministic stats line per file: event
 //! count, DAG depth and width, max fan-out, and the critical path

@@ -1069,8 +1069,8 @@ and prunes fingerprint-identical subtrees; the speedup is on stderr)"
 }
 
 /// OBS1 — observability overhead: the identical workload with no sink,
-/// with the full [`dds_obs::ObserverSink`], and with the causal-skeleton
-/// [`dds_obs::CausalLog`] only.
+/// with the full [`dds_obs::ObserverSink`] (run report and log), and with
+/// the [`dds_obs::CausalLog`] alone, whose DAG gives the depth column.
 ///
 /// The sink-less pass runs the hot path the `noop_alloc` test protects.
 /// The printed table keeps only deterministic counters (events observed,
@@ -1118,7 +1118,7 @@ pub fn obs1_overhead() -> Experiment {
                 match sink.into_any().downcast::<CausalLog>() {
                     Ok(log) => {
                         observed += log.len() as u64;
-                        dag_depth = dag_depth.max(log.into_dag().depth());
+                        dag_depth = dag_depth.max(log.dag().depth());
                     }
                     Err(sink) => {
                         if let Ok(obs) = sink.downcast::<ObserverSink>() {
@@ -1232,7 +1232,7 @@ pub fn scd1_broadcast() -> Experiment {
                 .take_sink()
                 .and_then(|s| s.into_any().downcast::<ObserverSink>().ok())
             {
-                let critical = sink.causal.into_dag().critical_path();
+                let critical = sink.causal.critical_path();
                 e.observe(&sink.report, &critical);
             }
             e.extra_runs += 1;

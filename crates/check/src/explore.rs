@@ -691,7 +691,7 @@ pub fn explore_fork(target: &mut dyn Target, budget: Budget) -> Option<Explored>
 mod tests {
     use super::*;
     use crate::target::Violation;
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
 
     /// A synthetic target over an explicit decision tree: `widths[k]` is
     /// the width of the `k`-th choice point; the property fails exactly on
@@ -744,7 +744,9 @@ mod tests {
             RunReport { choices, violation }
         }
 
-        fn dump_counterexample(&mut self, _: &[usize], _: &Path, _: &str) {}
+        fn dump_counterexample(&mut self, _: &[usize], _: &Path, _: &str, _: &str) -> Vec<PathBuf> {
+            Vec::new()
+        }
     }
 
     #[test]

@@ -135,7 +135,7 @@ mod tests {
     use super::*;
     use crate::schedule::ChoicePoint;
     use crate::target::{RunReport, Violation};
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
 
     /// Fails whenever decisions at the `trigger` positions are all
     /// non-default — a bug needing exactly those preemptions.
@@ -177,7 +177,9 @@ mod tests {
             }
         }
 
-        fn dump_counterexample(&mut self, _: &[usize], _: &Path, _: &str) {}
+        fn dump_counterexample(&mut self, _: &[usize], _: &Path, _: &str, _: &str) -> Vec<PathBuf> {
+            Vec::new()
+        }
     }
 
     #[test]
@@ -238,7 +240,15 @@ mod tests {
                     }),
                 }
             }
-            fn dump_counterexample(&mut self, _: &[usize], _: &Path, _: &str) {}
+            fn dump_counterexample(
+                &mut self,
+                _: &[usize],
+                _: &Path,
+                _: &str,
+                _: &str,
+            ) -> Vec<PathBuf> {
+                Vec::new()
+            }
         }
         let (minimal, _) = shrink(&mut AlwaysFails, &[3, 1, 2, 0, 1], 100);
         assert!(minimal.is_empty(), "everything defaults away");

@@ -26,8 +26,9 @@
 //! - [`fuzz::shrink`] — a delta-debugging pass that minimizes a failing
 //!   decision vector to a short witness (few non-default decisions).
 //!
-//! Counterexamples are dumped as JSONL through the `dds-obs`
-//! [`FlightRecorder`](dds_obs::FlightRecorder), so a failing schedule
+//! Counterexamples are replayed once under a `dds-obs`
+//! [`CausalLog`](dds_obs::CausalLog) and dumped as its JSONL flight dump
+//! (with the witness's causal chain beside it), so a failing schedule
 //! leaves the same artifact an in-flight spec failure would.
 //!
 //! The crate validates itself with **seeded mutants** ([`mutants`]):

@@ -1408,10 +1408,10 @@ mod tests {
         );
     }
 
-    /// The causal-chain witness artifact: replaying a plan with a
-    /// `CausalLog` installed must yield a JSONL file whose node lines
-    /// telescope — each node's `cause` is the id of the line above it,
-    /// rooted in the environment (cause 0).
+    /// The causal-chain witness artifact: replaying a plan under a
+    /// `CausalLog` must yield, next to the flight dump, a JSONL file
+    /// whose node lines telescope — each node's `cause` is the id of the
+    /// line above it, rooted in the environment (cause 0).
     #[test]
     fn causal_chain_dump_telescopes() {
         let field = |line: &str, key: &str| -> u64 {
@@ -1425,8 +1425,9 @@ mod tests {
         };
         let dir = std::env::temp_dir().join("dds-check-causal-chain-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
+        let written = flood_target(true).dump_counterexample(&[1], &dir, "flood", "planted");
         let path = dir.join("flood_chain.jsonl");
-        flood_target(true).dump_causal_chain(&[1], &path, "planted");
+        assert_eq!(written, vec![dir.join("flood.jsonl"), path.clone()]);
         let text = std::fs::read_to_string(&path).expect("chain file written");
         let mut lines = text.lines();
         let header = lines.next().expect("header line");

@@ -1,11 +1,11 @@
 //! The system-under-check abstraction and its two implementations.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use dds_core::spec::register::{check_atomic, RegOp};
 use dds_core::time::Time;
-use dds_obs::{CausalLog, FlightRecorder, ObsEvent, Sink};
+use dds_obs::{CausalLog, ObsEvent, Sink};
 use dds_registers::construction::Construction;
 use dds_registers::harness::{run_schedule_planned, CrashEvent};
 use dds_sim::event::ReadySummary;
@@ -112,20 +112,35 @@ pub trait Target {
         None
     }
 
-    /// Replays `plan` and dumps the run's event history as JSONL to
-    /// `path` through a [`FlightRecorder`].
-    fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str);
+    /// Replays `plan` once under a [`CausalLog`] and writes the
+    /// counterexample's files to `dir`, returning the paths written:
+    /// `<stem>.jsonl`, a flight dump of the run's event history, and, for
+    /// a target with kernel event ids, `<stem>_chain.jsonl`, the minimal
+    /// happened-before chain explaining the witness (the cause chain of
+    /// the critical path's end event). Both files read the one log, so
+    /// the chain's ids are the flight dump's; the root's `cause` may
+    /// reference a spawn-time event that predates the log (observation
+    /// starts after the world is built).
+    fn dump_counterexample(
+        &mut self,
+        plan: &[usize],
+        dir: &Path,
+        stem: &str,
+        reason: &str,
+    ) -> Vec<PathBuf>;
+}
 
-    /// Replays `plan` with a [`dds_obs::CausalLog`] installed and writes
-    /// the minimal happened-before chain explaining the witness — the
-    /// cause chain of the critical path's end event — as JSONL next to
-    /// the flight-recorder dump. Event ids are assigned unconditionally
-    /// by the kernel, so the chain's ids match the flight dump's; the
-    /// root's `cause` may reference a spawn-time event that predates sink
-    /// installation (like the flight dump, observation starts after the
-    /// world is built). Default: no-op, for targets without kernel event
-    /// ids (register histories, synthetic trees).
-    fn dump_causal_chain(&mut self, _plan: &[usize], _path: &Path, _reason: &str) {}
+/// Writes `text` to `dir/name`, returning the path, or `None` with the
+/// error on stderr.
+fn write_dump(dir: &Path, name: String, text: &str) -> Option<PathBuf> {
+    let path = dir.join(name);
+    match std::fs::write(&path, text) {
+        Ok(()) => Some(path),
+        Err(err) => {
+            eprintln!("cannot write {}: {err}", path.display());
+            None
+        }
+    }
 }
 
 /// Where an exploration session stopped after [`ExploreSession::advance`].
@@ -251,33 +266,26 @@ impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
         Some(Box::new(session))
     }
 
-    /// Replays `plan` under a [`FlightRecorder`] and dumps it to `path`.
-    fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str) {
-        let mut run = self.open();
-        run.world
-            .set_sink(FlightRecorder::new(4096).with_dump_path(path));
-        run.follow(plan);
-        let at = run.world.now();
-        if let Some(sink) = run.world.take_sink() {
-            if let Ok(mut recorder) = sink.into_any().downcast::<FlightRecorder>() {
-                recorder.fail(reason, at);
-            }
-        }
-    }
-
-    /// Replays `plan` under a [`CausalLog`] and writes the cause chain of
-    /// the critical path's end event to `path`.
-    fn dump_causal_chain(&mut self, plan: &[usize], path: &Path, reason: &str) {
+    /// Replays `plan` under a [`CausalLog`]; writes its last 4 096
+    /// records as the flight dump and its critical chain as the chain
+    /// file.
+    fn dump_counterexample(
+        &mut self,
+        plan: &[usize],
+        dir: &Path,
+        stem: &str,
+        reason: &str,
+    ) -> Vec<PathBuf> {
         let mut run = self.open();
         run.world.set_sink(CausalLog::default());
         run.follow(plan);
-        let Some(sink) = run.world.take_sink() else {
-            return;
-        };
-        let Ok(causal) = sink.into_any().downcast::<CausalLog>() else {
-            return;
-        };
-        let dag = causal.into_dag();
+        let at = run.world.now();
+        let log = run
+            .world
+            .take_sink()
+            .and_then(|sink| sink.into_any().downcast::<CausalLog>().ok())
+            .expect("the log installed above");
+        let dag = log.dag();
         let chain = dag
             .critical_end()
             .map(|id| dag.chain_of(id))
@@ -301,7 +309,14 @@ impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
                 node.segment.label()
             ));
         }
-        let _ = std::fs::write(path, out);
+        let flight = log.flight_jsonl(reason, at, 4096);
+        [
+            write_dump(dir, format!("{stem}.jsonl"), &flight),
+            write_dump(dir, format!("{stem}_chain.jsonl"), &out),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -336,12 +351,14 @@ macro_rules! scenario_target {
                 self.scenario.session()
             }
 
-            fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str) {
-                self.scenario.dump_counterexample(plan, path, reason);
-            }
-
-            fn dump_causal_chain(&mut self, plan: &[usize], path: &Path, reason: &str) {
-                self.scenario.dump_causal_chain(plan, path, reason);
+            fn dump_counterexample(
+                &mut self,
+                plan: &[usize],
+                dir: &Path,
+                stem: &str,
+                reason: &str,
+            ) -> Vec<PathBuf> {
+                self.scenario.dump_counterexample(plan, dir, stem, reason)
             }
         }
     };
@@ -733,7 +750,15 @@ impl Target for RegisterTarget {
         RunReport { choices, violation }
     }
 
-    fn dump_counterexample(&mut self, plan: &[usize], path: &Path, reason: &str) {
+    /// Writes the flight dump only: register histories carry no kernel
+    /// event ids, so there is no chain file.
+    fn dump_counterexample(
+        &mut self,
+        plan: &[usize],
+        dir: &Path,
+        stem: &str,
+        reason: &str,
+    ) -> Vec<PathBuf> {
         let (out, _) = run_schedule_planned(
             self.construction,
             self.t,
@@ -743,8 +768,7 @@ impl Target for RegisterTarget {
             plan,
         );
         // Render the history as spans: invocation opens, response closes.
-        let mut recorder =
-            FlightRecorder::new((2 * out.history.records().len()).max(16)).with_dump_path(path);
+        let mut log = CausalLog::default();
         let mut last = Time::ZERO;
         let mut spans: Vec<(Time, ObsEvent)> = Vec::new();
         for rec in out.history.records() {
@@ -780,9 +804,12 @@ impl Target for RegisterTarget {
                 id: i as u64 + 1,
                 cause: 0,
             };
-            dds_obs::Sink::record(&mut recorder, ev, causal);
+            log.record(ev, causal);
         }
-        dds_obs::Sink::fail(&mut recorder, reason, last);
+        let flight = log.flight_jsonl(reason, last, log.len());
+        write_dump(dir, format!("{stem}.jsonl"), &flight)
+            .into_iter()
+            .collect()
     }
 }
 

@@ -3,7 +3,7 @@
 //! Checkers ([`crate::spec::one_time_query::check_outcome`] and friends)
 //! call [`notify_with`] when a run violates its specification. By default
 //! nobody is listening and the call is a cheap thread-local probe; a
-//! harness that wants to react — e.g. to trigger a flight-recorder dump of
+//! harness that wants to react — e.g. to trigger a flight dump of
 //! the events leading up to the violation — wraps the run in
 //! [`capture_failures`].
 //!

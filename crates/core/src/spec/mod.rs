@@ -7,7 +7,7 @@
 //! - [`aggregate`] — the commutative-monoid aggregate functions of the
 //!   one-time query;
 //! - [`hook`] — the thread-local spec-failure notification hook harnesses
-//!   use to trigger flight-recorder dumps;
+//!   use to trigger flight dumps;
 //! - [`one_time_query`] — the canonical problem and its validity levels;
 //! - [`history`] — operation histories of shared objects;
 //! - [`register`] — atomicity (linearizability) and regularity checkers;

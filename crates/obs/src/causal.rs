@@ -1,12 +1,14 @@
-//! Happened-before DAG reconstruction and critical-path analysis.
+//! A run's event log, happened-before DAG reconstruction and
+//! critical-path analysis.
 //!
 //! The kernel stamps every observable event with a stable per-run id and
 //! the id of the event that caused it ([`dds_core::run::Causality`]):
-//! send→deliver, timer-set→fire, join→first-step. This module rebuilds
-//! the induced happened-before DAG from an [`ObsEvent`] stream (or its
-//! JSONL rendering) and decomposes the longest end-to-end latency chain —
-//! the *critical path* — into transit (message flight), queueing (timer
-//! wait) and processing segments.
+//! send→deliver, timer-set→fire, join→first-step. [`CausalLog`] keeps a
+//! run's observations with those annotations; [`CausalDag`] rebuilds the
+//! induced happened-before DAG from a log (or its JSONL rendering). Both
+//! decompose the longest end-to-end latency chain — the *critical path* —
+//! into transit (message flight), queueing (timer wait) and processing
+//! segments.
 //!
 //! Ids are assigned in dispatch order, so a cause id is always smaller
 //! than the id it caused; every analysis here is a single forward pass
@@ -14,12 +16,13 @@
 //! a chain.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use dds_core::process::ProcessId;
 use dds_core::run::Causality;
 use dds_core::time::Time;
 
+use crate::export::{obs_event_line, trace_line};
 use crate::sink::{ObsEvent, Sink};
 
 /// Which latency segment the edge *into* an event contributes to.
@@ -88,66 +91,163 @@ pub struct CausalNode {
     pub segment: SegmentKind,
 }
 
-/// A [`Sink`] that keeps the causal skeleton of a run: one compact node
-/// per identified event, no payloads. Install it (or compose it inside
-/// `ObserverSink`) and build a [`CausalDag`] afterwards.
+impl CausalNode {
+    /// The node of one identified log record.
+    fn of(&(causal, ev): &(Causality, ObsEvent)) -> CausalNode {
+        CausalNode {
+            id: causal.id,
+            cause: causal.cause,
+            at: ev.at(),
+            pid: node_pid(&ev),
+            segment: SegmentKind::of(&ev),
+        }
+    }
+}
+
+/// The one log of an observed run: every observation but `Step` noise,
+/// with its causal annotation, in emission order.
+///
+/// Everything a run is explained by is a reading of it: the flight dump
+/// of its last records ([`CausalLog::flight_jsonl`]), the message-level
+/// trace ([`CausalLog::trace_jsonl`]), the critical path
+/// ([`CausalLog::critical_path`]) and the happened-before DAG
+/// ([`CausalLog::dag`]).
 #[derive(Debug, Clone, Default)]
 pub struct CausalLog {
-    nodes: Vec<CausalNode>,
+    records: Vec<(Causality, ObsEvent)>,
 }
 
 impl CausalLog {
-    /// The recorded nodes, in dispatch (id-assignment) order.
-    pub fn nodes(&self) -> &[CausalNode] {
-        &self.nodes
-    }
+    /// How many records a flight dump shows when a run fails its spec or
+    /// an actor panics.
+    pub const FLIGHT_TAIL: usize = 256;
 
-    /// Number of recorded nodes.
+    /// Number of records.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.records.len()
     }
 
-    /// `true` when nothing identified was recorded.
+    /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.records.is_empty()
     }
 
-    /// Empties the log, keeping its storage.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-    }
-
-    /// Builds the happened-before DAG over a copy of the recorded nodes.
+    /// Builds the happened-before DAG over the identified records
+    /// (unidentified ones, id `0`, are not part of it).
     pub fn dag(&self) -> CausalDag {
-        CausalDag::new(self.nodes.clone())
+        CausalDag::new(
+            self.records
+                .iter()
+                .filter(|(causal, _)| causal.id != 0)
+                .map(CausalNode::of)
+                .collect(),
+        )
     }
 
-    /// Builds the happened-before DAG out of the log's own storage — for
-    /// a caller that is done recording.
-    pub fn into_dag(self) -> CausalDag {
-        CausalDag::new(self.nodes)
+    /// The run's critical path, equal to `self.dag().critical_path()`.
+    ///
+    /// A kernel log has every record identified and ids contiguous, so a
+    /// cause sits at its id's offset from the first record: one forward
+    /// pass keeps each record's root instant, and the chain is walked
+    /// from there. Any other log takes the DAG.
+    pub fn critical_path(&self) -> CriticalPath {
+        let first = self.records.first().map_or(0, |(causal, _)| causal.id);
+        let parent = |i: usize| {
+            let (causal, _) = self.records[i];
+            (causal.cause >= first && causal.cause < causal.id)
+                .then(|| (causal.cause - first) as usize)
+        };
+        let mut root_at = Vec::with_capacity(self.records.len());
+        for (k, (causal, ev)) in self.records.iter().enumerate() {
+            if causal.id == 0 || causal.id != first + k as u64 {
+                return self.dag().critical_path();
+            }
+            root_at.push(parent(k).map_or(ev.at(), |p| root_at[p]));
+        }
+        critical_walk(&root_at, |i| CausalNode::of(&self.records[i]), parent)
+            .unwrap_or_default()
+            .1
+    }
+
+    /// Renders the last `last` records as a JSONL flight dump: a header
+    /// with the reason, the instant, the number of records shown
+    /// (`events`) and the log's length (`recorded`), then one line per
+    /// record, oldest first.
+    pub fn flight_jsonl(&self, reason: &str, at: Time, last: usize) -> String {
+        let tail = &self.records[self.records.len().saturating_sub(last)..];
+        let mut out = String::with_capacity(64 + tail.len() * 48);
+        let _ = writeln!(
+            out,
+            "{{\"t\":\"flight-dump\",\"reason\":\"{}\",\"at\":{},\"events\":{},\"recorded\":{}}}",
+            reason.replace('\\', "\\\\").replace('"', "\\\""),
+            at.as_ticks(),
+            tail.len(),
+            self.records.len()
+        );
+        for (causal, ev) in tail {
+            obs_event_line(ev, *causal, &mut out);
+        }
+        out
+    }
+
+    /// Renders the run's message-level trace: one JSON line per join,
+    /// leave, crash, send, deliver, drop and corruption (see
+    /// [`trace_line`]), in emission order.
+    pub fn trace_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (causal, ev) in &self.records {
+            trace_line(ev, *causal, &mut out);
+        }
+        out
     }
 }
 
 impl Sink for CausalLog {
     fn record(&mut self, ev: &ObsEvent, causal: Causality) {
-        // Unidentified observations (Step noise, harness-injected events
-        // outside the kernel) carry id 0 and are not part of the DAG.
-        if causal.id == 0 {
-            return;
+        if !matches!(ev, ObsEvent::Step { .. }) {
+            self.records.push((causal, *ev));
         }
-        self.nodes.push(CausalNode {
-            id: causal.id,
-            cause: causal.cause,
-            at: ev.at(),
-            pid: node_pid(ev),
-            segment: SegmentKind::of(ev),
-        });
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
         self
     }
+}
+
+/// The critical path over nodes `0..root_at.len()` in id order, and the
+/// index of its end: the node with the largest root-to-node elapsed time
+/// (ties toward the smallest id), its chain back to the root summed by
+/// [`SegmentKind`]. `node(i)` is node `i`, `parent(i)` the index of its
+/// cause, `root_at[i]` the instant of its chain's root. [`CausalDag`]
+/// and [`CausalLog`] both answer through this one walk.
+fn critical_walk(
+    root_at: &[Time],
+    node: impl Fn(usize) -> CausalNode,
+    parent: impl Fn(usize) -> Option<usize>,
+) -> Option<(usize, CriticalPath)> {
+    let elapsed = |i: usize, n: &CausalNode| n.at.saturating_since(root_at[i]).as_ticks();
+    let end = (0..root_at.len()).max_by_key(|&i| {
+        let n = node(i);
+        // Larger elapsed first, then the smaller id.
+        (elapsed(i, &n), u64::MAX - n.id)
+    })?;
+    let mut cp = CriticalPath {
+        total: elapsed(end, &node(end)),
+        ..CriticalPath::default()
+    };
+    let mut i = end;
+    while let Some(p) = parent(i) {
+        let n = node(i);
+        let dur = n.at.saturating_since(node(p).at).as_ticks();
+        match n.segment {
+            SegmentKind::Transit => cp.transit += dur,
+            SegmentKind::Queueing => cp.queueing += dur,
+            SegmentKind::Processing => cp.processing += dur,
+        }
+        cp.hops += 1;
+        i = p;
+    }
+    Some((end, cp))
 }
 
 /// The critical path of a run: the cause chain with the largest
@@ -240,7 +340,7 @@ impl CausalDag {
         }
     }
 
-    /// Parses a JSONL event stream (trace, obs, or flight-recorder dump)
+    /// Parses a JSONL event stream (trace, obs, or flight dump)
     /// into a DAG. Lines without a positive `"id"` field — headers,
     /// steps, unannotated events — are skipped, so any artifact this
     /// repository produces can be fed back in. For multi-run trace
@@ -342,55 +442,22 @@ impl CausalDag {
         chain
     }
 
-    /// Index of the critical path's end node: largest root-to-end elapsed
-    /// time, ties broken toward the smallest event id.
-    fn critical_end_index(&self) -> Option<usize> {
-        (0..self.nodes.len()).max_by_key(|&i| {
-            let elapsed = self.nodes[i]
-                .at
-                .saturating_since(self.root_at[i])
-                .as_ticks();
-            // Prefer larger elapsed, then smaller id: negate the id in a
-            // sortable way by subtracting from MAX.
-            (elapsed, u64::MAX - self.nodes[i].id)
-        })
+    /// The critical path and the index of its end node.
+    fn critical(&self) -> Option<(usize, CriticalPath)> {
+        critical_walk(&self.root_at, |i| self.nodes[i], |i| self.parent[i])
     }
 
     /// Id of the event ending the critical path, or `None` on an empty
     /// DAG. `chain_of` this id is the run's longest-latency explanation.
     pub fn critical_end(&self) -> Option<u64> {
-        self.critical_end_index().map(|i| self.nodes[i].id)
+        self.critical().map(|(end, _)| self.nodes[end].id)
     }
 
     /// The critical path: the chain with the largest root-to-end elapsed
     /// time (ties broken toward the smallest event id), decomposed by
     /// [`SegmentKind`].
     pub fn critical_path(&self) -> CriticalPath {
-        let Some(end) = self.critical_end_index() else {
-            return CriticalPath::default();
-        };
-        let mut cp = CriticalPath {
-            total: self.nodes[end]
-                .at
-                .saturating_since(self.root_at[end])
-                .as_ticks(),
-            ..CriticalPath::default()
-        };
-        let mut i = end;
-        while let Some(p) = self.parent[i] {
-            let dur = self.nodes[i]
-                .at
-                .saturating_since(self.nodes[p].at)
-                .as_ticks();
-            match self.nodes[i].segment {
-                SegmentKind::Transit => cp.transit += dur,
-                SegmentKind::Queueing => cp.queueing += dur,
-                SegmentKind::Processing => cp.processing += dur,
-            }
-            cp.hops += 1;
-            i = p;
-        }
-        cp
+        self.critical().unwrap_or_default().1
     }
 
     /// One-line deterministic stats summary (what `run_trace` prints).
@@ -739,8 +806,63 @@ mod tests {
         }
     }
 
+    /// A log record whose node is `n`: the event kind fixes the segment,
+    /// and the event is attributed to `n.pid`.
+    fn record_of(n: &CausalNode) -> (Causality, ObsEvent) {
+        let (p, at) = (n.pid, n.at);
+        let ev = match n.segment {
+            SegmentKind::Transit => ObsEvent::Deliver {
+                from: p,
+                to: p,
+                at,
+                latency: TimeDelta::ticks(0),
+            },
+            SegmentKind::Queueing => ObsEvent::TimerFire { pid: p, at },
+            SegmentKind::Processing => ObsEvent::Send { from: p, to: p, at },
+        };
+        let causal = Causality {
+            id: n.id,
+            cause: n.cause,
+        };
+        (causal, ev)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The log's own walk finds the DAG's critical path, on kernel
+        /// logs (contiguous ids) and on every other shape, with or without
+        /// unidentified records mixed in.
+        #[test]
+        fn log_critical_path_is_the_dags(
+            shape in proptest::prop_oneof![
+                proptest::prelude::Just(Shape::Contiguous),
+                proptest::prelude::Just(Shape::Gapped),
+                proptest::prelude::Just(Shape::Shuffled),
+                proptest::prelude::Just(Shape::Duplicated),
+            ],
+            first in 1u64..40,
+            raw in proptest::collection::vec((0u64..3, 0u64..8, 0u64..5, 0u64..6), 0..60),
+            anonymous_every in 0usize..8,
+        ) {
+            let nodes = shaped_nodes(shape, first, &raw);
+            let mut log = CausalLog::default();
+            for (k, n) in nodes.iter().enumerate() {
+                if anonymous_every > 0 && k % anonymous_every == anonymous_every - 1 {
+                    let span = ObsEvent::SpanStart { name: "span", pid: n.pid, at: n.at };
+                    log.record(&span, Causality::default());
+                }
+                let (causal, ev) = record_of(n);
+                log.record(&ev, causal);
+            }
+            let (dag, want) = (log.dag(), CausalDag::new(nodes));
+            proptest::prop_assert_eq!(dag.nodes(), want.nodes());
+            proptest::prop_assert_eq!(log.critical_path(), dag.critical_path());
+        }
+    }
+
     #[test]
-    fn log_dags_borrowed_and_consumed_agree() {
+    fn log_critical_path_matches_its_dag() {
         let mut log = CausalLog::default();
         for id in 1..=20u64 {
             log.record(
@@ -751,11 +873,90 @@ mod tests {
                 Causality { id, cause: id / 2 },
             );
         }
-        let borrowed = log.dag();
-        assert_eq!(borrowed.depth(), 4, "1 → 2 → 4 → 8 → 16");
-        let consumed = log.into_dag();
-        assert_eq!(consumed.nodes(), borrowed.nodes());
-        assert_eq!(consumed.critical_path(), borrowed.critical_path());
+        let dag = log.dag();
+        assert_eq!(dag.depth(), 4, "1 → 2 → 4 → 8 → 16");
+        assert_eq!(log.critical_path(), dag.critical_path());
+        assert_eq!(log.critical_path().hops, 4);
+    }
+
+    fn join(n: u64) -> ObsEvent {
+        ObsEvent::Join {
+            pid: pid(n),
+            at: t(n),
+        }
+    }
+
+    /// A log of ten joins at instants 0..10.
+    fn ten_joins() -> CausalLog {
+        let mut log = CausalLog::default();
+        for i in 0..10 {
+            log.record(
+                &join(i),
+                Causality {
+                    id: i + 1,
+                    cause: 0,
+                },
+            );
+        }
+        log
+    }
+
+    #[test]
+    fn flight_dump_shows_only_the_last_n() {
+        let dump = ten_joins().flight_jsonl("tail", t(9), 3);
+        let ats: Vec<u64> = dump
+            .lines()
+            .skip(1)
+            .map(|l| json_u64(l, "\"at\":").expect("at field"))
+            .collect();
+        assert_eq!(ats, vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn flight_dump_skips_step_events() {
+        let mut log = CausalLog::default();
+        log.record(
+            &ObsEvent::Step {
+                at: Time::ZERO,
+                queue_depth: 5,
+            },
+            Causality::default(),
+        );
+        assert!(log.is_empty());
+        let dump = log.flight_jsonl("steps", Time::ZERO, 4);
+        assert!(dump.ends_with("\"events\":0,\"recorded\":0}\n"), "{dump}");
+        assert_eq!(dump.lines().count(), 1);
+    }
+
+    #[test]
+    fn flight_dump_has_header_and_one_line_per_event() {
+        let mut log = CausalLog::default();
+        log.record(&join(1), Causality { id: 1, cause: 0 });
+        log.record(&join(2), Causality { id: 2, cause: 1 });
+        let dump = log.flight_jsonl("spec \"failure\"", t(5), CausalLog::FLIGHT_TAIL);
+        let lines: Vec<&str> = dump.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].contains("\"t\":\"flight-dump\""));
+        assert!(
+            lines[0].contains("\\\"failure\\\""),
+            "reason is escaped: {}",
+            lines[0]
+        );
+        assert!(lines[1].contains("\"t\":\"join\""));
+    }
+
+    #[test]
+    fn flight_dump_counts_records_outside_the_tail() {
+        let log = ten_joins();
+        let header = |last: usize| {
+            let dump = log.flight_jsonl("r", t(9), last);
+            dump.lines().next().expect("header").to_string()
+        };
+        assert_eq!(
+            header(3),
+            "{\"t\":\"flight-dump\",\"reason\":\"r\",\"at\":9,\"events\":3,\"recorded\":10}"
+        );
+        assert!(header(50).ends_with("\"events\":10,\"recorded\":10}"));
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! stand-in has no backend (DESIGN.md §12), so records are rendered by
 //! hand.
 
-use std::any::Any;
 use std::fmt::Write as _;
 
 use dds_core::run::Causality;
 
-use crate::sink::{ObsEvent, Sink};
+use crate::sink::ObsEvent;
 
 /// Appends the `,"id":N,"cause":N}` tail shared by every rendered line,
 /// making each JSONL artifact causality-complete and parseable by
@@ -20,56 +19,39 @@ fn causal_suffix(causal: Causality, out: &mut String) {
     let _ = writeln!(out, ",\"id\":{},\"cause\":{}}}", causal.id, causal.cause);
 }
 
-/// The message-level trace of a run, rendered while it happens: one JSON
-/// line per kernel join, leave, crash, send, deliver, drop and corruption
-/// with its causal annotation, in emission order. Dispatch steps, timer
-/// fires and harness spans are not part of it.
+/// Renders one record of a run's message-level trace, appended to
+/// `out`: kernel joins, leaves, crashes, sends, deliveries, drops and
+/// corruptions get a JSON line with their causal annotation; dispatch
+/// steps, timer fires and harness spans render nothing.
 ///
 /// The kernel keeps no record of message traffic of its own (its
-/// `Trace` is the membership history), so this sink — installed only by
-/// a run that asked for the export — is where those lines come from.
-#[derive(Debug, Clone, Default)]
-pub struct TraceLog {
-    jsonl: String,
-}
-
-impl TraceLog {
-    /// Consumes the log, returning every line rendered.
-    pub fn into_jsonl(self) -> String {
-        self.jsonl
-    }
-}
-
-impl Sink for TraceLog {
-    fn record(&mut self, ev: &ObsEvent, causal: Causality) {
-        match *ev {
-            ObsEvent::Join { .. }
-            | ObsEvent::Leave { .. }
-            | ObsEvent::Crash { .. }
-            | ObsEvent::Send { .. }
-            | ObsEvent::Drop { .. }
-            | ObsEvent::Corrupt { .. } => obs_event_line(ev, causal, &mut self.jsonl),
-            // A trace line says when a message arrived, not how long it
-            // flew: the send it names as its cause carries that instant.
-            ObsEvent::Deliver { from, to, at, .. } => {
-                let _ = write!(
-                    self.jsonl,
-                    "{{\"t\":\"deliver\",\"from\":{},\"to\":{},\"at\":{}",
-                    from.as_raw(),
-                    to.as_raw(),
-                    at.as_ticks()
-                );
-                causal_suffix(causal, &mut self.jsonl);
-            }
-            ObsEvent::Step { .. }
-            | ObsEvent::TimerFire { .. }
-            | ObsEvent::SpanStart { .. }
-            | ObsEvent::SpanEnd { .. } => {}
+/// `Trace` is the membership history), so a run's log, read through
+/// [`crate::causal::CausalLog::trace_jsonl`], is where those lines come
+/// from.
+pub fn trace_line(ev: &ObsEvent, causal: Causality, out: &mut String) {
+    match *ev {
+        ObsEvent::Join { .. }
+        | ObsEvent::Leave { .. }
+        | ObsEvent::Crash { .. }
+        | ObsEvent::Send { .. }
+        | ObsEvent::Drop { .. }
+        | ObsEvent::Corrupt { .. } => obs_event_line(ev, causal, out),
+        // A trace line says when a message arrived, not how long it
+        // flew: the send it names as its cause carries that instant.
+        ObsEvent::Deliver { from, to, at, .. } => {
+            let _ = write!(
+                out,
+                "{{\"t\":\"deliver\",\"from\":{},\"to\":{},\"at\":{}",
+                from.as_raw(),
+                to.as_raw(),
+                at.as_ticks()
+            );
+            causal_suffix(causal, out);
         }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+        ObsEvent::Step { .. }
+        | ObsEvent::TimerFire { .. }
+        | ObsEvent::SpanStart { .. }
+        | ObsEvent::SpanEnd { .. } => {}
     }
 }
 
@@ -162,13 +144,15 @@ pub fn obs_event_line(ev: &ObsEvent, causal: Causality, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::causal::CausalLog;
+    use crate::sink::Sink;
     use dds_core::process::ProcessId;
     use dds_core::time::{Time, TimeDelta};
 
     #[test]
     fn trace_log_renders_kernel_events_only() {
         let p = ProcessId::from_raw(0);
-        let mut log = TraceLog::default();
+        let mut log = CausalLog::default();
         log.record(
             &ObsEvent::Join {
                 pid: p,
@@ -215,7 +199,7 @@ mod tests {
             },
             Causality { id: 6, cause: 4 },
         );
-        let s = log.into_jsonl();
+        let s = log.trace_jsonl();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(

@@ -8,21 +8,21 @@
 //!
 //! - [`sink`] — the [`sink::Sink`] trait the kernel's dispatch loop feeds
 //!   ([`sink::ObsEvent`] per kernel event), plus the composite
-//!   [`sink::ObserverSink`];
+//!   [`sink::ObserverSink`]: a run report and the run's log;
 //! - [`histogram`] — a hand-rolled log-bucket (HDR-style) [`histogram::Histogram`]
 //!   with bounded memory and ≤ ~6% relative bucketing error;
 //! - [`report`] — [`report::RunReport`]: delivery-latency and per-step
 //!   event-queue-depth histograms and the event count of one run;
-//! - [`flight`] — [`flight::FlightRecorder`]: a bounded ring buffer of the
-//!   last N kernel events, dumped as JSONL when a spec predicate fails or
-//!   an actor panics;
-//! - [`export`] — JSONL renderers for observation events, and the
-//!   [`export::TraceLog`] sink rendering a run's message-level trace
+//! - [`causal`] — [`causal::CausalLog`], the one log of a run (every
+//!   observation but dispatch steps, with its id/cause annotation), read
+//!   as a flight dump of its last records when a spec predicate fails or
+//!   an actor panics, as the message-level trace, or as the critical
+//!   path; and [`causal::CausalDag`], the happened-before DAG over a log
+//!   or a JSONL artifact: per-process fan-out and critical-path latency
+//!   decomposition into transit/queueing/processing segments;
+//! - [`export`] — the JSONL renderers for observations and trace lines
 //!   (integer-only fields, so output is byte-identical across thread
-//!   counts);
-//! - [`causal`] — happened-before DAG reconstruction over the kernel's
-//!   id/cause annotations: per-process fan-out and critical-path latency
-//!   decomposition into transit/queueing/processing segments.
+//!   counts).
 //!
 //! Everything is hand-rolled std-only Rust, consistent with the
 //! vendored-offline-deps constraint (DESIGN.md §12): no external crates,
@@ -33,13 +33,11 @@
 
 pub mod causal;
 pub mod export;
-pub mod flight;
 pub mod histogram;
 pub mod report;
 pub mod sink;
 
 pub use causal::{CausalDag, CausalLog, CausalNode, CriticalPath, SegmentKind};
-pub use flight::FlightRecorder;
 pub use histogram::Histogram;
 pub use report::RunReport;
 pub use sink::{ObsEvent, ObserverSink, Sink};

@@ -162,7 +162,7 @@ pub trait Sink: Any {
     fn record(&mut self, ev: &ObsEvent, causal: Causality);
 
     /// Called by the kernel when a run fails abnormally (today: an actor
-    /// panicked inside a callback); the flight recorder dumps its ring
+    /// panicked inside a callback); an observer renders its flight dump
     /// here. Default: ignore.
     fn fail(&mut self, reason: &str, at: Time) {
         let _ = (reason, at);
@@ -173,49 +173,31 @@ pub trait Sink: Any {
 }
 
 /// The harness's standard composite: a [`crate::report::RunReport`]
-/// aggregating the run, a [`crate::flight::FlightRecorder`] holding the
-/// most recent events for post-mortem dumps, and a
-/// [`crate::causal::CausalLog`] keeping the run's happened-before
-/// skeleton for critical-path analysis — plus, for a run that exports
-/// its message-level trace, the [`crate::export::TraceLog`] rendering it.
+/// folding the run's histograms online, and the run's
+/// [`crate::causal::CausalLog`], which every other reading (flight dump,
+/// trace, critical path, DAG) is taken from.
 #[derive(Debug, Clone, Default)]
 pub struct ObserverSink {
     /// Aggregated run statistics.
     pub report: crate::report::RunReport,
-    /// Ring buffer of the most recent kernel events.
-    pub flight: crate::flight::FlightRecorder,
-    /// Causal skeleton of the run (id/cause edges).
+    /// The run's log of observations.
     pub causal: crate::causal::CausalLog,
-    /// The message-level JSONL trace, when the run exports one (`None`,
-    /// the default, renders nothing).
-    pub trace: Option<crate::export::TraceLog>,
-}
-
-impl ObserverSink {
-    /// Creates an observer whose flight recorder keeps the last
-    /// `flight_capacity` events.
-    pub fn new(flight_capacity: usize) -> Self {
-        ObserverSink {
-            report: crate::report::RunReport::default(),
-            flight: crate::flight::FlightRecorder::new(flight_capacity),
-            causal: crate::causal::CausalLog::default(),
-            trace: None,
-        }
-    }
 }
 
 impl Sink for ObserverSink {
     fn record(&mut self, ev: &ObsEvent, causal: Causality) {
         self.report.record(ev, causal);
-        self.flight.record(ev, causal);
         self.causal.record(ev, causal);
-        if let Some(trace) = &mut self.trace {
-            trace.record(ev, causal);
-        }
     }
 
+    /// Renders the log's last [`crate::causal::CausalLog::FLIGHT_TAIL`]
+    /// records to stderr.
     fn fail(&mut self, reason: &str, at: Time) {
-        self.flight.fail(reason, at);
+        eprint!(
+            "{}",
+            self.causal
+                .flight_jsonl(reason, at, crate::causal::CausalLog::FLIGHT_TAIL)
+        );
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -251,7 +233,7 @@ mod tests {
 
     #[test]
     fn observer_sink_feeds_all_parts() {
-        let mut obs = ObserverSink::new(8);
+        let mut obs = ObserverSink::default();
         let p = ProcessId::from_raw(0);
         obs.record(
             &ObsEvent::Join {
@@ -268,10 +250,8 @@ mod tests {
             Causality::default(),
         );
         assert_eq!(obs.report.events, 2);
-        // Flight recorder skips step noise but keeps the join.
-        assert_eq!(obs.flight.len(), 1);
-        // The causal log keeps only identified events.
+        // The log skips step noise but keeps the join.
         assert_eq!(obs.causal.len(), 1);
-        assert_eq!(obs.causal.nodes()[0].id, 1);
+        assert_eq!(obs.causal.dag().nodes()[0].id, 1);
     }
 }

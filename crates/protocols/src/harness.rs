@@ -17,8 +17,7 @@ use dds_core::spec::hook;
 use dds_core::spec::one_time_query::{check_outcome, QueryOutcome, ValidityReport};
 use dds_core::time::{Interval, Time, TimeDelta};
 use dds_net::graph::Graph;
-use dds_obs::export::TraceLog;
-use dds_obs::{CriticalPath, ObsEvent, ObserverSink, RunReport};
+use dds_obs::{CausalLog, CriticalPath, ObsEvent, ObserverSink, RunReport};
 use dds_sim::actor::Actor;
 use dds_sim::delay::{DelayModel, LossModel};
 use dds_sim::driver::{BalancedChurn, ChurnDriver, Growth, NoChurn, PathStretch};
@@ -211,10 +210,10 @@ pub struct QueryScenario {
     /// Hard cut-off: a query not finished by then is recorded as
     /// non-terminated.
     pub deadline: Time,
-    /// When set, the run's observer renders the message-level kernel trace
-    /// as JSONL into [`QueryRun::trace_jsonl`]. Read on the worker thread,
-    /// so sweeps set it per cell (see [`run_sweep`]) instead of relying on
-    /// thread-locals.
+    /// When set, the run's log is rendered as the message-level kernel
+    /// trace, JSONL, into [`QueryRun::trace_jsonl`]. Read on the worker
+    /// thread, so sweeps set it per cell (see [`run_sweep`]) instead of
+    /// relying on thread-locals.
     pub capture_trace: bool,
 }
 
@@ -327,16 +326,7 @@ impl QueryScenario {
             delay: self.delay,
             loss: self.loss,
             driver: self.driver.build(&self.graph),
-            sink: Some(Box::new(self.observer())),
-        }
-    }
-
-    /// The observer a run accumulates into, rendering the message-level
-    /// trace only for a run that exports it.
-    fn observer(&self) -> ObserverSink {
-        ObserverSink {
-            trace: self.capture_trace.then(TraceLog::default),
-            ..ObserverSink::default()
+            sink: Some(Box::new(ObserverSink::default())),
         }
     }
 
@@ -372,7 +362,7 @@ impl QueryScenario {
             slot => {
                 let world = self
                     .scenario_builder()
-                    .sink(self.observer())
+                    .sink(ObserverSink::default())
                     .spawn(spawn)
                     .build();
                 &mut slot.insert((key, world)).1
@@ -443,24 +433,24 @@ impl QueryScenario {
             .take_sink()
             .and_then(|s| s.into_any().downcast::<ObserverSink>().ok())
             .map_or_else(Default::default, |b| *b);
-        // Critical-path decomposition over the run's happened-before DAG:
-        // the longest-latency causal chain, split into transit (message
-        // flight), queueing (timer waits) and processing segments. The log
-        // is consumed, and freed with the DAG right here: it is the
-        // largest thing a run leaves behind.
-        let critical = observer.causal.into_dag().critical_path();
-        let trace_jsonl = observer.trace.map(TraceLog::into_jsonl);
+        // Critical-path decomposition over the run's log: the
+        // longest-latency causal chain, split into transit (message
+        // flight), queueing (timer waits) and processing segments.
+        let critical = observer.causal.critical_path();
+        let trace_jsonl = self.capture_trace.then(|| observer.causal.trace_jsonl());
         let values = world.values();
         let metrics = world.metrics();
         let presence = world.trace().presence();
         // Judge under a spec-failure capture scope: any violation the
-        // checker reports triggers a flight-recorder dump of the events
-        // leading up to it.
+        // checker reports triggers a flight dump of the log's last records,
+        // the events leading up to it.
         let (report, failures) = hook::capture_failures(|| check_outcome(&outcome, &presence));
         let flight_dump = (!failures.is_empty()).then(|| {
-            observer
-                .flight
-                .dump_jsonl(&failures.join("; "), finished.unwrap_or(self.deadline))
+            observer.causal.flight_jsonl(
+                &failures.join("; "),
+                finished.unwrap_or(self.deadline),
+                CausalLog::FLIGHT_TAIL,
+            )
         });
         let required = presence.present_throughout(&outcome.window);
         let required_values: Vec<f64> = required
@@ -554,8 +544,8 @@ pub struct QueryRun {
     /// Critical-path decomposition of the run's happened-before DAG: the
     /// longest-latency causal chain split into transit/queueing/processing.
     pub critical: CriticalPath,
-    /// Flight-recorder JSONL dump of the most recent kernel events,
-    /// present when the run violated its specification.
+    /// JSONL flight dump of the log's most recent kernel events, present
+    /// when the run violated its specification.
     pub flight_dump: Option<String>,
     /// JSONL rendering of the full kernel trace, when
     /// [`QueryScenario::capture_trace`] was set.

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 pub struct Captured {
     /// One JSONL trace per run, in sweep/seed order.
     pub traces: Vec<String>,
-    /// One JSONL flight-recorder dump per spec-violating run, in
+    /// One JSONL flight dump per spec-violating run, in
     /// sweep/seed order.
     pub flight_dumps: Vec<String>,
 }

@@ -664,7 +664,8 @@ impl<M: Clone + 'static> World<M> {
 
     /// Removes and returns the installed sink, restoring the
     /// allocation-free fast path. Harnesses call this after a run to
-    /// recover the accumulated [`dds_obs::RunReport`] / flight recorder.
+    /// recover what it accumulated (an observer's [`dds_obs::RunReport`]
+    /// and [`dds_obs::CausalLog`]).
     pub fn take_sink(&mut self) -> Option<Box<dyn Sink>> {
         self.sink.take()
     }
@@ -1288,10 +1289,10 @@ impl<M: Clone + 'static> World<M> {
         // mutation is deferred through the effect buffer and callback
         // queue), so the slice stays valid.
         let mut effects = std::mem::take(&mut self.effect_buf);
-        // Catch unwinds so the flight recorder can dump the events leading
+        // Catch unwinds so the sink can dump the events leading
         // up to an actor panic before it propagates (the world — and with
-        // it the sink — is dropped during the unwind, so the recorder must
-        // flush here or the tail is lost).
+        // it the sink — is dropped during the unwind, so the dump must be
+        // rendered here or the tail is lost).
         let caught = {
             let neighbors = self.roster.graph.neighbors(pid).unwrap_or(&[]);
             let mut ctx = Context::new(
@@ -1612,14 +1613,14 @@ mod tests {
         let mut w: World<u32> = WorldBuilder::new(21)
             .initial_graph(generate::ring(4))
             .spawn(|_| Box::new(ForkEcho { received: 0 }))
-            .sink(dds_obs::ObserverSink::new(16))
+            .sink(dds_obs::ObserverSink::default())
             .build();
         w.inject(Time::from_ticks(1), ProcessId::from_raw(0), 8);
         for _ in 0..3 {
             assert!(w.step());
         }
         let mut f = w.try_fork().expect("forkable");
-        // The fork starts unobserved: no sink, empty flight recorder/trace.
+        // The fork starts unobserved: no sink, empty trace.
         assert!(
             f.take_sink().is_none(),
             "fork must not inherit the parent's sink"
