@@ -28,7 +28,8 @@
 //!
 //! Counterexamples are replayed once under a `dds-obs`
 //! [`CausalLog`](dds_obs::CausalLog) and dumped as its JSONL flight dump
-//! (with the witness's causal chain beside it), so a failing schedule
+//! (with the run's critical-path chain beside it, which need not pass
+//! through the violation), so a failing schedule
 //! leaves the same artifact an in-flight spec failure would.
 //!
 //! The crate validates itself with **seeded mutants** ([`mutants`]):

@@ -115,12 +115,13 @@ pub trait Target {
     /// Replays `plan` once under a [`CausalLog`] and writes the
     /// counterexample's files to `dir`, returning the paths written:
     /// `<stem>.jsonl`, a flight dump of the run's event history, and, for
-    /// a target with kernel event ids, `<stem>_chain.jsonl`, the minimal
-    /// happened-before chain explaining the witness (the cause chain of
-    /// the critical path's end event). Both files read the one log, so
-    /// the chain's ids are the flight dump's; the root's `cause` may
-    /// reference a spawn-time event that predates the log (observation
-    /// starts after the world is built).
+    /// a target with kernel event ids, `<stem>_chain.jsonl`, the run's
+    /// critical-path chain: the happened-before chain with the largest
+    /// root-to-end elapsed time, which need not pass through the
+    /// violation the judge convicted. Both files read the one log, so the
+    /// chain's ids are the flight dump's; the root's `cause` may reference
+    /// a spawn-time event that predates the log (observation starts after
+    /// the world is built).
     fn dump_counterexample(
         &mut self,
         plan: &[usize],

@@ -78,6 +78,16 @@ impl<Op, Resp> History<Op, Resp> {
         self.records.push(record);
     }
 
+    /// A history of `records` in invocation order, ties broken by process
+    /// and then by the given order (a stable sort). Panics like
+    /// [`push`](Self::push).
+    pub fn sorted(mut records: Vec<OpRecord<Op, Resp>>) -> Self {
+        records.sort_by_key(|r| (r.invoked, r.process));
+        let mut history = Self::new();
+        records.into_iter().for_each(|r| history.push(r));
+        history
+    }
+
     /// The recorded operations, in recording order.
     pub fn records(&self) -> &[OpRecord<Op, Resp>] {
         &self.records
@@ -107,23 +117,12 @@ impl<Op, Resp> History<Op, Resp> {
     /// (a process invokes its next operation only after the previous one
     /// responded).
     pub fn is_well_formed(&self) -> bool {
-        use std::collections::BTreeMap;
-        let mut per_proc: BTreeMap<ProcessId, Vec<&OpRecord<Op, Resp>>> = BTreeMap::new();
-        for r in &self.records {
-            per_proc.entry(r.process).or_default().push(r);
-        }
-        for ops in per_proc.values() {
-            let mut sorted: Vec<_> = ops.clone();
-            sorted.sort_by_key(|r| r.invoked);
-            for w in sorted.windows(2) {
-                match w[0].responded {
-                    Some(resp) if resp <= w[1].invoked => {}
-                    // A pending op must be the process's last.
-                    _ => return false,
-                }
-            }
-        }
-        true
+        let mut ops: Vec<&OpRecord<Op, Resp>> = self.records.iter().collect();
+        ops.sort_by_key(|r| (r.process, r.invoked));
+        // A pending op must be the process's last.
+        ops.windows(2).all(|w| {
+            w[0].process != w[1].process || w[0].responded.is_some_and(|t| t <= w[1].invoked)
+        })
     }
 }
 
@@ -236,6 +235,32 @@ mod tests {
             responded: Some(t(3)),
             response: Some(0u8),
         });
+    }
+
+    #[test]
+    fn sorted_orders_by_invocation_then_process_stably() {
+        let mut a = rec(1, 2, Some(3));
+        a.op = "a";
+        let mut b = rec(1, 2, Some(4));
+        b.op = "b";
+        let h = History::sorted(vec![a, rec(2, 0, None), b, rec(0, 2, Some(5))]);
+        let order: Vec<_> = h.records().iter().map(|r| (r.process, r.op)).collect();
+        assert_eq!(
+            order,
+            [(pid(2), "op"), (pid(0), "op"), (pid(1), "a"), (pid(1), "b")]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "response precedes invocation")]
+    fn sorted_rejects_time_travel() {
+        History::sorted(vec![OpRecord {
+            process: pid(0),
+            op: "op",
+            invoked: t(5),
+            responded: Some(t(3)),
+            response: Some(0u8),
+        }]);
     }
 
     #[test]

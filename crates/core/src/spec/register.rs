@@ -1,17 +1,18 @@
-//! Register specifications: atomicity (linearizability) and regularity.
+//! Register specifications: atomicity, sequential consistency, regularity.
 //!
 //! A *register* stores a value, read and written by processes. The
 //! self-implementations in `dds-registers` must provide an **atomic**
-//! register: every history must be *linearizable* — explainable by placing
-//! each operation at a single instant inside its interval such that every
-//! read returns the most recently written value. Two checkers decide it:
+//! register: every history must be *linearizable* — explainable by a legal
+//! sequential order (each read returns the latest write) that respects
+//! real time. **Sequential consistency** asks for the same with each
+//! process's program order in place of real time.
 //!
-//! - [`check_atomic`] is a Wing–Gong style exhaustive search specialized to
-//!   registers, with memoization on (linearized-set, last-write) pairs. It
-//!   takes any history of up to 128 operations (its bitmask width) and
-//!   returns a witness linearization.
+//! - [`check_atomic`] and [`check_sequentially_consistent`] run one
+//!   Wing–Gong style search under those two precedence orders, memoised on
+//!   (placed set, register value). It takes any history of up to 128
+//!   operations (its bitmask width) and returns a witness order.
 //! - [`check_atomic_unique`] takes histories whose writes carry distinct
-//!   values, so every read names its write, and decides them in
+//!   values, so every read names its write, and decides atomicity in
 //!   O(n log n) with no size cap (Gibbons–Korach). It checks whole
 //!   networked logs of millions of operations; [`check_atomic`] is its
 //!   differential oracle.
@@ -53,21 +54,22 @@ pub type RegisterHistory = History<RegOp, RegResp>;
 /// A record in a register history.
 pub type RegisterRecord = OpRecord<RegOp, RegResp>;
 
-/// Outcome of a linearizability check.
+/// Outcome of [`check_atomic`] or [`check_sequentially_consistent`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Linearizability {
-    /// A witness linearization exists; the indices order the records of the
-    /// history into one legal sequential execution.
+    /// A legal sequential order respecting the checked precedence exists;
+    /// the indices order the records of the history into it.
     Linearizable {
-        /// Indices into `history.records()` in linearization order.
+        /// Indices into `history.records()` in witness order.
         witness: Vec<usize>,
     },
-    /// No linearization exists.
+    /// No such order exists.
     NotLinearizable,
 }
 
 impl Linearizability {
-    /// `true` when the history is linearizable.
+    /// `true` when a witness order exists: the history is linearizable
+    /// under the checked precedence.
     pub const fn is_linearizable(&self) -> bool {
         matches!(self, Linearizability::Linearizable { .. })
     }
@@ -122,7 +124,11 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Checks atomicity (linearizability) of a register history.
+/// Checks atomicity (linearizability) of a register history: a legal
+/// sequential order in which an operation that responded before another
+/// was invoked comes first. It is [`check_sequentially_consistent`]'s
+/// search under real time: depth first, candidates in record order,
+/// memoised on (placed set, register value).
 ///
 /// Pending operations (no response) are allowed: a pending **write** may or
 /// may not take effect, a pending **read** is ignored (it returned nothing
@@ -133,118 +139,130 @@ impl std::error::Error for CheckError {}
 /// Returns [`CheckError`] when the history is malformed, larger than 128
 /// operations, or has completed operations without response values.
 pub fn check_atomic(history: &RegisterHistory) -> Result<Linearizability, CheckError> {
-    let n = history.len();
-    if n > 128 {
-        return Err(CheckError::TooLarge(n));
+    checkable(history)?;
+    let records = history.records();
+    let preceded_by = preceded_by(records.len(), |j, i| records[j].precedes(&records[i]));
+    Ok(linearize(records, &preceded_by))
+}
+
+/// Checks **sequential consistency** of a register history: linearizability
+/// with each process's program order in place of real time, so a read may
+/// return a value already overwritten in real time as long as no process
+/// observes values out of order. The gap to [`check_atomic`] is what the
+/// SCD-derived register in `dds-protocols` exploits (local reads, globally
+/// ordered writes). Pending operations are treated as there.
+///
+/// # Errors
+///
+/// Returns [`CheckError`] when the history is malformed, larger than 128
+/// operations, or has completed operations without response values.
+pub fn check_sequentially_consistent(
+    history: &RegisterHistory,
+) -> Result<Linearizability, CheckError> {
+    checkable(history)?;
+    let records = history.records();
+    // Well-formedness makes a process's operations disjoint, so invocation
+    // order is its program order.
+    let preceded_by = preceded_by(records.len(), |j, i| {
+        let (rj, ri) = (&records[j], &records[i]);
+        rj.process == ri.process && (rj.invoked, j) < (ri.invoked, i)
+    });
+    Ok(linearize(records, &preceded_by))
+}
+
+/// What the search needs of a history: at most 128 operations (the width
+/// of its placed-set mask), well-formed, every response recorded.
+fn checkable(history: &RegisterHistory) -> Result<(), CheckError> {
+    if history.len() > 128 {
+        return Err(CheckError::TooLarge(history.len()));
     }
     if !history.is_well_formed() {
         return Err(CheckError::MalformedHistory);
     }
-    for (i, r) in history.records().iter().enumerate() {
-        if r.is_complete() && r.response.is_none() {
-            return Err(CheckError::MissingResponse(i));
-        }
+    responses(history.records())
+}
+
+/// Rejects a completed operation without a response value.
+fn responses(records: &[RegisterRecord]) -> Result<(), CheckError> {
+    match records
+        .iter()
+        .position(|r| r.is_complete() && r.response.is_none())
+    {
+        Some(i) => Err(CheckError::MissingResponse(i)),
+        None => Ok(()),
+    }
+}
+
+/// A precedence relation as masks: bit `j` of entry `i` is set when record
+/// `j` must be placed before record `i`.
+fn preceded_by(n: usize, precedes: impl Fn(usize, usize) -> bool) -> Vec<u128> {
+    (0..n)
+        .map(|i| {
+            (0..n)
+                .filter(|&j| j != i && precedes(j, i))
+                .fold(0, |mask, j| mask | 1 << j)
+        })
+        .collect()
+}
+
+/// The register search: depth first over (placed set, register value),
+/// memoised on that pair (Lowe's linearized-set/spec-state key), trying
+/// records in index order. A record is a candidate once everything
+/// `preceded_by` names is placed: a completed read when it returns the
+/// current value, a write (completed or pending) always, a pending read
+/// never. Success is every completed record placed; well-formedness makes
+/// a pending op its process's last, so under either order nothing waits on
+/// one left out.
+fn linearize(records: &[RegisterRecord], preceded_by: &[u128]) -> Linearizability {
+    struct Search<'a> {
+        records: &'a [RegisterRecord],
+        preceded_by: &'a [u128],
+        complete: u128,
+        memo: HashSet<(u128, Option<u64>)>,
+        witness: Vec<usize>,
     }
 
-    let records = history.records();
-    // Precompute the real-time precedence relation.
-    let mut preceded_by: Vec<u128> = vec![0; n];
-    for i in 0..n {
-        for j in 0..n {
-            if i != j && records[j].precedes(&records[i]) {
-                preceded_by[i] |= 1u128 << j;
-            }
-        }
-    }
-
-    // State of the search: set of linearized ops (bitset) + index of the
-    // last linearized write (n == "initial value").
-    let mut memo: HashSet<(u128, usize)> = HashSet::new();
-    let mut witness: Vec<usize> = Vec::with_capacity(n);
-
-    fn read_matches(resp: &RegResp, last_write: Option<u64>) -> bool {
-        matches!(resp, RegResp::Value(v) if *v == last_write)
-    }
-
-    fn dfs(
-        records: &[RegisterRecord],
-        preceded_by: &[u128],
-        done: u128,
-        last_write_idx: usize, // records.len() == initial
-        memo: &mut HashSet<(u128, usize)>,
-        witness: &mut Vec<usize>,
-    ) -> bool {
-        let n = records.len();
-        // Success when every *completed* operation is linearized.
-        let mut all_complete_done = true;
-        for (i, r) in records.iter().enumerate() {
-            if r.is_complete() && done & (1 << i) == 0 {
-                all_complete_done = false;
-                break;
-            }
-        }
-        if all_complete_done {
+    fn dfs(s: &mut Search<'_>, done: u128, value: Option<u64>) -> bool {
+        if s.complete & !done == 0 {
             return true;
         }
-        if !memo.insert((done, last_write_idx)) {
+        if !s.memo.insert((done, value)) {
             return false;
         }
-        let last_write_val = if last_write_idx == n {
-            None
-        } else {
-            match records[last_write_idx].op {
-                RegOp::Write(v) => Some(v),
-                RegOp::Read => unreachable!("last write index points at a read"),
-            }
-        };
-        for i in 0..n {
-            if done & (1 << i) != 0 {
+        for (i, r) in s.records.iter().enumerate() {
+            let bit = 1u128 << i;
+            if done & bit != 0 || s.preceded_by[i] & !done != 0 {
                 continue;
             }
-            // An op is a candidate next linearization point only if every op
-            // that really finished before it began is already linearized.
-            if preceded_by[i] & !done != 0 {
-                continue;
+            let next = match (r.op, r.response) {
+                (RegOp::Write(v), _) => Some(v),
+                (RegOp::Read, Some(RegResp::Value(v))) if v == value => value,
+                _ => continue,
+            };
+            s.witness.push(i);
+            if dfs(s, done | bit, next) {
+                return true;
             }
-            let r = &records[i];
-            match (&r.op, &r.response) {
-                (RegOp::Read, Some(resp)) => {
-                    if read_matches(resp, last_write_val) {
-                        witness.push(i);
-                        if dfs(
-                            records,
-                            preceded_by,
-                            done | (1 << i),
-                            last_write_idx,
-                            memo,
-                            witness,
-                        ) {
-                            return true;
-                        }
-                        witness.pop();
-                    }
-                }
-                (RegOp::Read, None) => {
-                    // Pending read: never needs to be linearized; skipping is
-                    // handled by the completion test above.
-                }
-                (RegOp::Write(_), _) => {
-                    witness.push(i);
-                    if dfs(records, preceded_by, done | (1 << i), i, memo, witness) {
-                        return true;
-                    }
-                    witness.pop();
-                }
-            }
+            s.witness.pop();
         }
         false
     }
 
-    if dfs(records, &preceded_by, 0, n, &mut memo, &mut witness) {
-        Ok(Linearizability::Linearizable { witness })
-    } else {
-        Ok(Linearizability::NotLinearizable)
+    let complete = (0..records.len())
+        .filter(|&i| records[i].is_complete())
+        .fold(0, |mask, i| mask | 1 << i);
+    let mut search = Search {
+        records,
+        preceded_by,
+        complete,
+        memo: HashSet::new(),
+        witness: Vec::with_capacity(records.len()),
+    };
+    if !dfs(&mut search, 0, None) {
+        return Linearizability::NotLinearizable;
     }
+    let witness = search.witness;
+    Linearizability::Linearizable { witness }
 }
 
 /// Outcome of [`check_atomic_unique`].
@@ -317,11 +335,7 @@ pub fn check_atomic_unique(history: &RegisterHistory) -> Result<Atomicity, Check
     let violation = |record| Ok(Atomicity::NotLinearizable { record });
 
     let records = history.records();
-    for (i, r) in records.iter().enumerate() {
-        if r.is_complete() && r.response.is_none() {
-            return Err(CheckError::MissingResponse(i));
-        }
-    }
+    responses(records)?;
     // Cluster 0 is ⊥'s; the others follow the writes in record order.
     let bottom = Cluster {
         written: i128::MIN,
@@ -399,183 +413,6 @@ pub fn check_atomic_unique(history: &RegisterHistory) -> Result<Atomicity, Check
         }
     }
     Ok(Atomicity::Linearizable)
-}
-
-/// Outcome of a sequential-consistency check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SeqConsistency {
-    /// A witness total order exists; the indices order the records of the
-    /// history into one legal sequential execution that respects every
-    /// process's program order (but not necessarily real time).
-    SequentiallyConsistent {
-        /// Indices into `history.records()` in witness order.
-        witness: Vec<usize>,
-    },
-    /// No such total order exists.
-    NotSequentiallyConsistent,
-}
-
-impl SeqConsistency {
-    /// `true` when the history is sequentially consistent.
-    pub const fn is_sequentially_consistent(&self) -> bool {
-        matches!(self, SeqConsistency::SequentiallyConsistent { .. })
-    }
-}
-
-impl fmt::Display for SeqConsistency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SeqConsistency::SequentiallyConsistent { witness } => {
-                write!(f, "sequentially consistent ({} ops)", witness.len())
-            }
-            SeqConsistency::NotSequentiallyConsistent => {
-                write!(f, "NOT sequentially consistent")
-            }
-        }
-    }
-}
-
-/// Checks **sequential consistency** of a register history: is there a
-/// single total order of the operations that (a) respects each process's
-/// *program order* and (b) makes every read return the most recently
-/// written value? Unlike [`check_atomic`] the order need **not** respect
-/// real time across processes — a read may legally return a value that was
-/// already overwritten in real time, as long as no single process observes
-/// values out of order. Every linearizable history is sequentially
-/// consistent; the converse fails, and the gap is exactly what the
-/// SCD-derived register in `dds-protocols` exploits (local reads, globally
-/// ordered writes).
-///
-/// Pending operations are treated like in [`check_atomic`]: a pending
-/// write may or may not take effect, a pending read is ignored.
-///
-/// # Errors
-///
-/// Returns [`CheckError`] when the history is malformed, larger than 128
-/// operations, or has completed operations without response values.
-pub fn check_sequentially_consistent(
-    history: &RegisterHistory,
-) -> Result<SeqConsistency, CheckError> {
-    let n = history.len();
-    if n > 128 {
-        return Err(CheckError::TooLarge(n));
-    }
-    if !history.is_well_formed() {
-        return Err(CheckError::MalformedHistory);
-    }
-    for (i, r) in history.records().iter().enumerate() {
-        if r.is_complete() && r.response.is_none() {
-            return Err(CheckError::MissingResponse(i));
-        }
-    }
-
-    let records = history.records();
-    // Program order: per-process record indices, in invocation order
-    // (well-formedness makes per-process operations non-overlapping, so
-    // invocation order is the program order).
-    let mut procs: Vec<crate::process::ProcessId> = Vec::new();
-    let mut per_proc: Vec<Vec<usize>> = Vec::new();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (records[i].invoked, i));
-    for i in order {
-        let p = records[i].process;
-        match procs.iter().position(|&q| q == p) {
-            Some(k) => per_proc[k].push(i),
-            None => {
-                procs.push(p);
-                per_proc.push(vec![i]);
-            }
-        }
-    }
-
-    // DFS over "next operation per process", memoized on the progress
-    // vector plus the index of the last write placed (n == initial value).
-    let mut memo: HashSet<(Vec<usize>, usize)> = HashSet::new();
-    let mut witness: Vec<usize> = Vec::with_capacity(n);
-
-    fn dfs(
-        records: &[RegisterRecord],
-        per_proc: &[Vec<usize>],
-        next: &mut Vec<usize>,
-        last_write_idx: usize,
-        memo: &mut HashSet<(Vec<usize>, usize)>,
-        witness: &mut Vec<usize>,
-    ) -> bool {
-        let n = records.len();
-        // Success when every process has consumed all *completed* ops —
-        // pending tails (at most the last op per process) may stay
-        // unplaced.
-        if per_proc
-            .iter()
-            .zip(next.iter())
-            .all(|(ops, &k)| ops[k..].iter().all(|&i| !records[i].is_complete()))
-        {
-            return true;
-        }
-        if !memo.insert((next.clone(), last_write_idx)) {
-            return false;
-        }
-        let last_write_val = if last_write_idx == n {
-            None
-        } else {
-            match records[last_write_idx].op {
-                RegOp::Write(v) => Some(v),
-                RegOp::Read => unreachable!("last write index points at a read"),
-            }
-        };
-        for p in 0..per_proc.len() {
-            let Some(&i) = per_proc[p].get(next[p]) else {
-                continue;
-            };
-            let r = &records[i];
-            match (&r.op, &r.response) {
-                (RegOp::Read, Some(RegResp::Value(v))) => {
-                    if *v == last_write_val {
-                        next[p] += 1;
-                        witness.push(i);
-                        if dfs(records, per_proc, next, last_write_idx, memo, witness) {
-                            return true;
-                        }
-                        witness.pop();
-                        next[p] -= 1;
-                    }
-                }
-                (RegOp::Read, _) => {
-                    // Pending read: skip it for good (it observed nothing).
-                    next[p] += 1;
-                    if dfs(records, per_proc, next, last_write_idx, memo, witness) {
-                        return true;
-                    }
-                    next[p] -= 1;
-                }
-                (RegOp::Write(_), _) => {
-                    next[p] += 1;
-                    witness.push(i);
-                    if dfs(records, per_proc, next, i, memo, witness) {
-                        return true;
-                    }
-                    witness.pop();
-                    next[p] -= 1;
-                    if !r.is_complete() {
-                        // A pending write may also never take effect.
-                        next[p] += 1;
-                        if dfs(records, per_proc, next, last_write_idx, memo, witness) {
-                            return true;
-                        }
-                        next[p] -= 1;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    let mut next = vec![0usize; per_proc.len()];
-    if dfs(records, &per_proc, &mut next, n, &mut memo, &mut witness) {
-        Ok(SeqConsistency::SequentiallyConsistent { witness })
-    } else {
-        Ok(SeqConsistency::NotSequentiallyConsistent)
-    }
 }
 
 /// Checks **regularity** for a single-writer history: every read returns
@@ -875,7 +712,7 @@ mod tests {
         h.push(write(0, 2, 4, 5));
         h.push(read(1, Some(2), 6, 7));
         match check_sequentially_consistent(&h).unwrap() {
-            SeqConsistency::SequentiallyConsistent { witness } => {
+            Linearizability::Linearizable { witness } => {
                 let mut sorted = witness.clone();
                 sorted.sort_unstable();
                 assert_eq!(sorted, vec![0, 1, 2, 3]);
@@ -894,9 +731,7 @@ mod tests {
         h.push(write(0, 1, 0, 1));
         h.push(read(1, None, 2, 3));
         assert_eq!(atomic(&h), Linearizability::NotLinearizable);
-        assert!(check_sequentially_consistent(&h)
-            .unwrap()
-            .is_sequentially_consistent());
+        assert!(check_sequentially_consistent(&h).unwrap().is_linearizable());
     }
 
     #[test]
@@ -909,9 +744,7 @@ mod tests {
         h.push(write(1, 2, 2, 3));
         h.push(read(2, Some(1), 4, 5));
         assert_eq!(atomic(&h), Linearizability::NotLinearizable);
-        assert!(check_sequentially_consistent(&h)
-            .unwrap()
-            .is_sequentially_consistent());
+        assert!(check_sequentially_consistent(&h).unwrap().is_linearizable());
     }
 
     #[test]
@@ -927,7 +760,7 @@ mod tests {
         assert_eq!(atomic(&h), Linearizability::NotLinearizable);
         assert_eq!(
             check_sequentially_consistent(&h).unwrap(),
-            SeqConsistency::NotSequentiallyConsistent
+            Linearizability::NotLinearizable
         );
     }
 
@@ -943,9 +776,7 @@ mod tests {
         h.push(read(1, Some(2), 4, 5));
         h.push(read(2, Some(1), 6, 7));
         assert_eq!(atomic(&h), Linearizability::NotLinearizable);
-        assert!(check_sequentially_consistent(&h)
-            .unwrap()
-            .is_sequentially_consistent());
+        assert!(check_sequentially_consistent(&h).unwrap().is_linearizable());
     }
 
     #[test]
@@ -955,7 +786,7 @@ mod tests {
         h.push(read(1, Some(9), 2, 3));
         assert_eq!(
             check_sequentially_consistent(&h).unwrap(),
-            SeqConsistency::NotSequentiallyConsistent
+            Linearizability::NotLinearizable
         );
     }
 
@@ -970,7 +801,7 @@ mod tests {
         h.push(read(1, Some(1), 6, 7));
         assert_eq!(
             check_sequentially_consistent(&h).unwrap(),
-            SeqConsistency::NotSequentiallyConsistent
+            Linearizability::NotLinearizable
         );
     }
 
@@ -987,7 +818,7 @@ mod tests {
         pending.push(read(1, Some(5), 1, 2));
         assert!(check_sequentially_consistent(&pending)
             .unwrap()
-            .is_sequentially_consistent());
+            .is_linearizable());
         let mut skipped = RegisterHistory::new();
         skipped.push(OpRecord {
             process: ProcessId::from_raw(0),
@@ -999,7 +830,7 @@ mod tests {
         skipped.push(read(1, None, 1, 2));
         assert!(check_sequentially_consistent(&skipped)
             .unwrap()
-            .is_sequentially_consistent());
+            .is_linearizable());
     }
 
     #[test]
@@ -1011,9 +842,7 @@ mod tests {
         h.push(write(0, 2, 2, 6));
         h.push(read(1, Some(2), 3, 5));
         assert!(atomic(&h).is_linearizable());
-        assert!(check_sequentially_consistent(&h)
-            .unwrap()
-            .is_sequentially_consistent());
+        assert!(check_sequentially_consistent(&h).unwrap().is_linearizable());
     }
 
     #[test]

@@ -491,7 +491,7 @@ impl QueryScenario {
 }
 
 /// Per-worker world cache for sweeps: one reusable [`World`] per message
-/// type, tagged with the [`ArenaKey`] its spawn closure was built for.
+/// type, tagged with the `ArenaKey` its spawn closure was built for.
 ///
 /// [`QueryScenario::run_in`] resets the cached world (keeping its queue
 /// buckets, slot tables, trace storage and effect buffers) when the key

@@ -327,12 +327,7 @@ pub fn history_from_world(
             });
         }
     }
-    records.sort_by_key(|r| (r.invoked, r.process));
-    let mut history = RegisterHistory::new();
-    for r in records {
-        history.push(r);
-    }
-    history
+    RegisterHistory::sorted(records)
 }
 
 #[cfg(test)]

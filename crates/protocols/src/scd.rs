@@ -1013,12 +1013,7 @@ pub fn register_history_from_world(
             });
         }
     }
-    records.sort_by_key(|r| (r.invoked, r.process));
-    let mut history = RegisterHistory::new();
-    for r in records {
-        history.push(r);
-    }
-    history
+    RegisterHistory::sorted(records)
 }
 
 /// A fully specified SCD-broadcast run: world shape, churn regime, and a
@@ -1421,7 +1416,7 @@ mod tests {
         assert!(
             check_sequentially_consistent(&history)
                 .unwrap()
-                .is_sequentially_consistent(),
+                .is_linearizable(),
             "the same history is sequentially consistent:\n{history}"
         );
     }
@@ -1443,7 +1438,7 @@ mod tests {
             assert!(
                 check_sequentially_consistent(&history)
                     .unwrap()
-                    .is_sequentially_consistent(),
+                    .is_linearizable(),
                 "seed {seed}:\n{history}"
             );
         }

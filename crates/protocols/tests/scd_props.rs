@@ -217,7 +217,7 @@ proptest! {
             register_history_from_world(&world, world.members().iter().copied());
         prop_assert!(
             check_sequentially_consistent(&history)
-                .is_ok_and(|v| v.is_sequentially_consistent()),
+                .is_ok_and(|v| v.is_linearizable()),
             "register history not sequentially consistent"
         );
     }

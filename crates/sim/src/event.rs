@@ -4,7 +4,7 @@
 //! by their scheduling sequence number, so a run never depends on hash
 //! ordering or allocation addresses (DESIGN.md §7).
 //!
-//! [`EventQueue`] is a two-tier calendar queue. A ring of [`RING_SIZE`]
+//! [`EventQueue`] is a two-tier calendar queue. A ring of `RING_SIZE`
 //! per-tick FIFO buckets covers the near future — the dominant traffic,
 //! since delays and timer periods are a handful of ticks — giving O(1)
 //! schedule and pop. The buckets are linked lists through one slab of

@@ -330,10 +330,5 @@ fn history_above(
             });
         }
     }
-    records.sort_by_key(|r| (r.invoked, r.process));
-    let mut history = RegisterHistory::new();
-    for r in records {
-        history.push(r);
-    }
-    history
+    RegisterHistory::sorted(records)
 }
