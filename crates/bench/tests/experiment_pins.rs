@@ -15,13 +15,16 @@
 //! its trace capture, E8, S1, SCD1, STAB1) are then rerun at
 //! `DDS_THREADS=1` and compared field by field, and the paper-level shapes
 //! of SCD1 and STAB1 are asserted on their own so a regenerated pin
-//! cannot flip them silently.
+//! cannot flip them silently. E2's flight dumps are pinned by index, line
+//! count and digest in `tests/data/flight_dumps_e2.txt`, header and
+//! `latency` fields included.
 //!
 //! One test covers every setting because `DDS_THREADS` is process-global
 //! state: separate `#[test]`s would race with the harness's own threads.
 
 use dds_bench::{ledger, registry, Experiment, TABLES_FOOTER};
 use dds_protocols::obs;
+use dds_sim::snapshot::StableHasher;
 
 #[test]
 fn experiments_match_their_pins_at_any_thread_count() {
@@ -88,6 +91,11 @@ fn experiments_match_their_pins_at_any_thread_count() {
         Some(&cap_seq),
         cap_par.as_ref(),
         "E2 JSONL traces / flight dumps changed with thread count"
+    );
+    assert_same(
+        "tests/data/flight_dumps_e2.txt",
+        &dump_digests(&cap_seq.flight_dumps),
+        include_str!("data/flight_dumps_e2.txt"),
     );
     // The captured traces carry the kernel's causal annotations, so the
     // identity above also pins the id/cause assignment: event ids are a
@@ -185,6 +193,21 @@ fn assert_thread_invariant(seq: &Experiment, par: &Experiment) {
         (par.extra_runs, par.extra_metrics),
         "{id} per-run metrics changed with thread count"
     );
+}
+
+/// One `index lines digest` line per flight dump, in capture order.
+fn dump_digests(dumps: &[String]) -> String {
+    let mut out = String::new();
+    for (i, dump) in dumps.iter().enumerate() {
+        let mut h = StableHasher::new();
+        h.write_bytes(dump.as_bytes());
+        out.push_str(&format!(
+            "{i} {} {:016x}\n",
+            dump.lines().count(),
+            h.finish()
+        ));
+    }
+    out
 }
 
 /// `assert_eq!` on whole documents, reporting the first differing line.

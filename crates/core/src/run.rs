@@ -14,7 +14,6 @@
 //! predicate needs: who was present throughout an interval, who was present
 //! at some point of it.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -267,9 +266,15 @@ impl fmt::Display for Trace {
 ///
 /// A process present at the end of the trace has an interval open at the
 /// trace horizon: its `end` is `horizon + 1` so it *covers* the horizon.
+///
+/// The intervals sit in a vector sorted by identity. Identities are
+/// handed out in increasing order, so building the map is one push per
+/// join (a join out of identity order is a binary search and an
+/// insertion); a departure and [`PresenceMap::of`] are binary searches,
+/// and every query returns its processes in identity order.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PresenceMap {
-    intervals: BTreeMap<ProcessId, PresenceInterval>,
+    intervals: Vec<(ProcessId, PresenceInterval)>,
     horizon: Time,
 }
 
@@ -297,34 +302,34 @@ impl PresenceInterval {
 
 impl PresenceMap {
     /// Builds the index from a trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an identity joins twice, or when a process that has
+    /// not joined leaves or crashes.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut intervals: BTreeMap<ProcessId, PresenceInterval> = BTreeMap::new();
+        let mut intervals: Vec<(ProcessId, PresenceInterval)> = Vec::new();
         for ev in trace.events() {
             match *ev {
                 TraceEvent::Join { pid, at } => {
-                    let prev = intervals.insert(
-                        pid,
-                        PresenceInterval {
-                            joined: at,
-                            departed: None,
-                            crashed: false,
-                        },
-                    );
-                    assert!(prev.is_none(), "identity {pid} reused in trace");
+                    // Identities are handed out in increasing order, so a
+                    // join is nearly always a push.
+                    let i = match intervals.last() {
+                        Some(&(last, _)) if last >= pid => intervals
+                            .binary_search_by_key(&pid, |&(p, _)| p)
+                            .err()
+                            .unwrap_or_else(|| panic!("identity {pid} reused in trace")),
+                        _ => intervals.len(),
+                    };
+                    let fresh = PresenceInterval {
+                        joined: at,
+                        departed: None,
+                        crashed: false,
+                    };
+                    intervals.insert(i, (pid, fresh));
                 }
-                TraceEvent::Leave { pid, at } => {
-                    let slot = intervals
-                        .get_mut(&pid)
-                        .unwrap_or_else(|| panic!("leave of unknown process {pid}"));
-                    slot.departed = Some(at);
-                }
-                TraceEvent::Crash { pid, at } => {
-                    let slot = intervals
-                        .get_mut(&pid)
-                        .unwrap_or_else(|| panic!("crash of unknown process {pid}"));
-                    slot.departed = Some(at);
-                    slot.crashed = true;
-                }
+                TraceEvent::Leave { pid, at } => depart(&mut intervals, pid, at, false),
+                TraceEvent::Crash { pid, at } => depart(&mut intervals, pid, at, true),
                 TraceEvent::Corrupt { .. } => {}
             }
         }
@@ -341,36 +346,43 @@ impl PresenceMap {
 
     /// The presence record of one process, if it ever joined.
     pub fn of(&self, pid: ProcessId) -> Option<&PresenceInterval> {
-        self.intervals.get(&pid)
+        self.intervals
+            .binary_search_by_key(&pid, |&(p, _)| p)
+            .ok()
+            .map(|i| &self.intervals[i].1)
+    }
+
+    /// Every process that ever joined with its presence interval (closed
+    /// at `horizon + 1` when still present), in identity order.
+    pub fn intervals(&self) -> impl Iterator<Item = (ProcessId, Interval)> + '_ {
+        self.intervals
+            .iter()
+            .map(|(pid, p)| (*pid, p.as_interval(self.horizon)))
+    }
+
+    /// The processes whose presence interval satisfies `keep`.
+    fn select(&self, keep: impl Fn(&Interval) -> bool) -> Vec<ProcessId> {
+        self.intervals()
+            .filter(|(_, iv)| keep(iv))
+            .map(|(pid, _)| pid)
+            .collect()
     }
 
     /// Processes present at instant `t`.
     pub fn members_at(&self, t: Time) -> Vec<ProcessId> {
-        self.intervals
-            .iter()
-            .filter(|(_, p)| p.as_interval(self.horizon).contains(t))
-            .map(|(pid, _)| *pid)
-            .collect()
+        self.select(|iv| iv.contains(t))
     }
 
     /// Processes whose presence covers the whole of `window` — the set the
     /// interval-validity predicate requires a query to include.
     pub fn present_throughout(&self, window: &Interval) -> Vec<ProcessId> {
-        self.intervals
-            .iter()
-            .filter(|(_, p)| p.as_interval(self.horizon).covers(window))
-            .map(|(pid, _)| *pid)
-            .collect()
+        self.select(|iv| iv.covers(window))
     }
 
     /// Processes present at *some* instant of `window` — the largest set the
     /// interval-validity predicate allows a query to draw from.
     pub fn present_sometime(&self, window: &Interval) -> Vec<ProcessId> {
-        self.intervals
-            .iter()
-            .filter(|(_, p)| p.as_interval(self.horizon).overlaps(window))
-            .map(|(pid, _)| *pid)
-            .collect()
+        self.select(|iv| iv.overlaps(window))
     }
 
     /// Maximum number of simultaneously-present processes over the trace.
@@ -378,8 +390,7 @@ impl PresenceMap {
     /// Computed by sweeping join/departure endpoints.
     pub fn max_concurrency(&self) -> usize {
         let mut deltas: Vec<(Time, i64)> = Vec::with_capacity(self.intervals.len() * 2);
-        for p in self.intervals.values() {
-            let iv = p.as_interval(self.horizon);
+        for (_, iv) in self.intervals() {
             deltas.push((iv.start(), 1));
             deltas.push((iv.end(), -1));
         }
@@ -399,6 +410,21 @@ impl PresenceMap {
     pub const fn horizon(&self) -> Time {
         self.horizon
     }
+}
+
+/// Closes the presence of `pid` at `at`, by a crash or a leave.
+///
+/// # Panics
+///
+/// Panics when `pid` has not joined.
+fn depart(intervals: &mut [(ProcessId, PresenceInterval)], pid: ProcessId, at: Time, crash: bool) {
+    let Ok(i) = intervals.binary_search_by_key(&pid, |&(p, _)| p) else {
+        let kind = if crash { "crash" } else { "leave" };
+        panic!("{kind} of unknown process {pid}");
+    };
+    let slot = &mut intervals[i].1;
+    slot.departed = Some(at);
+    slot.crashed |= crash;
 }
 
 #[cfg(test)]
@@ -517,6 +543,32 @@ mod tests {
             pm.present_sometime(&window),
             vec![pid(0), pid(1), pid(2), pid(3)]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "reused in trace")]
+    fn rejoining_identity_panics() {
+        let mut tr = sample_trace();
+        tr.push(TraceEvent::Join {
+            pid: pid(1),
+            at: t(10),
+        });
+        tr.presence();
+    }
+
+    #[test]
+    #[should_panic(expected = "crash of unknown process")]
+    fn departure_before_join_panics() {
+        let mut tr = Trace::new();
+        tr.push(TraceEvent::Crash {
+            pid: pid(4),
+            at: t(0),
+        });
+        tr.push(TraceEvent::Join {
+            pid: pid(4),
+            at: t(0),
+        });
+        tr.presence();
     }
 
     #[test]

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::process::ProcessId;
 use crate::run::PresenceMap;
 use crate::spec::aggregate::AggregateKind;
-use crate::time::Interval;
+use crate::time::{Interval, TimeDelta};
 
 /// What a protocol reports when a one-time query finishes (or is abandoned).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -193,6 +193,16 @@ impl fmt::Display for ValidityReport {
 
 /// Checks a query outcome against the presence information of its run.
 ///
+/// One merge pass walks the presence intervals and the contributor set,
+/// both in identity order: it counts the required set (present
+/// throughout the window) and the allowed set (present at some instant of
+/// it), and collects `missed`, `phantom` and the presence intervals of
+/// the non-contributors present in the window. Snapshot validity is then
+/// a sweep over those intervals sorted by start: it holds when they leave
+/// some instant of the window uncovered (an empty window is probed at its
+/// start). The whole check is O(n + c + k log k) for `n` processes that
+/// ever joined, `c` contributors and `k` non-contributors in the window.
+///
 /// # Examples
 ///
 /// ```
@@ -214,75 +224,90 @@ impl fmt::Display for ValidityReport {
 /// assert_eq!(report.level, ValidityLevel::IntervalValid);
 /// ```
 pub fn check_outcome(outcome: &QueryOutcome, presence: &PresenceMap) -> ValidityReport {
-    let required: BTreeSet<ProcessId> = presence
-        .present_throughout(&outcome.window)
-        .into_iter()
-        .collect();
-    let allowed: BTreeSet<ProcessId> = presence
-        .present_sometime(&outcome.window)
-        .into_iter()
-        .collect();
-
-    if outcome.timed_out {
-        let report = ValidityReport {
-            level: ValidityLevel::NotTerminated,
-            missed: required.clone(),
-            phantom: BTreeSet::new(),
-            required: required.len(),
-            allowed: allowed.len(),
-            snapshot_valid: false,
-        };
-        notify_failure(outcome, &report);
-        return report;
+    let window = outcome.window;
+    // The instants snapshot validity may pick: the window's own, or the
+    // start of an empty window.
+    let probed = if window.is_empty() {
+        Interval::new(window.start(), window.start() + TimeDelta::TICK)
+    } else {
+        window
+    };
+    // A query that never answered contributed nothing.
+    let nobody = BTreeSet::new();
+    let contributors = if outcome.timed_out {
+        &nobody
+    } else {
+        &outcome.contributors
+    };
+    let mut unmatched = contributors.iter().copied().peekable();
+    let (mut required, mut allowed) = (0, 0);
+    let (mut missed, mut phantom) = (BTreeSet::new(), BTreeSet::new());
+    // The presence of every non-contributor present at a probed instant.
+    let mut others: Vec<Interval> = Vec::new();
+    for (pid, iv) in presence.intervals() {
+        // Contributors ordered before `pid` never joined.
+        while let Some(never) = unmatched.next_if(|&c| c < pid) {
+            phantom.insert(never);
+        }
+        let contributed = unmatched.next_if_eq(&pid).is_some();
+        if iv.covers(&window) {
+            required += 1;
+            if !contributed {
+                missed.insert(pid);
+            }
+        }
+        if iv.overlaps(&window) {
+            allowed += 1;
+        } else if contributed {
+            phantom.insert(pid);
+        }
+        if !contributed && iv.overlaps(&probed) {
+            others.push(iv);
+        }
     }
+    phantom.extend(unmatched);
 
-    let missed: BTreeSet<ProcessId> = required
-        .difference(&outcome.contributors)
-        .copied()
-        .collect();
-    let phantom: BTreeSet<ProcessId> = outcome.contributors.difference(&allowed).copied().collect();
-
-    let level = if !phantom.is_empty() {
+    let level = if outcome.timed_out {
+        ValidityLevel::NotTerminated
+    } else if !phantom.is_empty() {
         ValidityLevel::Invalid
     } else if !missed.is_empty() {
         ValidityLevel::WeaklyValid
     } else {
         ValidityLevel::IntervalValid
     };
-
-    // Snapshot validity: membership only changes at presence-interval
-    // endpoints, so it suffices to probe the window start plus every
-    // endpoint inside the window.
-    let snapshot_valid = phantom.is_empty() && {
-        let mut candidates: BTreeSet<crate::time::Time> = BTreeSet::new();
-        candidates.insert(outcome.window.start());
-        for pid in &allowed {
-            let p = presence.of(*pid).expect("allowed processes exist");
-            let iv = p.as_interval(presence.horizon());
-            for t in [iv.start(), iv.end()] {
-                if outcome.window.contains(t) {
-                    candidates.insert(t);
-                }
-            }
-        }
-        candidates.into_iter().any(|t| {
-            presence
-                .members_at(t)
-                .iter()
-                .all(|m| outcome.contributors.contains(m))
-        })
-    };
+    let snapshot_valid =
+        !outcome.timed_out && phantom.is_empty() && has_quiet_instant(probed, &mut others);
 
     let report = ValidityReport {
         level,
         missed,
         phantom,
-        required: required.len(),
-        allowed: allowed.len(),
+        required,
+        allowed,
         snapshot_valid,
     };
     notify_failure(outcome, &report);
     report
+}
+
+/// `true` when the presence intervals of the non-contributors, `others`,
+/// leave some instant of `probed` uncovered: an instant whose whole
+/// membership contributed.
+///
+/// Sorted by start, the intervals are one pass: `reach` is the first
+/// instant not yet known to be covered, and an interval starting after it
+/// leaves it uncovered for good.
+fn has_quiet_instant(probed: Interval, others: &mut [Interval]) -> bool {
+    others.sort_unstable_by_key(|iv| iv.start());
+    let mut reach = probed.start();
+    for iv in others.iter() {
+        if iv.start() > reach {
+            break;
+        }
+        reach = reach.max(iv.end());
+    }
+    reach < probed.end()
 }
 
 /// Reports anything short of interval validity to the thread-local

@@ -108,7 +108,8 @@ impl CausalNode {
 /// with its causal annotation, in emission order.
 ///
 /// Everything a run is explained by is a reading of it: the flight dump
-/// of its last records ([`CausalLog::flight_jsonl`]), the message-level
+/// of its last records ([`CausalLog::flight`], rendered on read, or
+/// [`CausalLog::flight_jsonl`] at once), the message-level
 /// trace ([`CausalLog::trace_jsonl`]), the critical path
 /// ([`CausalLog::critical_path`]) and the happened-before DAG
 /// ([`CausalLog::dag`]).
@@ -148,8 +149,9 @@ impl CausalLog {
     ///
     /// A kernel log has every record identified and ids contiguous, so a
     /// cause sits at its id's offset from the first record: one forward
-    /// pass keeps each record's root instant, and the chain is walked
-    /// from there. Any other log takes the DAG.
+    /// pass keeps each record's root instant and the record farthest from
+    /// its root (ties toward the smallest id), and the chain is walked
+    /// back from there. Any other log takes the DAG.
     pub fn critical_path(&self) -> CriticalPath {
         let first = self.records.first().map_or(0, |(causal, _)| causal.id);
         let parent = |i: usize| {
@@ -158,15 +160,33 @@ impl CausalLog {
                 .then(|| (causal.cause - first) as usize)
         };
         let mut root_at = Vec::with_capacity(self.records.len());
+        // (elapsed, index) of the farthest record so far.
+        let mut end: Option<(u64, usize)> = None;
         for (k, (causal, ev)) in self.records.iter().enumerate() {
             if causal.id == 0 || causal.id != first + k as u64 {
                 return self.dag().critical_path();
             }
-            root_at.push(parent(k).map_or(ev.at(), |p| root_at[p]));
+            let root = parent(k).map_or(ev.at(), |p| root_at[p]);
+            root_at.push(root);
+            let elapsed = ev.at().saturating_since(root).as_ticks();
+            if end.is_none_or(|(best, _)| elapsed > best) {
+                end = Some((elapsed, k));
+            }
         }
-        critical_walk(&root_at, |i| CausalNode::of(&self.records[i]), parent)
-            .unwrap_or_default()
-            .1
+        end.map_or_else(CriticalPath::default, |(total, k)| {
+            critical_walk(k, total, |i| CausalNode::of(&self.records[i]), parent)
+        })
+    }
+
+    /// The last `last` records as a flight dump, kept as records and
+    /// rendered on read ([`FlightDump::jsonl`]).
+    pub fn flight(&self, reason: String, at: Time, last: usize) -> FlightDump {
+        FlightDump {
+            reason,
+            at,
+            recorded: self.records.len(),
+            tail: self.tail(last).to_vec(),
+        }
     }
 
     /// Renders the last `last` records as a JSONL flight dump: a header
@@ -174,20 +194,12 @@ impl CausalLog {
     /// (`events`) and the log's length (`recorded`), then one line per
     /// record, oldest first.
     pub fn flight_jsonl(&self, reason: &str, at: Time, last: usize) -> String {
-        let tail = &self.records[self.records.len().saturating_sub(last)..];
-        let mut out = String::with_capacity(64 + tail.len() * 48);
-        let _ = writeln!(
-            out,
-            "{{\"t\":\"flight-dump\",\"reason\":\"{}\",\"at\":{},\"events\":{},\"recorded\":{}}}",
-            reason.replace('\\', "\\\\").replace('"', "\\\""),
-            at.as_ticks(),
-            tail.len(),
-            self.records.len()
-        );
-        for (causal, ev) in tail {
-            obs_event_line(ev, *causal, &mut out);
-        }
-        out
+        render_flight(reason, at, self.records.len(), self.tail(last))
+    }
+
+    /// The last `last` records.
+    fn tail(&self, last: usize) -> &[(Causality, ObsEvent)] {
+        &self.records[self.records.len().saturating_sub(last)..]
     }
 
     /// Renders the run's message-level trace: one JSON line per join,
@@ -214,25 +226,60 @@ impl Sink for CausalLog {
     }
 }
 
-/// The critical path over nodes `0..root_at.len()` in id order, and the
-/// index of its end: the node with the largest root-to-node elapsed time
-/// (ties toward the smallest id), its chain back to the root summed by
-/// [`SegmentKind`]. `node(i)` is node `i`, `parent(i)` the index of its
-/// cause, `root_at[i]` the instant of its chain's root. [`CausalDag`]
-/// and [`CausalLog`] both answer through this one walk.
+/// A flight dump: the last records of a run's log up to a failure, with
+/// the reason and instant of the failure. Kept as records and rendered
+/// on read, so a dump nobody reads costs one copy of its tail.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlightDump {
+    reason: String,
+    at: Time,
+    recorded: usize,
+    tail: Vec<(Causality, ObsEvent)>,
+}
+
+impl FlightDump {
+    /// Renders the dump as JSONL, byte for byte what
+    /// [`CausalLog::flight_jsonl`] renders from the log it was taken from.
+    pub fn jsonl(&self) -> String {
+        render_flight(&self.reason, self.at, self.recorded, &self.tail)
+    }
+}
+
+/// The JSONL flight dump of `tail`, the last records of a log of
+/// `recorded` records: a header, then one line per record.
+fn render_flight(
+    reason: &str,
+    at: Time,
+    recorded: usize,
+    tail: &[(Causality, ObsEvent)],
+) -> String {
+    let mut out = String::with_capacity(64 + tail.len() * 48);
+    let _ = writeln!(
+        out,
+        "{{\"t\":\"flight-dump\",\"reason\":\"{}\",\"at\":{},\"events\":{},\"recorded\":{}}}",
+        reason.replace('\\', "\\\\").replace('"', "\\\""),
+        at.as_ticks(),
+        tail.len(),
+        recorded
+    );
+    for (causal, ev) in tail {
+        obs_event_line(ev, *causal, &mut out);
+    }
+    out
+}
+
+/// The critical path ending at node `end`, `total` ticks from its root:
+/// its chain back to the root summed by [`SegmentKind`]. `node(i)` is
+/// node `i`, `parent(i)` the index of its cause. [`CausalDag`] and
+/// [`CausalLog`] both answer through this one walk.
 fn critical_walk(
-    root_at: &[Time],
+    end: usize,
+    total: u64,
     node: impl Fn(usize) -> CausalNode,
     parent: impl Fn(usize) -> Option<usize>,
-) -> Option<(usize, CriticalPath)> {
-    let elapsed = |i: usize, n: &CausalNode| n.at.saturating_since(root_at[i]).as_ticks();
-    let end = (0..root_at.len()).max_by_key(|&i| {
-        let n = node(i);
-        // Larger elapsed first, then the smaller id.
-        (elapsed(i, &n), u64::MAX - n.id)
-    })?;
+) -> CriticalPath {
     let mut cp = CriticalPath {
-        total: elapsed(end, &node(end)),
+        total,
         ..CriticalPath::default()
     };
     let mut i = end;
@@ -247,7 +294,7 @@ fn critical_walk(
         cp.hops += 1;
         i = p;
     }
-    Some((end, cp))
+    cp
 }
 
 /// The critical path of a run: the cause chain with the largest
@@ -442,9 +489,19 @@ impl CausalDag {
         chain
     }
 
-    /// The critical path and the index of its end node.
+    /// The critical path and the index of its end node: the node with the
+    /// largest root-to-node elapsed time, ties toward the smallest id.
     fn critical(&self) -> Option<(usize, CriticalPath)> {
-        critical_walk(&self.root_at, |i| self.nodes[i], |i| self.parent[i])
+        let elapsed = |i: usize| {
+            self.nodes[i]
+                .at
+                .saturating_since(self.root_at[i])
+                .as_ticks()
+        };
+        // Nodes are in id order: the first maximum has the smallest id.
+        let end = (0..self.nodes.len()).rev().max_by_key(|&i| elapsed(i))?;
+        let cp = critical_walk(end, elapsed(end), |i| self.nodes[i], |i| self.parent[i]);
+        Some((end, cp))
     }
 
     /// Id of the event ending the critical path, or `None` on an empty
@@ -943,6 +1000,18 @@ mod tests {
             lines[0]
         );
         assert!(lines[1].contains("\"t\":\"join\""));
+    }
+
+    #[test]
+    fn kept_flight_dump_renders_what_the_log_renders() {
+        let log = ten_joins();
+        for last in [0, 3, 50] {
+            let kept = log.flight("spec \"failure\"".to_string(), t(9), last);
+            assert_eq!(
+                kept.jsonl(),
+                log.flight_jsonl("spec \"failure\"", t(9), last)
+            );
+        }
     }
 
     #[test]

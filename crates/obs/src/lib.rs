@@ -37,7 +37,7 @@ pub mod histogram;
 pub mod report;
 pub mod sink;
 
-pub use causal::{CausalDag, CausalLog, CausalNode, CriticalPath, SegmentKind};
+pub use causal::{CausalDag, CausalLog, CausalNode, CriticalPath, FlightDump, SegmentKind};
 pub use histogram::Histogram;
 pub use report::RunReport;
 pub use sink::{ObsEvent, ObserverSink, Sink};

@@ -17,7 +17,7 @@ use dds_core::spec::hook;
 use dds_core::spec::one_time_query::{check_outcome, QueryOutcome, ValidityReport};
 use dds_core::time::{Interval, Time, TimeDelta};
 use dds_net::graph::Graph;
-use dds_obs::{CausalLog, CriticalPath, ObsEvent, ObserverSink, RunReport};
+use dds_obs::{CausalLog, CriticalPath, FlightDump, ObsEvent, ObserverSink, RunReport};
 use dds_sim::actor::Actor;
 use dds_sim::delay::{DelayModel, LossModel};
 use dds_sim::driver::{BalancedChurn, ChurnDriver, Growth, NoChurn, PathStretch};
@@ -442,31 +442,35 @@ impl QueryScenario {
         let metrics = world.metrics();
         let presence = world.trace().presence();
         // Judge under a spec-failure capture scope: any violation the
-        // checker reports triggers a flight dump of the log's last records,
+        // checker reports keeps a flight dump of the log's last records,
         // the events leading up to it.
         let (report, failures) = hook::capture_failures(|| check_outcome(&outcome, &presence));
         let flight_dump = (!failures.is_empty()).then(|| {
-            observer.causal.flight_jsonl(
-                &failures.join("; "),
+            observer.causal.flight(
+                failures.join("; "),
                 finished.unwrap_or(self.deadline),
                 CausalLog::FLIGHT_TAIL,
             )
         });
-        let required = presence.present_throughout(&outcome.window);
-        let required_values: Vec<f64> = required
-            .iter()
-            .filter_map(|p| values.get(*p).copied())
-            .collect();
-        let truth_over_required = self.aggregate.eval(&required_values);
-        // Accuracy is judged against the membership snapshot at query
-        // issue — "what was the aggregate when I asked?" — because under
+        // One pass over the presence intervals gathers the values of the
+        // processes present throughout the window (the required set) and
+        // of the membership at query issue. Accuracy is judged against the
+        // latter — "what was the aggregate when I asked?" — because under
         // extreme churn the required set can degenerate to the initiator
         // alone, which would make relative error meaningless.
-        let snapshot_values: Vec<f64> = presence
-            .members_at(outcome.window.start())
-            .iter()
-            .filter_map(|p| values.get(*p).copied())
-            .collect();
+        let (mut required_values, mut snapshot_values) = (Vec::new(), Vec::new());
+        for (pid, iv) in presence.intervals() {
+            let Some(&value) = values.get(pid) else {
+                continue;
+            };
+            if iv.covers(&outcome.window) {
+                required_values.push(value);
+            }
+            if iv.contains(outcome.window.start()) {
+                snapshot_values.push(value);
+            }
+        }
+        let truth_over_required = self.aggregate.eval(&required_values);
         let truth_at_start = self.aggregate.eval(&snapshot_values);
         let relative_error = if outcome.timed_out || !outcome.value.is_finite() {
             f64::INFINITY
@@ -544,9 +548,11 @@ pub struct QueryRun {
     /// Critical-path decomposition of the run's happened-before DAG: the
     /// longest-latency causal chain split into transit/queueing/processing.
     pub critical: CriticalPath,
-    /// JSONL flight dump of the log's most recent kernel events, present
-    /// when the run violated its specification.
-    pub flight_dump: Option<String>,
+    /// Flight dump of the log's most recent kernel events, present when
+    /// the run violated its specification. The records are kept and
+    /// rendered on read ([`FlightDump::jsonl`]), so a sweep outside a
+    /// capture scope renders none.
+    pub flight_dump: Option<FlightDump>,
     /// JSONL rendering of the full kernel trace, when
     /// [`QueryScenario::capture_trace`] was set.
     pub trace_jsonl: Option<String>,
@@ -593,7 +599,10 @@ pub fn run_sweep(scenario: &QueryScenario, seeds: impl IntoIterator<Item = u64>)
     );
     if capture {
         crate::obs::deposit_traces(runs.iter().filter_map(|r| r.trace_jsonl.clone()));
-        crate::obs::deposit_flight_dumps(runs.iter().filter_map(|r| r.flight_dump.clone()));
+        crate::obs::deposit_flight_dumps(
+            runs.iter()
+                .filter_map(|r| r.flight_dump.as_ref().map(FlightDump::jsonl)),
+        );
     }
     runs
 }
@@ -758,7 +767,8 @@ mod tests {
         let run = scenario.run();
         let dump = run
             .flight_dump
-            .as_deref()
+            .as_ref()
+            .map(FlightDump::jsonl)
             .expect("spec failure produces a dump");
         let lines: Vec<&str> = dump.lines().collect();
         assert!(
