@@ -7,7 +7,10 @@
 //! `check-explore` workload hold the same exploration to. The
 //! counterexample files `--dump-dir` writes (one flight dump per caught
 //! mutant, plus a causal-chain file for each simulator-world subject) are
-//! pinned by name, line count and digest in `data/check_dumps.txt`.
+//! pinned by name, line count and digest in `data/check_dumps.txt`, and
+//! stdout — one verdict line per subject, with each counterexample's
+//! reason, witness plan and preemptions — is pinned whole in
+//! `data/check_summary.txt` (wall-clock figures go to stderr).
 
 use std::process::Command;
 
@@ -53,6 +56,11 @@ fn suite_reports_the_pinned_exploration() {
     assert!(
         summary.contains("\"ok\": true"),
         "suite must be green: {summary}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("data/check_summary.txt"),
+        "run_check stdout: every verdict, reason and witness plan"
     );
 
     // The first pin is the large flood sweep, which only the benchmark

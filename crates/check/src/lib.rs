@@ -7,10 +7,12 @@
 //! abstraction — "run me under this decision vector, tell me what choice
 //! points you saw and whether the property held":
 //!
-//! - **Kernel worlds** ([`WorldTarget`], [`StabTarget`]): a
-//!   [`dds_sim::world::World`] steered from outside through its ready set,
-//!   every same-instant tie resolved from an explicit plan (or by the
-//!   explorer) and logged with the ready set at each choice point.
+//! - **Kernel worlds** ([`WorldTarget`]): a [`dds_sim::world::World`]
+//!   steered from outside through its ready set, every same-instant tie
+//!   resolved from an explicit plan (or by the explorer) and logged with
+//!   the ready set at each choice point, judged on its final state or,
+//!   for self-stabilization, on its trajectory
+//!   ([`WorldTarget::stabilizing`]).
 //! - **Register schedules** ([`RegisterTarget`]): the `dds-registers`
 //!   interleaving harness in planned mode
 //!   ([`dds_registers::harness::run_schedule_planned`]), its history
@@ -53,6 +55,6 @@ pub use explore::{
 pub use fuzz::{fuzz, shrink, FuzzOutcome};
 pub use schedule::{ChoicePoint, ReadyEvent};
 pub use target::{
-    Counterexample, ExploreSession, RegisterTarget, RunReport, SessionState, StabTarget, Target,
-    Violation, WorldTarget,
+    Counterexample, ExploreSession, RegisterTarget, RunReport, SessionState, Target, Violation,
+    WorldTarget,
 };

@@ -34,8 +34,13 @@
 //!   state was already migrated, so the write vanishes from the new
 //!   epoch — a lost update the atomicity checker flags.
 //!
-//! SCD-broadcast mutants (`dds-protocols::scd`, judged by the set-order
-//! oracle `check_world` rather than a history checker):
+//! These two and the correct-only reconfiguration sweep build their
+//! worlds from one recipe (`StoreWorld`: parameters, graph, delay, loss,
+//! seed and an ordered injection script).
+//!
+//! SCD-broadcast mutants (`dds-protocols::scd`, one scenario with one
+//! fault each, judged by the set-order oracle `check_world` rather than a
+//! history checker):
 //!
 //! - **scd-split** — delivery sets are split into singletons in buffer
 //!   insertion order; two concurrent broadcasts then surface in opposite
@@ -48,9 +53,10 @@
 //!   buffered; the origin never delivers its own message (self-delivery
 //!   violated).
 //!
-//! Stabilization mutants (`dds-protocols::stab`, judged by the trajectory
-//! target [`StabTarget`] — legal by `converge_by`, *still* legal at every
-//! tick through `hold_until`):
+//! Stabilization mutants (`dds-protocols::stab`, judged on the trajectory
+//! by [`WorldTarget::stabilizing`] — legal by `converge_by`, *still* legal
+//! at every tick through `hold_until` — with the shipped legality
+//! predicates `token_legal` and `views_legal`):
 //!
 //! - **stab-token** — Dijkstra's K-state ring started in a corrupted
 //!   two-privilege configuration. The correct protocol converges to one
@@ -69,7 +75,7 @@ use dds_net::graph::Graph;
 use dds_protocols::scd::{
     check_world as check_scd_world, ScdCall, ScdConfig, ScdFault, ScdMsg, ScdScenario,
 };
-use dds_protocols::stab::{token_privileges, DijkstraRing, ProbeMsg, TokenMsg, ViewActor};
+use dds_protocols::stab::{token_legal, views_legal, DijkstraRing, ProbeMsg, TokenMsg, ViewActor};
 use dds_registers::base::ObjectState;
 use dds_registers::construction::Construction;
 use dds_registers::harness::CrashEvent;
@@ -79,7 +85,7 @@ use dds_sim::snapshot::{FingerprintMsg, StableHasher};
 use dds_sim::world::{World, WorldBuilder};
 use dds_store::{history_from_store, StoreActor, StoreMsg, StoreParams};
 
-use crate::target::{RegisterTarget, StabTarget, Target, Violation, WorldTarget};
+use crate::target::{RegisterTarget, Target, Violation, WorldTarget};
 
 /// World seed of the write-back mutant scenario, chosen (by scanning
 /// seeds) so the delay draws of the *default* schedule already interleave
@@ -101,12 +107,20 @@ pub struct Subject {
     pub expect_violation: bool,
 }
 
-macro_rules! subjects {
-    ($(($builder:ident, $flag:expr, $expect:expr)),* $(,)?) => {
-        vec![$(Subject {
-            build: || Box::new($builder($flag)) as Box<dyn Target>,
-            expect_violation: $expect,
-        }),*]
+/// Correct/mutant pairs, correct first: each `make` builds the subject
+/// from `correct: bool`.
+macro_rules! pairs {
+    ($($make:expr),* $(,)?) => {
+        vec![$(
+            Subject {
+                build: || Box::new($make(true)) as Box<dyn Target>,
+                expect_violation: false,
+            },
+            Subject {
+                build: || Box::new($make(false)) as Box<dyn Target>,
+                expect_violation: true,
+            },
+        )*]
     };
 }
 
@@ -114,35 +128,33 @@ macro_rules! subjects {
 /// reconfiguration small-world sweep (correct-only: it asserts the store
 /// stays atomic and live through an epoch change).
 pub fn suite() -> Vec<Subject> {
-    let mut subjects = subjects![
-        (flood_target, true, false),
-        (flood_target, false, true),
-        (race_target, true, false),
-        (race_target, false, true),
-        (responsive_register_target, true, false),
-        (responsive_register_target, false, true),
-        (majority_register_target, true, false),
-        (majority_register_target, false, true),
-        (store_writeback_target, true, false),
-        (store_writeback_target, false, true),
-        (store_fencing_target, true, false),
-        (store_fencing_target, false, true),
-        (scd_split_target, true, false),
-        (scd_split_target, false, true),
-        (scd_cutoff_target, true, false),
-        (scd_cutoff_target, false, true),
-        (scd_self_target, true, false),
-        (scd_self_target, false, true),
-        (token_stab_target, true, false),
-        (token_stab_target, false, true),
-        (view_stab_target, true, false),
-        (view_stab_target, false, true),
+    let mut subjects = pairs![
+        flood_target,
+        race_target,
+        responsive_register_target,
+        majority_register_target,
+        store_writeback_target,
+        store_fencing_target,
+        // Set-constraint ablation: singleton sets in insertion order.
+        |correct| scd_target("scd-split", ScdFault::SplitSets, correct),
+        // Containment ablation: the flush cutoff ignores the flood-latency lag.
+        |correct| scd_target("scd-cutoff", ScdFault::EagerCutoff, correct),
+        // Self-inclusion ablation: own broadcasts are never buffered.
+        |correct| scd_target("scd-self", ScdFault::SkipSelf, correct),
+        token_stab_target,
+        view_stab_target,
     ];
     subjects.push(Subject {
         build: || Box::new(store_reconfig_target()),
         expect_violation: false,
     });
     subjects
+}
+
+/// The subject name of one half of a correct/mutant pair.
+fn variant(family: &str, correct: bool) -> String {
+    let suffix = if correct { "correct" } else { "mutant" };
+    format!("{family}/{suffix}")
 }
 
 /// Builder of the correct flood target — the canonical small world whose
@@ -162,7 +174,7 @@ pub fn flood_exhaustive() -> fn() -> Box<dyn Target> {
 /// where the architectural difference between the engines is visible
 /// rather than drowned in per-run fixed costs.
 pub fn flood_exhaustive_large() -> fn() -> Box<dyn Target> {
-    || Box::new(flood_target_sized(true, "flood-merge/large", 6, 120)) as Box<dyn Target>
+    || Box::new(flood_target_sized(true, "flood-merge/large".into(), 6, 120)) as Box<dyn Target>
 }
 
 // ---------------------------------------------------------------------------
@@ -213,12 +225,7 @@ impl Actor<u64> for Flood {
 /// Path graph of 3; the middle process hears from both ends at the same
 /// instant, so delivery order decides what an overwriting merge forgets.
 fn flood_target(merge_union: bool) -> WorldTarget<u64> {
-    let name = if merge_union {
-        "flood-merge/correct"
-    } else {
-        "flood-merge/mutant"
-    };
-    flood_target_sized(merge_union, name, 3, 30)
+    flood_target_sized(merge_union, variant("flood-merge", merge_union), 3, 30)
 }
 
 /// Same flood system over a path of `n` processes with a `deadline`-tick
@@ -226,7 +233,7 @@ fn flood_target(merge_union: bool) -> WorldTarget<u64> {
 /// share everything but scale.
 fn flood_target_sized(
     merge_union: bool,
-    name: &'static str,
+    name: String,
     n: usize,
     deadline: u64,
 ) -> WorldTarget<u64> {
@@ -383,13 +390,8 @@ impl Actor<RaceMsg> for Relay {
 }
 
 fn race_target(wait_for_all: bool) -> WorldTarget<RaceMsg> {
-    let name = if wait_for_all {
-        "commit-race/correct"
-    } else {
-        "commit-race/mutant"
-    };
     WorldTarget::new(
-        name,
+        variant("commit-race", wait_for_all),
         Time::from_ticks(20),
         move || {
             let mut g = Graph::new();
@@ -444,13 +446,8 @@ fn race_target(wait_for_all: bool) -> WorldTarget<RaceMsg> {
 /// observed a concurrent write does not propagate it, so a later reader
 /// can see the older value — a new/old inversion.
 fn responsive_register_target(write_back: bool) -> RegisterTarget {
-    let name = if write_back {
-        "register-responsive/correct"
-    } else {
-        "register-responsive/mutant"
-    };
     RegisterTarget::new(
-        name,
+        variant("register-responsive", write_back),
         Construction::ResponsiveAll { write_back },
         2,
         vec![
@@ -470,13 +467,8 @@ fn responsive_register_target(write_back: bool) -> RegisterTarget {
 /// The 2t+1 majority construction; without the read write-back two
 /// quorum reads can straddle an in-flight write.
 fn majority_register_target(write_back: bool) -> RegisterTarget {
-    let name = if write_back {
-        "register-majority/correct"
-    } else {
-        "register-majority/mutant"
-    };
     RegisterTarget::new(
-        name,
+        variant("register-majority", write_back),
         Construction::MajorityQuorum { write_back },
         1,
         vec![
@@ -492,6 +484,76 @@ fn majority_register_target(write_back: bool) -> RegisterTarget {
 // ---------------------------------------------------------------------------
 // store mutants: write-back and epoch-fencing ablations of dds-store.
 // ---------------------------------------------------------------------------
+
+/// How a store subject's world is built: every process a
+/// [`StoreActor`] over `params` on a complete graph, the delay and loss
+/// models, the world seed, and the injections `(tick, pid, msg)` in the
+/// order they are queued — the order fixes their event seqs.
+struct StoreWorld {
+    params: StoreParams,
+    processes: usize,
+    delay: DelayModel,
+    loss: LossModel,
+    seed: u64,
+    script: Vec<(u64, u64, StoreMsg)>,
+}
+
+impl StoreWorld {
+    fn build(&self) -> World<StoreMsg> {
+        let params = self.params.clone();
+        let mut world = WorldBuilder::new(self.seed)
+            .initial_graph(dds_net::generate::complete(self.processes))
+            .delay(self.delay)
+            .loss(self.loss)
+            .spawn(move |_| Box::new(StoreActor::new(params.clone())))
+            .build();
+        for (at, pid, msg) in &self.script {
+            world.inject(
+                Time::from_ticks(*at),
+                ProcessId::from_raw(*pid),
+                msg.clone(),
+            );
+        }
+        world
+    }
+
+    /// The clients: every process the script invokes an operation at, in
+    /// order of first invocation.
+    fn clients(&self) -> Vec<ProcessId> {
+        let mut clients: Vec<ProcessId> = Vec::new();
+        for (_, pid, msg) in &self.script {
+            let pid = ProcessId::from_raw(*pid);
+            if matches!(msg, StoreMsg::Invoke(_)) && !clients.contains(&pid) {
+                clients.push(pid);
+            }
+        }
+        clients
+    }
+}
+
+/// A store subject: `world` run to `deadline`, the clients' history
+/// judged for atomicity, and — with `live` — every client's one injected
+/// operation required to complete.
+fn store_target(
+    name: String,
+    deadline: u64,
+    world: StoreWorld,
+    live: bool,
+) -> WorldTarget<StoreMsg> {
+    let clients = world.clients();
+    WorldTarget::new(
+        name,
+        Time::from_ticks(deadline),
+        move || world.build(),
+        move |world: &World<StoreMsg>| {
+            check_store_history(world, &clients)?;
+            if live {
+                check_store_liveness(world, &clients)?;
+            }
+            Ok(())
+        },
+    )
+}
 
 /// Checks a finished store world: the clients' history must be atomic.
 fn check_store_history(world: &World<StoreMsg>, clients: &[ProcessId]) -> Result<(), Violation> {
@@ -509,6 +571,35 @@ fn check_store_history(world: &World<StoreMsg>, clients: &[ProcessId]) -> Result
     }
 }
 
+/// Checks that each client's one injected operation finished: it reached
+/// the client's op log with a response, without exhausting its retries.
+fn check_store_liveness(world: &World<StoreMsg>, clients: &[ProcessId]) -> Result<(), Violation> {
+    for &pid in clients {
+        let Some(actor) = world.actor::<StoreActor>(pid) else {
+            return Err(Violation {
+                reason: "store client actor missing".into(),
+                details: format!("{pid:?}"),
+            });
+        };
+        let done = actor
+            .log()
+            .iter()
+            .filter(|op| op.responded.is_some() && !op.aborted)
+            .count();
+        if done != 1 || actor.in_flight().is_some() {
+            return Err(Violation {
+                reason: "store operation hung below the churn bound".into(),
+                details: format!(
+                    "{pid:?}: {done} completed, in flight {:?}, log {:?}",
+                    actor.in_flight(),
+                    actor.log()
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// ABD read write-back ablation. One writer and one reader race over a
 /// 3-replica register under jittery delays: without the phase-2
 /// write-back the first read can answer from a minority that already saw
@@ -517,63 +608,48 @@ fn check_store_history(world: &World<StoreMsg>, clients: &[ProcessId]) -> Result
 /// schedule exhibits the race; the explorer's plan perturbations reshuffle
 /// the delay draws for the rest of the space.
 fn store_writeback_target(write_back: bool) -> WorldTarget<StoreMsg> {
-    let name = if write_back {
-        "store-writeback/correct"
-    } else {
-        "store-writeback/mutant"
-    };
-    WorldTarget::new(
+    let name = variant("store-writeback", write_back);
+    store_target(
         name,
-        Time::from_ticks(90),
-        move || store_writeback_world(STORE_WRITEBACK_SEED, write_back),
-        |world: &World<StoreMsg>| {
-            check_store_history(
-                world,
-                &[
-                    ProcessId::from_raw(WB_WRITER),
-                    ProcessId::from_raw(WB_READER),
-                ],
-            )
-        },
+        90,
+        store_writeback_world(STORE_WRITEBACK_SEED, write_back),
+        false,
     )
 }
 
-const WB_WRITER: u64 = 3;
-const WB_READER: u64 = 4;
-
-fn store_writeback_world(seed: u64, write_back: bool) -> World<StoreMsg> {
-    let params = StoreParams {
-        initial: (0..3).map(ProcessId::from_raw).collect(),
-        replica_count: 3,
-        write_back,
-        epoch_fencing: true,
-        probe_every: None,
-        op_timeout: TimeDelta::ticks(30),
-        max_attempts: 4,
-        view_delta: TimeDelta::ticks(1_000),
-        ..StoreParams::default()
-    };
-    // Loss opens the inversion window: a `Store` wave that reaches only
-    // one replica leaves the write pending and visible to exactly the
-    // quorums that include that replica.
-    let mut world = WorldBuilder::new(seed)
-        .initial_graph(dds_net::generate::complete(5))
-        .delay(DelayModel::Uniform {
+fn store_writeback_world(seed: u64, write_back: bool) -> StoreWorld {
+    StoreWorld {
+        params: StoreParams {
+            initial: (0..3).map(ProcessId::from_raw).collect(),
+            replica_count: 3,
+            write_back,
+            epoch_fencing: true,
+            probe_every: None,
+            op_timeout: TimeDelta::ticks(30),
+            max_attempts: 4,
+            view_delta: TimeDelta::ticks(1_000),
+            ..StoreParams::default()
+        },
+        processes: 5,
+        delay: DelayModel::Uniform {
             min: TimeDelta::ticks(1),
             max: TimeDelta::ticks(6),
-        })
-        .loss(LossModel::Bernoulli(0.25))
-        .spawn(move |_| Box::new(StoreActor::new(params.clone())))
-        .build();
-    let w = ProcessId::from_raw(WB_WRITER);
-    let r = ProcessId::from_raw(WB_READER);
-    // The reads land in the window where a lossy `Store` wave has reached
-    // some replicas but not others; the second read starts only after the
-    // first completes, so an inversion is a real-time violation.
-    world.inject(Time::from_ticks(1), w, StoreMsg::Invoke(RegOp::Write(1)));
-    world.inject(Time::from_ticks(12), r, StoreMsg::Invoke(RegOp::Read));
-    world.inject(Time::from_ticks(24), r, StoreMsg::Invoke(RegOp::Read));
-    world
+        },
+        // Loss opens the inversion window: a `Store` wave that reaches
+        // only one replica leaves the write pending and visible to exactly
+        // the quorums that include that replica.
+        loss: LossModel::Bernoulli(0.25),
+        seed,
+        // Writer p3, reader p4. The reads land in the window where a
+        // lossy `Store` wave has reached some replicas but not others;
+        // the second read starts only after the first completes, so an
+        // inversion is a real-time violation.
+        script: vec![
+            (1, 3, StoreMsg::Invoke(RegOp::Write(1))),
+            (12, 4, StoreMsg::Invoke(RegOp::Read)),
+            (24, 4, StoreMsg::Invoke(RegOp::Read)),
+        ],
+    }
 }
 
 /// Epoch-fencing ablation. A write races a reconfiguration that migrates
@@ -585,54 +661,37 @@ fn store_writeback_world(seed: u64, write_back: bool) -> World<StoreMsg> {
 /// configuration returns the migrated — older — value. Deterministic
 /// (fixed delays): the mutant loses the update on the default schedule.
 fn store_fencing_target(epoch_fencing: bool) -> WorldTarget<StoreMsg> {
-    let name = if epoch_fencing {
-        "store-fencing/correct"
-    } else {
-        "store-fencing/mutant"
-    };
-    const WRITER: u64 = 6;
-    const READER: u64 = 7;
-    WorldTarget::new(
-        name,
-        Time::from_ticks(70),
-        move || {
-            let params = StoreParams {
-                initial: (0..3).map(ProcessId::from_raw).collect(),
-                replica_count: 3,
-                write_back: true,
-                epoch_fencing,
-                probe_every: None,
-                op_timeout: TimeDelta::ticks(12),
-                max_attempts: 6,
-                view_delta: TimeDelta::ticks(25),
-                ..StoreParams::default()
-            };
-            let mut world = WorldBuilder::new(23)
-                .initial_graph(dds_net::generate::complete(8))
-                .delay(DelayModel::Fixed(TimeDelta::TICK))
-                .spawn(move |_| Box::new(StoreActor::new(params.clone())))
-                .build();
-            let w = ProcessId::from_raw(WRITER);
-            let r = ProcessId::from_raw(READER);
-            world.inject(Time::from_ticks(1), w, StoreMsg::Invoke(RegOp::Write(1)));
-            world.inject(Time::from_ticks(17), w, StoreMsg::Invoke(RegOp::Write(2)));
-            world.inject(
-                Time::from_ticks(18),
-                ProcessId::from_raw(0),
+    let world = StoreWorld {
+        params: StoreParams {
+            initial: (0..3).map(ProcessId::from_raw).collect(),
+            replica_count: 3,
+            write_back: true,
+            epoch_fencing,
+            probe_every: None,
+            op_timeout: TimeDelta::ticks(12),
+            max_attempts: 6,
+            view_delta: TimeDelta::ticks(25),
+            ..StoreParams::default()
+        },
+        processes: 8,
+        delay: DelayModel::Fixed(TimeDelta::TICK),
+        loss: LossModel::None,
+        seed: 23,
+        // Writer p6, reader p7; p0 moves the register to p3..p5.
+        script: vec![
+            (1, 6, StoreMsg::Invoke(RegOp::Write(1))),
+            (17, 6, StoreMsg::Invoke(RegOp::Write(2))),
+            (
+                18,
+                0,
                 StoreMsg::Reconfigure {
                     members: (3..6).map(ProcessId::from_raw).collect(),
                 },
-            );
-            world.inject(Time::from_ticks(45), r, StoreMsg::Invoke(RegOp::Read));
-            world
-        },
-        |world: &World<StoreMsg>| {
-            check_store_history(
-                world,
-                &[ProcessId::from_raw(WRITER), ProcessId::from_raw(READER)],
-            )
-        },
-    )
+            ),
+            (45, 7, StoreMsg::Invoke(RegOp::Read)),
+        ],
+    };
+    store_target(variant("store-fencing", epoch_fencing), 70, world, false)
 }
 
 /// The shared SCD mutant scenario: a 3-process line where the two
@@ -642,13 +701,10 @@ fn store_fencing_target(epoch_fencing: bool) -> WorldTarget<StoreMsg> {
 /// flood in one hop, so everything has arrived by `t = 3`). Each fault
 /// breaks that agreement its own way; all three are deterministic on the
 /// default schedule (fixed delays), so witnesses shrink toward empty
-/// plans and exploration probes the neighborhood.
-fn scd_target(family: &'static str, fault: ScdFault) -> WorldTarget<ScdMsg> {
-    let suffix = if fault == ScdFault::None {
-        "correct"
-    } else {
-        "mutant"
-    };
+/// plans and exploration probes the neighborhood. The correct twin runs
+/// the unfaulted protocol under the family's name.
+fn scd_target(family: &str, fault: ScdFault, correct: bool) -> WorldTarget<ScdMsg> {
+    let fault = if correct { ScdFault::None } else { fault };
     let config = ScdConfig::new(2, TimeDelta::TICK, TimeDelta::ticks(2)).with_fault(fault);
     let mut scenario = ScdScenario::new(dds_net::generate::path(3), config)
         .op(1, 0, ScdCall::Tag(10))
@@ -656,7 +712,7 @@ fn scd_target(family: &'static str, fault: ScdFault) -> WorldTarget<ScdMsg> {
     scenario.seed = 5;
     scenario.deadline = Time::from_ticks(12);
     WorldTarget::new(
-        format!("{family}/{suffix}"),
+        variant(family, correct),
         scenario.deadline,
         move || scenario.build(),
         |world: &World<ScdMsg>| {
@@ -668,48 +724,12 @@ fn scd_target(family: &'static str, fault: ScdFault) -> WorldTarget<ScdMsg> {
     )
 }
 
-/// Set-constraint ablation: singleton sets in insertion order.
-fn scd_split_target(correct: bool) -> WorldTarget<ScdMsg> {
-    scd_target(
-        "scd-split",
-        if correct {
-            ScdFault::None
-        } else {
-            ScdFault::SplitSets
-        },
-    )
-}
-
-/// Containment ablation: the flush cutoff ignores the flood-latency lag.
-fn scd_cutoff_target(correct: bool) -> WorldTarget<ScdMsg> {
-    scd_target(
-        "scd-cutoff",
-        if correct {
-            ScdFault::None
-        } else {
-            ScdFault::EagerCutoff
-        },
-    )
-}
-
-/// Self-inclusion ablation: own broadcasts are never buffered.
-fn scd_self_target(correct: bool) -> WorldTarget<ScdMsg> {
-    scd_target(
-        "scd-self",
-        if correct {
-            ScdFault::None
-        } else {
-            ScdFault::SkipSelf
-        },
-    )
-}
-
 // ---------------------------------------------------------------------------
 // stabilization mutants: trajectory properties under corrupted starts.
 // ---------------------------------------------------------------------------
 
 /// Dijkstra's K-state ring (n = 3, K = 4) started in the corrupted
-/// two-privilege configuration (0, 2, 1) — judged by [`StabTarget`]:
+/// two-privilege configuration (0, 2, 1) — judged on the trajectory:
 /// exactly one privilege at every tick in (36, 44]. K ≥ n guarantees the
 /// correct protocol converges under every schedule (exploration only
 /// permutes same-instant ties, which select valid asynchronous
@@ -719,14 +739,10 @@ fn scd_self_target(correct: bool) -> WorldTarget<ScdMsg> {
 /// persist forever, and the witness shrinks to the empty plan. The start
 /// state matters — the skew dynamics also have *legal* sinks of the form
 /// (a, a, a+1), which this start provably avoids.
-fn token_stab_target(correct: bool) -> StabTarget<TokenMsg> {
-    let name = if correct {
-        "stab-token/correct"
-    } else {
-        "stab-token/mutant"
-    };
-    StabTarget::new(
-        name,
+fn token_stab_target(correct: bool) -> WorldTarget<TokenMsg> {
+    let ring: Vec<ProcessId> = (0..3).map(ProcessId::from_raw).collect();
+    WorldTarget::stabilizing(
+        variant("stab-token", correct),
         Time::from_ticks(36),
         Time::from_ticks(44),
         move || {
@@ -746,13 +762,7 @@ fn token_stab_target(correct: bool) -> StabTarget<TokenMsg> {
                 })
                 .build()
         },
-        |world: &World<TokenMsg>| {
-            let ring: Vec<ProcessId> = (0..3).map(ProcessId::from_raw).collect();
-            match token_privileges(world, &ring) {
-                1 => Ok(()),
-                n => Err(format!("{n} privileges in the ring")),
-            }
-        },
+        move |world| token_legal(world, &ring),
     )
 }
 
@@ -763,14 +773,9 @@ fn token_stab_target(correct: bool) -> StabTarget<TokenMsg> {
 /// order (real neighbors probe every 2 ticks against a 6-tick purge
 /// threshold, so they are never evicted). The no-eviction mutant keeps
 /// the phantom forever.
-fn view_stab_target(correct: bool) -> StabTarget<ProbeMsg> {
-    let name = if correct {
-        "stab-view/correct"
-    } else {
-        "stab-view/mutant"
-    };
-    StabTarget::new(
-        name,
+fn view_stab_target(correct: bool) -> WorldTarget<ProbeMsg> {
+    WorldTarget::stabilizing(
+        variant("stab-view", correct),
         Time::from_ticks(16),
         Time::from_ticks(26),
         move || {
@@ -789,26 +794,9 @@ fn view_stab_target(correct: bool) -> StabTarget<ProbeMsg> {
                 })
                 .build()
         },
-        |world: &World<ProbeMsg>| {
-            for &p in world.members() {
-                let Some(actor) = world.actor::<ViewActor>(p) else {
-                    return Err(format!("process {p} has no view actor"));
-                };
-                let kernel = world.graph().neighbors(p).unwrap_or(&[]);
-                let view = actor.view();
-                if view != kernel {
-                    return Err(format!(
-                        "process {p}: view {view:?} != neighborhood {kernel:?}"
-                    ));
-                }
-            }
-            Ok(())
-        },
+        views_legal,
     )
 }
-
-const RECONFIG_WRITER: u64 = 4;
-const RECONFIG_READER: u64 = 5;
 
 /// Exhaustive small-world sweep of a live `dds-store` reconfiguration:
 /// 3 replicas, one administrative membership change racing a write and a
@@ -835,80 +823,44 @@ const RECONFIG_READER: u64 = 5;
 /// the epoch fence exists for (the read then validates the outcome on the
 /// default tail).
 fn store_reconfig_target() -> WorldTarget<StoreMsg> {
-    WorldTarget::new(
-        "store-reconfig/sweep",
-        Time::from_ticks(90),
-        || {
-            let params = StoreParams {
-                initial: (0..3).map(ProcessId::from_raw).collect(),
-                replica_count: 3,
-                write_back: true,
-                epoch_fencing: true,
-                probe_every: None,
-                // Above the worst-case two-phase round trip under the
-                // 1..=4-tick jitter (≈16 ticks): a timeout must mean the
-                // epoch moved, never that the dice rolled slow — else an
-                // adversarial schedule starves the op by spurious retries
-                // and the liveness half of the check false-alarms.
-                op_timeout: TimeDelta::ticks(20),
-                max_attempts: 6,
-                view_delta: TimeDelta::ticks(25),
-                ..StoreParams::default()
-            };
-            let mut world = WorldBuilder::new(23)
-                .initial_graph(dds_net::generate::complete(6))
-                .delay(DelayModel::Uniform {
-                    min: TimeDelta::ticks(1),
-                    max: TimeDelta::ticks(4),
-                })
-                .spawn(move |_| Box::new(StoreActor::new(params.clone())))
-                .build();
-            let w = ProcessId::from_raw(RECONFIG_WRITER);
-            let r = ProcessId::from_raw(RECONFIG_READER);
-            world.inject(Time::from_ticks(1), w, StoreMsg::Invoke(RegOp::Write(7)));
-            world.inject(
-                Time::from_ticks(2),
-                ProcessId::from_raw(0),
+    let world = StoreWorld {
+        params: StoreParams {
+            initial: (0..3).map(ProcessId::from_raw).collect(),
+            replica_count: 3,
+            write_back: true,
+            epoch_fencing: true,
+            probe_every: None,
+            // Above the worst-case two-phase round trip under the
+            // 1..=4-tick jitter (≈16 ticks): a timeout must mean the
+            // epoch moved, never that the dice rolled slow — else an
+            // adversarial schedule starves the op by spurious retries
+            // and the liveness half of the check false-alarms.
+            op_timeout: TimeDelta::ticks(20),
+            max_attempts: 6,
+            view_delta: TimeDelta::ticks(25),
+            ..StoreParams::default()
+        },
+        processes: 6,
+        delay: DelayModel::Uniform {
+            min: TimeDelta::ticks(1),
+            max: TimeDelta::ticks(4),
+        },
+        loss: LossModel::None,
+        seed: 23,
+        // Writer p4, reader p5; p0 moves the register to p1..p3.
+        script: vec![
+            (1, 4, StoreMsg::Invoke(RegOp::Write(7))),
+            (
+                2,
+                0,
                 StoreMsg::Reconfigure {
                     members: (1..4).map(ProcessId::from_raw).collect(),
                 },
-            );
-            world.inject(Time::from_ticks(20), r, StoreMsg::Invoke(RegOp::Read));
-            world
-        },
-        |world: &World<StoreMsg>| {
-            let clients = [
-                ProcessId::from_raw(RECONFIG_WRITER),
-                ProcessId::from_raw(RECONFIG_READER),
-            ];
-            check_store_history(world, &clients)?;
-            // One op was injected at each client; each must have finished.
-            for pid in clients {
-                let Some(actor) = world.actor::<StoreActor>(pid) else {
-                    return Err(Violation {
-                        reason: "store client actor missing".into(),
-                        details: format!("{pid:?}"),
-                    });
-                };
-                let done = actor
-                    .log()
-                    .iter()
-                    .filter(|op| op.responded.is_some() && !op.aborted)
-                    .count();
-                if done != 1 || actor.in_flight().is_some() {
-                    return Err(Violation {
-                        reason: "store operation hung below the churn bound".into(),
-                        details: format!(
-                            "{pid:?}: {done} completed, in flight {:?}, log {:?}",
-                            actor.in_flight(),
-                            actor.log()
-                        ),
-                    });
-                }
-            }
-            Ok(())
-        },
-    )
+            ),
+            (20, 5, StoreMsg::Invoke(RegOp::Read)),
+        ],
+    };
+    store_target("store-reconfig/sweep".into(), 90, world, true)
 }
 
 #[cfg(test)]
@@ -986,16 +938,10 @@ mod tests {
     #[ignore = "offline seed scan for STORE_WRITEBACK_SEED"]
     fn scan_writeback_seeds() {
         for seed in 0..2000u64 {
-            let mut world = store_writeback_world(seed, false);
+            let recipe = store_writeback_world(seed, false);
+            let mut world = recipe.build();
             world.run_until(Time::from_ticks(90));
-            let bad = check_store_history(
-                &world,
-                &[
-                    ProcessId::from_raw(WB_WRITER),
-                    ProcessId::from_raw(WB_READER),
-                ],
-            )
-            .is_err();
+            let bad = check_store_history(&world, &recipe.clients()).is_err();
             if bad {
                 println!("seed {seed} violates on the default schedule");
                 return;
@@ -1044,13 +990,17 @@ mod tests {
         );
     }
 
+    /// The three SCD families and the fault each one's mutant injects.
+    const SCD_FAMILIES: [(&str, ScdFault); 3] = [
+        ("scd-split", ScdFault::SplitSets),
+        ("scd-cutoff", ScdFault::EagerCutoff),
+        ("scd-self", ScdFault::SkipSelf),
+    ];
+
     #[test]
     fn scd_mutants_are_caught_and_correct_ones_survive() {
-        for mk in [
-            scd_split_target as fn(bool) -> WorldTarget<ScdMsg>,
-            scd_cutoff_target,
-            scd_self_target,
-        ] {
+        for (family, fault) in SCD_FAMILIES {
+            let mk = |correct| scd_target(family, fault, correct);
             let mut correct = mk(true);
             let name = correct.name().to_string();
             let out = explore(&mut correct, budget());
@@ -1076,11 +1026,8 @@ mod tests {
 
     #[test]
     fn scd_witnesses_are_byte_reproducible_on_the_fork_engine() {
-        for mk in [
-            scd_split_target as fn(bool) -> WorldTarget<ScdMsg>,
-            scd_cutoff_target,
-            scd_self_target,
-        ] {
+        for (family, fault) in SCD_FAMILIES {
+            let mk = |correct| scd_target(family, fault, correct);
             let a = explore_fork(&mut mk(false), budget()).expect("SCD targets fork");
             let b = explore_fork(&mut mk(false), budget()).expect("SCD targets fork");
             let pa = a.counterexample.expect("fork engine catches the mutant");

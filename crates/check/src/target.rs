@@ -14,10 +14,6 @@ use dds_sim::world::World;
 
 use crate::schedule::{ChoicePoint, ReadyEvent};
 
-/// Final-state property over a finished world. `Rc` so the target and the
-/// exploration sessions it spawns can share one closure.
-type WorldCheck<M> = Rc<dyn Fn(&World<M>) -> Result<(), Violation>>;
-
 /// A property failure observed in one run.
 #[derive(Debug, Clone)]
 pub struct Violation {
@@ -199,10 +195,10 @@ pub trait ExploreSession {
     fn violation(&self) -> Option<Violation>;
 }
 
-/// What the two world-backed targets are made of: how to build the world,
-/// how long to run it, how to judge it, and what exploration may assume
-/// about it.
-struct Scenario<M> {
+/// A [`Target`] wrapping a simulator world: build it, run it under a
+/// plan until `deadline`, then judge the run — the final state
+/// ([`WorldTarget::new`]) or the trajectory ([`WorldTarget::stabilizing`]).
+pub struct WorldTarget<M> {
     name: String,
     build: Box<dyn FnMut() -> World<M>>,
     deadline: Time,
@@ -215,14 +211,76 @@ struct Scenario<M> {
     msg_fp: fn(&M, &mut StableHasher),
 }
 
-impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
-    fn new(
+impl<M: Clone + FingerprintMsg + 'static> WorldTarget<M> {
+    /// Creates a world target. `build` must return a freshly built,
+    /// deterministic world (same seed every time); `check` judges the
+    /// final state.
+    ///
+    /// Exploration forks the world at choice points ([`Target::session`]
+    /// opens a live session whenever the world's actors and driver can
+    /// fork) and prunes with the sleep-set reduction, which assumes the
+    /// actor callbacks do not race through the shared rng.
+    pub fn new(
+        name: impl Into<String>,
+        deadline: Time,
+        build: impl FnMut() -> World<M> + 'static,
+        check: impl Fn(&World<M>) -> Result<(), Violation> + 'static,
+    ) -> Self {
+        let judge = Judge::Final(Rc::new(check));
+        Self::with_judge(name.into(), deadline, Box::new(build), judge)
+    }
+
+    /// Creates a target for a self-stabilization property: "eventually
+    /// legal and stays legal", with an explicit convergence bound.
+    ///
+    /// Where [`WorldTarget::new`] judges only the final state, this judges
+    /// the *trajectory*: the world must satisfy `legal` at every tick in
+    /// `(converge_by, hold_until]` — sampled after all events of that tick
+    /// have dispatched. A run that is illegal at any sample is violated
+    /// (closure: once legal, the system must not leave the legal set again
+    /// within the horizon; convergence: it must have entered it by
+    /// `converge_by`). `legal` returns `Err(details)` describing an
+    /// illegal configuration.
+    ///
+    /// The predicate is evaluated whenever virtual time is about to move
+    /// past unfinalized sample instants (the state at those instants is
+    /// exactly the current state, since no events lie between). The
+    /// latched verdict — including which tick first went illegal — is
+    /// folded into the session fingerprint, so deduplication can never
+    /// identify a violated trajectory with a clean one that happens to
+    /// share a world state. Exploration forks and reduces as for
+    /// [`WorldTarget::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `hold_until > converge_by` (an empty sample window
+    /// would make every system vacuously stabilizing).
+    pub fn stabilizing(
+        name: impl Into<String>,
+        converge_by: Time,
+        hold_until: Time,
+        build: impl FnMut() -> World<M> + 'static,
+        legal: impl Fn(&World<M>) -> Result<(), String> + 'static,
+    ) -> Self {
+        assert!(
+            hold_until > converge_by,
+            "the hold window must extend past the convergence bound"
+        );
+        let judge = Judge::Trajectory {
+            legal: Rc::new(legal),
+            next_sample: converge_by.as_ticks() + 1,
+            violation: None,
+        };
+        Self::with_judge(name.into(), hold_until, Box::new(build), judge)
+    }
+
+    fn with_judge(
         name: String,
         deadline: Time,
         build: Box<dyn FnMut() -> World<M>>,
         judge: Judge<M>,
     ) -> Self {
-        Scenario {
+        WorldTarget {
             name,
             build,
             deadline,
@@ -230,6 +288,12 @@ impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
             reduction_safe: true,
             msg_fp: fingerprint_msg::<M>,
         }
+    }
+
+    /// Turns the sleep-set reduction off (to measure its effect, or to
+    /// cross-check that it prunes only commutative interleavings).
+    pub fn disable_reduction(&mut self) {
+        self.reduction_safe = false;
     }
 
     /// A live run over a freshly built world — the one stepping loop
@@ -245,6 +309,12 @@ impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
             buf: Vec::new(),
         }
     }
+}
+
+impl<M: Clone + FingerprintMsg + 'static> Target for WorldTarget<M> {
+    fn name(&self) -> &str {
+        &self.name
+    }
 
     /// Runs a fresh world under `plan`.
     fn run(&mut self, plan: &[usize]) -> RunReport {
@@ -254,6 +324,10 @@ impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
             choices,
             violation: run.violation(),
         }
+    }
+
+    fn reduction_safe(&self) -> bool {
+        self.reduction_safe
     }
 
     /// Opens a live session for the explorer, or `None` when some
@@ -321,170 +395,26 @@ impl<M: Clone + FingerprintMsg + 'static> Scenario<M> {
     }
 }
 
-/// The builder method and [`Target`] plumbing [`WorldTarget`] and
-/// [`StabTarget`] share: the types differ only in the [`Judge`] their
-/// constructors hand the scenario.
-macro_rules! scenario_target {
-    ($target:ident) => {
-        impl<M: Clone + FingerprintMsg + 'static> $target<M> {
-            /// Turns the sleep-set reduction off (to measure its effect,
-            /// or to cross-check that it prunes only commutative
-            /// interleavings).
-            pub fn disable_reduction(&mut self) {
-                self.scenario.reduction_safe = false;
-            }
-        }
+/// A property of one world state, `Err` when it fails. `Rc` so the target
+/// and the exploration sessions it spawns share one closure.
+type Property<M, E> = Rc<dyn Fn(&World<M>) -> Result<(), E>>;
 
-        impl<M: Clone + FingerprintMsg + 'static> Target for $target<M> {
-            fn name(&self) -> &str {
-                &self.scenario.name
-            }
-
-            fn run(&mut self, plan: &[usize]) -> RunReport {
-                self.scenario.run(plan)
-            }
-
-            fn reduction_safe(&self) -> bool {
-                self.scenario.reduction_safe
-            }
-
-            fn session(&mut self) -> Option<Box<dyn ExploreSession>> {
-                self.scenario.session()
-            }
-
-            fn dump_counterexample(
-                &mut self,
-                plan: &[usize],
-                dir: &Path,
-                stem: &str,
-                reason: &str,
-            ) -> Vec<PathBuf> {
-                self.scenario.dump_counterexample(plan, dir, stem, reason)
-            }
-        }
-    };
-}
-
-/// A [`Target`] wrapping a simulator world: build it, run it under a
-/// plan until `deadline`, then check a property over the final state.
-pub struct WorldTarget<M> {
-    scenario: Scenario<M>,
-}
-
-impl<M: Clone + FingerprintMsg + 'static> WorldTarget<M> {
-    /// Creates a world target. `build` must return a freshly built,
-    /// deterministic world (same seed every time); `check` judges the
-    /// final state.
-    ///
-    /// Exploration forks the world at choice points ([`Target::session`]
-    /// opens a live session whenever the world's actors and driver can
-    /// fork) and prunes with the sleep-set reduction, which assumes the
-    /// actor callbacks do not race through the shared rng.
-    pub fn new(
-        name: impl Into<String>,
-        deadline: Time,
-        build: impl FnMut() -> World<M> + 'static,
-        check: impl Fn(&World<M>) -> Result<(), Violation> + 'static,
-    ) -> Self {
-        let judge = Judge::Final(Rc::new(check));
-        WorldTarget {
-            scenario: Scenario::new(name.into(), deadline, Box::new(build), judge),
-        }
-    }
-}
-
-scenario_target!(WorldTarget);
-
-/// Legality predicate of a [`StabTarget`]: `Ok` when the configuration is
-/// legal, `Err(details)` describing the illegality otherwise.
-type StabCheck<M> = Rc<dyn Fn(&World<M>) -> Result<(), String>>;
-
-/// A [`Target`] for self-stabilization properties: "eventually legal and
-/// stays legal", with an explicit convergence bound.
-///
-/// Where [`WorldTarget`] judges only the final state, this target judges
-/// the *trajectory*: the world must satisfy `legal` at every tick in
-/// `(converge_by, hold_until]` — sampled after all events of that tick
-/// have dispatched. A run that is illegal at any sample is violated
-/// (closure: once legal, the system must not leave the legal set again
-/// within the horizon; convergence: it must have entered it by
-/// `converge_by`).
-///
-/// The predicate is evaluated whenever virtual time is about to move past
-/// unfinalized sample instants (the state at those instants is exactly
-/// the current state, since no events lie between). The latched verdict —
-/// including which tick first went illegal — is folded into the session
-/// fingerprint, so deduplication can never identify a violated trajectory
-/// with a clean one that happens to share a world state.
-pub struct StabTarget<M> {
-    /// `scenario.deadline` is the end of the hold window.
-    scenario: Scenario<M>,
-}
-
-impl<M: Clone + FingerprintMsg + 'static> StabTarget<M> {
-    /// Creates a stabilization target: the world must be legal at every
-    /// tick after `converge_by` through `hold_until`. Exploration forks
-    /// and reduces as for [`WorldTarget::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `hold_until > converge_by` (an empty sample window
-    /// would make every system vacuously stabilizing).
-    pub fn new(
-        name: impl Into<String>,
-        converge_by: Time,
-        hold_until: Time,
-        build: impl FnMut() -> World<M> + 'static,
-        legal: impl Fn(&World<M>) -> Result<(), String> + 'static,
-    ) -> Self {
-        assert!(
-            hold_until > converge_by,
-            "the hold window must extend past the convergence bound"
-        );
-        let judge = Judge::Trajectory {
-            legal: Rc::new(legal),
-            next_sample: converge_by.as_ticks() + 1,
-            violation: None,
-        };
-        StabTarget {
-            scenario: Scenario::new(name.into(), hold_until, Box::new(build), judge),
-        }
-    }
-}
-
-scenario_target!(StabTarget);
-
-/// How a run reaches its verdict.
+/// How a run reaches its verdict: the one place the final-state and the
+/// trajectory targets differ.
+#[derive(Clone)]
 enum Judge<M> {
-    /// [`WorldTarget`]: the property is read off the final state.
-    Final(WorldCheck<M>),
-    /// [`StabTarget`]: legality samples are finalized as virtual time
-    /// moves past them, latching the first illegal tick.
+    /// [`WorldTarget::new`]: the property is read off the final state.
+    Final(Property<M, Violation>),
+    /// [`WorldTarget::stabilizing`]: legality samples are finalized as
+    /// virtual time moves past them, latching the first illegal tick.
     Trajectory {
-        legal: StabCheck<M>,
+        legal: Property<M, String>,
         /// First sample tick whose state is not yet finalized. Samples
         /// are `converge_by + 1 ..= deadline`; a sample is finalized once
         /// no event at or before it remains undispatched.
         next_sample: u64,
         violation: Option<Violation>,
     },
-}
-
-impl<M> Clone for Judge<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Judge::Final(check) => Judge::Final(Rc::clone(check)),
-            Judge::Trajectory {
-                legal,
-                next_sample,
-                violation,
-            } => Judge::Trajectory {
-                legal: Rc::clone(legal),
-                next_sample: *next_sample,
-                violation: violation.clone(),
-            },
-        }
-    }
 }
 
 impl<M> Judge<M> {
@@ -834,6 +764,19 @@ mod tests {
         assert!(report.choices.iter().all(|c| c.ready.is_empty()));
         assert_eq!(report.plan(), vec![0; report.decisions()]);
         assert!(!target.reduction_safe());
+    }
+
+    #[test]
+    #[should_panic(expected = "the hold window must extend past the convergence bound")]
+    fn stabilizing_rejects_an_empty_hold_window() {
+        let tick = Time::from_ticks(8);
+        WorldTarget::<u64>::stabilizing(
+            "empty-window",
+            tick,
+            tick,
+            || dds_sim::world::WorldBuilder::new(0).build(),
+            |_| Ok(()),
+        );
     }
 
     #[test]

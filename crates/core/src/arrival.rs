@@ -69,16 +69,6 @@ impl ArrivalModel {
         matches!(self, ArrivalModel::FiniteKnown { .. })
     }
 
-    /// `true` when infinitely many arrivals may occur over a run.
-    pub const fn is_infinite_arrival(&self) -> bool {
-        matches!(
-            self,
-            ArrivalModel::InfiniteBounded { .. }
-                | ArrivalModel::InfiniteFinite
-                | ArrivalModel::InfiniteUnbounded
-        )
-    }
-
     /// The bound on simultaneous participation known *a priori*, when one
     /// exists.
     ///

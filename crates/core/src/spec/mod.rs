@@ -6,8 +6,6 @@
 //!
 //! - [`aggregate`] — the commutative-monoid aggregate functions of the
 //!   one-time query;
-//! - [`hook`] — the thread-local spec-failure notification hook harnesses
-//!   use to trigger flight dumps;
 //! - [`one_time_query`] — the canonical problem and its validity levels;
 //! - [`history`] — operation histories of shared objects;
 //! - [`register`] — atomicity (linearizability) and regularity checkers;
@@ -16,6 +14,5 @@
 pub mod aggregate;
 pub mod consensus;
 pub mod history;
-pub mod hook;
 pub mod one_time_query;
 pub mod register;

@@ -279,16 +279,14 @@ pub fn check_outcome(outcome: &QueryOutcome, presence: &PresenceMap) -> Validity
     let snapshot_valid =
         !outcome.timed_out && phantom.is_empty() && has_quiet_instant(probed, &mut others);
 
-    let report = ValidityReport {
+    ValidityReport {
         level,
         missed,
         phantom,
         required,
         allowed,
         snapshot_valid,
-    };
-    notify_failure(outcome, &report);
-    report
+    }
 }
 
 /// `true` when the presence intervals of the non-contributors, `others`,
@@ -308,20 +306,6 @@ fn has_quiet_instant(probed: Interval, others: &mut [Interval]) -> bool {
         reach = reach.max(iv.end());
     }
     reach < probed.end()
-}
-
-/// Reports anything short of interval validity to the thread-local
-/// spec-failure hook, so an observing harness can dump its flight
-/// recorder. Free when no capture scope is active.
-fn notify_failure(outcome: &QueryOutcome, report: &ValidityReport) {
-    if report.level != ValidityLevel::IntervalValid {
-        crate::spec::hook::notify_with(|| {
-            format!(
-                "one-time query by {} over {}: {}",
-                outcome.initiator, outcome.window, report
-            )
-        });
-    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,7 @@ use std::fmt;
 use dds_core::churn::ChurnSpec;
 use dds_core::process::ProcessId;
 use dds_core::spec::aggregate::AggregateKind;
-use dds_core::spec::hook;
-use dds_core::spec::one_time_query::{check_outcome, QueryOutcome, ValidityReport};
+use dds_core::spec::one_time_query::{check_outcome, QueryOutcome, ValidityLevel, ValidityReport};
 use dds_core::time::{Interval, Time, TimeDelta};
 use dds_net::graph::Graph;
 use dds_obs::{CausalLog, CriticalPath, FlightDump, ObsEvent, ObserverSink, RunReport};
@@ -441,13 +440,15 @@ impl QueryScenario {
         let values = world.values();
         let metrics = world.metrics();
         let presence = world.trace().presence();
-        // Judge under a spec-failure capture scope: any violation the
-        // checker reports keeps a flight dump of the log's last records,
-        // the events leading up to it.
-        let (report, failures) = hook::capture_failures(|| check_outcome(&outcome, &presence));
-        let flight_dump = (!failures.is_empty()).then(|| {
+        // A run short of interval validity keeps a flight dump of the
+        // log's last records, the events leading up to it.
+        let report = check_outcome(&outcome, &presence);
+        let flight_dump = (report.level != ValidityLevel::IntervalValid).then(|| {
             observer.causal.flight(
-                failures.join("; "),
+                format!(
+                    "one-time query by {} over {}: {}",
+                    outcome.initiator, outcome.window, report
+                ),
                 finished.unwrap_or(self.deadline),
                 CausalLog::FLIGHT_TAIL,
             )
@@ -720,7 +721,6 @@ impl fmt::Display for SweepRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_core::spec::one_time_query::ValidityLevel;
     use dds_net::generate;
 
     #[test]
@@ -761,8 +761,8 @@ mod tests {
     #[test]
     fn spec_failure_dumps_the_flight_recorder() {
         // Same failing scenario as `short_ttl_is_weakly_valid`: the wave
-        // misses half the path, the validity hook fires, and the judge
-        // renders the recorder ring.
+        // misses half the path, so the run is short of interval validity
+        // and the judge keeps the log's last records.
         let scenario = QueryScenario::new(generate::path(8), ProtocolKind::FloodEcho { ttl: 3 });
         let run = scenario.run();
         let dump = run

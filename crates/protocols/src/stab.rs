@@ -260,8 +260,12 @@ pub fn token_privileges(world: &World<TokenMsg>, ring: &[ProcessId]) -> usize {
 }
 
 /// The K-state legality predicate: exactly one privilege in the ring.
-pub fn token_legal(world: &World<TokenMsg>, ring: &[ProcessId]) -> bool {
-    token_privileges(world, ring) == 1
+/// `Err` names how many there are.
+pub fn token_legal(world: &World<TokenMsg>, ring: &[ProcessId]) -> Result<(), String> {
+    match token_privileges(world, ring) {
+        1 => Ok(()),
+        n => Err(format!("{n} privileges in the ring")),
+    }
 }
 
 /// Phantom identities injected by view corruption live far above any real
@@ -425,15 +429,22 @@ impl Actor<ProbeMsg> for ViewActor {
 }
 
 /// The view legality predicate: every member's view equals its kernel
-/// neighborhood, exactly.
-pub fn views_legal(world: &World<ProbeMsg>) -> bool {
-    world.members().iter().all(|&p| {
+/// neighborhood, exactly. `Err` names the first member, in identity
+/// order, whose view is missing or differs.
+pub fn views_legal(world: &World<ProbeMsg>) -> Result<(), String> {
+    for &p in world.members() {
         let Some(actor) = world.actor::<ViewActor>(p) else {
-            return false;
+            return Err(format!("process {p} has no view actor"));
         };
         let kernel = world.graph().neighbors(p).unwrap_or(&[]);
-        actor.view() == kernel
-    })
+        let view = actor.view();
+        if view != kernel {
+            return Err(format!(
+                "process {p}: view {view:?} != neighborhood {kernel:?}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Runs `world` tick by tick from `from` to `deadline` and returns how
@@ -551,7 +562,7 @@ impl StabScenario {
         let from = Time::from_ticks(self.corrupt_at);
         world.run_until(from);
         let ticks = measure_stabilization(&mut world, from, Time::from_ticks(self.deadline), |w| {
-            token_legal(w, &ring)
+            token_legal(w, &ring).is_ok()
         });
         StabOutcome {
             ticks_to_legal: ticks,
@@ -585,12 +596,9 @@ impl StabScenario {
             .build();
         let from = Time::from_ticks(self.corrupt_at);
         world.run_until(from);
-        let ticks = measure_stabilization(
-            &mut world,
-            from,
-            Time::from_ticks(self.deadline),
-            views_legal,
-        );
+        let ticks = measure_stabilization(&mut world, from, Time::from_ticks(self.deadline), |w| {
+            views_legal(w).is_ok()
+        });
         StabOutcome {
             ticks_to_legal: ticks,
             metrics: *world.metrics(),
@@ -723,7 +731,7 @@ mod tests {
             .build();
         let ring: Vec<ProcessId> = (0..n).map(pid).collect();
         let ticks = measure_stabilization(&mut world, Time::ZERO, Time::from_ticks(300), |w| {
-            token_legal(w, &ring)
+            token_legal(w, &ring).is_ok()
         });
         assert!(ticks.is_some());
         let mover = world.actor::<DijkstraRing>(pid(0)).unwrap();
@@ -744,9 +752,10 @@ mod tests {
                 })
             })
             .build();
-        assert!(!views_legal(&world) || world.members().is_empty());
-        let ticks =
-            measure_stabilization(&mut world, Time::ZERO, Time::from_ticks(100), views_legal);
+        assert!(views_legal(&world).is_err() || world.members().is_empty());
+        let ticks = measure_stabilization(&mut world, Time::ZERO, Time::from_ticks(100), |w| {
+            views_legal(w).is_ok()
+        });
         assert!(ticks.is_some(), "phantom must be purged");
         let a = world.actor::<ViewActor>(pid(1)).unwrap();
         assert!(a.purges() >= 1);
@@ -789,6 +798,55 @@ mod tests {
             })
             .build();
         let ghost = [pid(0), pid(1), pid(7)];
-        assert!(!token_legal(&world, &ghost));
+        assert!(token_legal(&world, &ghost).is_err());
+    }
+
+    /// The illegality the checker's stab subjects report as a
+    /// violation's details: two privileges on a corrupted ring.
+    #[test]
+    fn token_legal_names_the_privilege_count() {
+        let world: World<TokenMsg> = WorldBuilder::new(0)
+            .initial_graph(generate::ring(3))
+            .spawn(|p| {
+                let raw = p.as_raw();
+                Box::new(
+                    DijkstraRing::new(4, raw == 0, pid((raw + 1) % 3), TimeDelta::ticks(2))
+                        .with_state([0, 2, 1][raw as usize], None),
+                )
+            })
+            .build();
+        let ring: Vec<ProcessId> = (0..3).map(pid).collect();
+        assert_eq!(
+            token_legal(&world, &ring),
+            Err("2 privileges in the ring".to_string())
+        );
+    }
+
+    /// A phantom neighbor in one view is named with both sides of the
+    /// mismatch; an unseeded ring is legal from the start.
+    #[test]
+    fn views_legal_names_the_phantom_view() {
+        let build = |phantom: bool| -> World<ProbeMsg> {
+            WorldBuilder::new(0)
+                .initial_graph(generate::ring(3))
+                .spawn(move |p| {
+                    let actor = ViewActor::new(TimeDelta::ticks(2), TimeDelta::ticks(6));
+                    Box::new(if phantom && p == pid(1) {
+                        actor.with_phantom(pid(99))
+                    } else {
+                        actor
+                    })
+                })
+                .build()
+        };
+        assert_eq!(views_legal(&build(false)), Ok(()));
+        assert_eq!(
+            views_legal(&build(true)),
+            Err(
+                "process p1: view [ProcessId(0), ProcessId(2), ProcessId(99)] \
+                 != neighborhood [ProcessId(0), ProcessId(2)]"
+                    .to_string()
+            )
+        );
     }
 }
